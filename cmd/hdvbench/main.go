@@ -69,7 +69,7 @@ func main() {
 		gop      = flag.Int("gop", 0, "intra period / closed-GOP length (0 = first frame only)")
 		slices   = flag.Int("slices", 0, "macroblock-row slices per frame (0 = 1, or the {1,2,4} sweep in -scaling mode)")
 		wavefrnt = flag.Bool("wavefront", false, "wavefront (2D) macroblock scheduling inside each slice (encode; bytes unchanged)")
-		workers  = flag.Int("workers", runtime.NumCPU(), "GOP-parallel worker goroutines (1 = serial)")
+		workers  = flag.Int("workers", runtime.NumCPU(), "worker-goroutine budget shared by GOP chunks, slices and wavefront rows (1 = serial)")
 		resList  = flag.String("res", "", "comma-separated resolutions, up to 2160p25 (default: the paper's three)")
 		seqList  = flag.String("seqs", "", "comma-separated sequences, incl. sport_pan/scene_cut (default: the paper's four)")
 		cdcList  = flag.String("codecs", "", "comma-separated codecs (default: all three)")

@@ -59,7 +59,7 @@ func main() {
 		gop       = flag.Int("gop", 0, "intra period / closed-GOP length (0 = first frame only)")
 		slices    = flag.Int("slices", 1, "macroblock-row slices per frame (encode; parallelizes inside frames even with -gop 0, small quality cost)")
 		wavefrnt  = flag.Bool("wavefront", false, "wavefront (2D) macroblock scheduling inside each slice (encode; bytes unchanged)")
-		workers   = flag.Int("workers", runtime.NumCPU(), "GOP-parallel worker goroutines (1 = serial)")
+		workers   = flag.Int("workers", runtime.NumCPU(), "worker-goroutine budget shared by GOP chunks, slices and wavefront rows (1 = serial)")
 		window    = flag.Int("window", 0, "closed-GOP chunks in flight (0 = 2x workers); caps peak memory")
 		simd      = flag.Bool("simd", false, "use the SIMD (SWAR) kernels")
 		vlc       = flag.Bool("vlc", false, "H.264: use VLC entropy instead of CABAC")

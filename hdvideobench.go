@@ -48,8 +48,10 @@
 // every frame into N independently coded macroblock-row slices (x264's
 // sliced-threads shape): prediction state resets and clamps at slice
 // boundaries, the frame packet carries a slice table, and the slices of
-// each frame are coded and decoded concurrently across the same Workers
-// budget — composing with GOP chunking when both exist. Slices change
+// each frame are coded and decoded concurrently on the same Workers
+// budget: a chunk worker with no chunk left lends its token to the
+// slices (and Wavefront rows) of the frames still in flight, so the two
+// axes compose without ever exceeding Workers goroutines. Slices change
 // the bitstream (a small, bounded quality cost), but for a fixed slice
 // count the output remains byte-identical at every worker count.
 // RunScalingMatrixReport sweeps the full slices × workers grid.
@@ -218,26 +220,35 @@ type EncoderOptions struct {
 	SIMD bool
 	// Entropy selects the H.264 entropy coder.
 	Entropy EntropyMode
-	// Workers is the GOP-chunk parallelism used by EncodeFramesParallel:
-	// closed GOPs (IntraPeriod frames each) are encoded concurrently on
-	// this many goroutines. 0 or 1 is the serial path, negative selects
-	// runtime.NumCPU(). Output is byte-identical for every value.
+	// Workers is the worker budget of one encode, decode or transcode
+	// call, shared by all three axes of parallelism — closed-GOP chunks
+	// (IntraPeriod frames each), the Slices of a frame and the Wavefront
+	// rows of a slice — under one rule: a goroutine holds one of the
+	// Workers tokens while it is inside a codec call, and idle tokens go
+	// to whoever dispatches next. A chunk worker holds one for the length
+	// of its chunk; when it has no chunk (the tail of a stream, a single
+	// GOP) its token funds the slices and rows of the frames still being
+	// coded, so the call never runs more than Workers codec goroutines
+	// and never leaves one idle while a frame could use it. 0 or 1 is
+	// the serial path, negative selects runtime.NumCPU(). Output is
+	// byte-identical for every value.
 	Workers int
 	// Slices splits every frame into this many independently coded
 	// macroblock-row slices (x264's sliced-threads shape; 0/1 = one
 	// slice). Unlike Workers, Slices affects the bitstream: prediction
 	// clamps at slice boundaries, costing a little compression. In
-	// exchange the slices of one frame are coded concurrently across
-	// the Workers budget, which is the only parallelism available at
-	// the paper's IntraPeriod == 0 default — and for a fixed slice
-	// count output stays byte-identical at every worker count.
+	// exchange the slices of one frame are coded concurrently on
+	// whatever Workers tokens are free when the frame is dispatched —
+	// all but one at the paper's IntraPeriod == 0 default, the idle
+	// chunk workers' otherwise — and for a fixed slice count output
+	// stays byte-identical at every worker count.
 	Slices int
 	// Wavefront enables wavefront (2D) macroblock scheduling inside each
 	// slice: macroblock rows run concurrently as soon as their left and
-	// top-right dependencies are met, drawing goroutines from the same
-	// Workers budget as GOP chunks and slices. Unlike Slices it never
-	// changes the bitstream — output stays byte-identical with the flag
-	// on or off, at every worker count — so it is the axis that scales a
+	// top-right dependencies are met, each extra row helper on a free
+	// Workers token like a slice. Unlike Slices it never changes the
+	// bitstream — output stays byte-identical with the flag on or off,
+	// at every worker count — so it is the axis that scales a
 	// single-slice, IntraPeriod == 0 stream without any compression cost.
 	Wavefront bool
 	// SceneCutIntra enables adaptive I-frame placement: a subsampled-luma
@@ -558,7 +569,7 @@ func DecodeStream(r io.Reader, simd bool, workers, window int, yield func(*Frame
 // memory. opts supplies the target coding options; zero Width/Height
 // copy the input's dimensions (there is no scaler — explicit dimensions
 // must match the input), and opts.SIMD selects the kernels for both the
-// decode and encode stages.
+// decode and encode stages, which share the one opts.Workers budget.
 func Transcode(r io.Reader, w io.Writer, c Codec, opts EncoderOptions) (TranscodeStats, error) {
 	k := kernel.Scalar
 	if opts.SIMD {
@@ -628,9 +639,10 @@ type SuiteOptions struct {
 	// only, the paper's setting). Nonzero periods produce closed GOPs,
 	// the unit of Workers parallelism.
 	IntraPeriod int
-	// Workers is the GOP-chunk parallelism for the suite's encode and
-	// decode passes (0/1 = serial). Results are byte-identical across
-	// worker counts.
+	// Workers is the worker budget of the suite's encode and decode
+	// passes (0/1 = serial; see EncoderOptions.Workers for how chunks,
+	// slices and wavefront rows share it). Results are byte-identical
+	// across worker counts.
 	Workers int
 	// Slices is the per-frame macroblock-row slice count (0/1 = one
 	// slice). Slices parallelize inside each frame — the axis that

@@ -262,9 +262,7 @@ func EncodeSequenceParallel(id CodecID, cfg codec.Config, frames []*frame.Frame,
 	if workers <= 1 {
 		return EncodeSequence(id, cfg, frames)
 	}
-	return pipeline.EncodeFrames(func() (codec.Encoder, error) {
-		return NewEncoder(id, cfg)
-	}, cfg.IntraPeriod, workers, frames)
+	return pipeline.EncodeFrames(encoderFactory(id, cfg), cfg.IntraPeriod, workers, frames)
 }
 
 // DecodePacketsParallel is DecodePackets spread over workers goroutines,
@@ -277,9 +275,7 @@ func DecodePacketsParallel(hdr container.Header, kern kernel.Set, pkts []contain
 	if workers <= 1 {
 		return DecodePackets(hdr, kern, pkts)
 	}
-	return pipeline.DecodePackets(func() (codec.Decoder, error) {
-		return NewDecoder(hdr, kern)
-	}, workers, pkts)
+	return pipeline.DecodePackets(decoderFactory(hdr, kern), workers, pkts)
 }
 
 // DecodePackets decodes a packet stream back to display-order frames.

@@ -21,17 +21,13 @@ import (
 // workers selects runtime.NumCPU(). Output is byte-identical to the
 // batch path for every worker count and window. col, when non-nil,
 // receives the pipeline's self-measurements (chunk encode time, queue
-// depth, drain stalls, slice-gate waits); nil disables collection.
+// depth, drain stalls, slice-gate and wavefront waits); nil disables
+// collection.
 func NewStreamEncoder(id CodecID, cfg codec.Config, workers, window int, col *obs.Collector) (*stream.Encoder, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if workers < 0 {
-		workers = pipeline.Workers(0)
-	}
-	return stream.NewEncoder(func() (codec.Encoder, error) {
-		return NewEncoder(id, cfg)
-	}, cfg.IntraPeriod, workers, window, col)
+	return stream.NewEncoder(encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
 }
 
 // NewStreamDecoder builds the streaming decoder for a coded stream
@@ -40,12 +36,25 @@ func NewStreamEncoder(id CodecID, cfg codec.Config, workers, window int, col *ob
 // workers <= 1 selects the serial mode; negative workers selects
 // runtime.NumCPU().
 func NewStreamDecoder(hdr container.Header, kern kernel.Set, workers, window int) (*stream.Decoder, error) {
+	return stream.NewDecoder(decoderFactory(hdr, kern), workerGate(workers, nil), window)
+}
+
+// workerGate builds the token bank of one streaming call: every stage of
+// the call is constructed on it, so together they keep to `workers`
+// codec goroutines.
+func workerGate(workers int, col *obs.Collector) *pipeline.SliceGate {
 	if workers < 0 {
 		workers = pipeline.Workers(0)
 	}
-	return stream.NewDecoder(func() (codec.Decoder, error) {
-		return NewDecoder(hdr, kern)
-	}, workers, window)
+	return pipeline.NewSliceGate(workers).Observe(col)
+}
+
+func encoderFactory(id CodecID, cfg codec.Config) pipeline.EncoderFactory {
+	return func() (codec.Encoder, error) { return NewEncoder(id, cfg) }
+}
+
+func decoderFactory(hdr container.Header, kern kernel.Set) pipeline.DecoderFactory {
+	return func() (codec.Decoder, error) { return NewDecoder(hdr, kern) }
 }
 
 // StreamStats summarizes one streaming pass.
@@ -213,7 +222,11 @@ type TranscodeStats struct {
 // windows, so sequences of any length transcode at constant memory.
 // cfgFor maps the parsed input header to the target coding options
 // (dimensions normally copy the input's). workers/window as in
-// NewStreamEncoder; the same budget is applied to both codec stages.
+// NewStreamEncoder; the two codec stages share one budget of workers
+// tokens, so the decode side gets what the encode side is not using and
+// the whole transcode keeps to `workers` codec goroutines. (workers <= 1
+// is the serial path and banks nothing: each stage drives its one
+// instance inline on its own pipeline goroutine, as it always has.)
 func Transcode(r io.Reader, w io.Writer, target CodecID, kern kernel.Set, workers, window int, cfgFor func(container.Header) (codec.Config, error), col *obs.Collector) (TranscodeStats, error) {
 	sr, err := container.NewStreamReader(r)
 	if err != nil {
@@ -224,11 +237,22 @@ func Transcode(r io.Reader, w io.Writer, target CodecID, kern kernel.Set, worker
 	if err != nil {
 		return TranscodeStats{}, err
 	}
-	dec, err := NewStreamDecoder(hdr, kern, workers, window)
+	if err := cfg.Validate(); err != nil {
+		return TranscodeStats{}, err
+	}
+	return transcode(sr, w, decoderFactory(hdr, kern), encoderFactory(target, cfg), cfg.IntraPeriod, workers, window, col)
+}
+
+// transcode is Transcode from the point where the codecs are chosen: it
+// builds both codec stages on one gate and runs the four-stage pipeline.
+func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderFactory, newEnc pipeline.EncoderFactory, gop, workers, window int, col *obs.Collector) (TranscodeStats, error) {
+	hdr := sr.Header()
+	gate := workerGate(workers, col)
+	dec, err := stream.NewDecoder(newDec, gate, window)
 	if err != nil {
 		return TranscodeStats{}, err
 	}
-	enc, err := NewStreamEncoder(target, cfg, workers, window, col)
+	enc, err := stream.NewEncoder(newEnc, gop, gate, window)
 	if err != nil {
 		dec.Abort()
 		dec.Close()

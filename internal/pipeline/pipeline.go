@@ -14,12 +14,22 @@
 // changed with GOMAXPROCS would be worthless; determinism here is load
 // bearing and is enforced by pipeline_test.go.
 //
-// With IntraPeriod == 0 (the paper's first-frame-only-intra setting)
-// there are no chunk boundaries and both entry points fall back to a
-// single codec instance — but when Config.Slices > 1 that instance still
-// parallelizes inside each frame: its macroblock-row slices are fanned
-// out across the worker budget through a SliceGate, composing with the
-// chunk pool when both levels exist.
+// # Scheduling: three axes, one worker budget
+//
+// GOP chunks are the coarse axis; inside each frame the codecs can also
+// run macroblock-row slices concurrently (Config.Slices > 1) and, inside
+// each slice, macroblock rows on a wavefront (Config.Wavefront). All
+// three draw on one SliceGate per encode/decode call — a bank of
+// `workers` tokens — under one rule: a goroutine holds one token while
+// it is inside a codec call; idle tokens go to whoever dispatches next.
+// Chunk workers block for their token before a chunk and return it
+// after; slice jobs and wavefront row helpers take one only if it is
+// free and run inline on their dispatcher otherwise. With IntraPeriod ==
+// 0 (the paper's first-frame-only-intra setting) there is one chunk, so
+// the whole bank funds slices and rows; with more chunks than workers
+// every token is busy with a chunk until the tail, where each worker
+// that runs out of chunks lends its token to the frames still being
+// coded. The budget is never split ahead of time and never exceeded.
 package pipeline
 
 import (
@@ -72,16 +82,12 @@ func chunkSpans(n, gop int) []span {
 	return spans
 }
 
-// runOrdered executes jobs 0..n-1 on at most workers goroutines and
-// returns the results in job order. Errors are reported for the lowest
-// failing job index, so the failure surface is deterministic too.
-func runOrdered[T any](n, workers int, job func(i int) (T, error)) ([]T, error) {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+// runOrdered executes jobs 0..n-1 on at most gate.Workers() goroutines,
+// each holding one of the gate's tokens while inside job, and returns
+// the results in job order. Errors are reported for the lowest failing
+// job index, so the failure surface is deterministic too.
+func runOrdered[T any](gate *SliceGate, n int, job func(i int) (T, error)) ([]T, error) {
+	workers := min(gate.Workers(), n)
 	results := make([]T, n)
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -96,7 +102,9 @@ func runOrdered[T any](n, workers int, job func(i int) (T, error)) ([]T, error) 
 				if i >= n || failed.Load() {
 					return
 				}
+				gate.Acquire(nil)
 				r, err := job(i)
+				gate.Release()
 				if err != nil {
 					errs[i] = err
 					failed.Store(true)
@@ -123,26 +131,23 @@ func runOrdered[T any](n, workers int, job func(i int) (T, error)) ([]T, error) 
 // single-chunk input all take the serial path.
 func EncodeFrames(newEnc EncoderFactory, gop, workers int, frames []*frame.Frame) ([]container.Packet, container.Header, error) {
 	spans := chunkSpans(len(frames), gop)
-	if workers > 1 {
-		// Slice-level parallelism inside each frame shares the worker
-		// budget with the chunk pool: the gate gets exactly the workers
-		// the chunk level leaves idle, so chunk goroutines plus slice
-		// goroutines never exceed the budget. With no chunk boundaries
-		// (the paper's first-frame-only-intra setting) the whole budget
-		// goes to slices — the only parallelism that encode has.
-		newEnc = NewSliceGate(SpareWorkers(workers, len(spans))).Encoders(newEnc)
-	}
+	gate := NewSliceGate(workers)
+	newEnc = gate.Encoders(newEnc)
 	enc, err := newEnc()
 	if err != nil {
 		return nil, container.Header{}, err
 	}
 	hdr := enc.Header()
 	if workers <= 1 || len(spans) <= 1 {
+		// One instance on the calling goroutine: it holds one token and
+		// the rest of the bank funds its slices and rows.
+		gate.Acquire(nil)
 		pkts, err := encodeAll(enc, frames)
+		gate.Release()
 		return pkts, hdr, err
 	}
 
-	chunks, err := runOrdered(len(spans), workers, func(i int) ([]container.Packet, error) {
+	chunks, err := runOrdered(gate, len(spans), func(i int) ([]container.Packet, error) {
 		ce := enc
 		if i > 0 {
 			var err error
@@ -259,20 +264,19 @@ func segments(pkts []container.Packet) []span {
 // serial path for every worker count.
 func DecodePackets(newDec DecoderFactory, workers int, pkts []container.Packet) ([]*frame.Frame, error) {
 	spans := segments(pkts)
-	if workers > 1 {
-		// As in EncodeFrames: intra-frame slice parallelism under the
-		// shared budget, covering the single-segment case too.
-		newDec = NewSliceGate(SpareWorkers(workers, len(spans))).Decoders(newDec)
-	}
+	gate := NewSliceGate(workers)
+	newDec = gate.Decoders(newDec)
 	if workers <= 1 || len(spans) <= 1 {
 		dec, err := newDec()
 		if err != nil {
 			return nil, err
 		}
+		gate.Acquire(nil) // as in EncodeFrames
+		defer gate.Release()
 		return decodeAll(dec, pkts, 0)
 	}
 
-	chunks, err := runOrdered(len(spans), workers, func(i int) ([]*frame.Frame, error) {
+	chunks, err := runOrdered(gate, len(spans), func(i int) ([]*frame.Frame, error) {
 		dec, err := newDec()
 		if err != nil {
 			return nil, err

@@ -88,7 +88,7 @@ func TestSegmentsRejectsOpenGOP(t *testing.T) {
 
 func TestRunOrderedPreservesOrderAndErrors(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		got, err := runOrdered(20, workers, func(i int) (int, error) { return i * i, nil })
+		got, err := runOrdered(NewSliceGate(workers), 20, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestRunOrderedPreservesOrderAndErrors(t *testing.T) {
 	}
 
 	boom := errors.New("boom")
-	_, err := runOrdered(20, 4, func(i int) (int, error) {
+	_, err := runOrdered(NewSliceGate(4), 20, func(i int) (int, error) {
 		if i >= 7 {
 			return 0, boom
 		}
@@ -125,7 +125,7 @@ func TestOrderedPoolOrderAndWindow(t *testing.T) {
 		workers = 2
 	)
 	gate := make(chan struct{})
-	p := NewOrderedPool(workers, window, func(i int) (int, error) {
+	p := NewOrderedPool(NewSliceGate(workers), window, func(i int) (int, error) {
 		<-gate
 		return i * i, nil
 	}, nil)
@@ -188,7 +188,7 @@ func TestOrderedPoolOrderAndWindow(t *testing.T) {
 // at the item's ordinal position.
 func TestOrderedPoolError(t *testing.T) {
 	boom := errors.New("boom")
-	p := NewOrderedPool(2, 4, func(i int) (int, error) {
+	p := NewOrderedPool(NewSliceGate(2), 4, func(i int) (int, error) {
 		if i == 2 {
 			return 0, boom
 		}
@@ -218,7 +218,7 @@ func TestOrderedPoolError(t *testing.T) {
 func TestOrderedPoolAbortUnblocksSubmit(t *testing.T) {
 	var dropped atomic.Int64
 	block := make(chan struct{})
-	p := NewOrderedPool(1, 1, func(i int) (int, error) {
+	p := NewOrderedPool(NewSliceGate(1), 1, func(i int) (int, error) {
 		<-block
 		return i, nil
 	}, func(int) { dropped.Add(1) })

@@ -8,73 +8,113 @@ import (
 	"hdvideobench/internal/obs"
 )
 
-// SliceGate schedules the codecs' per-frame slice jobs onto a bounded
-// goroutine budget. It is the second level of the pipeline's parallelism:
-// GOP chunks spread across the worker pool, and the slices inside each
-// frame spread across the gate — which is what finally makes the paper's
-// default first-frame-only-intra setting scale, since that setting has
-// exactly one GOP chunk.
+// SliceGate is the worker budget of one encode or decode call: a bank of
+// `workers` tokens shared by all three axes of parallelism — GOP chunks,
+// the slices of a frame, and the wavefront rows of a slice. One rule
+// keeps the budget: a goroutine holds exactly one token while it is
+// inside a codec call, and idle tokens go to whoever dispatches next.
 //
-// The gate banks workers-1 tokens shared by every codec instance it is
-// installed on; a slice job runs on a spawned goroutine only while a
-// token is available and inline on the calling worker otherwise, so the
-// gate itself never adds more than workers-1 goroutines. Callers keep
-// the OVERALL budget honest by sizing the gate to the workers the chunk
-// pool leaves idle (see SpareWorkers): chunk workers plus gate tokens
-// then sum to the requested budget exactly. Slices merge by index, so
-// the coded output is identical for every token schedule — only
-// wall-clock changes.
+//   - Whoever drives a codec instance — a chunk worker of runOrdered or
+//     OrderedPool, or the caller of a single persistent instance — takes
+//     its token with the blocking Acquire and gives it back with Release
+//     as soon as the call returns; it never holds one while parked on a
+//     window or a channel.
+//   - Slice jobs (Run) and wavefront row helpers (Wavefront) take theirs
+//     without blocking: a job that finds the bank empty runs inline on
+//     its dispatcher, which already holds a token.
+//
+// So at most `workers` goroutines are ever inside codec code, whatever
+// the mix: while every chunk worker is busy the bank is empty and frames
+// code exactly as they would serially; the moment a chunk worker runs
+// out of chunks its token is back in the bank, and the next frame of any
+// chunk still running fans its slices and rows out onto it. Slices merge
+// by index and the wavefront computes the serial values, so the coded
+// output is identical for every token schedule — only wall-clock
+// changes.
+//
+// A gate built for one worker is the serial path: it banks nothing,
+// Acquire succeeds at once, and Encoders/Decoders leave the instances on
+// their inline runners.
 type SliceGate struct {
-	tokens chan struct{}
-	col    *obs.Collector
+	workers int
+	tokens  chan struct{} // nil for a one-worker gate
+	col     *obs.Collector
 }
 
-// NewSliceGate returns a gate with a total budget of workers goroutines
-// (the calling worker counts as one, so workers-1 tokens are banked).
-// workers <= 1 yields a gate that always runs slices inline.
+// NewSliceGate returns a bank of workers tokens; workers <= 1 yields the
+// serial gate.
 func NewSliceGate(workers int) *SliceGate {
-	extra := workers - 1
-	if extra < 0 {
-		extra = 0
+	if workers <= 1 {
+		return &SliceGate{workers: 1}
 	}
-	g := &SliceGate{tokens: make(chan struct{}, extra)}
-	for i := 0; i < extra; i++ {
+	g := &SliceGate{workers: workers, tokens: make(chan struct{}, workers)}
+	for i := 0; i < workers; i++ {
 		g.tokens <- struct{}{}
 	}
 	return g
 }
 
+// Workers reports the budget the gate was built with (at least 1).
+func (g *SliceGate) Workers() int { return g.workers }
+
 // Observe points the gate's measurements at a collector (nil disables
 // them, the default) and returns the gate for chaining at construction:
-// spawned-vs-inline slice counts and the dispatcher's straggler wait.
-// The gate hands out tokens with a non-blocking select — a slice never
-// waits for one, it runs inline instead — so "time lost to the token
-// budget" surfaces as the post-dispatch wait for spawned slices plus
+// spawned-vs-inline slice counts, the dispatcher's straggler wait and
+// the wavefront's depth and parking time. Slice jobs and row helpers
+// never wait for a token — they run inline instead — so "time lost to
+// the budget" surfaces as the post-dispatch wait for spawned slices plus
 // the inline share, not as an acquire latency.
 func (g *SliceGate) Observe(col *obs.Collector) *SliceGate {
 	g.col = col
 	return g
 }
 
-// SpareWorkers returns the slice-gate budget that keeps a combined
-// chunk-plus-slice schedule inside `workers` goroutines when the chunk
-// level runs min(workers, chunks) of them: one calling worker plus the
-// leftover. With a single chunk (the first-frame-only-intra shape) the
-// whole budget goes to slices; with chunks >= workers the gate runs
-// every slice inline and the chunk pool alone saturates the budget.
-func SpareWorkers(workers, chunks int) int {
-	if chunks < 1 {
-		chunks = 1
+// Collector reports the collector set by Observe, so the stages built on
+// a gate report to the same place as the gate itself.
+func (g *SliceGate) Collector() *obs.Collector { return g.col }
+
+// Acquire takes the calling goroutine's token, blocking until one is
+// free. It returns false — holding nothing — once abort is closed; a nil
+// abort never fires. A goroutine parked here is handed the next token
+// released, ahead of any slice or row that would try for it.
+func (g *SliceGate) Acquire(abort <-chan struct{}) bool {
+	if g.tokens == nil {
+		return true
 	}
-	if chunks > workers {
-		chunks = workers
+	select {
+	case <-abort:
+		return false
+	default:
 	}
-	return workers - chunks + 1
+	select {
+	case <-g.tokens:
+		return true
+	case <-abort:
+		return false
+	}
 }
 
-// Run implements codec.SliceRunner: jobs 1..n-1 are spawned while tokens
-// last (released as each finishes) and run inline otherwise; job 0 always
-// runs on the caller. Run returns only after every job has completed.
+// Release returns the token taken by Acquire.
+func (g *SliceGate) Release() {
+	if g.tokens != nil {
+		g.tokens <- struct{}{}
+	}
+}
+
+// tryAcquire takes a token only if one is free right now.
+func (g *SliceGate) tryAcquire() bool {
+	select {
+	case <-g.tokens:
+		return true
+	default:
+		return false
+	}
+}
+
+// Run implements codec.SliceRunner for a caller that holds a token: jobs
+// 1..n-1 each run on a goroutine of their own while tokens last (given
+// back as each finishes) and inline otherwise; job 0 always runs on the
+// caller. Run returns only after every job has completed.
 func (g *SliceGate) Run(n int, job func(i int)) {
 	if n <= 1 {
 		if n == 1 {
@@ -84,18 +124,17 @@ func (g *SliceGate) Run(n int, job func(i int)) {
 	}
 	var wg sync.WaitGroup
 	for i := 1; i < n; i++ {
-		select {
-		case <-g.tokens:
+		if g.tryAcquire() {
 			g.col.SliceSpawned()
 			wg.Add(1)
 			go func(i int) {
 				defer func() {
-					g.tokens <- struct{}{}
+					g.Release()
 					wg.Done()
 				}()
 				job(i)
 			}(i)
-		default:
+		} else {
 			g.col.SliceInline()
 			job(i)
 		}
@@ -113,11 +152,13 @@ func (g *SliceGate) Run(n int, job func(i int)) {
 }
 
 // install points a codec instance's slice scheduling — and, for encoders
-// that support it, its wavefront scheduling — at the gate. Both runners
-// draw from the same token bank, so slice goroutines and wavefront row
-// helpers share one budget. Installing the wavefront runner is
-// unconditional; codecs use it only when Config.Wavefront is set.
+// that support it, its wavefront scheduling — at the gate. Installing
+// the wavefront runner is unconditional; codecs use it only when
+// Config.Wavefront is set.
 func (g *SliceGate) install(v any) {
+	if g.tokens == nil {
+		return // serial gate: the codec's own inline runners are the fast path
+	}
 	if s, ok := v.(codec.SliceScheduler); ok {
 		s.SetSliceRunner(g.Run)
 	}
@@ -126,8 +167,8 @@ func (g *SliceGate) install(v any) {
 	}
 }
 
-// Encoders wraps an encoder factory so every instance it creates runs
-// its slice jobs on the gate.
+// Encoders wraps an encoder factory so every instance it creates
+// schedules its slices and rows on the gate.
 func (g *SliceGate) Encoders(f EncoderFactory) EncoderFactory {
 	return func() (codec.Encoder, error) {
 		e, err := f()

@@ -5,17 +5,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hdvideobench/internal/codec"
 	"hdvideobench/internal/obs"
 )
 
 // Wavefront schedules one slice's macroblock grid in 2D dependency order
 // (codec.WavefrontRunner): macroblock (x, y) runs once (x-1, y) and
-// (x+1, y-1) are done. It is the third level of the pipeline's
-// parallelism — GOP chunks spread across the worker pool, slices across
-// the gate, and the rows *inside* one slice across the front — and the
-// only level that parallelizes a frame without touching the bitstream:
-// slices pay a prediction reset at every boundary, the wavefront computes
-// exactly the serial values in a compatible order.
+// (x+1, y-1) are done. It is the third axis under the gate's one budget
+// — GOP chunks, the slices of a frame, and the rows *inside* one slice —
+// and the only one that parallelizes a frame without touching the
+// bitstream: slices pay a prediction reset at every boundary, the
+// wavefront computes exactly the serial values in a compatible order.
 //
 // Scheduling is row-ownership based: each participating goroutine claims
 // the lowest unclaimed row and walks it left-to-right, publishing its
@@ -26,44 +26,20 @@ import (
 // one row always run on one goroutine, so row-local codec state needs no
 // synchronization.
 //
-// A Wavefront built from a SliceGate shares the gate's token bank:
-// helper goroutines for extra rows are funded by the same tokens that
-// fund concurrent slices, so chunk workers + slice goroutines + row
-// helpers never exceed the requested worker budget. Tokens are taken
-// non-blocking — with none available the caller simply walks the rows
-// serially (raster order satisfies the dependency rule trivially).
+// The caller of Run is inside a codec call and so already holds a token
+// (see SliceGate); every extra row helper takes one more from the same
+// bank without blocking and returns it when the front runs out of rows.
+// With no token free — every chunk worker busy — the caller walks the
+// grid in plain raster order, which satisfies the dependency rule
+// trivially and costs nothing over the codec's serial loop.
 type Wavefront struct {
-	tokens chan struct{}
-	col    *obs.Collector
+	gate *SliceGate
 }
 
-// NewWavefront returns a standalone Wavefront with a budget of workers
-// goroutines (the caller counts as one, so workers-1 helper tokens are
-// banked). Use SliceGate.Wavefront to share a gate's budget instead.
-func NewWavefront(workers int) *Wavefront {
-	extra := workers - 1
-	if extra < 0 {
-		extra = 0
-	}
-	w := &Wavefront{tokens: make(chan struct{}, extra)}
-	for i := 0; i < extra; i++ {
-		w.tokens <- struct{}{}
-	}
-	return w
-}
-
-// Observe points the wavefront's measurements at a collector (nil
-// disables them) and returns the receiver for chaining.
-func (w *Wavefront) Observe(col *obs.Collector) *Wavefront {
-	w.col = col
-	return w
-}
-
-// Wavefront returns a runner sharing the gate's token bank (and its
-// collector), so slice-level and row-level goroutines draw from one
-// budget.
+// Wavefront returns the row scheduler drawing on the gate's bank (and
+// reporting to its collector).
 func (g *SliceGate) Wavefront() *Wavefront {
-	return &Wavefront{tokens: g.tokens, col: g.col}
+	return &Wavefront{gate: g}
 }
 
 // wfState is the shared state of one running front.
@@ -86,47 +62,38 @@ const wfSpin = 256
 
 // Run implements codec.WavefrontRunner. See the type comment for the
 // schedule; Run returns only after every spawned helper has exited, so an
-// abort (mb returning false) cannot leak goroutines.
+// abort (mb returning false) cannot leak goroutines or tokens.
 func (w *Wavefront) Run(rows, cols int, mb func(x, y int) bool) bool {
 	if rows <= 0 || cols <= 0 {
 		return true
 	}
-	if rows == 1 {
-		for x := 0; x < cols; x++ {
-			if !mb(x, 0) {
-				return false
-			}
-		}
-		return true
+	// Fund helpers with whatever tokens are free right now; the caller is
+	// always a participant.
+	helpers := 0
+	for helpers < rows-1 && w.gate.tryAcquire() {
+		helpers++
+	}
+	col := w.gate.col
+	if rows > 1 {
+		col.ObserveFrontDepth(helpers + 1)
+	}
+	if helpers == 0 {
+		return codec.SerialWavefront(rows, cols, mb)
 	}
 	st := &wfState{cols: cols, rows: rows, progress: make([]atomic.Int32, rows)}
 	st.cond.L = &st.mu
-
-	// Fund helpers with whatever tokens are free right now; the caller is
-	// always a participant, so zero tokens degrades to serial raster order.
 	var wg sync.WaitGroup
-	helpers := 0
-spawn:
-	for helpers < rows-1 {
-		select {
-		case <-w.tokens:
-			helpers++
-			wg.Add(1)
-			go func() {
-				defer func() {
-					w.tokens <- struct{}{}
-					wg.Done()
-				}()
-				st.work(mb, w.col)
+	wg.Add(helpers)
+	for i := 0; i < helpers; i++ {
+		go func() {
+			defer func() {
+				w.gate.Release()
+				wg.Done()
 			}()
-		default:
-			break spawn // no token free
-		}
+			st.work(mb, col)
+		}()
 	}
-	if w.col != nil {
-		w.col.ObserveFrontDepth(helpers + 1)
-	}
-	st.work(mb, w.col)
+	st.work(mb, col)
 	wg.Wait()
 	return !st.aborted.Load()
 }

@@ -8,13 +8,21 @@ import (
 	"hdvideobench/internal/obs"
 )
 
+// newFront returns the wavefront of a fresh workers-token gate with the
+// caller's own token already taken — the state a codec call runs in.
+func newFront(workers int) (*SliceGate, *Wavefront) {
+	g := NewSliceGate(workers)
+	g.Acquire(nil)
+	return g, g.Wavefront()
+}
+
 // wfCheck runs a front over rows×cols with the given worker budget and
 // verifies the dependency contract: every cell runs exactly once, never
 // before its left and top-right neighbours, and cells of a row run in
 // left-to-right order.
 func wfCheck(t *testing.T, workers, rows, cols int) {
 	t.Helper()
-	w := NewWavefront(workers)
+	_, w := newFront(workers)
 	var mu sync.Mutex
 	done := make([][]bool, rows)
 	rowX := make([]int, rows)
@@ -82,7 +90,7 @@ func TestWavefrontShapes(t *testing.T) {
 // and that the scheduler is reusable afterwards.
 func TestWavefrontAbort(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		w := NewWavefront(workers)
+		_, w := newFront(workers)
 		var calls atomic.Int32
 		ok := w.Run(16, 16, func(x, y int) bool {
 			calls.Add(1)
@@ -101,24 +109,32 @@ func TestWavefrontAbort(t *testing.T) {
 }
 
 // TestWavefrontTokensReturned proves helper tokens go back to the bank:
-// after any Run (completed or aborted), the full budget is available.
+// after any Run (completed or aborted), everything but the caller's own
+// token is available again.
 func TestWavefrontTokensReturned(t *testing.T) {
-	w := NewWavefront(5)
+	g, w := newFront(5)
 	w.Run(8, 8, func(x, y int) bool { return true })
 	w.Run(8, 8, func(x, y int) bool { return x+y < 4 })
-	if got := len(w.tokens); got != 4 {
+	if got := len(g.tokens); got != 4 {
 		t.Fatalf("tokens after runs: %d, want 4", got)
 	}
 }
 
-// TestWavefrontSharesGateTokens verifies a gate-derived wavefront draws
-// from (and returns to) the gate's bank.
-func TestWavefrontSharesGateTokens(t *testing.T) {
-	g := NewSliceGate(4)
-	wf := g.Wavefront()
-	wf.Run(8, 8, func(x, y int) bool { return true })
-	if got := len(g.tokens); got != 3 {
-		t.Fatalf("gate tokens after wavefront run: %d, want 3", got)
+// TestWavefrontEmptyBankIsSerial pins the degenerate path: with every
+// token busy elsewhere the front is one goroutine in raster order.
+func TestWavefrontEmptyBankIsSerial(t *testing.T) {
+	g, w := newFront(2)
+	g.Acquire(nil) // the other worker is busy
+	next := 0
+	ok := w.Run(4, 4, func(x, y int) bool {
+		if y*4+x != next {
+			t.Errorf("cell (%d,%d) out of raster order", x, y)
+		}
+		next++
+		return true
+	})
+	if !ok || next != 16 {
+		t.Fatalf("ok=%v cells=%d", ok, next)
 	}
 }
 
@@ -129,7 +145,9 @@ func TestWavefrontObserve(t *testing.T) {
 		WavefrontWait: reg.Histogram("wf_wait_seconds", "test", nil).With(),
 		FrontDepth:    reg.Histogram("wf_front_depth", "test", nil).With(),
 	}
-	w := NewWavefront(4).Observe(col)
+	g := NewSliceGate(4).Observe(col)
+	g.Acquire(nil)
+	w := g.Wavefront()
 	w.Run(64, 4, func(x, y int) bool { return true })
 	if col.FrontDepth.Count() != 1 {
 		t.Fatalf("FrontDepth count = %d", col.FrontDepth.Count())
@@ -141,7 +159,7 @@ func BenchmarkWavefront(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		name := map[int]string{1: "workers=1", 4: "workers=4"}[workers]
 		b.Run(name, func(b *testing.B) {
-			w := NewWavefront(workers)
+			_, w := newFront(workers)
 			var sink atomic.Int64
 			for i := 0; i < b.N; i++ {
 				w.Run(45, 80, func(x, y int) bool {

@@ -12,8 +12,11 @@ import (
 var ErrAborted = errors.New("pipeline: aborted")
 
 // OrderedPool is the streaming counterpart of runOrdered: items are
-// submitted one at a time, processed by a fixed set of workers, and
-// results come back in submission order through Next. At most window
+// submitted one at a time, processed by a fixed set of workers — each
+// holding one token of the pool's SliceGate while inside fn, and none
+// while idle — and results come back in submission order through Next.
+// Several pools (and other codec callers) may share one gate; together
+// they never run more than gate.Workers() goroutines. At most window
 // items are admitted and not yet consumed, so Submit applies
 // backpressure — a producer that outruns the consumer blocks instead of
 // buffering without bound. That window is what turns the batch GOP
@@ -26,6 +29,7 @@ var ErrAborted = errors.New("pipeline: aborted")
 // idempotent. fn runs on the worker goroutines and must not share
 // mutable state across calls.
 type OrderedPool[I, O any] struct {
+	gate *SliceGate
 	fn   func(I) (O, error)
 	drop func(I) // resource accounting for items discarded by Abort
 
@@ -48,18 +52,17 @@ type poolResult[O any] struct {
 	err error
 }
 
-// NewOrderedPool starts workers goroutines running fn with at most
-// window items in flight. drop, if non-nil, is called for items that
-// Abort discards before fn ran (so callers can release per-item
-// resources they account for at Submit time).
-func NewOrderedPool[I, O any](workers, window int, fn func(I) (O, error), drop func(I)) *OrderedPool[I, O] {
-	if workers < 1 {
-		workers = 1
-	}
+// NewOrderedPool starts gate.Workers() goroutines running fn on the
+// gate's budget with at most window items in flight. drop, if non-nil,
+// is called for items that Abort discards before fn ran (so callers can
+// release per-item resources they account for at Submit time).
+func NewOrderedPool[I, O any](gate *SliceGate, window int, fn func(I) (O, error), drop func(I)) *OrderedPool[I, O] {
+	workers := gate.Workers()
 	if window < workers {
 		window = workers
 	}
 	p := &OrderedPool[I, O]{
+		gate:    gate,
 		fn:      fn,
 		drop:    drop,
 		slots:   make(chan struct{}, window),
@@ -75,16 +78,15 @@ func NewOrderedPool[I, O any](workers, window int, fn func(I) (O, error), drop f
 
 func (p *OrderedPool[I, O]) worker() {
 	for job := range p.work {
-		select {
-		case <-p.aborted:
+		if !p.gate.Acquire(p.aborted) {
 			if p.drop != nil {
 				p.drop(job.in)
 			}
 			job.done <- poolResult[O]{err: ErrAborted}
 			continue
-		default:
 		}
 		out, err := p.fn(job.in)
+		p.gate.Release()
 		job.done <- poolResult[O]{out: out, err: err}
 	}
 }

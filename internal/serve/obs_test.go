@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"hdvideobench/internal/obs"
 )
@@ -166,20 +167,26 @@ func TestServerTimingAndRequestLog(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	// Both requests are in the debug ring, newest first, with phases.
-	rr := httptest.NewRecorder()
-	s.DebugRoutes().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/requests", nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("/debug/requests status %d", rr.Code)
-	}
+	// Both requests are in the debug ring, newest first, with phases. A
+	// record lands after its handler returns, which the client can beat.
 	var out struct {
 		Requests []obs.RequestRecord `json:"requests"`
 	}
-	if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
-		t.Fatalf("/debug/requests not JSON: %v\n%s", err, rr.Body.String())
-	}
-	if len(out.Requests) != 2 {
-		t.Fatalf("ring has %d records, want 2", len(out.Requests))
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rr := httptest.NewRecorder()
+		s.DebugRoutes().ServeHTTP(rr, httptest.NewRequest("GET", "/debug/requests", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("/debug/requests status %d", rr.Code)
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+			t.Fatalf("/debug/requests not JSON: %v\n%s", err, rr.Body.String())
+		}
+		if len(out.Requests) == 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("ring has %d records, want 2", len(out.Requests))
+		}
 	}
 	warm, cold := out.Requests[0], out.Requests[1]
 	if cold.ID != "test-cold-1" {

@@ -11,6 +11,7 @@ import (
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/core"
+	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 	"hdvideobench/internal/stream"
 )
@@ -20,7 +21,7 @@ func streamEncodeChunks(t *testing.T, id core.CodecID, cfg codec.Config, n, work
 	t.Helper()
 	const w, h = 96, 80
 	frames := seqgen.New(seqgen.BlueSky, w, h).Generate(n)
-	enc, err := stream.NewEncoder(encFactory(id, cfg), cfg.IntraPeriod, workers, window, nil)
+	enc, err := stream.NewEncoder(encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestWriteAfterAbortRejected(t *testing.T) {
 	const w, h, gop = 96, 80, 4
 	cfg := eqConfig(w, h)
 	cfg.IntraPeriod = gop
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, 2, 2, nil)
+	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,11 @@ package stream_test
 import (
 	"io"
 	"testing"
+	"time"
 
 	"hdvideobench/internal/core"
 	"hdvideobench/internal/obs"
+	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 	"hdvideobench/internal/stream"
 )
@@ -22,20 +24,28 @@ func testCollector() *obs.Collector {
 		GateWait:    r.Histogram("gate_seconds", "x.", nil).With(),
 		GateSpawned: gate.With("spawned"),
 		GateInline:  gate.With("inline"),
+
+		WavefrontWait: r.Histogram("wavefront_seconds", "x.", nil).With(),
+		FrontDepth:    r.Histogram("front_depth", "x.", nil).With(),
 	}
 }
 
 // TestCollectorChunkedMode: a chunked encode must account every chunk
 // exactly once in the encode histogram, balance the queue-depth gauge
-// back to zero, and record one drain wait per reader pull — all
+// back to zero, record one drain wait per reader pull, and — the gate
+// being installed on chunk instances too — account every frame's slice
+// dispatch and every slice's front, whichever way the tokens fell. All
 // deterministic counts, no timing assertions.
 func TestCollectorChunkedMode(t *testing.T) {
 	const n, gop = 8, 2 // 4 chunks
 	w, h := 96, 80
+	const slices = 2 // 5 macroblock rows: slices of 3 and 2 rows, each a front
 	cfg := eqConfig(w, h)
 	cfg.IntraPeriod = gop
+	cfg.Slices = slices
+	cfg.Wavefront = true
 	col := testCollector()
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, 2, 0, col)
+	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +84,16 @@ func TestCollectorChunkedMode(t *testing.T) {
 	if got := col.DrainStall.Count(); got < int64(drains) {
 		t.Errorf("DrainStall count = %d, want >= %d", got, drains)
 	}
-	// Chunked mode installs no gate: slices run inline on chunk workers.
-	if col.GateWait.Count() != 0 || col.GateSpawned.Value() != 0 {
-		t.Errorf("gate series moved in chunked mode: wait=%d spawned=%v",
-			col.GateWait.Count(), col.GateSpawned.Value())
+	// One dispatch per frame, one non-dispatcher slice job per frame
+	// (spawned on a lent token or inline), one front per slice.
+	if got := col.GateWait.Count(); got != n {
+		t.Errorf("GateWait count = %d, want one per frame (%d)", got, n)
+	}
+	if got := col.GateSpawned.Value() + col.GateInline.Value(); got != n*(slices-1) {
+		t.Errorf("slice jobs accounted = %v, want %d", got, n*(slices-1))
+	}
+	if got := col.FrontDepth.Count(); got != n*slices {
+		t.Errorf("FrontDepth count = %d, want one per slice (%d)", got, n*slices)
 	}
 }
 
@@ -89,7 +105,7 @@ func TestCollectorAbortBalancesQueue(t *testing.T) {
 	cfg := eqConfig(w, h)
 	cfg.IntraPeriod = gop
 	col := testCollector()
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, 2, 2, col)
+	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +113,8 @@ func TestCollectorAbortBalancesQueue(t *testing.T) {
 	// draining, so it blocks mid-sequence; Abort from the test goroutine
 	// unblocks it with ErrAborted and routes queued chunks through the
 	// pool's drop callback. Whatever the interleaving — chunks coded,
-	// dropped, or never submitted — the gauge must end at zero.
+	// dropped, or never submitted — the gauge must end at zero once the
+	// workers have disposed of what was queued before the abort.
 	frames := seqgen.New(seqgen.BlueSky, w, h).Generate(12)
 	done := make(chan struct{})
 	go func() {
@@ -114,8 +131,12 @@ func TestCollectorAbortBalancesQueue(t *testing.T) {
 	if _, err := enc.ReadChunk(); err != stream.ErrAborted {
 		t.Fatalf("ReadChunk after abort: %v", err)
 	}
-	if got := col.QueueDepth.Value(); got != 0 {
-		t.Errorf("QueueDepth after abort = %v, want 0", got)
+	deadline := time.Now().Add(10 * time.Second)
+	for col.QueueDepth.Value() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("QueueDepth after abort = %v, want 0", col.QueueDepth.Value())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -129,7 +150,7 @@ func TestCollectorSerialGateMode(t *testing.T) {
 	cfg.IntraPeriod = 0 // first-frame-only intra: the serial gate shape
 	cfg.Slices = 2
 	col := testCollector()
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), 0, 2, 0, col)
+	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), 0, pipeline.NewSliceGate(2).Observe(col), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"hdvideobench/internal/codec"
@@ -27,26 +28,27 @@ import (
 // A segment that reaches FallbackPackets packets without a boundary —
 // the paper's first-frame-only-intra setting, or any stream whose I
 // frames stop coming — switches the decoder to a serial single-instance
-// mode, preserving the memory bound; the serial decoder still scales
-// through slice-level parallelism when the stream was coded with
-// Slices > 1. The fallback is no longer forever: when a later boundary
-// I frame does arrive, the decoder re-arms — the serial instance is
-// flushed and a fresh segment pool takes over — so a stream with one
-// pathological segment pays for that segment only. The writer hands
-// each phase (pool or serial channel) to the reader in order through an
-// internal phase queue.
+// mode, preserving the memory bound. The serial instance sits on the
+// same gate as the segment pools: the writer takes one token per Decode
+// call and the frame's slices take whatever else is free, so while the
+// closed pool's last segments are still decoding the fallback simply
+// gets less of the budget, never a second budget of its own. The
+// fallback is not forever: when a later boundary I frame does arrive,
+// the decoder re-arms — the serial instance is flushed and a fresh
+// segment pool takes over — so a stream with one pathological segment
+// pays for that segment only. The writer hands each phase (pool or
+// serial channel) to the reader in order through an internal phase
+// queue.
 type Decoder struct {
-	window  int
-	workers int
-	factory pipeline.DecoderFactory
-	// fbFactory builds the serial-fallback instance: its codecs run
-	// their per-frame slices on a gate with the full worker budget.
-	// Pool segment decoders use the plain factory instead — the pool's
-	// workers already consume the budget, so their slices run inline.
-	fbFactory pipeline.DecoderFactory
+	window int
+	// gate is the call's one worker budget: segment workers of every
+	// pool, the writer driving a serial instance, and the slices inside
+	// any of their frames all hold its tokens.
+	gate    *pipeline.SliceGate
+	factory pipeline.DecoderFactory // instances scheduled on gate
 
 	// Writer-side state. Exactly one of pool/dec is active at a time in
-	// chunked mode; serialOnly (workers <= 1) keeps dec forever.
+	// chunked mode; serialOnly (a one-worker gate) keeps dec forever.
 	pool       *pipeline.OrderedPool[decSegment, []*frame.Frame]
 	cur        []container.Packet // segment being collected
 	maxDisplay int                // highest display index seen
@@ -87,47 +89,43 @@ type decSegment struct {
 	pkts []container.Packet
 }
 
-// NewDecoder builds a streaming decoder. factory constructs the codec
-// instances (one per closed-GOP segment in chunked mode); workers is the
-// number of segment workers and window the maximum segments in flight
-// (<= 0 selects 2×workers). workers <= 1 selects the serial
-// single-instance mode, which handles any stream — including open-ended
-// single-segment ones — at the codec's own constant memory. With
-// workers > 1, the serial-fallback instance runs its per-frame slices
-// on a gate with the full worker budget (the pool is closed by then),
-// so sliced boundary-less streams keep scaling inside the fallback.
-func NewDecoder(factory pipeline.DecoderFactory, workers, window int) (*Decoder, error) {
+// NewDecoder builds a streaming decoder on gate's worker budget. factory
+// constructs the codec instances (one per closed-GOP segment in chunked
+// mode) and window is the maximum segments in flight (<= 0 selects
+// 2×workers). A one-worker gate selects the serial single-instance mode,
+// which handles any stream — including open-ended single-segment ones —
+// at the codec's own constant memory. Like the Encoder's, the gate may
+// be shared with the other stages of one call.
+func NewDecoder(factory pipeline.DecoderFactory, gate *pipeline.SliceGate, window int) (*Decoder, error) {
 	d := &Decoder{
 		maxDisplay: -1,
+		gate:       gate,
+		factory:    gate.Decoders(factory),
+		window:     normWindow(window, gate.Workers()),
 		aborted:    make(chan struct{}),
 		phases:     make(chan decPhase, 16),
 	}
-	if workers <= 1 {
-		dec, err := factory()
+	if gate.Workers() <= 1 {
+		dec, err := d.factory()
 		if err != nil {
 			return nil, err
 		}
-		d.window = normWindow(window, 1)
-		d.factory = factory
 		d.serialOnly = true
 		d.dec = dec
 		d.out = make(chan *frame.Frame, d.window)
 		d.phases <- decPhase{out: d.out}
 		return d, nil
 	}
-	d.factory = factory
-	d.fbFactory = pipeline.NewSliceGate(workers).Decoders(factory)
-	d.workers = workers
-	d.window = normWindow(window, workers)
 	d.pool = d.newPool()
 	d.phases <- decPhase{pool: d.pool}
 	return d, nil
 }
 
 // newPool starts a fresh segment pool (the initial one, or a re-armed
-// one after a serial fallback ends at a boundary I frame).
+// one after a serial fallback ends at a boundary I frame) on the
+// decoder's gate.
 func (d *Decoder) newPool() *pipeline.OrderedPool[decSegment, []*frame.Frame] {
-	p := pipeline.NewOrderedPool(d.workers, d.window,
+	p := pipeline.NewOrderedPool(d.gate, d.window,
 		func(s decSegment) ([]*frame.Frame, error) {
 			base := s.pkts[0].DisplayIndex
 			for _, p := range s.pkts {
@@ -160,6 +158,14 @@ func (d *Decoder) newPool() *pipeline.OrderedPool[decSegment, []*frame.Frame] {
 	}
 	d.poolsMu.Unlock()
 	return p
+}
+
+// retirePool forgets a pool the reader has drained to io.EOF, so pools
+// holds only the ones Abort still has to reach.
+func (d *Decoder) retirePool(p *pipeline.OrderedPool[decSegment, []*frame.Frame]) {
+	d.poolsMu.Lock()
+	d.pools = slices.DeleteFunc(d.pools, func(q *pipeline.OrderedPool[decSegment, []*frame.Frame]) bool { return q == p })
+	d.poolsMu.Unlock()
 }
 
 // pushPhase queues a phase for the reader, honoring aborts.
@@ -229,7 +235,11 @@ func (d *Decoder) writeSerial(p container.Packet) error {
 		return d.closeErr
 	}
 	p.DisplayIndex -= d.serialBase
+	if !d.gate.Acquire(d.aborted) {
+		return ErrAborted
+	}
 	frames, err := d.dec.Decode(p)
+	d.gate.Release()
 	if err != nil {
 		d.closeErr = err
 		return err
@@ -243,10 +253,12 @@ func (d *Decoder) writeSerial(p container.Packet) error {
 // at a reference reset (the stream head, a boundary I frame, or a
 // re-armed pool's first segment), so a persistent serial decoder —
 // rebased to the segment's first display index — replays the compressed
-// prefix and takes over. The current pool is closed; its segments drain
-// to the reader in order before the serial phase begins.
+// prefix and takes over. Closing the current pool only ends its input:
+// the segments already admitted keep decoding on their workers and drain
+// to the reader in order before the serial phase begins, so the serial
+// instance competes with them for the gate's tokens until they finish.
 func (d *Decoder) fallBackToSerial() error {
-	dec, err := d.fbFactory()
+	dec, err := d.factory()
 	if err != nil {
 		return err
 	}
@@ -274,7 +286,7 @@ func (d *Decoder) fallBackToSerial() error {
 // parallel again (ROADMAP: closed-GOP streams with one over-long segment
 // no longer decode single-threaded forever).
 func (d *Decoder) rearm(p container.Packet) error {
-	if err := d.push(d.dec.Flush()); err != nil {
+	if err := d.flushSerial(); err != nil {
 		return err
 	}
 	close(d.out)
@@ -288,6 +300,17 @@ func (d *Decoder) rearm(p container.Packet) error {
 	d.cur = append(d.cur[:0:0], p)
 	d.maxDisplay = p.DisplayIndex
 	return nil
+}
+
+// flushSerial drains the serial instance's reorder buffer under a token
+// and queues the frames it held back.
+func (d *Decoder) flushSerial() error {
+	if !d.gate.Acquire(d.aborted) {
+		return ErrAborted
+	}
+	frames := d.dec.Flush()
+	d.gate.Release()
+	return d.push(frames)
 }
 
 func (d *Decoder) submit() error {
@@ -323,7 +346,7 @@ func (d *Decoder) Close() error {
 	if d.dec != nil { // serial-only mode, or chunked mode inside a fallback
 		err = d.closeErr
 		if err == nil {
-			err = d.push(d.dec.Flush())
+			err = d.flushSerial()
 			d.closeErr = err
 		}
 		close(d.out)
@@ -373,6 +396,7 @@ func (d *Decoder) ReadFrame() (*frame.Frame, error) {
 			for len(d.pending) == 0 {
 				frames, err := d.rp.pool.Next()
 				if err == io.EOF {
+					d.retirePool(d.rp.pool)
 					d.haveRP = false
 					break
 				}

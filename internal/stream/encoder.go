@@ -21,13 +21,15 @@ type Encoder struct {
 	hdr    container.Header
 	gop    int
 	window int
+	gate   *pipeline.SliceGate // the call's worker budget
 
 	// chunked mode (workers > 1 and gop > 0)
 	pool    *pipeline.OrderedPool[encChunk, []container.Packet]
 	cur     []*frame.Frame // chunk being filled (writer goroutine only)
 	written int            // frames accepted so far (writer goroutine only)
 
-	// serial mode: one persistent encoder driven inline by Write.
+	// serial mode: one persistent encoder driven inline by Write, which
+	// holds a gate token for the length of each codec call.
 	enc codec.Encoder
 	out chan container.Packet
 
@@ -52,34 +54,30 @@ type encChunk struct {
 	frames []*frame.Frame
 }
 
-// NewEncoder builds a streaming encoder. factory constructs the codec
-// instances (one per chunk in chunked mode); gop is the closed-GOP chunk
-// length in frames, workers the number of chunk workers, and window the
-// maximum chunks in flight (<= 0 selects 2×workers). workers <= 1 or
-// gop <= 0 selects the serial single-instance mode. col, when non-nil,
-// receives pipeline measurements (chunk encode time, queue depth, drain
-// stalls, slice-gate waits); it must be a constructor parameter because
-// the serial-mode slice gate is built right here.
-func NewEncoder(factory pipeline.EncoderFactory, gop, workers, window int, col *obs.Collector) (*Encoder, error) {
-	if workers > 1 && gop <= 0 {
-		// With no chunk boundaries the serial single-instance mode below
-		// is the whole pipeline; a slice gate with the full budget is
-		// what lets it scale past one core. In chunked mode the pool's
-		// workers already consume the budget, so slices run inline on
-		// the chunk workers (no gate — the total stays at `workers`).
-		factory = pipeline.NewSliceGate(workers).Observe(col).Encoders(factory)
-	}
+// NewEncoder builds a streaming encoder on gate's worker budget. factory
+// constructs the codec instances (one per chunk in chunked mode); gop is
+// the closed-GOP chunk length in frames and window the maximum chunks in
+// flight (<= 0 selects 2×workers). A one-worker gate or gop <= 0 selects
+// the single-instance mode. Every instance schedules its slices and
+// wavefront rows on the gate in both modes, and the gate's collector,
+// when set, also receives the encoder's own measurements (chunk encode
+// time, queue depth, drain stalls). The gate may be shared with other
+// stages of the same call (core.Transcode shares it with its decoder).
+func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGate, window int) (*Encoder, error) {
+	factory = gate.Encoders(factory)
 	enc, err := factory()
 	if err != nil {
 		return nil, err
 	}
+	col := gate.Collector()
 	e := &Encoder{
 		hdr:     enc.Header(),
 		gop:     gop,
+		gate:    gate,
 		aborted: make(chan struct{}),
 		col:     col,
 	}
-	if workers <= 1 || gop <= 0 {
+	if gate.Workers() <= 1 || gop <= 0 {
 		e.window = normWindow(window, 1)
 		e.enc = enc
 		// The serial queue holds coded packets, not frames; size it in
@@ -87,14 +85,18 @@ func NewEncoder(factory pipeline.EncoderFactory, gop, workers, window int, col *
 		e.out = make(chan container.Packet, e.window*max(gop, 4))
 		return e, nil
 	}
-	e.window = normWindow(window, workers)
-	e.pool = pipeline.NewOrderedPool(workers, e.window,
+	e.window = normWindow(window, gate.Workers())
+	e.pool = pipeline.NewOrderedPool(gate, e.window,
 		func(c encChunk) ([]container.Packet, error) {
 			defer col.ChunkDone()
-			ce, err := factory()
-			if err != nil {
-				e.resident.add(-len(c.frames))
-				return nil, err
+			// The instance that supplied the header codes the first chunk.
+			ce := enc
+			if c.base != 0 {
+				var err error
+				if ce, err = factory(); err != nil {
+					e.resident.add(-len(c.frames))
+					return nil, err
+				}
 			}
 			//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
 			t0 := time.Now()
@@ -150,7 +152,11 @@ func (e *Encoder) Write(f *frame.Frame) error {
 		if e.closeErr != nil {
 			return e.closeErr
 		}
+		if !e.gate.Acquire(e.aborted) {
+			return ErrAborted
+		}
 		pkts, err := e.enc.Encode(f)
+		e.gate.Release()
 		if err != nil {
 			e.closeErr = err
 			return err
@@ -199,10 +205,7 @@ func (e *Encoder) Close() error {
 	if e.pool == nil {
 		err := e.closeErr
 		if err == nil {
-			var pkts []container.Packet
-			if pkts, err = e.enc.Flush(); err == nil {
-				err = e.push(pkts)
-			}
+			err = e.flushSerial()
 			e.closeErr = err
 		}
 		e.closeOut.Do(func() { close(e.out) })
@@ -214,6 +217,20 @@ func (e *Encoder) Close() error {
 	}
 	e.pool.Close()
 	return err
+}
+
+// flushSerial drains the serial encoder under a token and queues what
+// it held back.
+func (e *Encoder) flushSerial() error {
+	if !e.gate.Acquire(e.aborted) {
+		return ErrAborted
+	}
+	pkts, err := e.enc.Flush()
+	e.gate.Release()
+	if err != nil {
+		return err
+	}
+	return e.push(pkts)
 }
 
 // ReadPacket returns the next packet in coding order, blocking until one

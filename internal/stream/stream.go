@@ -20,6 +20,25 @@
 // their own raw-frame residency and expose the high-water mark via
 // PeakResident, so the bound is asserted, not assumed, in the tests.
 //
+// # One worker budget
+//
+// Every Encoder and Decoder is built on a pipeline.SliceGate, the token
+// bank of one encode/decode call, and obeys its one rule: a goroutine
+// holds one token while it is inside a codec call; idle tokens go to
+// whoever dispatches next. Chunk workers block for a token before each
+// chunk and return it after, the writer driving a single persistent
+// instance does the same around each Encode/Decode/Flush, and every
+// codec instance — in every mode — offers its frame's slices and
+// wavefront rows to the gate, which runs them on tokens that happen to
+// be free and inline otherwise. Nothing splits the budget ahead of
+// time: a window full of chunks keeps every token on a chunk, and a
+// worker with no chunk left (the tail of a stream, a slow producer, a
+// stream with no interior I frames) leaves its token in the bank for the
+// frames still being coded. Tokens are never held across a window or
+// channel wait, so stages sharing one gate — the decoder's pools and its
+// serial fallback, or both halves of core.Transcode — cannot deadlock on
+// it and together never run more than its Workers() goroutines.
+//
 // # Determinism
 //
 // Chunk workers inherit the closed-GOP invariant of internal/pipeline:
@@ -38,17 +57,17 @@
 // stream automatically when a worker fails, so a blocked writer cannot
 // deadlock on an error the reader has already seen.
 //
-// With Workers <= 1 — or GOP <= 0, where no chunk boundaries exist — the
-// engine degrades to a single persistent codec instance driven inline by
-// Write, which is still constant-memory (the codec buffers only its
-// B-frame lookahead and reference frames) and still byte-identical to
-// the batch serial path. With Workers > 1 that single instance is not
-// the end of parallelism: codec instances run their per-frame
-// macroblock-row slices on a shared pipeline.SliceGate, so streams coded
-// with Slices > 1 scale inside each frame even when the GOP gives the
-// window scheduler nothing to chunk — including inside the decoder's
-// serial-fallback window, which now also re-arms to chunked mode at the
-// next closed-GOP boundary (see Decoder).
+// On a one-worker gate — or with GOP <= 0, where no chunk boundaries
+// exist — the engine degrades to a single persistent codec instance
+// driven inline by Write, which is still constant-memory (the codec
+// buffers only its B-frame lookahead and reference frames) and still
+// byte-identical to the batch serial path. With more workers that single
+// instance is not the end of parallelism: its slices and rows have the
+// rest of the bank to themselves, so streams coded with Slices > 1 or
+// Wavefront scale inside each frame even when the GOP gives the window
+// scheduler nothing to chunk — including inside the decoder's
+// serial-fallback window, which re-arms to chunked mode at the next
+// closed-GOP boundary (see Decoder).
 package stream
 
 import (
@@ -79,7 +98,8 @@ const DefaultWindowPerWorker = 2
 // point, and serial decode of the replayed prefix is bit-identical, so
 // the fallback trades parallelism for the memory bound, not
 // correctness. Two mitigations keep the fallback cheap: sliced frames
-// still decode in parallel inside it, and the decoder re-arms to
+// still decode in parallel inside it (on whatever tokens the draining
+// pool is not using), and the decoder re-arms to
 // chunked mode at the next boundary I frame, so the serial window is
 // bounded by the pathological segment rather than the stream.
 const FallbackPackets = 256

@@ -16,6 +16,7 @@ import (
 	"hdvideobench/internal/frame"
 	"strings"
 
+	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 	"hdvideobench/internal/stream"
 )
@@ -56,10 +57,16 @@ func decFactory(hdr container.Header, cfg codec.Config) func() (codec.Decoder, e
 // goroutine and drains the packets from the test goroutine.
 func streamEncode(t *testing.T, id core.CodecID, cfg codec.Config, frames []*frame.Frame, workers, window int) ([]container.Packet, *stream.Encoder) {
 	t.Helper()
-	enc, err := stream.NewEncoder(encFactory(id, cfg), cfg.IntraPeriod, workers, window, nil)
+	enc, err := stream.NewEncoder(encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runEncoder(t, enc, frames), enc
+}
+
+// runEncoder is streamEncode's engine, for encoders the caller built.
+func runEncoder(t *testing.T, enc *stream.Encoder, frames []*frame.Frame) []container.Packet {
+	t.Helper()
 	werr := make(chan error, 1)
 	go func() {
 		for _, f := range frames {
@@ -85,16 +92,22 @@ func streamEncode(t *testing.T, id core.CodecID, cfg codec.Config, frames []*fra
 	if err := <-werr; err != nil {
 		t.Fatalf("writer side: %v", err)
 	}
-	return pkts, enc
+	return pkts
 }
 
 // streamDecode mirrors streamEncode for the decoder.
 func streamDecode(t *testing.T, hdr container.Header, cfg codec.Config, pkts []container.Packet, workers, window int) ([]*frame.Frame, *stream.Decoder) {
 	t.Helper()
-	dec, err := stream.NewDecoder(decFactory(hdr, cfg), workers, window)
+	dec, err := stream.NewDecoder(decFactory(hdr, cfg), pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runDecoder(t, dec, pkts), dec
+}
+
+// runDecoder is streamDecode's engine, for decoders the caller built.
+func runDecoder(t *testing.T, dec *stream.Decoder, pkts []container.Packet) []*frame.Frame {
+	t.Helper()
 	werr := make(chan error, 1)
 	go func() {
 		for _, p := range pkts {
@@ -120,7 +133,7 @@ func streamDecode(t *testing.T, hdr container.Header, cfg codec.Config, pkts []c
 	if err := <-werr; err != nil {
 		t.Fatalf("writer side: %v", err)
 	}
-	return frames, dec
+	return frames
 }
 
 // containerBytes serializes a packet stream the way both vcodec paths do.
@@ -176,22 +189,66 @@ func TestStreamingMatchesBatch(t *testing.T) {
 						}
 
 						decoded, _ := streamDecode(t, hdr, cfg, pkts, workers, 0)
-						if len(decoded) != len(batchFrames) {
-							t.Fatalf("decoded %d frames, batch has %d", len(decoded), len(batchFrames))
-						}
-						for i := range decoded {
-							if decoded[i].PTS != batchFrames[i].PTS {
-								t.Fatalf("frame %d: PTS %d, batch has %d", i, decoded[i].PTS, batchFrames[i].PTS)
-							}
-							if !bytes.Equal(decoded[i].Y, batchFrames[i].Y) ||
-								!bytes.Equal(decoded[i].Cb, batchFrames[i].Cb) ||
-								!bytes.Equal(decoded[i].Cr, batchFrames[i].Cr) {
-								t.Fatalf("frame %d: decoded planes differ from batch", i)
-							}
-						}
+						framesMatch(t, decoded, batchFrames)
 					})
 				}
 			})
+		}
+	}
+}
+
+// TestStreamingLendingMatchesSerial extends the matrix to the shape
+// where all three axes are live at once and idle chunk workers lend
+// their tokens: gop > 0 × 2 slices × wavefront on × workers {2, 3, 4},
+// with five chunks so no worker count divides the chunk count and every
+// run has a tail. Each codec's container must equal the one-worker
+// container byte for byte, and the streaming decode of it on the same
+// budget must equal the one-worker decode.
+func TestStreamingLendingMatchesSerial(t *testing.T) {
+	const (
+		w, h   = 352, 288 // 18 macroblock rows: two 9-row slices, a real front
+		frames = 4*eqGOP + 1
+	)
+	for _, id := range core.AllCodecs {
+		t.Run(id.String(), func(t *testing.T) {
+			cfg := eqConfig(w, h)
+			cfg.Slices = 2
+			cfg.Wavefront = true
+			gen := func() []*frame.Frame { return seqgen.New(seqgen.PedestrianArea, w, h).Generate(frames) }
+
+			refPkts, refEnc := streamEncode(t, id, cfg, gen(), 1, 0)
+			hdr := refEnc.Header()
+			refBytes := containerBytes(t, hdr, refPkts)
+			refFrames, _ := streamDecode(t, hdr, cfg, refPkts, 1, 0)
+
+			for _, workers := range []int{2, 3, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					pkts, _ := streamEncode(t, id, cfg, gen(), workers, 0)
+					if got := containerBytes(t, hdr, pkts); !bytes.Equal(got, refBytes) {
+						t.Fatalf("container differs from workers=1 (%d vs %d bytes)", len(got), len(refBytes))
+					}
+					decoded, _ := streamDecode(t, hdr, cfg, pkts, workers, 0)
+					framesMatch(t, decoded, refFrames)
+				})
+			}
+		})
+	}
+}
+
+// framesMatch requires identical PTS stamps and planes.
+func framesMatch(t *testing.T, got, want []*frame.Frame) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d frames, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].PTS != want[i].PTS {
+			t.Fatalf("frame %d: PTS %d, want %d", i, got[i].PTS, want[i].PTS)
+		}
+		if !bytes.Equal(got[i].Y, want[i].Y) ||
+			!bytes.Equal(got[i].Cb, want[i].Cb) ||
+			!bytes.Equal(got[i].Cr, want[i].Cr) {
+			t.Fatalf("frame %d: decoded planes differ", i)
 		}
 	}
 }
@@ -213,7 +270,7 @@ func TestBoundedResidency(t *testing.T) {
 	cfg.IntraPeriod = gop
 	gen := seqgen.New(seqgen.RushHour, w, h)
 
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, workers, window, nil)
+	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +328,7 @@ func TestBoundedResidency(t *testing.T) {
 func TestEncoderAbortUnblocksWriter(t *testing.T) {
 	const w, h = 96, 80
 	cfg := eqConfig(w, h)
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), eqGOP, 2, 2, nil)
+	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), eqGOP, pipeline.NewSliceGate(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +361,7 @@ func TestEncoderErrorPropagates(t *testing.T) {
 	cfg := eqConfig(96, 80)
 	for _, workers := range eqWorkers {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), eqGOP, workers, 0, nil)
+			enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), eqGOP, pipeline.NewSliceGate(workers), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -389,7 +446,7 @@ func TestDecoderSerialFallback(t *testing.T) {
 func TestDecoderRejectsOpenGOP(t *testing.T) {
 	cfg := eqConfig(96, 80)
 	hdr := container.Header{Codec: container.CodecMPEG2, Width: 96, Height: 80, FPSNum: 25, FPSDen: 1}
-	dec, err := stream.NewDecoder(decFactory(hdr, cfg), 2, 2)
+	dec, err := stream.NewDecoder(decFactory(hdr, cfg), pipeline.NewSliceGate(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
