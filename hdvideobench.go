@@ -140,7 +140,9 @@ var AllSequences = seqgen.Extended
 func ParseSequence(name string) (Sequence, error) { return seqgen.Parse(name) }
 
 // SequenceGenerator deterministically renders the frames of one benchmark
-// sequence at one resolution.
+// sequence at one resolution: a frame is a pure function of (sequence,
+// resolution, index). A generator reuses row scratch between frames, so
+// one generator must not render frames from several goroutines at once.
 type SequenceGenerator = seqgen.Generator
 
 // NewSequence returns a generator for the given sequence and resolution.

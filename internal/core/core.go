@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -394,42 +395,30 @@ func RunSpeed(o Options, dir Direction) ([]SpeedResult, error) {
 	}
 	for _, res := range o.Resolutions {
 		cfg := o.Config(res)
-		for _, id := range o.Codecs {
-			totalFrames := 0
-			var bestTime time.Duration
-			for rep := 0; rep < repeats; rep++ {
-				frames := 0
-				var totalTime time.Duration
-				for _, seq := range o.Sequences {
-					inputs := seqgen.New(seq, res.Width, res.Height).Generate(o.Frames)
-					if dir == Encode {
-						start := time.Now()
-						_, _, err := EncodeSequenceParallel(id, cfg, inputs, o.Workers)
-						totalTime += time.Since(start)
-						if err != nil {
-							return nil, err
-						}
-						frames += len(inputs)
-						continue
-					}
-					pkts, hdr, err := EncodeSequenceParallel(id, cfg, inputs, o.Workers)
+		// Each clip is generated once and timed by every codec and repeat
+		// before the next one exists, so one clip is resident at a time.
+		// times[c][rep] is codec c's time over all sequences in repeat rep.
+		times := make([][]time.Duration, len(o.Codecs))
+		frames := make([]int, len(o.Codecs))
+		for ci := range times {
+			times[ci] = make([]time.Duration, repeats)
+		}
+		for _, seq := range o.Sequences {
+			inputs := seqgen.New(seq, res.Width, res.Height).Generate(o.Frames)
+			for ci, id := range o.Codecs {
+				for rep := 0; rep < repeats; rep++ {
+					n, elapsed, err := timeClip(o, dir, id, cfg, inputs)
 					if err != nil {
 						return nil, err
 					}
-					start := time.Now()
-					decoded, err := DecodePacketsParallel(hdr, o.Kernels, pkts, o.Workers)
-					totalTime += time.Since(start)
-					if err != nil {
-						return nil, err
+					times[ci][rep] += elapsed
+					if rep == 0 {
+						frames[ci] += n
 					}
-					frames += len(decoded)
-				}
-				totalFrames = frames
-				if rep == 0 || totalTime < bestTime {
-					bestTime = totalTime
 				}
 			}
-			fps := float64(totalFrames) / bestTime.Seconds()
+		}
+		for ci, id := range o.Codecs {
 			results = append(results, SpeedResult{
 				Resolution: res,
 				Codec:      id,
@@ -439,12 +428,29 @@ func RunSpeed(o Options, dir Direction) ([]SpeedResult, error) {
 				Slices:     max(o.Slices, 1),
 				Wavefront:  o.Wavefront,
 				GOP:        o.IntraPeriod,
-				FPS:        fps,
-				Frames:     totalFrames,
+				FPS:        float64(frames[ci]) / slices.Min(times[ci]).Seconds(),
+				Frames:     frames[ci],
 			})
 		}
 	}
 	return results, nil
+}
+
+// timeClip times one encode of inputs, or one decode of their encoding,
+// and returns the frames it processed.
+func timeClip(o Options, dir Direction, id CodecID, cfg codec.Config, inputs []*frame.Frame) (int, time.Duration, error) {
+	if dir == Encode {
+		start := time.Now()
+		_, _, err := EncodeSequenceParallel(id, cfg, inputs, o.Workers)
+		return len(inputs), time.Since(start), err
+	}
+	pkts, hdr, err := EncodeSequenceParallel(id, cfg, inputs, o.Workers)
+	if err != nil {
+		return 0, 0, err
+	}
+	start := time.Now()
+	decoded, err := DecodePacketsParallel(hdr, o.Kernels, pkts, o.Workers)
+	return len(decoded), time.Since(start), err
 }
 
 // ScalingGOP is the intra period RunScaling pins when the caller has not

@@ -60,10 +60,20 @@ func (s *Span) End() time.Duration {
 	}
 	s.ended = true
 	d := s.t.now().Sub(s.t0)
-	s.t.mu.Lock()
-	s.t.phases = append(s.t.phases, Phase{Name: s.name, MS: float64(d) / float64(time.Millisecond)})
-	s.t.mu.Unlock()
+	s.t.Record(s.name, d)
 	return d
+}
+
+// Record adds a completed phase the caller timed itself: work done in
+// pieces inside another span (frame generation interleaved with the
+// encode that pulls the frames) has no single start and end to bracket.
+func (t *Trace) Record(name string, d time.Duration) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	t.phases = append(t.phases, Phase{Name: name, MS: float64(d) / float64(time.Millisecond)})
+	t.mu.Unlock()
 }
 
 // Phases returns the completed phases in completion order.

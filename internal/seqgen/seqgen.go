@@ -16,6 +16,26 @@
 // Generators are pure functions of (sequence, resolution, frame index), so
 // every run of the benchmark sees identical input, like the paper's fixed
 // input set.
+//
+// The pictures are specified pointwise: reference_test.go gives every
+// sample as one expression of its row, column and frame index, built from
+// an integer hash and two-octave value noise (fbm2). The code here is a
+// span renderer for that specification. It walks each row in spans over
+// which the pointwise branches are constant, evaluates fbm2 through row
+// kernels (span.go) that hash a lattice row once per frame and never
+// divide per sample, and hoists what is constant along a row or a column.
+// It must reproduce the specification bit for bit at every size and
+// index: TestGoldenPlanes pins digests recorded before the span renderer
+// existed, TestSpanRendererMatchesPointwise compares against the
+// reference at random sizes and indices. A speed-up that moves a digest
+// changed a picture, and with it every PSNR, bitrate and stream digest
+// downstream.
+//
+// A Generator keeps the resolution-dependent column maps and row scratch
+// between frames, and nothing that depends on a frame's content: no
+// sample is cached from one frame for the next. Because FrameInto writes
+// that scratch, one Generator must not render frames concurrently; use
+// one per goroutine.
 package seqgen
 
 import (
@@ -96,10 +116,17 @@ func Parse(name string) (Sequence, error) {
 // FPS is the frame rate of every HD-VideoBench sequence.
 const FPS = 25
 
-// Generator produces the frames of one sequence at one resolution.
+// Generator produces the frames of one sequence at one resolution. The
+// unexported fields are the span renderer's column maps and row scratch,
+// built on first use (so a Generator literal works) and overwritten by
+// every FrameInto: a Generator is not for concurrent FrameInto calls.
 type Generator struct {
 	Seq           Sequence
 	Width, Height int
+
+	vx  []int32    // vx[c] = c*1920/Width: pixel column c on the virtual canvas
+	n   []int32    // one row of noise samples
+	tex []*texture // one per lattice cell size the sequence uses
 }
 
 // New returns a generator for the given sequence and resolution.
@@ -121,21 +148,27 @@ func (g *Generator) FrameInto(f *frame.Frame, idx int) {
 		panic(fmt.Sprintf("seqgen: frame is %dx%d, generator is %dx%d",
 			f.Width, f.Height, g.Width, g.Height))
 	}
+	if len(g.vx) != g.Width {
+		g.vx, g.n, g.tex = make([]int32, g.Width), make([]int32, g.Width), nil
+		for c := range g.vx {
+			g.vx[c] = int32(c) * 1920 / int32(g.Width)
+		}
+	}
 	switch g.Seq {
 	case BlueSky:
-		renderBlueSky(f, idx)
+		g.blueSky(f, idx)
 	case PedestrianArea:
-		renderPedestrian(f, idx)
+		g.pedestrian(f, idx)
 	case Riverbed:
-		renderRiverbed(f, idx)
+		g.riverbed(f, idx)
 	case RushHour:
-		renderRushHour(f, idx)
+		g.rushHour(f, idx)
 	case SportPan:
-		renderSportPan(f, idx)
+		g.sportPan(f, idx)
 	case SceneCut:
-		renderSceneCut(f, idx)
+		g.sceneCut(f, idx)
 	case FilmGrain:
-		renderFilmGrain(f, idx)
+		g.filmGrain(f, idx)
 	default:
 		panic(fmt.Sprintf("seqgen: unknown sequence %d", int(g.Seq)))
 	}
@@ -167,28 +200,6 @@ func hash2(x, y, seed uint32) uint32 {
 // noiseByte returns a uniform byte for a lattice point.
 func noiseByte(x, y, seed uint32) int32 {
 	return int32(hash2(x, y, seed) & 0xFF)
-}
-
-// valueNoise samples smooth value noise at fixed-point coordinates
-// (x, y in units of 1/256 of a lattice cell), returning [0, 255].
-func valueNoise(x, y int32, seed uint32) int32 {
-	xi, yi := uint32(x>>8), uint32(y>>8)
-	fx, fy := x&0xFF, y&0xFF
-	n00 := noiseByte(xi, yi, seed)
-	n10 := noiseByte(xi+1, yi, seed)
-	n01 := noiseByte(xi, yi+1, seed)
-	n11 := noiseByte(xi+1, yi+1, seed)
-	top := n00 + (n10-n00)*fx>>8
-	bot := n01 + (n11-n01)*fx>>8
-	return top + (bot-top)*fy>>8
-}
-
-// fbm2 is two-octave value noise, scale in lattice cells expressed as
-// pixels-per-cell (shifted into 8.8 fixed point internally).
-func fbm2(px, py int32, cell int32, seed uint32) int32 {
-	c1 := valueNoise(px*256/cell, py*256/cell, seed)
-	c2 := valueNoise(px*512/cell, py*512/cell, seed^0x9E3779B9)
-	return (2*c1 + c2) / 3
 }
 
 func clampB(v int32) byte {

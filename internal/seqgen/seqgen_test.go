@@ -183,11 +183,3 @@ func planeSAD(a, b *frame.Frame) int {
 	}
 	return sum
 }
-
-func BenchmarkGenerate1088p(b *testing.B) {
-	g := New(BlueSky, 1920, 1088)
-	f := frame.New(1920, 1088)
-	for i := 0; i < b.N; i++ {
-		g.FrameInto(f, i)
-	}
-}

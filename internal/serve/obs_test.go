@@ -145,8 +145,8 @@ func TestServerTimingAndRequestLog(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close() // trailers are only valid after the body is drained
-	if tst := resp.Trailer.Get("Server-Timing"); !strings.Contains(tst, "enc;dur=") {
-		t.Errorf("cold Server-Timing trailer %q lacks enc phase", tst)
+	if tst := resp.Trailer.Get("Server-Timing"); !strings.Contains(tst, "enc;dur=") || !strings.Contains(tst, "gen;dur=") {
+		t.Errorf("cold Server-Timing trailer %q lacks enc or gen phase", tst)
 	}
 
 	// Warm: hit marker and phases directly in the header, no trailer.
@@ -195,18 +195,36 @@ func TestServerTimingAndRequestLog(t *testing.T) {
 	if cold.Cache != "miss" || warm.Cache != "hit" {
 		t.Errorf("cache dispositions = %q/%q, want miss/hit", cold.Cache, warm.Cache)
 	}
-	phases := func(rec obs.RequestRecord) map[string]bool {
-		m := map[string]bool{}
+	// phases maps a record's phase names to their durations; a phase
+	// recorded twice would show as a count mismatch.
+	phases := func(rec obs.RequestRecord) map[string]float64 {
+		m := map[string]float64{}
 		for _, p := range rec.Phases {
-			m[p.Name] = true
+			m[p.Name] = p.MS
+		}
+		if len(m) != len(rec.Phases) {
+			t.Errorf("phases %v repeat a name", rec.Phases)
 		}
 		return m
 	}
-	if p := phases(cold); !p["cache"] || !p["enc"] {
-		t.Errorf("cold phases %v lack cache+enc", cold.Phases)
+	// The cold path generates its frames while encoding them: "enc" is
+	// the wall time of the encode call and contains "gen", the time the
+	// frame feed spent in the sequence generator.
+	p := phases(cold)
+	_, cached := p["cache"]
+	if gen, enc := p["gen"], p["enc"]; !cached || gen <= 0 || enc < gen {
+		t.Errorf("cold phases %v: want cache, and 0 < gen <= enc", cold.Phases)
 	}
-	if p := phases(warm); !p["cache"] || !p["write"] || p["enc"] {
-		t.Errorf("warm phases %v should be cache+write without enc", warm.Phases)
+	p = phases(warm)
+	for _, name := range []string{"enc", "gen"} {
+		if _, ok := p[name]; ok {
+			t.Errorf("warm phases %v should not have %s", warm.Phases, name)
+		}
+	}
+	for _, name := range []string{"cache", "write"} {
+		if _, ok := p[name]; !ok {
+			t.Errorf("warm phases %v lack %s", warm.Phases, name)
+		}
 	}
 	for _, rec := range out.Requests {
 		if rec.Status != http.StatusOK || rec.Bytes == 0 || rec.DurationMS <= 0 {

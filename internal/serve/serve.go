@@ -713,21 +713,45 @@ func (s *Server) release() {
 }
 
 // frameFeed yields the request's generated frames, honoring the request
-// context so a dropped client aborts the encode from the input side.
-func frameFeed(ctx context.Context, req transcodeRequest) func() (*hdvideobench.Frame, error) {
+// context so a dropped client aborts the encode from the input side, and
+// adds up the time it spends generating them.
+type frameFeed struct {
+	ctx       context.Context
+	gen       *hdvideobench.SequenceGenerator
+	frames, i int
+	spent     time.Duration // read once the encode has returned
+}
+
+func newFrameFeed(ctx context.Context, req transcodeRequest) *frameFeed {
 	gen := hdvideobench.NewSequence(req.seq, req.opts.Width, req.opts.Height)
-	i := 0
-	return func() (*hdvideobench.Frame, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if i >= req.frames {
-			return nil, io.EOF
-		}
-		f := gen.Frame(i)
-		i++
-		return f, nil
+	return &frameFeed{ctx: ctx, gen: gen, frames: req.frames}
+}
+
+func (ff *frameFeed) next() (*hdvideobench.Frame, error) {
+	if err := ff.ctx.Err(); err != nil {
+		return nil, err
 	}
+	if ff.i >= ff.frames {
+		return nil, io.EOF
+	}
+	t0 := time.Now()
+	f := ff.gen.Frame(ff.i)
+	ff.spent += time.Since(t0)
+	ff.i++
+	return f, nil
+}
+
+// encodeGenerated encodes the request's generated frames into w and
+// records two phases on the request's trace: "enc", the wall time of the
+// encode call, and "gen", the part of it the frame feed spent in the
+// sequence generator ("enc" contains "gen": the encoder pulls its input).
+func (s *Server) encodeGenerated(ctx context.Context, t *reqTrack, w io.Writer, req transcodeRequest, indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, time.Duration, error) {
+	feed := newFrameFeed(ctx, req)
+	sp := t.trace.Start("enc")
+	stats, idx, err := s.encode(w, req.codec, req.opts, req.frames, feed.next, indexed)
+	encDur := sp.End()
+	t.trace.Record("gen", feed.spent)
+	return stats, idx, encDur, err
 }
 
 func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
@@ -852,9 +876,7 @@ func (s *Server) fillCache(w http.ResponseWriter, r *http.Request, req transcode
 	ctx := r.Context()
 	start := time.Now()
 	fw := &errTrackWriter{w: fill}
-	sp := t.trace.Start("enc")
-	stats, idx, err := s.encode(fw, req.codec, req.opts, req.frames, frameFeed(ctx, req), true)
-	encDur := sp.End()
+	stats, idx, encDur, err := s.encodeGenerated(ctx, t, fw, req, true)
 	if err != nil {
 		fill.Abort()
 		if ctx.Err() != nil {
@@ -921,9 +943,7 @@ func (s *Server) streamCold(w http.ResponseWriter, r *http.Request, req transcod
 	// The GOP index only exists to be committed with the fill; without a
 	// tee the plain per-packet drain keeps first-byte latency at one
 	// packet, not one GOP.
-	sp := t.trace.Start("enc")
-	stats, idx, err := s.encode(sink, req.codec, req.opts, req.frames, frameFeed(ctx, req), tee != nil)
-	encDur := sp.End()
+	stats, idx, encDur, err := s.encodeGenerated(ctx, t, sink, req, tee != nil)
 	abortTee := func() {
 		if tee != nil {
 			tee.fill.Abort()
