@@ -1,13 +1,16 @@
 package bitstream
 
 import (
+	"math/bits"
 	"testing"
 )
 
 // FuzzBitReader drives a Reader with an op tape derived from the fuzz
-// input: each op byte selects read/peek/skip/align and a width. Whatever
-// the tape does, the Reader must never panic, never report negative
-// remaining bits, and must return zeros once it has overrun.
+// input: each op byte selects read/peek/skip and a width, or align/ue/se.
+// Whatever the tape does, the Reader must never panic, never report
+// negative remaining bits, and must return zeros once it has overrun; an
+// Exp-Golomb read that succeeds must have consumed exactly the bits its
+// value needs.
 func FuzzBitReader(f *testing.F) {
 	// Seed corpus from valid streams produced by the Writer.
 	w := NewWriter(16)
@@ -19,6 +22,7 @@ func FuzzBitReader(f *testing.F) {
 	f.Add(valid, valid)
 	f.Add([]byte{}, []byte{1, 2, 3})
 	f.Add([]byte{0xde, 0xad, 0xbe, 0xef}, []byte{57, 0, 1, 32, 8})
+	f.Add([]byte{0x00, 0x41, 0xa6, 0x42, 0x00, 0x00, 0x00, 0x00, 0x80}, []byte{0xc1, 0xc2, 0xc1, 0x03, 0xc2, 0xc1})
 
 	f.Fuzz(func(t *testing.T, data, ops []byte) {
 		r := NewReader(data)
@@ -50,13 +54,41 @@ func FuzzBitReader(f *testing.F) {
 			case 2:
 				r.SkipBits(n)
 			default:
-				r.AlignByte()
+				switch n % 3 {
+				case 0:
+					r.AlignByte()
+				case 1:
+					checkExpGolomb(t, r, before, uint64(r.ReadUE()))
+				default:
+					v := int64(r.ReadSE())
+					if v > 0 {
+						v = 2*v - 1
+					} else {
+						v = -2 * v
+					}
+					checkExpGolomb(t, r, before, uint64(v))
+				}
 			}
 			if after := r.BitsRemaining(); after > before {
 				t.Fatalf("BitsRemaining grew %d -> %d", before, after)
 			}
 		}
 	})
+}
+
+// checkExpGolomb checks one ue read (or an se read mapped back to its code
+// number): 0 after an error, otherwise 2·len(v+1)−1 bits consumed.
+func checkExpGolomb(t *testing.T, r *Reader, before int, v uint64) {
+	t.Helper()
+	if r.Err() != nil {
+		if v != 0 {
+			t.Fatalf("Exp-Golomb read returned %d with error %v", v, r.Err())
+		}
+		return
+	}
+	if used, want := before-r.BitsRemaining(), 2*bits.Len64(v+1)-1; used != want {
+		t.Fatalf("Exp-Golomb read of %d consumed %d bits, want %d", v, used, want)
+	}
 }
 
 // FuzzBitRoundTrip writes fuzz-chosen values through the Writer and reads

@@ -8,6 +8,9 @@
 // scheduler tests in internal/pipeline, internal/stream and
 // internal/core assert it on the fake rather than inferring it from
 // timing on a real codec.
+//
+// FuzzDecode (fuzzdecode.go) is the other kind of shared test scaffolding:
+// the differential decode fuzzer the three real codecs instantiate.
 package codectest
 
 import (

@@ -58,6 +58,30 @@ func TestSERoundTrip(t *testing.T) {
 	}
 }
 
+// TestSEBits checks the cost estimate against what WriteSE really writes,
+// and against the loop the three encoders used to carry.
+func TestSEBits(t *testing.T) {
+	loop := func(v int) int {
+		if v < 0 {
+			v = -v
+		}
+		u := 2 * v
+		n := 1
+		for u > 0 {
+			u = (u - 1) >> 1
+			n += 2
+		}
+		return n
+	}
+	for v := -70000; v <= 70000; v++ {
+		w := bitstream.NewWriter(8)
+		WriteSE(w, int32(v))
+		if got := SEBits(v); got != w.BitsWritten() || got != loop(v) {
+			t.Fatalf("SEBits(%d) = %d, WriteSE wrote %d, old loop %d", v, got, w.BitsWritten(), loop(v))
+		}
+	}
+}
+
 func TestSEProperty(t *testing.T) {
 	check := func(vals []int32) bool {
 		w := bitstream.NewWriter(64)

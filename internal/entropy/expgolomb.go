@@ -2,6 +2,20 @@
 // codecs: Exp-Golomb variable-length codes for the MPEG-2/MPEG-4 VLC layers
 // and an adaptive binary range coder (the arithmetic-coding engine class
 // that gives H.264/CABAC its compression edge).
+//
+// The Exp-Golomb definition lives in two places only: WriteUE/WriteSE here
+// and the fused reads bitstream.Reader.ReadUE/ReadSE that ReadUE/ReadSE
+// forward to. The MPEG-2/-4 coefficient syntax — ue(run) then se(level) per
+// pair — is read through a joint table (codec.ReadRunLevels) that holds no
+// third copy of the code: it is built at package initialisation by running
+// those same reads over every 13-bit window and storing what they returned
+// and how many bits they took, for the windows in which a whole pair (or a
+// whole run, which covers both end-of-block codes) fits. An entry is the
+// scalar reads' own answer, so table and scalar path cannot disagree; a
+// window the table does not cover falls through to the scalar reads.
+// TestRunLevelTable re-derives every entry with different bits behind the
+// window, and the reference tests compare whole blocks with the two-call
+// parser the table replaced.
 package entropy
 
 import (
@@ -14,33 +28,13 @@ import (
 // then the binary representation of v+1.
 func WriteUE(w *bitstream.Writer, v uint32) {
 	x := uint64(v) + 1
-	n := bitLen64(x)
+	n := uint(bits.Len64(x))
 	w.WriteBits(0, n-1)
 	w.WriteBits(x, n)
 }
 
-// ReadUE reads an unsigned Exp-Golomb code. The fast path peeks 32 bits and
-// counts the zero prefix in one instruction (the role of the optimized VLC
-// lookup tables in libmpeg2/FFmpeg).
-func ReadUE(r *bitstream.Reader) uint32 {
-	peek := uint32(r.PeekBits(32))
-	if peek != 0 {
-		lz := uint(bits.LeadingZeros32(peek))
-		if lz <= 28 { // whole code within the peek window
-			return uint32(r.ReadBits(2*lz+1) - 1)
-		}
-	}
-	// Slow path: long codes or end of stream.
-	zeros := uint(0)
-	for r.ReadBits(1) == 0 {
-		zeros++
-		if zeros > 32 || r.Err() != nil {
-			return 0
-		}
-	}
-	rest := r.ReadBits(zeros)
-	return uint32((1<<zeros | rest) - 1)
-}
+// ReadUE reads an unsigned Exp-Golomb code (see bitstream.Reader.ReadUE).
+func ReadUE(r *bitstream.Reader) uint32 { return r.ReadUE() }
 
 // WriteSE writes v as a signed Exp-Golomb code using the H.264 mapping
 // (0, 1, -1, 2, -2, ... → 0, 1, 2, 3, 4, ...).
@@ -54,20 +48,14 @@ func WriteSE(w *bitstream.Writer, v int32) {
 	WriteUE(w, u)
 }
 
-// ReadSE reads a signed Exp-Golomb code.
-func ReadSE(r *bitstream.Reader) int32 {
-	u := ReadUE(r)
-	if u%2 == 1 {
-		return int32(u/2 + 1)
+// SEBits returns the length in bits of WriteSE's code for v: what the
+// encoders' motion-vector and mode costs charge for a signed value.
+func SEBits(v int) int {
+	if v < 0 {
+		v = -v
 	}
-	return -int32(u / 2)
+	return 2*bits.Len(uint(2*v+1)) - 1
 }
 
-func bitLen64(x uint64) uint {
-	n := uint(0)
-	for x > 0 {
-		x >>= 1
-		n++
-	}
-	return n
-}
+// ReadSE reads a signed Exp-Golomb code.
+func ReadSE(r *bitstream.Reader) int32 { return r.ReadSE() }

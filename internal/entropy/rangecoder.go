@@ -1,5 +1,12 @@
 package entropy
 
+import (
+	"encoding/binary"
+	"math/bits"
+
+	"hdvideobench/internal/bitstream"
+)
+
 // The range coder below is a carry-less binary arithmetic coder with
 // adaptive 11-bit probabilities (the construction used by LZMA; the same
 // coder class as H.264 CABAC's M-coder). Encoder and decoder are exact
@@ -120,7 +127,7 @@ func (e *Encoder) EncodeUE(ctx []Prob, escape int, v uint32) {
 	}
 	// Escape: bypass Exp-Golomb of the remainder.
 	x := uint64(v) + 1
-	n := bitLen64(x)
+	n := uint(bits.Len64(x))
 	for j := uint(0); j < n-1; j++ {
 		e.EncodeBypass(0)
 	}
@@ -160,11 +167,23 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Decoder is the range-coder decoder. Create with NewDecoder over the bytes
 // produced by Encoder.Finish.
+//
+// Renormalisation shifts bytes out of look, a big-endian word preloaded
+// eight bytes at a time, so the per-bin path never indexes buf. Past the
+// end of buf the word is zero-filled, and pos-nb — the index behind the
+// last byte shifted into code — tells how far. A stream from
+// Encoder.Finish ends exactly where its decoder stops reading (encoder
+// and decoder renormalise in lockstep, and Finish flushes the four bytes
+// the decoder holds in code), so any over-read means a damaged stream:
+// Err reports it, with no slack.
 type Decoder struct {
 	rng  uint32
 	code uint32
+	look uint64 // preloaded stream bytes, next byte on top
+	nb   int    // bytes left in look
 	buf  []byte
-	pos  int
+	pos  int  // next byte of buf to preload; runs past len(buf) at the end
+	bad  bool // an escape suffix no encoder writes
 }
 
 // NewDecoder returns a decoder over buf.
@@ -179,90 +198,173 @@ func NewDecoder(buf []byte) *Decoder {
 func (d *Decoder) Reset(buf []byte) {
 	*d = Decoder{rng: 0xFFFFFFFF, buf: buf, pos: 1} // first byte is always 0
 	for i := 0; i < 4; i++ {
-		d.code = d.code<<8 | uint32(d.nextByte())
+		d.code = d.code<<8 | d.nextByte()
 	}
 }
 
-func (d *Decoder) nextByte() byte {
-	if d.pos < len(d.buf) {
-		b := d.buf[d.pos]
-		d.pos++
-		return b
+// Err reports bitstream.ErrOverrun once the decoder has consumed bytes
+// past the end of its buffer or met a malformed escape suffix: what it
+// returned since then is not what an encoder wrote.
+func (d *Decoder) Err() error {
+	if d.bad || d.pos-d.nb > len(d.buf) {
+		return bitstream.ErrOverrun
 	}
-	d.pos++
-	return 0
+	return nil
+}
+
+// preload refills look: one 8-byte load while eight bytes remain, the
+// last bytes one by one, zeros after them.
+func (d *Decoder) preload() {
+	if d.pos+8 <= len(d.buf) {
+		d.look = binary.BigEndian.Uint64(d.buf[d.pos:])
+	} else {
+		d.look = 0
+		for i := d.pos; i < len(d.buf); i++ {
+			d.look |= uint64(d.buf[i]) << (56 - 8*uint(i-d.pos))
+		}
+	}
+	d.pos += 8
+	d.nb = 8
+}
+
+// nextByte takes the next stream byte out of look.
+func (d *Decoder) nextByte() uint32 {
+	if d.nb == 0 {
+		d.preload()
+	}
+	b := uint32(d.look >> 56)
+	d.look <<= 8
+	d.nb--
+	return b
+}
+
+// renorm restores rng >= topValue, a byte at a time. The decode methods
+// keep rng and code in locals across the bins of one symbol and pass them
+// through here.
+func (d *Decoder) renorm(rng, code uint32) (uint32, uint32) {
+	for rng < topValue {
+		rng <<= 8
+		code = code<<8 | d.nextByte()
+	}
+	return rng, code
+}
+
+// contextBin is the arithmetic of one context-coded bin, before
+// renormalisation: the mirror of Encoder.EncodeBit on caller-held state.
+func contextBin(rng, code uint32, p *Prob) (rng2, code2, bit uint32) {
+	pv := uint32(*p)
+	bound := (rng >> probBits) * pv
+	if code < bound {
+		*p = Prob(pv + (1<<probBits-pv)>>probMoves)
+		return bound, code, 0
+	}
+	*p = Prob(pv - pv>>probMoves)
+	return rng - bound, code - bound, 1
+}
+
+// bypassBin is the arithmetic of one equiprobable bin.
+func bypassBin(rng, code uint32) (rng2, code2, bit uint32) {
+	rng >>= 1
+	if code < rng {
+		return rng, code, 0
+	}
+	return rng, code - rng, 1
 }
 
 // DecodeBit decodes one bit with the adaptive context p.
+//
+//hdvlint:noalloc
 func (d *Decoder) DecodeBit(p *Prob) int {
-	bound := (d.rng >> probBits) * uint32(*p)
-	var bit int
-	if d.code < bound {
-		d.rng = bound
-		*p += (1<<probBits - *p) >> probMoves
-	} else {
-		d.code -= bound
-		d.rng -= bound
-		*p -= *p >> probMoves
-		bit = 1
+	rng, code, bit := contextBin(d.rng, d.code, p)
+	if rng < topValue {
+		rng, code = d.renorm(rng, code)
 	}
-	for d.rng < topValue {
-		d.rng <<= 8
-		d.code = d.code<<8 | uint32(d.nextByte())
-	}
-	return bit
+	d.rng, d.code = rng, code
+	return int(bit)
 }
 
 // DecodeBypass decodes one equiprobable bit.
+//
+//hdvlint:noalloc
 func (d *Decoder) DecodeBypass() int {
-	d.rng >>= 1
-	var bit int
-	if d.code >= d.rng {
-		d.code -= d.rng
-		bit = 1
+	rng, code, bit := bypassBin(d.rng, d.code)
+	if rng < topValue {
+		rng, code = d.renorm(rng, code)
 	}
-	for d.rng < topValue {
-		d.rng <<= 8
-		d.code = d.code<<8 | uint32(d.nextByte())
-	}
-	return bit
+	d.rng, d.code = rng, code
+	return int(bit)
 }
 
-// DecodeBypassBits decodes n bypass bits MSB-first.
+// DecodeBypassBits decodes n bypass bits MSB-first, with rng and code in
+// registers from the first bin to the last.
+//
+//hdvlint:noalloc
 func (d *Decoder) DecodeBypassBits(n uint) uint32 {
-	var v uint32
-	for i := uint(0); i < n; i++ {
-		v = v<<1 | uint32(d.DecodeBypass())
+	var v, bit uint32
+	rng, code := d.rng, d.code
+	for ; n > 0; n-- {
+		rng, code, bit = bypassBin(rng, code)
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		v = v<<1 | bit
 	}
+	d.rng, d.code = rng, code
 	return v
 }
 
-// DecodeUE mirrors Encoder.EncodeUE.
+// DecodeUE mirrors Encoder.EncodeUE. The bins of one symbol — context
+// prefix, bypass zero run, bypass value bits — are decoded on locals, so
+// the state goes through memory once per symbol instead of once per bin.
+//
+//hdvlint:noalloc
 func (d *Decoder) DecodeUE(ctx []Prob, escape int) uint32 {
+	rng, code := d.rng, d.code
+	var bit uint32
 	v := uint32(0)
-	i := 0
-	for ; i < escape; i++ {
-		if d.DecodeBit(&ctx[min(i, len(ctx)-1)]) == 0 {
+	last := len(ctx) - 1
+	for i := 0; i < escape; i++ {
+		rng, code, bit = contextBin(rng, code, &ctx[min(i, last)])
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		if bit == 0 {
+			d.rng, d.code = rng, code
 			return v
 		}
 		v++
 	}
 	// Escape suffix: bypass Exp-Golomb.
 	zeros := uint(0)
-	for d.DecodeBypass() == 0 {
+	for {
+		rng, code, bit = bypassBin(rng, code)
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		if bit != 0 {
+			break
+		}
 		zeros++
 		if zeros > 32 {
+			d.rng, d.code, d.bad = rng, code, true
 			return v
 		}
 	}
 	rest := uint64(0)
 	for j := uint(0); j < zeros; j++ {
-		rest = rest<<1 | uint64(d.DecodeBypass())
+		rng, code, bit = bypassBin(rng, code)
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		rest = rest<<1 | uint64(bit)
 	}
+	d.rng, d.code = rng, code
 	return v + uint32((1<<zeros|rest)-1)
 }
 
 // DecodeSE mirrors Encoder.EncodeSE.
+//
+//hdvlint:noalloc
 func (d *Decoder) DecodeSE(ctx []Prob, escape int) int32 {
 	mag := int32(d.DecodeUE(ctx, escape))
 	if mag == 0 {
@@ -272,11 +374,4 @@ func (d *Decoder) DecodeSE(ctx []Prob, escape int) int32 {
 		return -mag
 	}
 	return mag
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

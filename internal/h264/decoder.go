@@ -3,11 +3,9 @@ package h264
 import (
 	"fmt"
 
-	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/dct"
-	"hdvideobench/internal/entropy"
 	"hdvideobench/internal/frame"
 	"hdvideobench/internal/interp"
 	"hdvideobench/internal/kernel"
@@ -40,9 +38,7 @@ type Decoder struct {
 // sliceDec carries the per-slice decoder state.
 type sliceDec struct {
 	d   *Decoder
-	r   symReader
-	br  *bitstream.Reader // VLC backend, reused across frames
-	ed  *entropy.Decoder  // CABAC backend, reused across frames
+	r   symDec
 	ctx *contexts
 
 	qpel  interp.QPel
@@ -184,24 +180,12 @@ func (d *Decoder) decodeFrame(p container.Packet) (*frame.Frame, error) {
 }
 
 // decode parses one slice's entropy stream into its macroblock rows.
+//
+//hdvlint:noalloc
 func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan) error {
 	s.top4 = span.Row * 4
 	s.topPx = span.Row * 16
-	if s.d.hdr.Flags&flagVLC != 0 {
-		if s.br == nil {
-			s.br = bitstream.NewReader(buf)
-		} else {
-			s.br.Reset(buf)
-		}
-		s.r = vlcReader{s.br}
-	} else {
-		if s.ed == nil {
-			s.ed = entropy.NewDecoder(buf)
-		} else {
-			s.ed.Reset(buf)
-		}
-		s.r = cabacReader{s.ed}
-	}
+	s.r.reset(buf, s.d.hdr.Flags&flagVLC != 0)
 	s.ctx.reset()
 
 	mbCols := s.d.hdr.Width / 16
@@ -223,7 +207,7 @@ func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameT
 		}
 	}
 	if err := s.r.err(); err != nil {
-		return fmt.Errorf("bitstream overrun: %w", err)
+		return errOverrun(err)
 	}
 	return nil
 }
@@ -231,15 +215,17 @@ func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameT
 // --- residual ----------------------------------------------------------------
 
 // readResidual parses CBP and coefficients into md.
+//
+//hdvlint:noalloc
 func (s *sliceDec) readResidual(md *mbData, i16 bool) error {
-	r := s.r
+	r := &s.r
 	md.cbpLuma = 0
 	for g := 0; g < 4; g++ {
 		md.cbpLuma |= r.bit(&s.ctx.cbpLuma[g]) << g
 	}
 	md.cbpChroma = int(r.ue(s.ctx.chromaCBP[:], 2))
 	if md.cbpChroma > 2 {
-		return fmt.Errorf("invalid chroma CBP %d", md.cbpChroma)
+		return errSyntax("chroma CBP", int(md.cbpChroma))
 	}
 
 	var scan [16]int32
@@ -404,6 +390,18 @@ func (s *sliceDec) intraChromaPred(recon *frame.Frame, px, py int) {
 	predChromaDC(s.predC[1][:], recon.Cr, recon.COrigin, recon.CStride, cx, cy, px > 0, availTop)
 }
 
+// readI16Mode parses the I16 prediction mode of the macroblock at (px, py).
+//
+//hdvlint:noalloc
+func (s *sliceDec) readI16Mode(md *mbData, px, py int) error {
+	md.i16Mode = int(s.r.ue(s.ctx.i16Mode[:], 2))
+	if !i16Usable(md.i16Mode, px > 0, py > s.topPx) {
+		return errSyntax("I16 mode", int(md.i16Mode))
+	}
+	return nil
+}
+
+//hdvlint:noalloc
 func (s *sliceDec) decodeIMB(recon *frame.Frame, mbx, mby int) error {
 	px, py := mbx*16, mby*16
 	var md mbData
@@ -413,14 +411,13 @@ func (s *sliceDec) decodeIMB(recon *frame.Frame, mbx, mby int) error {
 		for bi := 0; bi < 16; bi++ {
 			md.i4Modes[bi] = int(s.r.ue(s.ctx.i4Mode[:], 3))
 			if md.i4Modes[bi] >= numI4Modes {
-				return fmt.Errorf("invalid I4 mode %d", md.i4Modes[bi])
+				return errSyntax("I4 mode", int(md.i4Modes[bi]))
 			}
 		}
 	} else {
 		md.mode = mI16x16
-		md.i16Mode = int(s.r.ue(s.ctx.i16Mode[:], 2))
-		if md.i16Mode >= numI16Modes {
-			return fmt.Errorf("invalid I16 mode %d", md.i16Mode)
+		if err := s.readI16Mode(&md, px, py); err != nil {
+			return err
 		}
 	}
 	if err := s.readResidual(&md, md.mode == mI16x16); err != nil {
@@ -444,8 +441,8 @@ func (s *sliceDec) decodeIMB(recon *frame.Frame, mbx, mby int) error {
 func (s *sliceDec) mcLumaPart(ref *frame.Frame, px, py, ox, oy, w, h int, mv motion.MV) {
 	ix, fx := splitQuarter(int(mv.X))
 	iy, fy := splitQuarter(int(mv.Y))
-	ix = clampMVToWindow(ix, px+ox, s.d.hdr.Width, w)
-	iy = clampMVToWindow(iy, py+oy, s.d.hdr.Height, h)
+	ix = clampMVToWindow(ix, px+ox, s.d.hdr.Width, w, lumaMargin)
+	iy = clampMVToWindow(iy, py+oy, s.d.hdr.Height, h, lumaMargin)
 	so := ref.YOrigin + (py+oy+iy)*ref.YStride + px + ox + ix
 	s.qpel.Luma(s.predY[oy*16+ox:], 16, ref.Y, so, ref.YStride, w, h, fx, fy, s.d.kern)
 }
@@ -457,14 +454,15 @@ func (s *sliceDec) mcChromaPart(ref *frame.Frame, px, py, ox, oy, w, h int, mv m
 	iy := int(mv.Y) >> 3
 	dx := int(mv.X) & 7
 	dy := int(mv.Y) & 7
-	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, w/2)
-	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, h/2)
+	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, w/2, chromaMargin)
+	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, h/2, chromaMargin)
 	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
 	do := (oy/2)*8 + ox/2
 	interp.ChromaBilin(s.predC[0][do:], 8, ref.Cb[so:], ref.CStride, w/2, h/2, dx, dy, s.d.kern)
 	interp.ChromaBilin(s.predC[1][do:], 8, ref.Cr[so:], ref.CStride, w/2, h/2, dx, dy, s.d.kern)
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int) error {
 	px, py := mbx*16, mby*16
 	bx4, by4 := px/4, py/4
@@ -487,9 +485,8 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int) error {
 	case mI16x16:
 		var md mbData
 		md.mode = mI16x16
-		md.i16Mode = int(s.r.ue(s.ctx.i16Mode[:], 2))
-		if md.i16Mode >= numI16Modes {
-			return fmt.Errorf("invalid I16 mode %d", md.i16Mode)
+		if err := s.readI16Mode(&md, px, py); err != nil {
+			return err
 		}
 		if err := s.readResidual(&md, true); err != nil {
 			return err
@@ -506,7 +503,7 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int) error {
 			refIdx = int(s.r.ue(s.ctx.refIdx[:], 2))
 		}
 		if refIdx >= s.d.refs.Len() {
-			return fmt.Errorf("reference %d out of range", refIdx)
+			return errSyntax("reference index", refIdx)
 		}
 		ref := s.d.refs.Get(refIdx)
 		parts := partGeom[mode]
@@ -532,9 +529,10 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int) error {
 		s.updateMetaNZ(px, py, &md, false)
 		return nil
 	}
-	return fmt.Errorf("invalid P macroblock mode %d", mode)
+	return errSyntax("P macroblock mode", int(mode))
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int) error {
 	px, py := mbx*16, mby*16
 	bx4, by4 := px/4, py/4
@@ -557,9 +555,8 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int) error {
 	if mode == mBI16x16 {
 		var md mbData
 		md.mode = mI16x16
-		md.i16Mode = int(s.r.ue(s.ctx.i16Mode[:], 2))
-		if md.i16Mode >= numI16Modes {
-			return fmt.Errorf("invalid I16 mode %d", md.i16Mode)
+		if err := s.readI16Mode(&md, px, py); err != nil {
+			return err
 		}
 		if err := s.readResidual(&md, true); err != nil {
 			return err
@@ -572,7 +569,7 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int) error {
 		return nil
 	}
 	if mode > mBBi {
-		return fmt.Errorf("invalid B macroblock mode %d", mode)
+		return errSyntax("B macroblock mode", int(mode))
 	}
 
 	mvpF := s.d.meta.predictMV(bx4, by4, 4, s.top4)
@@ -627,3 +624,10 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int) error {
 	s.updateMetaNZ(px, py, &md, false)
 	return nil
 }
+
+// Error constructors for the macroblock loops, which are //hdvlint:noalloc:
+// fmt allocates, and these run once per failed slice.
+
+func errSyntax(what string, v int) error { return fmt.Errorf("invalid %s %d", what, v) }
+
+func errOverrun(err error) error { return fmt.Errorf("bitstream overrun: %w", err) }

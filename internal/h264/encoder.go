@@ -462,21 +462,8 @@ func (s *rowEnc) sadBlock(src *frame.Frame, px, py, w, h int, pred []byte, pstri
 	return codec.SADBlockBytes(src.Y, off, src.YStride, pred, 0, pstride, w, h)
 }
 
-func seBits(v int) int {
-	if v < 0 {
-		v = -v
-	}
-	u := 2 * v
-	n := 1
-	for u > 0 {
-		u = (u - 1) >> 1
-		n += 2
-	}
-	return n
-}
-
 func mvdBits(mv, pred motion.MV) int {
-	return seBits(int(mv.X)-int(pred.X)) + seBits(int(mv.Y)-int(pred.Y))
+	return entropy.SEBits(int(mv.X)-int(pred.X)) + entropy.SEBits(int(mv.Y)-int(pred.Y))
 }
 
 // --- motion search ------------------------------------------------------------

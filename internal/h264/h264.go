@@ -99,9 +99,16 @@ func validateSize(hdr container.Header) error {
 
 func splitQuarter(v int) (ipel, frac int) { return v >> 2, v & 3 }
 
-func clampMVToWindow(ival, pos, size, blk int) int {
-	lo := -pos - (codec.RefPad - 8)
-	hi := size - pos - blk + (codec.RefPad - 8)
+// lumaMargin and chromaMargin bound how far outside the picture a decoded
+// block may start; only damaged streams reach them (see package mpeg2).
+const (
+	lumaMargin   = codec.RefPad - 8
+	chromaMargin = codec.RefPad/2 - 2
+)
+
+func clampMVToWindow(ival, pos, size, blk, margin int) int {
+	lo := -pos - margin
+	hi := size - pos - blk + margin
 	if ival < lo {
 		ival = lo
 	}
@@ -241,14 +248,6 @@ type symWriter interface {
 	reset() // prepare for a new slice, reusing the buffer
 }
 
-type symReader interface {
-	bit(ctx *entropy.Prob) int
-	bypass() int
-	ue(ctx []entropy.Prob, escape int) uint32
-	se(ctx []entropy.Prob, escape int) int32
-	err() error
-}
-
 type cabacWriter struct{ e *entropy.Encoder }
 
 func (w cabacWriter) bit(ctx *entropy.Prob, v int) { w.e.EncodeBit(ctx, v) }
@@ -261,18 +260,6 @@ func (w cabacWriter) se(ctx []entropy.Prob, escape int, v int32) {
 }
 func (w cabacWriter) finish() []byte { return w.e.Finish() }
 func (w cabacWriter) reset()         { w.e.Reset() }
-
-type cabacReader struct{ d *entropy.Decoder }
-
-func (r cabacReader) bit(ctx *entropy.Prob) int { return r.d.DecodeBit(ctx) }
-func (r cabacReader) bypass() int               { return r.d.DecodeBypass() }
-func (r cabacReader) ue(ctx []entropy.Prob, escape int) uint32 {
-	return r.d.DecodeUE(ctx, escape)
-}
-func (r cabacReader) se(ctx []entropy.Prob, escape int) int32 {
-	return r.d.DecodeSE(ctx, escape)
-}
-func (r cabacReader) err() error { return nil }
 
 type vlcWriter struct{ w *bitstream.Writer }
 
@@ -287,14 +274,59 @@ func (w vlcWriter) se(_ []entropy.Prob, _ int, v int32) {
 func (w vlcWriter) finish() []byte { return w.w.Bytes() }
 func (w vlcWriter) reset()         { w.w.Reset() }
 
-type vlcReader struct{ r *bitstream.Reader }
+// symDec is the read side of symWriter, as one concrete type so that the
+// slice decoder's calls resolve at compile time and the range decoder's
+// per-bin path inlines behind them: CABAC is the straight line, the
+// EntropyVLC ablation a branch on a flag that never changes within a
+// stream. Context arguments are ignored by the VLC backend.
+type symDec struct {
+	cabac entropy.Decoder
+	bits  bitstream.Reader
+	vlc   bool
+}
 
-func (r vlcReader) bit(_ *entropy.Prob) int { return r.r.ReadBit() }
-func (r vlcReader) bypass() int             { return r.r.ReadBit() }
-func (r vlcReader) ue(_ []entropy.Prob, _ int) uint32 {
-	return entropy.ReadUE(r.r)
+// reset points the reader at one slice's bytes.
+func (r *symDec) reset(buf []byte, vlc bool) {
+	r.vlc = vlc
+	if vlc {
+		r.bits.Reset(buf)
+	} else {
+		r.cabac.Reset(buf)
+	}
 }
-func (r vlcReader) se(_ []entropy.Prob, _ int) int32 {
-	return entropy.ReadSE(r.r)
+
+func (r *symDec) bit(ctx *entropy.Prob) int {
+	if r.vlc {
+		return r.bits.ReadBit()
+	}
+	return r.cabac.DecodeBit(ctx)
 }
-func (r vlcReader) err() error { return r.r.Err() }
+
+func (r *symDec) bypass() int {
+	if r.vlc {
+		return r.bits.ReadBit()
+	}
+	return r.cabac.DecodeBypass()
+}
+
+func (r *symDec) ue(ctx []entropy.Prob, escape int) uint32 {
+	if r.vlc {
+		return r.bits.ReadUE()
+	}
+	return r.cabac.DecodeUE(ctx, escape)
+}
+
+func (r *symDec) se(ctx []entropy.Prob, escape int) int32 {
+	if r.vlc {
+		return r.bits.ReadSE()
+	}
+	return r.cabac.DecodeSE(ctx, escape)
+}
+
+// err reports a slice that ran out of bytes or held a malformed code.
+func (r *symDec) err() error {
+	if r.vlc {
+		return r.bits.Err()
+	}
+	return r.cabac.Err()
+}

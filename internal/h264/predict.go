@@ -214,24 +214,32 @@ func predI16(dst []byte, plane []byte, origin, stride, px, py, mode int, availLe
 	}
 }
 
+// i16Usable reports whether an I16 mode predicts only from neighbours the
+// macroblock has. The encoder chooses among the usable modes; the decoder
+// rejects the others, which in a damaged stream would read the rows of
+// another slice while that slice is still being decoded.
+func i16Usable(mode int, availLeft, availTop bool) bool {
+	switch mode {
+	case i16Vertical:
+		return availTop
+	case i16Horizontal:
+		return availLeft
+	case i16Plane:
+		return availLeft && availTop
+	}
+	return mode == i16DC
+}
+
 // i16Candidates fills dst with the usable I16 modes under the given
 // availability and returns the filled prefix (allocation-free, as with
 // i4Candidates).
 func i16Candidates(availLeft, availTop bool, dst *[numI16Modes]int) []int {
 	n := 0
-	dst[n] = i16DC
-	n++
-	if availTop {
-		dst[n] = i16Vertical
-		n++
-	}
-	if availLeft {
-		dst[n] = i16Horizontal
-		n++
-	}
-	if availLeft && availTop {
-		dst[n] = i16Plane
-		n++
+	for _, mode := range [numI16Modes]int{i16DC, i16Vertical, i16Horizontal, i16Plane} {
+		if i16Usable(mode, availLeft, availTop) {
+			dst[n] = mode
+			n++
+		}
 	}
 	return dst[:n]
 }

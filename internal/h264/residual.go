@@ -63,7 +63,11 @@ func writeCoeffs(w symWriter, cbf *entropy.Prob, sig, last, lvl []entropy.Prob, 
 }
 
 // readCoeffs mirrors writeCoeffs; coefs is zeroed and filled in scan order.
-func readCoeffs(r symReader, cbf *entropy.Prob, sig, last, lvl []entropy.Prob, coefs []int32) bool {
+// sig and last have the same length; scan positions past it share their
+// final context, so the context index counts up and stops there.
+//
+//hdvlint:noalloc
+func readCoeffs(r *symDec, cbf *entropy.Prob, sig, last, lvl []entropy.Prob, coefs []int32) bool {
 	n := len(coefs)
 	for i := range coefs {
 		coefs[i] = 0
@@ -74,14 +78,18 @@ func readCoeffs(r symReader, cbf *entropy.Prob, sig, last, lvl []entropy.Prob, c
 	var positions [16]int
 	np := 0
 	terminated := false
-	for i := 0; i < n-1; i++ {
-		if r.bit(&sig[minInt(i, len(sig)-1)]) == 1 {
+	last = last[:len(sig)]
+	for i, ci := 0, 0; i < n-1; i++ {
+		if r.bit(&sig[ci]) == 1 {
 			positions[np] = i
 			np++
-			if r.bit(&last[minInt(i, len(last)-1)]) == 1 {
+			if r.bit(&last[ci]) == 1 {
 				terminated = true
 				break
 			}
+		}
+		if ci < len(sig)-1 {
+			ci++
 		}
 	}
 	if !terminated {

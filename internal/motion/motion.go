@@ -31,6 +31,7 @@
 package motion
 
 import (
+	"hdvideobench/internal/entropy"
 	"hdvideobench/internal/frame"
 	"hdvideobench/internal/interp"
 	"hdvideobench/internal/kernel"
@@ -260,20 +261,7 @@ func (e *Estimator) MVCost(x, y int) int {
 
 // mvBits estimates the Exp-Golomb bit cost of a motion vector difference.
 func mvBits(dx, dy int) int {
-	return seBits(dx) + seBits(dy)
-}
-
-func seBits(v int) int {
-	if v < 0 {
-		v = -v
-	}
-	u := 2 * v // signed Exp-Golomb index magnitude
-	n := 1
-	for u > 0 {
-		u = (u - 1) >> 1
-		n += 2
-	}
-	return n
+	return entropy.SEBits(dx) + entropy.SEBits(dy)
 }
 
 func (e *Estimator) inWindow(x, y int) bool {

@@ -261,13 +261,6 @@ func TestMedianMVProperty(t *testing.T) {
 	}
 }
 
-func TestSEBits(t *testing.T) {
-	// seBits(0)=1 ("1"), seBits(±1)=3, seBits(±2)=5.
-	if seBits(0) != 1 || seBits(1) != 3 || seBits(-1) != 3 || seBits(2) != 5 {
-		t.Fatalf("seBits: %d %d %d %d", seBits(0), seBits(1), seBits(-1), seBits(2))
-	}
-}
-
 func min16(vs ...int16) int16 {
 	m := vs[0]
 	for _, v := range vs[1:] {

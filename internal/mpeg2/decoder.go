@@ -160,6 +160,8 @@ func (d *Decoder) decodeFrame(p container.Packet) (*frame.Frame, error) {
 }
 
 // decode parses one slice bitstream into its macroblock rows.
+//
+//hdvlint:noalloc
 func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, q int32) error {
 	s.br.Reset(buf)
 	mbCols := s.d.hdr.Width / 16
@@ -183,11 +185,12 @@ func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameT
 		}
 	}
 	if s.br.Err() != nil {
-		return fmt.Errorf("bitstream overrun: %w", s.br.Err())
+		return errOverrun(s.br.Err())
 	}
 	return nil
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodeIntraMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
 	for i := 0; i < 4; i++ {
@@ -204,12 +207,13 @@ func (s *sliceDec) decodeIntraMB(recon *frame.Frame, mbx, mby int, q int32) erro
 	return s.intraBlock(recon.Cr, croff, recon.CStride, q, 2)
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) intraBlock(rec []byte, roff, rstride int, q int32, comp int) error {
 	var blk [64]int32
 	dc := s.dcPred[comp] + entropy.ReadSE(&s.br)
 	s.dcPred[comp] = dc
 	blk[0] = dc
-	if err := readRunLevels(&s.br, &blk, 1, eob8); err != nil {
+	if err := codec.ReadRunLevels(&s.br, &blk, 1, eob8); err != nil {
 		return err
 	}
 	quant.Mpeg2DequantIntra(&blk, q)
@@ -218,39 +222,12 @@ func (s *sliceDec) intraBlock(rec []byte, roff, rstride int, q int32, comp int) 
 	return nil
 }
 
-// readRunLevels parses run/level pairs until the EOB marker.
-func readRunLevels(br *bitstream.Reader, blk *[64]int32, start int, eob uint32) error {
-	pos := start
-	for {
-		run := entropy.ReadUE(br)
-		if run == eob {
-			return nil
-		}
-		if br.Err() != nil {
-			return fmt.Errorf("truncated block: %w", br.Err())
-		}
-		pos += int(run)
-		if pos > 63 {
-			return fmt.Errorf("run overflows block (pos %d)", pos)
-		}
-		level := entropy.ReadSE(br)
-		if level == 0 {
-			return fmt.Errorf("zero level")
-		}
-		blk[dct.Zigzag8[pos]] = level
-		pos++
-		if pos > 64 {
-			return fmt.Errorf("block overflow")
-		}
-	}
-}
-
 // mcLuma fills the decoder's luma prediction buffer for a half-pel MV.
 func (s *sliceDec) mcLuma(ref *frame.Frame, px, py int, mv motion.MV, dst []byte) {
 	ix, fx := splitHalf(int(mv.X))
 	iy, fy := splitHalf(int(mv.Y))
-	ix = clampMVToWindow(ix, px, s.d.hdr.Width, 16)
-	iy = clampMVToWindow(iy, py, s.d.hdr.Height, 16)
+	ix = clampMVToWindow(ix, px, s.d.hdr.Width, 16, lumaMargin)
+	iy = clampMVToWindow(iy, py, s.d.hdr.Height, 16, lumaMargin)
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	interp.HalfPel(dst, 16, ref.Y[so:], ref.YStride, 16, 16, fx, fy, s.d.kern)
 }
@@ -262,8 +239,8 @@ func (s *sliceDec) mcChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr [
 	ix, fx := splitHalf(cvx)
 	iy, fy := splitHalf(cvy)
 	cx, cy := px/2, py/2
-	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, 8)
-	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, 8)
+	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, 8, chromaMargin)
+	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, 8, chromaMargin)
 	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
 	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
 	interp.HalfPel(cr, 8, ref.Cr[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
@@ -271,6 +248,8 @@ func (s *sliceDec) mcChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr [
 
 // decodeResidualMB parses CBP and residual blocks, reconstructing
 // pred + residual into recon.
+//
+//hdvlint:noalloc
 func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) error {
 	cbp := int(s.br.ReadBits(6))
 	var blk [64]int32
@@ -279,7 +258,7 @@ func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) err
 		po := 8*(i/2)*16 + 8*(i%2)
 		if cbp&(1<<(5-i)) != 0 {
 			blk = [64]int32{}
-			if err := readRunLevels(&s.br, &blk, 0, eob64); err != nil {
+			if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
 				return err
 			}
 			quant.Mpeg2DequantInter(&blk, q)
@@ -293,7 +272,7 @@ func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) err
 	cro := recon.COrigin + cy*recon.CStride + cx
 	if cbp&2 != 0 {
 		blk = [64]int32{}
-		if err := readRunLevels(&s.br, &blk, 0, eob64); err != nil {
+		if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
 			return err
 		}
 		quant.Mpeg2DequantInter(&blk, q)
@@ -304,7 +283,7 @@ func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) err
 	}
 	if cbp&1 != 0 {
 		blk = [64]int32{}
-		if err := readRunLevels(&s.br, &blk, 0, eob64); err != nil {
+		if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
 			return err
 		}
 		quant.Mpeg2DequantInter(&blk, q)
@@ -330,6 +309,7 @@ func (s *sliceDec) copyPredToRecon(recon *frame.Frame, px, py int) {
 	}
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
 	mode := entropy.ReadUE(&s.br)
@@ -361,9 +341,10 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.dcPred = [3]int32{dcPredInit, dcPredInit, dcPredInit}
 		return nil
 	}
-	return fmt.Errorf("invalid P macroblock mode %d", mode)
+	return errSyntax("P macroblock mode", int(mode))
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
 	mode := entropy.ReadUE(&s.br)
@@ -419,5 +400,12 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.dcPred = [3]int32{dcPredInit, dcPredInit, dcPredInit}
 		return nil
 	}
-	return fmt.Errorf("invalid B macroblock mode %d", mode)
+	return errSyntax("B macroblock mode", int(mode))
 }
+
+// Error constructors for the macroblock loops, which are //hdvlint:noalloc:
+// fmt allocates, and these run once per failed slice.
+
+func errSyntax(what string, v int) error { return fmt.Errorf("invalid %s %d", what, v) }
+
+func errOverrun(err error) error { return fmt.Errorf("bitstream overrun: %w", err) }

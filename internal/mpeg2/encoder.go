@@ -336,28 +336,11 @@ func (s *rowEnc) intraBlock(plane []byte, off, stride int, rec []byte, roff, rst
 
 	entropy.WriteSE(s.bw, blk[0]-s.dcPred[comp])
 	s.dcPred[comp] = blk[0]
-	writeRunLevels(s.bw, &blk, 1, eob8)
+	codec.WriteRunLevels(s.bw, &blk, 1, eob8)
 
 	quant.Mpeg2DequantIntra(&blk, q)
 	dct.Inverse8(&blk)
 	codec.Store8Clip(rec, roff, rstride, &blk)
-}
-
-// writeRunLevels codes the zigzag run/level pairs from scan position start,
-// terminated by the eob marker.
-func writeRunLevels(bw *bitstream.Writer, blk *[64]int32, start int, eob uint32) {
-	run := uint32(0)
-	for i := start; i < 64; i++ {
-		v := blk[dct.Zigzag8[i]]
-		if v == 0 {
-			run++
-			continue
-		}
-		entropy.WriteUE(bw, run)
-		entropy.WriteSE(bw, v)
-		run = 0
-	}
-	entropy.WriteUE(bw, eob)
 }
 
 // sadMB computes SAD between the current 16×16 luma block and a prediction
@@ -528,7 +511,7 @@ func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
 	s.bw.WriteBits(uint64(cbp), 6)
 	for i := 0; i < 6; i++ {
 		if cbp&(1<<(5-i)) != 0 {
-			writeRunLevels(s.bw, &blks[i], 0, eob64)
+			codec.WriteRunLevels(s.bw, &blks[i], 0, eob64)
 		}
 	}
 

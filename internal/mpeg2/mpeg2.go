@@ -92,11 +92,20 @@ func validateSize(hdr container.Header) error {
 	return nil
 }
 
+// lumaMargin and chromaMargin are how far outside the picture a decoded
+// block may start: inside the RefPad (RefPad/2 for chroma) border with
+// room left for the interpolation taps, and at least as far as any vector
+// the encoder's search window allows, so only damaged streams are clamped.
+const (
+	lumaMargin   = codec.RefPad - 8
+	chromaMargin = codec.RefPad/2 - 2
+)
+
 // clampMVToWindow keeps a decoded integer-pel offset inside the padded
 // reference area, guarding against corrupt streams.
-func clampMVToWindow(ival, pos, size, blk int) int {
-	lo := -pos - (codec.RefPad - 8)
-	hi := size - pos - blk + (codec.RefPad - 8)
+func clampMVToWindow(ival, pos, size, blk, margin int) int {
+	lo := -pos - margin
+	hi := size - pos - blk + margin
 	if ival < lo {
 		ival = lo
 	}

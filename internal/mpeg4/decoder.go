@@ -157,6 +157,8 @@ func (d *Decoder) decodeFrame(p container.Packet) (*frame.Frame, error) {
 }
 
 // decode parses one slice bitstream into its macroblock rows.
+//
+//hdvlint:noalloc
 func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, q int32) error {
 	s.br.Reset(buf)
 	s.dcInit = 1024 / quant.Mpeg4DCScaler(q)
@@ -181,7 +183,7 @@ func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameT
 		}
 	}
 	if s.br.Err() != nil {
-		return fmt.Errorf("bitstream overrun: %w", s.br.Err())
+		return errOverrun(s.br.Err())
 	}
 	return nil
 }
@@ -190,6 +192,7 @@ func (s *sliceDec) resetDCPred() {
 	s.dcPred = [3]int32{s.dcInit, s.dcInit, s.dcInit}
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodeIntraMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
 	for i := 0; i < 4; i++ {
@@ -206,12 +209,13 @@ func (s *sliceDec) decodeIntraMB(recon *frame.Frame, mbx, mby int, q int32) erro
 	return s.intraBlock(recon.Cr, croff, recon.CStride, q, 2)
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) intraBlock(rec []byte, roff, rstride int, q int32, comp int) error {
 	var blk [64]int32
 	dc := s.dcPred[comp] + entropy.ReadSE(&s.br)
 	s.dcPred[comp] = dc
 	blk[0] = dc
-	if err := readRunLevels(&s.br, &blk, 1, eob8); err != nil {
+	if err := codec.ReadRunLevels(&s.br, &blk, 1, eob8); err != nil {
 		return err
 	}
 	quant.Mpeg4DequantIntra(&blk, q)
@@ -220,35 +224,12 @@ func (s *sliceDec) intraBlock(rec []byte, roff, rstride int, q int32, comp int) 
 	return nil
 }
 
-func readRunLevels(br *bitstream.Reader, blk *[64]int32, start int, eob uint32) error {
-	pos := start
-	for {
-		run := entropy.ReadUE(br)
-		if run == eob {
-			return nil
-		}
-		if br.Err() != nil {
-			return fmt.Errorf("truncated block: %w", br.Err())
-		}
-		pos += int(run)
-		if pos > 63 {
-			return fmt.Errorf("run overflows block (pos %d)", pos)
-		}
-		level := entropy.ReadSE(br)
-		if level == 0 {
-			return fmt.Errorf("zero level")
-		}
-		blk[dct.Zigzag8[pos]] = level
-		pos++
-	}
-}
-
 // mcLuma fills dst (stride 16) with the quarter-pel luma prediction.
 func (s *sliceDec) mcLuma(ref *frame.Frame, px, py, w, h int, mv motion.MV, dst []byte) {
 	ix, fx := splitQuarter(int(mv.X))
 	iy, fy := splitQuarter(int(mv.Y))
-	ix = clampMVToWindow(ix, px, s.d.hdr.Width, w)
-	iy = clampMVToWindow(iy, py, s.d.hdr.Height, h)
+	ix = clampMVToWindow(ix, px, s.d.hdr.Width, w, lumaMargin)
+	iy = clampMVToWindow(iy, py, s.d.hdr.Height, h, lumaMargin)
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	s.qpel.Luma(dst, 16, ref.Y, so, ref.YStride, w, h, fx, fy, s.d.kern)
 }
@@ -259,8 +240,8 @@ func (s *sliceDec) mcChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr [
 	ix, fx := splitHalf(cvx)
 	iy, fy := splitHalf(cvy)
 	cx, cy := px/2, py/2
-	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, 8)
-	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, 8)
+	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, 8, chromaMargin)
+	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, 8, chromaMargin)
 	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
 	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
 	interp.HalfPel(cr, 8, ref.Cr[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
@@ -276,6 +257,7 @@ func (s *sliceDec) mcChroma4MV(ref *frame.Frame, px, py int, mvs *[4]motion.MV, 
 	s.mcChroma(ref, px, py, avg, cb, cr)
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) error {
 	cbp := int(s.br.ReadBits(6))
 	var blk [64]int32
@@ -284,7 +266,7 @@ func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) err
 		po := 8*(i/2)*16 + 8*(i%2)
 		if cbp&(1<<(5-i)) != 0 {
 			blk = [64]int32{}
-			if err := readRunLevels(&s.br, &blk, 0, eob64); err != nil {
+			if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
 				return err
 			}
 			quant.Mpeg4DequantInter(&blk, q)
@@ -298,7 +280,7 @@ func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) err
 	cro := recon.COrigin + cy*recon.CStride + cx
 	if cbp&2 != 0 {
 		blk = [64]int32{}
-		if err := readRunLevels(&s.br, &blk, 0, eob64); err != nil {
+		if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
 			return err
 		}
 		quant.Mpeg4DequantInter(&blk, q)
@@ -309,7 +291,7 @@ func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) err
 	}
 	if cbp&1 != 0 {
 		blk = [64]int32{}
-		if err := readRunLevels(&s.br, &blk, 0, eob64); err != nil {
+		if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
 			return err
 		}
 		quant.Mpeg4DequantInter(&blk, q)
@@ -341,6 +323,7 @@ func (s *sliceDec) readMV(pred motion.MV) motion.MV {
 	}
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
 	mode := entropy.ReadUE(&s.br)
@@ -392,9 +375,10 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.resetDCPred()
 		return nil
 	}
-	return fmt.Errorf("invalid P macroblock mode %d", mode)
+	return errSyntax("P macroblock mode", int(mode))
 }
 
+//hdvlint:noalloc
 func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
 	mode := entropy.ReadUE(&s.br)
@@ -444,5 +428,12 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.resetDCPred()
 		return nil
 	}
-	return fmt.Errorf("invalid B macroblock mode %d", mode)
+	return errSyntax("B macroblock mode", int(mode))
 }
+
+// Error constructors for the macroblock loops, which are //hdvlint:noalloc:
+// fmt allocates, and these run once per failed slice.
+
+func errSyntax(what string, v int) error { return fmt.Errorf("invalid %s %d", what, v) }
+
+func errOverrun(err error) error { return fmt.Errorf("bitstream overrun: %w", err) }

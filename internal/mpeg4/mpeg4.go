@@ -96,9 +96,16 @@ func validateSize(hdr container.Header) error {
 	return nil
 }
 
-func clampMVToWindow(ival, pos, size, blk int) int {
-	lo := -pos - (codec.RefPad - 8)
-	hi := size - pos - blk + (codec.RefPad - 8)
+// lumaMargin and chromaMargin bound how far outside the picture a decoded
+// block may start; only damaged streams reach them (see package mpeg2).
+const (
+	lumaMargin   = codec.RefPad - 8
+	chromaMargin = codec.RefPad/2 - 2
+)
+
+func clampMVToWindow(ival, pos, size, blk, margin int) int {
+	lo := -pos - margin
+	hi := size - pos - blk + margin
 	if ival < lo {
 		ival = lo
 	}
