@@ -10,9 +10,65 @@ package codec
 // follows the session-wide scalar-vs-SIMD axis without touching output.
 
 import (
+	"hdvideobench/internal/frame"
 	"hdvideobench/internal/kernel"
 	"hdvideobench/internal/swar"
 )
+
+// SplitHalf splits a half-pel MV component into integer offset and
+// half-pel fraction (floor semantics, valid for negative values).
+func SplitHalf(v int) (ipel, frac int) { return v >> 1, v & 1 }
+
+// SplitQuarter is SplitHalf for a quarter-pel component.
+func SplitQuarter(v int) (ipel, frac int) { return v >> 2, v & 3 }
+
+// LumaMargin and ChromaMargin are how far outside the picture a decoded
+// block may start: inside the RefPad (RefPad/2 for chroma) border with
+// room left for the interpolation taps, and at least as far as any vector
+// the encoders' search window allows, so only damaged streams are clamped.
+const (
+	LumaMargin   = RefPad - 8
+	ChromaMargin = RefPad/2 - 2
+)
+
+// ClampMVToWindow keeps a decoded integer-pel offset inside the padded
+// reference area, guarding against corrupt streams.
+func ClampMVToWindow(ival, pos, size, blk, margin int) int {
+	lo := -pos - margin
+	hi := size - pos - blk + margin
+	if ival < lo {
+		ival = lo
+	}
+	if ival > hi {
+		ival = hi
+	}
+	return ival
+}
+
+// IntraCostMB estimates the intra coding cost of a macroblock as the mean
+// absolute deviation from the block mean (plus a fixed mode bias).
+//
+//hdvlint:noalloc
+func IntraCostMB(src *frame.Frame, px, py int) int {
+	off := src.YOrigin + py*src.YStride + px
+	sum := 0
+	for r := 0; r < 16; r++ {
+		sum += swar.SumRow(src.Y[off+r*src.YStride:], 16)
+	}
+	mean := byte(sum / 256)
+	cost := 0
+	for r := 0; r < 16; r++ {
+		row := src.Y[off+r*src.YStride:]
+		for c := 0; c < 16; c++ {
+			d := int(row[c]) - int(mean)
+			if d < 0 {
+				d = -d
+			}
+			cost += d
+		}
+	}
+	return cost + 512 // intra mode bias
+}
 
 // LoadBlock8 copies an 8×8 pixel block into an int32 coefficient block.
 func LoadBlock8(dst *[64]int32, plane []byte, off, stride int) {

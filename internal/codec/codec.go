@@ -1,8 +1,28 @@
-// Package codec provides the scaffolding shared by the three
-// HD-VideoBench codecs: configuration (the paper's §IV coding options),
-// IPBB group-of-pictures scheduling with frame reordering, decoder-side
-// display reordering, reference-frame lists, and the Encoder/Decoder
-// interfaces the benchmark harness drives.
+// Package codec is everything the three HD-VideoBench codecs share: the
+// coding options of the paper's §IV (Config) and one frame driver pair,
+// FrameEncoder and FrameDecoder, behind the Encoder/Decoder interfaces
+// the benchmark harness drives. A codec package supplies only a slice
+// coder (SliceEncoder, SliceDecoder) — what makes it that codec.
+//
+// The drivers own everything outside a slice: the dimension check and
+// display stamp, IPBB GOP typing and reordering (GOPScheduler,
+// DisplayReorderer), the rate controller, the reference list and its
+// reset at every I frame, reconstruction frames and their border
+// extension, slice dispatch on the installed runners, the payload layout
+// (quantizer byte, slice table, per-slice quantizer bytes), and on the
+// decode side packet validation and per-slice error collection. A slice
+// coder owns its per-slice and per-row state (bitstreams, entropy
+// contexts, predictors) and whatever it keeps per frame between
+// BeginFrame and EndFrame. The contract:
+//
+//   - BeginFrame, EndFrame, NewReference and WireQ run on the goroutine
+//     that called Encode/Decode/Flush, never concurrently with a slice.
+//   - The EncodeSlice/DecodeSlice calls of one frame, one per slice, may
+//     run concurrently. Between BeginFrame and EndFrame a slice coder may
+//     read the reference list and the frames in it, and write recon only
+//     inside its span's macroblock rows (never the borders); it may read
+//     back what it wrote there, and nothing of another slice's rows —
+//     which is why no runner can change a coded byte or a decoded sample.
 package codec
 
 import (
@@ -113,16 +133,6 @@ type Config struct {
 	MotionHints func(pts int) *motion.Field
 }
 
-// PTSRebaser is implemented by encoders whose MotionTap/MotionHints
-// callbacks must see global display stamps. The GOP-parallel pipeline
-// restamps Frame.PTS chunk-locally (arrival order within the chunk), so
-// it announces each chunk's offset in the global timeline here; the
-// encoder adds it when keying the callbacks. Serial encoding leaves the
-// base at zero.
-type PTSRebaser interface {
-	SetPTSBase(base int)
-}
-
 // Default returns the paper's coding options for a given resolution.
 func Default(width, height int) Config {
 	return Config{
@@ -187,7 +197,8 @@ func (c Config) MBRows() int { return c.Height / 16 }
 // FPS returns the frame rate as a float (for bitrate reporting).
 func (c Config) FPS() float64 { return float64(c.FPSNum) / float64(c.FPSDen) }
 
-// Encoder is the interface all three encoders implement.
+// Encoder is what the harness drives; FrameEncoder implements it for
+// every codec.
 type Encoder interface {
 	// Encode accepts the next frame in display order and returns zero or
 	// more coded packets (the IPBB reordering delays B frames until their
@@ -197,13 +208,30 @@ type Encoder interface {
 	Flush() ([]container.Packet, error)
 	// Header describes the stream for the container.
 	Header() container.Header
+
+	// SetSliceRunner runs each frame's slice jobs on r, SetWavefrontRunner
+	// each slice's macroblock grid (used only under Config.Wavefront);
+	// nil restores the serial default. internal/pipeline installs its
+	// worker-budget gate through them. The coded output never depends on
+	// a runner — only wall-clock does.
+	SetSliceRunner(r SliceRunner)
+	SetWavefrontRunner(r WavefrontRunner)
+	// SetPTSBase sets the offset added to display stamps when keying the
+	// Config.MotionTap/MotionHints callbacks. The GOP-parallel pipeline
+	// restamps Frame.PTS chunk-locally, so it announces each chunk's
+	// offset in the global timeline here; serial encoding leaves it zero.
+	SetPTSBase(base int)
 }
 
-// Decoder is the interface all three decoders implement.
+// Decoder is what the harness drives; FrameDecoder implements it for
+// every codec.
 type Decoder interface {
 	// Decode consumes one coded packet and returns zero or more frames in
 	// display order.
 	Decode(p container.Packet) ([]*frame.Frame, error)
 	// Flush drains the display reorder buffer at end of stream.
 	Flush() []*frame.Frame
+	// SetSliceRunner runs each frame's slice jobs on r (nil = serial).
+	// Decoded samples never depend on the runner.
+	SetSliceRunner(r SliceRunner)
 }

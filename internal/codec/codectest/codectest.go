@@ -1,33 +1,36 @@
-// Package codectest provides a fake codec for scheduler tests. Its
-// encoder and decoder code nothing; every frame is a fixed pattern of
-// work units — a frame prologue, Slices slice jobs offered to the
-// installed SliceRunner, and inside each slice a Rows×Cols grid offered
-// to the installed WavefrontRunner — and the Probe they share counts how
-// many goroutines are inside a work unit at the same instant. That
-// high-water mark is what the pipeline's worker budget bounds, so the
-// scheduler tests in internal/pipeline, internal/stream and
-// internal/core assert it on the fake rather than inferring it from
-// timing on a real codec.
+// Package codectest provides a probe codec for scheduler tests: a slice
+// coder that codes nothing, plugged into the real codec.FrameEncoder and
+// codec.FrameDecoder. Every frame is a fixed pattern of work units — a
+// frame prologue, Slices slices dispatched by the driver on the
+// installed SliceRunner, and inside each encoded slice a Rows×Cols grid
+// offered to the WavefrontRunner the driver hands it — and the Probe
+// counts how many goroutines are inside a work unit at the same instant.
+// That high-water mark is what the pipeline's worker budget bounds, so
+// the scheduler tests in internal/pipeline, internal/stream and
+// internal/core assert it on the drivers' own dispatch code rather than
+// inferring it from timing on a real codec.
 //
 // FuzzDecode (fuzzdecode.go) is the other kind of shared test scaffolding:
 // the differential decode fuzzer the three real codecs instantiate.
 package codectest
 
 import (
+	"encoding/binary"
 	"runtime"
 	"sync/atomic"
 
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/frame"
+	"hdvideobench/internal/motion"
 )
 
-// Probe is the shape of the fake's frames and the concurrency count all
-// instances built from it share. Set the fields before the first
+// Probe is the shape of the probe codec's frames and the concurrency
+// count all instances built from it share. Set the fields before the first
 // NewEncoder/NewDecoder call.
 type Probe struct {
 	Slices     int // slice jobs per frame (minimum 1)
-	Rows, Cols int // wavefront grid per slice; Rows == 0 runs none
+	Rows, Cols int // wavefront grid per encoded slice; Rows == 0 runs none
 	GOP        int // encoder: every GOP-th frame of an instance is an I packet (0 = first only)
 
 	// OnEncode and OnDecode, when non-nil, are called at the top of every
@@ -59,81 +62,108 @@ func (p *Probe) unit() {
 	p.cur.Add(-1)
 }
 
-// frame runs one frame's work. The dispatching goroutine is counted
-// only while it runs a unit itself, never while it waits for the jobs it
-// handed out, so the count is of goroutines doing codec work.
-func (p *Probe) frame(slices codec.SliceRunner, front codec.WavefrontRunner) {
+// Header describes the probe's streams: one macroblock column, one
+// macroblock row per slice, so the drivers split every frame into
+// exactly Slices slices.
+func (p *Probe) Header() container.Header {
+	return container.Header{Codec: container.CodecMPEG2, Width: 16, Height: 16 * max(p.Slices, 1), FPSNum: 25, FPSDen: 1}
+}
+
+// NewFrame returns a blank frame of the probe's size.
+func (p *Probe) NewFrame() *frame.Frame {
+	h := p.Header()
+	return frame.New(h.Width, h.Height)
+}
+
+// Packet builds a packet the probe's decoder accepts: quantizer byte,
+// slice table, and id in the first slice's body, where PacketID finds it
+// whatever the pipeline does to the display index.
+func (p *Probe) Packet(typ container.FrameType, id int) container.Packet {
+	spans := codec.SliceRows(max(p.Slices, 1), p.Slices)
+	spans[0].Size = 4
+	payload := codec.AppendSliceTable([]byte{1}, spans)
+	return container.Packet{Type: typ, DisplayIndex: id, Payload: binary.LittleEndian.AppendUint32(payload, uint32(id))}
+}
+
+// PacketID returns the id Packet stored.
+func PacketID(pkt container.Packet) int {
+	return int(binary.LittleEndian.Uint32(pkt.Payload[len(pkt.Payload)-4:]))
+}
+
+// The codec.FrameHooks both drivers call on the dispatching goroutine,
+// which is counted only while it runs a unit itself, never while it
+// waits for the slices it handed out.
+
+func (p *Probe) BeginFrame(*codec.RefList, int) { p.unit() }
+func (p *Probe) EndFrame(*frame.Frame, int)     {}
+func (p *Probe) WireQ(q int) int                { return q }
+func (p *Probe) NewReference(*frame.Frame)      {}
+
+// EncodeSlice implements codec.SliceEncoder: one unit, then the grid.
+func (p *Probe) EncodeSlice(_ int, _, _ *frame.Frame, _ container.FrameType, _ codec.SliceSpan,
+	_ int, wf codec.WavefrontRunner, _, _ *motion.Field) []byte {
 	p.unit()
-	codec.RunSlices(slices, max(p.Slices, 1), func(int) {
-		p.unit()
-		if p.Rows > 0 {
-			codec.RunWavefront(front, p.Rows, p.Cols, func(x, y int) bool {
-				p.unit()
-				return true
-			})
-		}
-	})
+	if p.Rows > 0 {
+		codec.RunWavefront(wf, p.Rows, p.Cols, func(x, y int) bool {
+			p.unit()
+			return true
+		})
+	}
+	return nil
 }
 
-// sched is the runner pair both fakes let the pipeline install.
-type sched struct {
-	slices codec.SliceRunner
-	front  codec.WavefrontRunner
+// DecodeSlice implements codec.SliceDecoder: one unit.
+func (p *Probe) DecodeSlice(int, []byte, *frame.Frame, container.FrameType, codec.SliceSpan, int) error {
+	p.unit()
+	return nil
 }
 
-func (s *sched) SetSliceRunner(r codec.SliceRunner)         { s.slices = r }
-func (s *sched) SetWavefrontRunner(r codec.WavefrontRunner) { s.front = r }
-
-// Encoder is the fake codec.Encoder: one packet per frame, in arrival
-// order, stamped with the instance-local arrival index like the real
-// encoders.
+// Encoder is the real frame driver over the probe, plus the OnEncode
+// hook. Packets come out one per frame, in arrival order, stamped with
+// the instance-local arrival index.
 type Encoder struct {
-	sched
+	*codec.FrameEncoder
 	p *Probe
-	n int
 }
 
 // NewEncoder is a pipeline.EncoderFactory.
-func (p *Probe) NewEncoder() (codec.Encoder, error) { return &Encoder{p: p}, nil }
+func (p *Probe) NewEncoder() (codec.Encoder, error) {
+	h := p.Header()
+	cfg := codec.Default(h.Width, h.Height)
+	cfg.BFrames, cfg.IntraPeriod, cfg.Slices, cfg.Wavefront = 0, p.GOP, p.Slices, p.Rows > 0
+	fe, err := codec.NewFrameEncoder("probe", cfg, h.Codec, 0, 1, p)
+	if err != nil {
+		return nil, err
+	}
+	return &Encoder{fe, p}, nil
+}
 
 func (e *Encoder) Encode(f *frame.Frame) ([]container.Packet, error) {
 	if e.p.OnEncode != nil {
 		e.p.OnEncode(f)
 	}
-	e.p.frame(e.slices, e.front)
-	typ := container.FrameP
-	if e.n == 0 || (e.p.GOP > 0 && e.n%e.p.GOP == 0) {
-		typ = container.FrameI
-	}
-	pkt := container.Packet{Type: typ, DisplayIndex: e.n, Payload: []byte{byte(e.n)}}
-	e.n++
-	return []container.Packet{pkt}, nil
+	return e.FrameEncoder.Encode(f)
 }
 
-func (e *Encoder) Flush() ([]container.Packet, error) { return nil, nil }
-
-func (e *Encoder) Header() container.Header {
-	return container.Header{Codec: container.CodecMPEG2, Width: 16, Height: 16, FPSNum: 25, FPSDen: 1}
-}
-
-// Decoder is the fake codec.Decoder: one 16×16 frame per packet, stamped
-// with the packet's display index.
+// Decoder is the real frame driver over the probe, plus the OnDecode
+// hook: one blank frame per packet, stamped with its display index.
 type Decoder struct {
-	sched
+	*codec.FrameDecoder
 	p *Probe
 }
 
 // NewDecoder is a pipeline.DecoderFactory.
-func (p *Probe) NewDecoder() (codec.Decoder, error) { return &Decoder{p: p}, nil }
+func (p *Probe) NewDecoder() (codec.Decoder, error) {
+	fd, err := codec.NewFrameDecoder("probe", p.Header(), container.CodecMPEG2, 1, 31, 1, p)
+	if err != nil {
+		return nil, err
+	}
+	return &Decoder{fd, p}, nil
+}
 
 func (d *Decoder) Decode(pkt container.Packet) ([]*frame.Frame, error) {
 	if d.p.OnDecode != nil {
 		d.p.OnDecode(pkt)
 	}
-	d.p.frame(d.slices, d.front)
-	f := frame.New(16, 16)
-	f.PTS = pkt.DisplayIndex
-	return []*frame.Frame{f}, nil
+	return d.FrameDecoder.Decode(pkt)
 }
-
-func (d *Decoder) Flush() []*frame.Frame { return nil }

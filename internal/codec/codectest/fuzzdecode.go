@@ -93,7 +93,7 @@ func FuzzDecode(f *testing.F,
 			if err != nil {
 				t.Fatal(err)
 			}
-			dec.(codec.SliceScheduler).SetSliceRunner(runner)
+			dec.SetSliceRunner(runner)
 			frames, fail := decodeAll(dec, pkts)
 			if fail >= 0 && fail < k {
 				t.Fatalf("valid packet %d ahead of the fuzzed one failed", fail)

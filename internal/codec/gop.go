@@ -1,7 +1,7 @@
 package codec
 
 import (
-	"sort"
+	"fmt"
 
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/frame"
@@ -100,13 +100,8 @@ func (g *GOPScheduler) Push(f *frame.Frame) []GOPEntry {
 	if idx == 0 || (g.IntraPeriod > 0 && idx%g.IntraPeriod == 0) || cut {
 		// Closed-GOP boundary: drain B candidates as trailing P pictures,
 		// then open the new GOP with an I frame.
-		entries := make([]GOPEntry, 0, len(g.pending)+1)
-		for _, b := range g.pending {
-			entries = append(entries, GOPEntry{b, container.FrameP})
-		}
-		g.pending = g.pending[:0]
 		g.gopStart = idx
-		return append(entries, GOPEntry{f, container.FrameI})
+		return append(g.Flush(), GOPEntry{f, container.FrameI})
 	}
 	// Position within the current GOP's B…B P group.
 	pos := (idx - g.gopStart - 1) % (g.BFrames + 1)
@@ -128,7 +123,7 @@ func (g *GOPScheduler) Push(f *frame.Frame) []GOPEntry {
 // Flush codes any trailing buffered frames. Without a backward reference
 // they are coded as P pictures (standard end-of-stream encoder behaviour).
 func (g *GOPScheduler) Flush() []GOPEntry {
-	entries := make([]GOPEntry, 0, len(g.pending))
+	entries := make([]GOPEntry, 0, len(g.pending)+1) // +1: Push appends an I frame
 	for _, b := range g.pending {
 		entries = append(entries, GOPEntry{b, container.FrameP})
 	}
@@ -136,70 +131,104 @@ func (g *GOPScheduler) Flush() []GOPEntry {
 	return entries
 }
 
+// MaxReorderDepth bounds the frames a DisplayReorderer holds back. A
+// stream from this repository's encoders never has more than BFrames+1
+// (at most 5) waiting for an earlier display index; without a bound, a
+// hostile or damaged one parks a padded frame per packet.
+const MaxReorderDepth = 16
+
 // DisplayReorderer restores display order from coding order on the decoder
 // side using the packets' display indices.
 type DisplayReorderer struct {
 	next    int
-	pending map[int]*frame.Frame
+	pending []*frame.Frame // ascending PTS, none below next
 }
 
-// Add registers a decoded frame (PTS = display index) and returns all
-// frames that are now contiguously displayable.
-func (d *DisplayReorderer) Add(f *frame.Frame) []*frame.Frame {
-	if d.pending == nil {
-		d.pending = make(map[int]*frame.Frame)
+// Check reports whether a frame with display index idx can be accepted:
+// not one already delivered or already waiting, and not one more frame
+// parked behind a display index that never arrives.
+func (d *DisplayReorderer) Check(idx int) error {
+	if idx < d.next {
+		return fmt.Errorf("display index %d repeats a delivered frame (next is %d)", idx, d.next)
 	}
-	d.pending[f.PTS] = f
-	var out []*frame.Frame
-	for {
-		nf, ok := d.pending[d.next]
-		if !ok {
-			return out
+	for _, f := range d.pending {
+		if f.PTS == idx {
+			return fmt.Errorf("display index %d repeats a pending frame", idx)
 		}
-		delete(d.pending, d.next)
-		d.next++
-		out = append(out, nf)
 	}
+	if idx != d.next && len(d.pending) >= MaxReorderDepth {
+		return fmt.Errorf("%d frames waiting for display index %d", len(d.pending), d.next)
+	}
+	return nil
+}
+
+// Add registers a decoded frame (PTS = display index, accepted by Check)
+// and returns all frames that are now contiguously displayable.
+func (d *DisplayReorderer) Add(f *frame.Frame) []*frame.Frame {
+	i := len(d.pending)
+	d.pending = append(d.pending, f)
+	for ; i > 0 && d.pending[i-1].PTS > f.PTS; i-- {
+		d.pending[i] = d.pending[i-1]
+	}
+	d.pending[i] = f
+	n := 0
+	for n < len(d.pending) && d.pending[n].PTS == d.next {
+		d.next++
+		n++
+	}
+	out := append([]*frame.Frame(nil), d.pending[:n]...)
+	rest := copy(d.pending, d.pending[n:])
+	clear(d.pending[rest:]) // delivered frames are the caller's now
+	d.pending = d.pending[:rest]
+	return out
 }
 
 // Flush returns any frames still buffered, in display order (gaps are
 // skipped — they indicate a truncated stream).
 func (d *DisplayReorderer) Flush() []*frame.Frame {
-	keys := make([]int, 0, len(d.pending))
-	//hdvlint:allow determinism -- key order is fixed by the sort below
-	for idx := range d.pending {
-		keys = append(keys, idx)
+	out := d.pending
+	if n := len(out); n > 0 {
+		d.next = out[n-1].PTS + 1
 	}
-	sort.Ints(keys)
-	out := make([]*frame.Frame, 0, len(keys))
-	for _, idx := range keys {
-		out = append(out, d.pending[idx])
-		delete(d.pending, idx)
-		d.next = idx + 1
-	}
+	d.pending = nil
 	return out
 }
 
 // RefList is a most-recent-first list of reconstructed reference frames
-// with a fixed capacity (H.264 multi-reference prediction).
+// with a fixed capacity (H.264 multi-reference prediction; MPEG-2/-4's
+// previous and last reference are a list of two).
 type RefList struct {
 	Max    int
 	frames []*frame.Frame
 }
 
-// Add pushes a new reference, evicting the oldest beyond Max.
+// Add pushes a new reference, evicting the oldest beyond Max. The list
+// shifts within one Max-sized backing array for its whole life.
 func (l *RefList) Add(f *frame.Frame) {
-	l.frames = append([]*frame.Frame{f}, l.frames...)
-	if len(l.frames) > l.Max {
-		l.frames = l.frames[:l.Max]
+	if l.frames == nil {
+		l.frames = make([]*frame.Frame, 0, l.Max)
 	}
+	if len(l.frames) < l.Max {
+		l.frames = l.frames[:len(l.frames)+1]
+	}
+	copy(l.frames[1:], l.frames)
+	l.frames[0] = f
 }
 
 // Len returns the number of available references.
 func (l *RefList) Len() int { return len(l.frames) }
 
-// Get returns reference i (0 = most recent).
-func (l *RefList) Get(i int) *frame.Frame { return l.frames[i] }
+// Get returns reference i (0 = most recent), nil when the list is
+// shorter than that.
+func (l *RefList) Get(i int) *frame.Frame {
+	if i >= len(l.frames) {
+		return nil
+	}
+	return l.frames[i]
+}
 
 // Reset clears the list (intra refresh).
-func (l *RefList) Reset() { l.frames = l.frames[:0] }
+func (l *RefList) Reset() {
+	clear(l.frames)
+	l.frames = l.frames[:0]
+}

@@ -148,10 +148,13 @@ func (rc *RateController) SliceQs(frameQ, n int) []int {
 	return qs
 }
 
-// AddSlices observes the per-slice coded sizes (bits) of the frame just
-// coded, feeding the next frame's rebalance.
-func (rc *RateController) AddSlices(bits []int) {
-	rc.sliceBits = append(rc.sliceBits[:0], bits...)
+// AddSlices observes the per-slice coded sizes of the frame just coded,
+// feeding the next frame's rebalance.
+func (rc *RateController) AddSlices(spans []SliceSpan) {
+	rc.sliceBits = rc.sliceBits[:0]
+	for _, s := range spans {
+		rc.sliceBits = append(rc.sliceBits, 8*s.Size)
+	}
 }
 
 func clampQ(q int) int {

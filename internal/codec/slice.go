@@ -148,28 +148,14 @@ func ParseSliceTable(buf []byte, mbRows int) ([]SliceSpan, int, error) {
 // schedule.
 type SliceRunner func(n int, job func(i int))
 
-// SerialRun is the default SliceRunner: jobs run in order on the calling
-// goroutine.
-func SerialRun(n int, job func(i int)) {
+// runSlices invokes r; a nil r is the serial default, the jobs in order
+// on the calling goroutine.
+func runSlices(r SliceRunner, n int, job func(i int)) {
+	if r != nil {
+		r(n, job)
+		return
+	}
 	for i := 0; i < n; i++ {
 		job(i)
 	}
-}
-
-// RunSlices invokes r, or SerialRun when r is nil.
-func RunSlices(r SliceRunner, n int, job func(i int)) {
-	if r == nil {
-		SerialRun(n, job)
-		return
-	}
-	r(n, job)
-}
-
-// SliceScheduler is implemented by encoders and decoders whose per-frame
-// slice jobs can run on a caller-provided scheduler (internal/pipeline
-// installs a worker-budget gate through it). A nil runner restores the
-// serial default. The coded output never depends on the runner — only
-// wall-clock does.
-type SliceScheduler interface {
-	SetSliceRunner(SliceRunner)
 }

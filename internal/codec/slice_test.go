@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -110,15 +111,8 @@ func TestEffectiveSlices(t *testing.T) {
 
 func TestSerialRunOrder(t *testing.T) {
 	var order []int
-	SerialRun(4, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("SerialRun order %v", order)
-		}
-	}
-	ran := false
-	RunSlices(nil, 1, func(int) { ran = true })
-	if !ran {
-		t.Fatal("RunSlices(nil) did not run the job")
+	runSlices(nil, 4, func(i int) { order = append(order, i) })
+	if fmt.Sprint(order) != "[0 1 2 3]" {
+		t.Fatalf("serial order %v", order)
 	}
 }

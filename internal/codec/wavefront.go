@@ -45,13 +45,3 @@ func RunWavefront(r WavefrontRunner, rows, cols int, mb func(x, y int) bool) boo
 	}
 	return r(rows, cols, mb)
 }
-
-// WavefrontScheduler is implemented by encoders whose per-slice macroblock
-// grids can run on a caller-provided wavefront runner (internal/pipeline
-// installs its scheduler through it). A nil runner restores the serial
-// default. Like SliceScheduler, the coded output never depends on the
-// runner; codecs additionally gate use of the runner on Config.Wavefront,
-// so installing one is always safe.
-type WavefrontScheduler interface {
-	SetWavefrontRunner(WavefrontRunner)
-}

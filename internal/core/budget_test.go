@@ -10,7 +10,7 @@ import (
 )
 
 // TestBudgetTranscode: the decode and encode stages of one transcode
-// share one worker budget. Both stages run workers+1 chunks of a fake
+// share one worker budget. Both stages run workers+1 chunks of a probe
 // codec that offers more slices and rows than there are workers; with a
 // budget per stage the two pools alone would put 2×workers goroutines
 // inside the codec.
@@ -21,7 +21,8 @@ func TestBudgetTranscode(t *testing.T) {
 			probe := &codectest.Probe{Slices: workers + 1, Rows: 4, Cols: 4, GOP: gop}
 			frames := (workers + 1) * gop
 			var in bytes.Buffer
-			hdr := container.Header{Codec: container.CodecMPEG2, Width: 16, Height: 16, FPSNum: 25, FPSDen: 1, Frames: frames}
+			hdr := probe.Header()
+			hdr.Frames = frames
 			cw, err := container.NewWriter(&in, hdr)
 			if err != nil {
 				t.Fatal(err)
@@ -31,7 +32,7 @@ func TestBudgetTranscode(t *testing.T) {
 				if i%gop == 0 {
 					typ = container.FrameI
 				}
-				if err := cw.WritePacket(container.Packet{Type: typ, DisplayIndex: i, Payload: []byte{byte(i)}}); err != nil {
+				if err := cw.WritePacket(probe.Packet(typ, i)); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,8 +1,6 @@
 package h264
 
 import (
-	"fmt"
-
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/dct"
@@ -13,26 +11,20 @@ import (
 	"hdvideobench/internal/quant"
 )
 
-// Decoder is the H.264-class decoder (the paper's FFmpeg-H.264 role).
-//
-// Each frame payload carries a slice table (see internal/codec); every
-// slice has its own entropy reader and context models and decodes its
-// macroblock rows independently, so the slices of one frame run
-// concurrently on the SliceRunner. Deblocking is a frame-level pass
-// after all slices have reconstructed, mirroring the encoder.
+// Decoder is the H.264-class decoder (the paper's FFmpeg-H.264 role):
+// codec.FrameDecoder driving this package's slice decoder. Every slice
+// has its own entropy reader and context models; deblocking is a
+// frame-level pass after all slices have reconstructed, mirroring the
+// encoder.
 type Decoder struct {
-	hdr    container.Header
-	kern   kernel.Set
-	runner codec.SliceRunner
-	qp     int
-	qpc    int
+	*codec.FrameDecoder
+	hdr  container.Header
+	kern kernel.Set
 
-	refs    codec.RefList
-	reorder codec.DisplayReorderer
-	meta    *frameMeta
+	refs *codec.RefList // the driver's reference list, from BeginFrame
+	meta *frameMeta
 
 	slices []*sliceDec
-	errs   []error
 }
 
 // sliceDec carries the per-slice decoder state.
@@ -55,128 +47,36 @@ type sliceDec struct {
 
 // NewDecoder returns a decoder for the stream described by hdr.
 func NewDecoder(hdr container.Header, kern kernel.Set) (*Decoder, error) {
-	if hdr.Codec != container.CodecH264 {
-		return nil, fmt.Errorf("h264: stream codec is %v", hdr.Codec)
-	}
-	if err := validateSize(hdr); err != nil {
-		return nil, err
-	}
 	refs := int(hdr.Flags>>flagRefsShift) & flagRefsMask
 	if refs < 1 {
 		refs = 1
 	}
-	return &Decoder{
-		hdr:  hdr,
-		kern: kern,
-		refs: codec.RefList{Max: refs},
-		meta: newFrameMeta(hdr.Width, hdr.Height),
-	}, nil
-}
-
-// SetSliceRunner implements codec.SliceScheduler: per-frame slice jobs
-// run on r (nil restores the serial default). Decoded pixels do not
-// depend on the runner.
-func (d *Decoder) SetSliceRunner(r codec.SliceRunner) { d.runner = r }
-
-// Decode implements codec.Decoder.
-func (d *Decoder) Decode(p container.Packet) ([]*frame.Frame, error) {
-	recon, err := d.decodeFrame(p)
-	if err != nil {
+	d := &Decoder{hdr: hdr, kern: kern}
+	var err error
+	if d.FrameDecoder, err = codec.NewFrameDecoder("h264", hdr, container.CodecH264, 0, 51, refs, d); err != nil {
 		return nil, err
 	}
-	return d.reorder.Add(recon), nil
+	d.meta = newFrameMeta(hdr.Width, hdr.Height)
+	return d, nil
 }
 
-// Flush implements codec.Decoder.
-func (d *Decoder) Flush() []*frame.Frame { return d.reorder.Flush() }
-
-func (d *Decoder) grow(n int) {
-	for len(d.slices) < n {
+// BeginFrame implements codec.SliceDecoder.
+func (d *Decoder) BeginFrame(refs *codec.RefList, slices int) {
+	d.refs = refs
+	d.meta.reset()
+	for len(d.slices) < slices {
 		d.slices = append(d.slices, &sliceDec{d: d, ctx: newContexts()})
 	}
-	if cap(d.errs) < n {
-		d.errs = make([]error, n)
-	}
-	d.errs = d.errs[:n]
 }
 
-func (d *Decoder) decodeFrame(p container.Packet) (*frame.Frame, error) {
-	if p.Type == container.FrameI {
-		// IDR semantics: mirror the encoder's reference-list reset.
-		d.refs.Reset()
-	}
-	if p.Type == container.FrameP && d.refs.Len() < 1 {
-		return nil, fmt.Errorf("h264: P frame before any reference")
-	}
-	if p.Type == container.FrameB && d.refs.Len() < 2 {
-		return nil, fmt.Errorf("h264: B frame without two references")
-	}
-	switch p.Type {
-	case container.FrameI, container.FrameP, container.FrameB:
-	default:
-		return nil, fmt.Errorf("h264: unknown frame type %c", p.Type)
-	}
-	if len(p.Payload) < 1 {
-		return nil, fmt.Errorf("h264: empty packet")
-	}
-	// Payload layout: one QP byte, the slice table, then the per-slice
-	// entropy-coded macroblock data.
-	d.qp = int(p.Payload[0])
-	if d.qp > 51 {
-		return nil, fmt.Errorf("h264: invalid QP %d", d.qp)
-	}
-	d.qpc = quant.H264ChromaQP(d.qp)
+// EndFrame implements codec.SliceDecoder: the encoder's deblocking pass.
+func (d *Decoder) EndFrame(recon *frame.Frame, qp int) { deblockFrame(recon, d.meta, qp) }
 
-	spans, off, err := codec.ParseSliceTable(p.Payload[1:], d.hdr.Height/16)
-	if err != nil {
-		return nil, fmt.Errorf("h264: %w", err)
-	}
-	body := p.Payload[1+off:]
-	d.grow(len(spans))
-	d.meta.reset()
-
-	recon := frame.NewPadded(d.hdr.Width, d.hdr.Height, codec.RefPad)
-	recon.PTS = p.DisplayIndex
-
-	sliceQ := d.hdr.Flags&container.FlagSliceQ != 0
-	codec.RunSlices(d.runner, len(spans), func(i int) {
-		lo := 0
-		for _, s := range spans[:i] {
-			lo += s.Size
-		}
-		bits := body[lo : lo+spans[i].Size]
-		s := d.slices[i]
-		s.qp, s.qpc = d.qp, d.qpc
-		if sliceQ {
-			// FlagSliceQ streams open every slice body with its own QP
-			// byte, overriding the frame QP for this slice.
-			if len(bits) < 1 {
-				d.errs[i] = fmt.Errorf("empty slice body")
-				return
-			}
-			s.qp = int(bits[0])
-			if s.qp > 51 {
-				d.errs[i] = fmt.Errorf("invalid slice QP %d", s.qp)
-				return
-			}
-			s.qpc = quant.H264ChromaQP(s.qp)
-			bits = bits[1:]
-		}
-		d.errs[i] = s.decode(bits, recon, p.Type, spans[i])
-	})
-	for i, err := range d.errs {
-		if err != nil {
-			return nil, fmt.Errorf("h264: slice %d (rows %d-%d): %w",
-				i, spans[i].Row, spans[i].Row+spans[i].Rows-1, err)
-		}
-	}
-
-	deblockFrame(recon, d.meta, d.qp)
-	recon.ExtendBorders()
-	if p.Type != container.FrameB {
-		d.refs.Add(recon)
-	}
-	return recon, nil
+// DecodeSlice implements codec.SliceDecoder.
+func (d *Decoder) DecodeSlice(i int, bits []byte, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, qp int) error {
+	s := d.slices[i]
+	s.qp, s.qpc = qp, quant.H264ChromaQP(qp)
+	return s.decode(bits, recon, ftype, span)
 }
 
 // decode parses one slice's entropy stream into its macroblock rows.
@@ -207,7 +107,7 @@ func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameT
 		}
 	}
 	if err := s.r.err(); err != nil {
-		return errOverrun(err)
+		return codec.ErrOverrun(err)
 	}
 	return nil
 }
@@ -225,7 +125,7 @@ func (s *sliceDec) readResidual(md *mbData, i16 bool) error {
 	}
 	md.cbpChroma = int(r.ue(s.ctx.chromaCBP[:], 2))
 	if md.cbpChroma > 2 {
-		return errSyntax("chroma CBP", int(md.cbpChroma))
+		return codec.ErrSyntax("chroma CBP", int(md.cbpChroma))
 	}
 
 	var scan [16]int32
@@ -396,7 +296,7 @@ func (s *sliceDec) intraChromaPred(recon *frame.Frame, px, py int) {
 func (s *sliceDec) readI16Mode(md *mbData, px, py int) error {
 	md.i16Mode = int(s.r.ue(s.ctx.i16Mode[:], 2))
 	if !i16Usable(md.i16Mode, px > 0, py > s.topPx) {
-		return errSyntax("I16 mode", int(md.i16Mode))
+		return codec.ErrSyntax("I16 mode", int(md.i16Mode))
 	}
 	return nil
 }
@@ -411,7 +311,7 @@ func (s *sliceDec) decodeIMB(recon *frame.Frame, mbx, mby int) error {
 		for bi := 0; bi < 16; bi++ {
 			md.i4Modes[bi] = int(s.r.ue(s.ctx.i4Mode[:], 3))
 			if md.i4Modes[bi] >= numI4Modes {
-				return errSyntax("I4 mode", int(md.i4Modes[bi]))
+				return codec.ErrSyntax("I4 mode", int(md.i4Modes[bi]))
 			}
 		}
 	} else {
@@ -439,10 +339,10 @@ func (s *sliceDec) decodeIMB(recon *frame.Frame, mbx, mby int) error {
 
 // mcLumaPart motion-compensates one luma partition into predY.
 func (s *sliceDec) mcLumaPart(ref *frame.Frame, px, py, ox, oy, w, h int, mv motion.MV) {
-	ix, fx := splitQuarter(int(mv.X))
-	iy, fy := splitQuarter(int(mv.Y))
-	ix = clampMVToWindow(ix, px+ox, s.d.hdr.Width, w, lumaMargin)
-	iy = clampMVToWindow(iy, py+oy, s.d.hdr.Height, h, lumaMargin)
+	ix, fx := codec.SplitQuarter(int(mv.X))
+	iy, fy := codec.SplitQuarter(int(mv.Y))
+	ix = codec.ClampMVToWindow(ix, px+ox, s.d.hdr.Width, w, codec.LumaMargin)
+	iy = codec.ClampMVToWindow(iy, py+oy, s.d.hdr.Height, h, codec.LumaMargin)
 	so := ref.YOrigin + (py+oy+iy)*ref.YStride + px + ox + ix
 	s.qpel.Luma(s.predY[oy*16+ox:], 16, ref.Y, so, ref.YStride, w, h, fx, fy, s.d.kern)
 }
@@ -454,8 +354,8 @@ func (s *sliceDec) mcChromaPart(ref *frame.Frame, px, py, ox, oy, w, h int, mv m
 	iy := int(mv.Y) >> 3
 	dx := int(mv.X) & 7
 	dy := int(mv.Y) & 7
-	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, w/2, chromaMargin)
-	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, h/2, chromaMargin)
+	ix = codec.ClampMVToWindow(ix, cx, s.d.hdr.Width/2, w/2, codec.ChromaMargin)
+	iy = codec.ClampMVToWindow(iy, cy, s.d.hdr.Height/2, h/2, codec.ChromaMargin)
 	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
 	do := (oy/2)*8 + ox/2
 	interp.ChromaBilin(s.predC[0][do:], 8, ref.Cb[so:], ref.CStride, w/2, h/2, dx, dy, s.d.kern)
@@ -503,7 +403,7 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int) error {
 			refIdx = int(s.r.ue(s.ctx.refIdx[:], 2))
 		}
 		if refIdx >= s.d.refs.Len() {
-			return errSyntax("reference index", refIdx)
+			return codec.ErrSyntax("reference index", refIdx)
 		}
 		ref := s.d.refs.Get(refIdx)
 		parts := partGeom[mode]
@@ -529,7 +429,7 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int) error {
 		s.updateMetaNZ(px, py, &md, false)
 		return nil
 	}
-	return errSyntax("P macroblock mode", int(mode))
+	return codec.ErrSyntax("P macroblock mode", int(mode))
 }
 
 //hdvlint:noalloc
@@ -569,7 +469,7 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int) error {
 		return nil
 	}
 	if mode > mBBi {
-		return errSyntax("B macroblock mode", int(mode))
+		return codec.ErrSyntax("B macroblock mode", int(mode))
 	}
 
 	mvpF := s.d.meta.predictMV(bx4, by4, 4, s.top4)
@@ -624,10 +524,3 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int) error {
 	s.updateMetaNZ(px, py, &md, false)
 	return nil
 }
-
-// Error constructors for the macroblock loops, which are //hdvlint:noalloc:
-// fmt allocates, and these run once per failed slice.
-
-func errSyntax(what string, v int) error { return fmt.Errorf("invalid %s %d", what, v) }
-
-func errOverrun(err error) error { return fmt.Errorf("bitstream overrun: %w", err) }

@@ -1,8 +1,6 @@
 package h264
 
 import (
-	"fmt"
-
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -60,46 +58,21 @@ const (
 	recBInter              // inter B: skip0 + mbType + mvds + residual
 )
 
-// Encoder is the H.264-class encoder (the paper's x264 role).
-//
-// Frames are coded as cfg.Slices independent macroblock-row slices (see
-// internal/codec's slice layer): each slice has its own CABAC/VLC
-// entropy state and context models, intra prediction and MV prediction
-// clamp at the slice's top row, and the in-loop deblocking filter runs
-// over the whole frame after all slices have reconstructed — exactly the
-// same frame on encoder and decoder, so the loop stays closed. Slices of
-// one frame run concurrently on the SliceRunner; the merged payload is
-// byte-identical for every schedule.
+// Encoder is the H.264-class encoder (the paper's x264 role):
+// codec.FrameEncoder driving this package's slice coder. Every slice has
+// its own CABAC/VLC entropy state and context models, intra prediction
+// and MV prediction clamp at the slice's top row, and the in-loop
+// deblocking filter runs over the whole frame after all slices have
+// reconstructed — exactly the same frame on encoder and decoder, so the
+// loop stays closed.
 type Encoder struct {
-	cfg    codec.Config
-	qp     int // current frame's luma QP (constant via Eq. 1, or rate-controlled)
-	qpc    int // chroma QP
-	lambda int
-	runner codec.SliceRunner
-	wfRun  codec.WavefrontRunner
+	*codec.FrameEncoder
+	cfg codec.Config
 
-	gop  codec.GOPScheduler
-	refs codec.RefList
-
+	refs *codec.RefList // the driver's reference list, from BeginFrame
 	meta *frameMeta
 
-	spans  []codec.SliceSpan
 	slices []*sliceEnc
-
-	inCount int
-	ptsBase int // chunk offset in the global timeline (codec.PTSRebaser)
-
-	// Rate control (nil/zero when cfg.TargetKbps == 0). The controller
-	// works in the MPEG 1..31 quantizer scale shared with the other
-	// codecs; its output maps through Eq. 1 to the frame QP above and,
-	// when cfg.SliceQ(), to the per-slice QPs here.
-	rc       *codec.RateController
-	sliceQPs []int
-	sliceBuf []int
-
-	// Ladder motion plumbing (see codec.Config.MotionTap/MotionHints).
-	tap  *motion.Field
-	hint *motion.Field
 }
 
 // sliceEnc carries the per-slice encoder state. Entropy coding is the
@@ -117,8 +90,6 @@ type sliceEnc struct {
 	ctx *contexts
 
 	rows []*rowEnc // one decision coder per MB row of the span
-
-	body []byte // finished slice bytes for the frame being assembled
 }
 
 // rowEnc is the decision-phase coder for one macroblock row: prediction
@@ -137,10 +108,10 @@ type rowEnc struct {
 	top4  int // slice top row in 4×4-block units
 	topPx int // slice top row in pixels
 
-	// Per-slice coding parameters, set by sliceEnc.run before any
-	// macroblock runs: with rate control off they mirror the encoder's
-	// constructor values.
+	// Per-slice coding parameters, set by EncodeSlice before any
+	// macroblock runs.
 	qp, qpc, lambda int
+	hint            *motion.Field // cross-rung seed field for the frame, or nil
 
 	recs []mbRec // per-MB records for this row, one per MB column
 }
@@ -154,26 +125,21 @@ func lambdaForQP(qp int) int {
 	return l
 }
 
-// NewEncoder returns an H.264 encoder for cfg. The MPEG-scale quantizer
-// cfg.Q is mapped to the H.264 QP with the paper's Eq. 1.
+// NewEncoder returns an H.264 encoder for cfg.
 func NewEncoder(cfg codec.Config) (*Encoder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("h264: %w", err)
+	e := &Encoder{cfg: cfg}
+	flags := uint16(cfg.Refs&flagRefsMask) << flagRefsShift
+	if cfg.Entropy == codec.EntropyVLC {
+		flags |= flagVLC
 	}
-	qp := quant.H264QPFromMPEG(cfg.Q)
-	e := &Encoder{
-		cfg:    cfg,
-		qp:     qp,
-		qpc:    quant.H264ChromaQP(qp),
-		lambda: lambdaForQP(qp),
-		gop:    codec.GOPScheduler{BFrames: cfg.BFrames, IntraPeriod: cfg.IntraPeriod, SceneCut: cfg.SceneCutIntra},
-		refs:   codec.RefList{Max: cfg.Refs},
-		meta:   newFrameMeta(cfg.Width, cfg.Height),
-		rc:     codec.NewRateController(cfg),
+	var err error
+	if e.FrameEncoder, err = codec.NewFrameEncoder("h264", cfg, container.CodecH264, flags, cfg.Refs, e); err != nil {
+		return nil, err
 	}
-	e.spans = codec.SliceRows(cfg.MBRows(), cfg.Slices)
-	e.slices = make([]*sliceEnc, len(e.spans))
-	hint := cfg.Width*cfg.Height/8/len(e.spans) + 64
+	e.meta = newFrameMeta(cfg.Width, cfg.Height)
+	spans := codec.SliceRows(cfg.MBRows(), cfg.Slices)
+	e.slices = make([]*sliceEnc, len(spans))
+	hint := cfg.Width*cfg.Height/8/len(spans) + 64
 	for i := range e.slices {
 		s := &sliceEnc{e: e, ctx: newContexts()}
 		if cfg.Entropy == codec.EntropyVLC {
@@ -181,12 +147,12 @@ func NewEncoder(cfg codec.Config) (*Encoder, error) {
 		} else {
 			s.w = cabacWriter{entropy.NewEncoder(hint)}
 		}
-		s.rows = make([]*rowEnc, e.spans[i].Rows)
+		s.rows = make([]*rowEnc, spans[i].Rows)
 		for y := range s.rows {
 			s.rows[y] = &rowEnc{
 				e:     e,
-				top4:  e.spans[i].Row * 4,
-				topPx: e.spans[i].Row * 16,
+				top4:  spans[i].Row * 4,
+				topPx: spans[i].Row * 16,
 				recs:  make([]mbRec, cfg.MBCols()),
 			}
 		}
@@ -195,171 +161,53 @@ func NewEncoder(cfg codec.Config) (*Encoder, error) {
 	return e, nil
 }
 
-// SetSliceRunner implements codec.SliceScheduler: per-frame slice jobs
-// run on r (nil restores the serial default). Output bytes do not depend
-// on the runner.
-func (e *Encoder) SetSliceRunner(r codec.SliceRunner) { e.runner = r }
+// QP returns the H.264 quantizer cfg.Q maps to (exported for the harness
+// report).
+func (e *Encoder) QP() int { return e.WireQ(e.cfg.Q) }
 
-// SetWavefrontRunner implements codec.WavefrontScheduler: when
-// cfg.Wavefront is set, the decision phase of each slice runs its MB
-// rows on r's 2D wavefront. Output bytes do not depend on the runner.
-func (e *Encoder) SetWavefrontRunner(r codec.WavefrontRunner) { e.wfRun = r }
+// WireQ implements codec.SliceEncoder: payloads carry, and slices code
+// with, the H.264 QP the paper's Eq. 1 maps the MPEG-scale quantizer to.
+func (e *Encoder) WireQ(q int) int { return quant.H264QPFromMPEG(q) }
 
-// SetPTSBase implements codec.PTSRebaser: the GOP-parallel pipeline
-// announces the chunk's offset in the global display timeline so the
-// motion tap/hint callbacks key on global stamps.
-func (e *Encoder) SetPTSBase(base int) { e.ptsBase = base }
-
-// QP returns the mapped H.264 quantizer (exported for the harness report).
-func (e *Encoder) QP() int { return e.qp }
-
-// Header implements codec.Encoder.
-func (e *Encoder) Header() container.Header { return header(e.cfg, 0) }
-
-// Encode implements codec.Encoder.
-func (e *Encoder) Encode(f *frame.Frame) ([]container.Packet, error) {
-	if f.Width != e.cfg.Width || f.Height != e.cfg.Height {
-		return nil, fmt.Errorf("h264: frame is %dx%d, config is %dx%d",
-			f.Width, f.Height, e.cfg.Width, e.cfg.Height)
-	}
-	f.PTS = e.inCount
-	e.inCount++
-	var pkts []container.Packet
-	for _, entry := range e.gop.Push(f) {
-		pkts = append(pkts, e.encodeFrame(entry.Frame, entry.Type))
-	}
-	return pkts, nil
-}
-
-// Flush implements codec.Encoder.
-func (e *Encoder) Flush() ([]container.Packet, error) {
-	var pkts []container.Packet
-	for _, entry := range e.gop.Flush() {
-		pkts = append(pkts, e.encodeFrame(entry.Frame, entry.Type))
-	}
-	return pkts, nil
-}
-
-func (e *Encoder) encodeFrame(src *frame.Frame, ftype container.FrameType) container.Packet {
-	recon := frame.NewPadded(e.cfg.Width, e.cfg.Height, codec.RefPad)
-	recon.PTS = src.PTS
+// BeginFrame implements codec.SliceEncoder.
+func (e *Encoder) BeginFrame(refs *codec.RefList, _ int) {
+	e.refs = refs
 	e.meta.reset()
-
-	if e.rc != nil {
-		q := e.rc.FrameQ(ftype)
-		e.qp = quant.H264QPFromMPEG(q)
-		e.qpc = quant.H264ChromaQP(e.qp)
-		e.lambda = lambdaForQP(e.qp)
-		if e.cfg.SliceQ() {
-			e.sliceQPs = e.sliceQPs[:0]
-			for _, sq := range e.rc.SliceQs(q, len(e.spans)) {
-				e.sliceQPs = append(e.sliceQPs, quant.H264QPFromMPEG(sq))
-			}
-		} else {
-			e.sliceQPs = nil
-		}
-	}
-	if ftype != container.FrameI {
-		if e.cfg.MotionTap != nil {
-			e.tap = motion.NewField(e.cfg.Width, e.cfg.Height)
-		}
-		if e.cfg.MotionHints != nil {
-			e.hint = e.cfg.MotionHints(src.PTS + e.ptsBase)
-		}
-	} else {
-		e.tap, e.hint = nil, nil
-	}
-
-	codec.RunSlices(e.runner, len(e.spans), func(i int) {
-		e.slices[i].run(src, recon, ftype, e.spans[i], i)
-	})
-
-	// Deblocking is a frame-level pass over the merged reconstruction and
-	// meta grids — slice-boundary edges are filtered like any other, on
-	// both sides of the codec, so slices cost prediction efficiency but
-	// not loop-filter coverage.
-	deblockFrame(recon, e.meta, e.qp)
-	recon.ExtendBorders()
-	if ftype == container.FrameI {
-		// IDR semantics: an I frame empties the reference list, closing the
-		// GOP so chunk encoders reproduce the serial stream exactly (a P
-		// frame after a mid-stream I must not reach references behind it).
-		e.refs.Reset()
-	}
-	if ftype != container.FrameB {
-		// Interpolate the new reference once; every future search against
-		// it scores candidates straight from these planes.
-		interp.BuildHalfPel6(recon, e.cfg.Kernels)
-		e.refs.Add(recon)
-	}
-
-	// Payload layout: one QP byte, the slice table, then the per-slice
-	// entropy-coded macroblock data in row order. FlagSliceQ streams
-	// prepend each slice body with its own QP byte (counted in Size).
-	extra := 0
-	if e.sliceQPs != nil {
-		extra = 1
-	}
-	total := 1 + codec.SliceTableSize(len(e.spans))
-	for i, s := range e.slices {
-		e.spans[i].Size = len(s.body) + extra
-		total += e.spans[i].Size
-	}
-	payload := make([]byte, 0, total)
-	payload = append(payload, byte(e.qp))
-	payload = codec.AppendSliceTable(payload, e.spans)
-	for i, s := range e.slices {
-		if e.sliceQPs != nil {
-			payload = append(payload, byte(e.sliceQPs[i]))
-		}
-		payload = append(payload, s.body...)
-	}
-	if e.rc != nil {
-		e.rc.AddFrame(ftype, 8*len(payload))
-		if e.sliceQPs != nil {
-			e.sliceBuf = e.sliceBuf[:0]
-			for i := range e.spans {
-				e.sliceBuf = append(e.sliceBuf, 8*e.spans[i].Size)
-			}
-			e.rc.AddSlices(e.sliceBuf)
-		}
-	}
-	if e.tap != nil {
-		e.cfg.MotionTap(src.PTS+e.ptsBase, e.tap)
-		e.tap = nil
-	}
-	return container.Packet{Type: ftype, DisplayIndex: src.PTS, Payload: payload}
 }
 
-// run codes one slice's macroblock rows with slice-local entropy state.
+// EndFrame implements codec.SliceEncoder. Deblocking is a frame-level
+// pass over the merged reconstruction and meta grids — slice-boundary
+// edges are filtered like any other, on both sides of the codec, so
+// slices cost prediction efficiency but not loop-filter coverage.
+func (e *Encoder) EndFrame(recon *frame.Frame, qp int) { deblockFrame(recon, e.meta, qp) }
+
+// NewReference implements codec.SliceEncoder: interpolate the new
+// reference once; every future search against it scores candidates
+// straight from these planes.
+func (e *Encoder) NewReference(recon *frame.Frame) { interp.BuildHalfPel6(recon, e.cfg.Kernels) }
+
+// EncodeSlice implements codec.SliceEncoder with slice-local entropy
+// state.
 //
 // Phase 1 — decisions, reconstruction and meta-grid updates run on the
 // wavefront: MB (x,y) starts once its left neighbour (x−1,y) and the
 // top-right MB (x+1,y−1) are done, which covers every cross-MB read
 // below (intra prediction pixels, MV predictors, search seeds, NZ
 // flags). Each row coder records its per-MB syntax instead of writing
-// bits. With the flag off or no runner installed the front degenerates
-// to the same raster loop the serial encoder ran.
+// bits. With no runner the front degenerates to the same raster loop the
+// serial encoder ran.
 //
 // Phase 2 — entropy coding replays the records in raster order on the
 // slice's single writer: CABAC/VLC state chains across the whole slice,
 // so this part is inherently serial and the emitted bytes match the
 // serial schedule exactly.
-func (s *sliceEnc) run(src, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, idx int) {
-	cols := s.e.cfg.MBCols()
-	qp, qpc, lambda := s.e.qp, s.e.qpc, s.e.lambda
-	if s.e.sliceQPs != nil {
-		qp = s.e.sliceQPs[idx]
-		qpc = quant.H264ChromaQP(qp)
-		lambda = lambdaForQP(qp)
-	}
-	for _, r := range s.rows[:span.Rows] {
-		r.qp, r.qpc, r.lambda = qp, qpc, lambda
-	}
-	tap := s.e.tap
-	var wf codec.WavefrontRunner
-	if s.e.cfg.Wavefront {
-		wf = s.e.wfRun
+func (e *Encoder) EncodeSlice(i int, src, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan,
+	qp int, wf codec.WavefrontRunner, tap, hint *motion.Field) []byte {
+	s := e.slices[i]
+	cols := e.cfg.MBCols()
+	qpc, lambda := quant.H264ChromaQP(qp), lambdaForQP(qp)
+	for _, r := range s.rows {
+		r.qp, r.qpc, r.lambda, r.hint = qp, qpc, lambda, hint
 	}
 	codec.RunWavefront(wf, span.Rows, cols, func(x, y int) bool {
 		r := s.rows[y]
@@ -396,7 +244,7 @@ func (s *sliceEnc) run(src, recon *frame.Frame, ftype container.FrameType, span 
 			s.emitMB(&s.rows[y].recs[x])
 		}
 	}
-	s.body = s.w.finish()
+	return s.w.finish()
 }
 
 // emitMB replays one macroblock record through the entropy coder,
@@ -475,8 +323,8 @@ func mvdBits(mv, pred motion.MV) int {
 //
 //hdvlint:noalloc
 func (s *rowEnc) mcLumaInto(ref *frame.Frame, px, py, w, h int, mv motion.MV, dst []byte) {
-	ix, fx := splitQuarter(int(mv.X))
-	iy, fy := splitQuarter(int(mv.Y))
+	ix, fx := codec.SplitQuarter(int(mv.X))
+	iy, fy := codec.SplitQuarter(int(mv.Y))
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	interp.LumaPlanes(dst, 16, ref.Y, ref.Hpel6, so, ref.YStride, w, h, fx, fy, s.e.cfg.Kernels)
 }
@@ -486,8 +334,8 @@ func (s *rowEnc) mcLumaInto(ref *frame.Frame, px, py, w, h int, mv motion.MV, ds
 //
 //hdvlint:noalloc
 func (s *rowEnc) sadQPel(src, ref *frame.Frame, px, py, w, h int, mv motion.MV, max int) int {
-	ix, fx := splitQuarter(int(mv.X))
-	iy, fy := splitQuarter(int(mv.Y))
+	ix, fx := codec.SplitQuarter(int(mv.X))
+	iy, fy := codec.SplitQuarter(int(mv.Y))
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	co := src.YOrigin + py*src.YStride + px
 	return motion.SADQPel(s.e.cfg.Kernels, src.Y[co:], src.YStride, ref, so, w, h, fx, fy, max)
@@ -530,14 +378,14 @@ func (s *rowEnc) searchRef(src, ref *frame.Frame, px, py, w, h int, mvpQ motion.
 		seeds[ns] = motion.MV{X: v.X >> 2, Y: v.Y >> 2}
 		ns++
 	}
-	if h264hint := s.e.hint; h264hint != nil {
+	if h264hint := s.hint; h264hint != nil {
 		// Cross-rung seed from the full-resolution rung, scaled to this
 		// geometry (see motion.Field.Sample).
 		seeds[ns] = h264hint.Sample(px/16, py/16, s.e.cfg.Width, s.e.cfg.Height)
 		ns++
 	}
 	exitT := 0
-	if s.e.hint != nil {
+	if s.hint != nil {
 		// With a trusted cross-rung seed among the candidates the search
 		// earns a real early-exit threshold (cold keeps 0: always refine),
 		// and a seed below it skips the hexagon walk entirely; the ladder
@@ -1094,8 +942,8 @@ func (s *rowEnc) decidePMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 //
 //hdvlint:noalloc
 func (s *rowEnc) mcLumaPart(ref *frame.Frame, px, py, ox, oy, w, h int, mv motion.MV) {
-	ix, fx := splitQuarter(int(mv.X))
-	iy, fy := splitQuarter(int(mv.Y))
+	ix, fx := codec.SplitQuarter(int(mv.X))
+	iy, fy := codec.SplitQuarter(int(mv.Y))
 	so := ref.YOrigin + (py+oy+iy)*ref.YStride + px + ox + ix
 	interp.LumaPlanes(s.predY[oy*16+ox:], 16, ref.Y, ref.Hpel6, so, ref.YStride, w, h, fx, fy, s.e.cfg.Kernels)
 }

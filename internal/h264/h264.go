@@ -14,14 +14,16 @@
 // and decoder form a complete bit-exact pair. Omissions vs the standard
 // (sub-8×8 partitions, interlace tools, the four diagonal-family I4×4 modes
 // VR/HD/VL/HU, weighted prediction) are documented in DESIGN.md §6.
+//
+// Only the slice coders live here — macroblock decisions, the
+// record/replay split that keeps entropy coding in raster order under a
+// wavefront, the per-frame 4×4 meta grids and the deblocking filter;
+// internal/codec's frame drivers call them once per slice and own the
+// rest (GOP, rate control, references, payload layout).
 package h264
 
 import (
-	"fmt"
-
 	"hdvideobench/internal/bitstream"
-	"hdvideobench/internal/codec"
-	"hdvideobench/internal/container"
 	"hdvideobench/internal/entropy"
 	"hdvideobench/internal/motion"
 )
@@ -70,53 +72,6 @@ const (
 	flagRefsShift = 1
 	flagRefsMask  = 0xF
 )
-
-func header(cfg codec.Config, frames int) container.Header {
-	flags := uint16(cfg.Refs&flagRefsMask) << flagRefsShift
-	if cfg.Entropy == codec.EntropyVLC {
-		flags |= flagVLC
-	}
-	if cfg.SliceQ() {
-		flags |= container.FlagSliceQ
-	}
-	return container.Header{
-		Codec:  container.CodecH264,
-		Flags:  flags,
-		Width:  cfg.Width,
-		Height: cfg.Height,
-		FPSNum: cfg.FPSNum,
-		FPSDen: cfg.FPSDen,
-		Frames: frames,
-	}
-}
-
-func validateSize(hdr container.Header) error {
-	if hdr.Width%16 != 0 || hdr.Height%16 != 0 || hdr.Width <= 0 || hdr.Height <= 0 {
-		return fmt.Errorf("h264: invalid dimensions %dx%d", hdr.Width, hdr.Height)
-	}
-	return nil
-}
-
-func splitQuarter(v int) (ipel, frac int) { return v >> 2, v & 3 }
-
-// lumaMargin and chromaMargin bound how far outside the picture a decoded
-// block may start; only damaged streams reach them (see package mpeg2).
-const (
-	lumaMargin   = codec.RefPad - 8
-	chromaMargin = codec.RefPad/2 - 2
-)
-
-func clampMVToWindow(ival, pos, size, blk, margin int) int {
-	lo := -pos - margin
-	hi := size - pos - blk + margin
-	if ival < lo {
-		ival = lo
-	}
-	if ival > hi {
-		ival = hi
-	}
-	return ival
-}
 
 // frameMeta carries the per-4×4-block state of the frame being coded:
 // motion vectors and reference indices for MV prediction and deblocking

@@ -1,8 +1,6 @@
 package mpeg2
 
 import (
-	"fmt"
-
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -15,22 +13,15 @@ import (
 	"hdvideobench/internal/quant"
 )
 
-// Decoder is the MPEG-2-class decoder (the paper's libmpeg2 role).
-//
-// Each frame payload carries a slice table (see internal/codec); every
-// slice is decoded independently — own bitstream reader, own predictors,
-// disjoint macroblock rows of the shared reconstruction — so the slices
-// of one frame run concurrently on the SliceRunner.
+// Decoder is the MPEG-2-class decoder (the paper's libmpeg2 role):
+// codec.FrameDecoder driving this package's slice decoder.
 type Decoder struct {
-	hdr    container.Header
-	kern   kernel.Set
-	runner codec.SliceRunner
+	*codec.FrameDecoder
+	hdr  container.Header
+	kern kernel.Set
 
-	prevRef, lastRef *frame.Frame
-	reorder          codec.DisplayReorderer
-
-	slices []*sliceDec // per-slice decoders, reused across frames
-	errs   []error     // per-slice decode results, reused across frames
+	prevRef, lastRef *frame.Frame // the frame's references, coding order
+	slices           []*sliceDec  // per-slice decoders, reused across frames
 }
 
 // sliceDec carries the per-slice decoder state.
@@ -48,115 +39,28 @@ type sliceDec struct {
 // NewDecoder returns a decoder for the stream described by hdr. The kernel
 // set selects the scalar or SWAR motion-compensation path.
 func NewDecoder(hdr container.Header, kern kernel.Set) (*Decoder, error) {
-	if hdr.Codec != container.CodecMPEG2 {
-		return nil, fmt.Errorf("mpeg2: stream codec is %v", hdr.Codec)
-	}
-	if err := validateSize(hdr); err != nil {
+	d := &Decoder{hdr: hdr, kern: kern}
+	var err error
+	if d.FrameDecoder, err = codec.NewFrameDecoder("mpeg2", hdr, container.CodecMPEG2, 1, 31, 2, d); err != nil {
 		return nil, err
 	}
-	return &Decoder{hdr: hdr, kern: kern}, nil
+	return d, nil
 }
 
-// SetSliceRunner implements codec.SliceScheduler: per-frame slice jobs
-// run on r (nil restores the serial default). Decoded pixels do not
-// depend on the runner.
-func (d *Decoder) SetSliceRunner(r codec.SliceRunner) { d.runner = r }
-
-// Decode implements codec.Decoder.
-func (d *Decoder) Decode(p container.Packet) ([]*frame.Frame, error) {
-	recon, err := d.decodeFrame(p)
-	if err != nil {
-		return nil, err
-	}
-	return d.reorder.Add(recon), nil
-}
-
-// Flush implements codec.Decoder.
-func (d *Decoder) Flush() []*frame.Frame { return d.reorder.Flush() }
-
-// grow ensures d.slices and d.errs cover n slices.
-func (d *Decoder) grow(n int) {
-	for len(d.slices) < n {
+// BeginFrame implements codec.SliceDecoder: the mirror of the encoder's.
+func (d *Decoder) BeginFrame(refs *codec.RefList, slices int) {
+	d.lastRef, d.prevRef = refs.Get(0), refs.Get(1)
+	for len(d.slices) < slices {
 		d.slices = append(d.slices, &sliceDec{d: d})
 	}
-	if cap(d.errs) < n {
-		d.errs = make([]error, n)
-	}
-	d.errs = d.errs[:n]
 }
 
-func (d *Decoder) decodeFrame(p container.Packet) (*frame.Frame, error) {
-	if len(p.Payload) < 1 {
-		return nil, fmt.Errorf("mpeg2: empty packet")
-	}
-	q := int32(p.Payload[0])
-	if q < 1 || q > 31 {
-		return nil, fmt.Errorf("mpeg2: invalid quantizer %d", q)
-	}
-	if p.Type == container.FrameP && d.lastRef == nil {
-		return nil, fmt.Errorf("mpeg2: P frame before any reference")
-	}
-	if p.Type == container.FrameB && (d.lastRef == nil || d.prevRef == nil) {
-		return nil, fmt.Errorf("mpeg2: B frame without two references")
-	}
-	switch p.Type {
-	case container.FrameI, container.FrameP, container.FrameB:
-	default:
-		return nil, fmt.Errorf("mpeg2: unknown frame type %c", p.Type)
-	}
+// EndFrame implements codec.SliceDecoder: no in-loop filter.
+func (d *Decoder) EndFrame(*frame.Frame, int) {}
 
-	spans, off, err := codec.ParseSliceTable(p.Payload[1:], d.hdr.Height/16)
-	if err != nil {
-		return nil, fmt.Errorf("mpeg2: %w", err)
-	}
-	body := p.Payload[1+off:]
-	d.grow(len(spans))
-
-	recon := frame.NewPadded(d.hdr.Width, d.hdr.Height, codec.RefPad)
-	recon.PTS = p.DisplayIndex
-
-	sliceQ := d.hdr.Flags&container.FlagSliceQ != 0
-	codec.RunSlices(d.runner, len(spans), func(i int) {
-		lo := 0
-		for _, s := range spans[:i] {
-			lo += s.Size
-		}
-		bits := body[lo : lo+spans[i].Size]
-		sq := q
-		if sliceQ {
-			// FlagSliceQ streams open every slice body with its own
-			// quantizer byte, overriding the frame q for this slice.
-			if len(bits) < 1 {
-				d.errs[i] = fmt.Errorf("empty slice body")
-				return
-			}
-			sq = int32(bits[0])
-			if sq < 1 || sq > 31 {
-				d.errs[i] = fmt.Errorf("invalid slice quantizer %d", sq)
-				return
-			}
-			bits = bits[1:]
-		}
-		d.errs[i] = d.slices[i].decode(bits, recon, p.Type, spans[i], sq)
-	})
-	for i, err := range d.errs {
-		if err != nil {
-			return nil, fmt.Errorf("mpeg2: slice %d (rows %d-%d): %w",
-				i, spans[i].Row, spans[i].Row+spans[i].Rows-1, err)
-		}
-	}
-
-	recon.ExtendBorders()
-	switch p.Type {
-	case container.FrameI:
-		// Closed GOP: mirror the encoder's reference reset at I frames.
-		d.prevRef = nil
-		d.lastRef = recon
-	case container.FrameP:
-		d.prevRef = d.lastRef
-		d.lastRef = recon
-	}
-	return recon, nil
+// DecodeSlice implements codec.SliceDecoder.
+func (d *Decoder) DecodeSlice(i int, bits []byte, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, q int) error {
+	return d.slices[i].decode(bits, recon, ftype, span, int32(q))
 }
 
 // decode parses one slice bitstream into its macroblock rows.
@@ -185,7 +89,7 @@ func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameT
 		}
 	}
 	if s.br.Err() != nil {
-		return errOverrun(s.br.Err())
+		return codec.ErrOverrun(s.br.Err())
 	}
 	return nil
 }
@@ -224,10 +128,10 @@ func (s *sliceDec) intraBlock(rec []byte, roff, rstride int, q int32, comp int) 
 
 // mcLuma fills the decoder's luma prediction buffer for a half-pel MV.
 func (s *sliceDec) mcLuma(ref *frame.Frame, px, py int, mv motion.MV, dst []byte) {
-	ix, fx := splitHalf(int(mv.X))
-	iy, fy := splitHalf(int(mv.Y))
-	ix = clampMVToWindow(ix, px, s.d.hdr.Width, 16, lumaMargin)
-	iy = clampMVToWindow(iy, py, s.d.hdr.Height, 16, lumaMargin)
+	ix, fx := codec.SplitHalf(int(mv.X))
+	iy, fy := codec.SplitHalf(int(mv.Y))
+	ix = codec.ClampMVToWindow(ix, px, s.d.hdr.Width, 16, codec.LumaMargin)
+	iy = codec.ClampMVToWindow(iy, py, s.d.hdr.Height, 16, codec.LumaMargin)
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	interp.HalfPel(dst, 16, ref.Y[so:], ref.YStride, 16, 16, fx, fy, s.d.kern)
 }
@@ -236,11 +140,11 @@ func (s *sliceDec) mcLuma(ref *frame.Frame, px, py int, mv motion.MV, dst []byte
 func (s *sliceDec) mcChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr []byte) {
 	cvx := chromaMV(int(mv.X))
 	cvy := chromaMV(int(mv.Y))
-	ix, fx := splitHalf(cvx)
-	iy, fy := splitHalf(cvy)
+	ix, fx := codec.SplitHalf(cvx)
+	iy, fy := codec.SplitHalf(cvy)
 	cx, cy := px/2, py/2
-	ix = clampMVToWindow(ix, cx, s.d.hdr.Width/2, 8, chromaMargin)
-	iy = clampMVToWindow(iy, cy, s.d.hdr.Height/2, 8, chromaMargin)
+	ix = codec.ClampMVToWindow(ix, cx, s.d.hdr.Width/2, 8, codec.ChromaMargin)
+	iy = codec.ClampMVToWindow(iy, cy, s.d.hdr.Height/2, 8, codec.ChromaMargin)
 	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
 	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
 	interp.HalfPel(cr, 8, ref.Cr[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
@@ -341,7 +245,7 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.dcPred = [3]int32{dcPredInit, dcPredInit, dcPredInit}
 		return nil
 	}
-	return errSyntax("P macroblock mode", int(mode))
+	return codec.ErrSyntax("P macroblock mode", int(mode))
 }
 
 //hdvlint:noalloc
@@ -400,12 +304,5 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.dcPred = [3]int32{dcPredInit, dcPredInit, dcPredInit}
 		return nil
 	}
-	return errSyntax("B macroblock mode", int(mode))
+	return codec.ErrSyntax("B macroblock mode", int(mode))
 }
-
-// Error constructors for the macroblock loops, which are //hdvlint:noalloc:
-// fmt allocates, and these run once per failed slice.
-
-func errSyntax(what string, v int) error { return fmt.Errorf("invalid %s %d", what, v) }
-
-func errOverrun(err error) error { return fmt.Errorf("bitstream overrun: %w", err) }

@@ -1,8 +1,6 @@
 package mpeg2
 
 import (
-	"fmt"
-
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -16,36 +14,16 @@ import (
 	"hdvideobench/internal/swar"
 )
 
-// Encoder is the MPEG-2-class encoder (the paper's FFmpeg-mpeg2 role).
-//
-// Every frame is coded as cfg.Slices independent macroblock-row slices
-// (see internal/codec's slice layer): each slice has its own bitstream,
-// DC predictors and MV predictors, so the slices of one frame can run
-// concurrently on the SliceRunner while the merged payload stays
-// byte-identical for every schedule. Inside each slice the macroblock
-// rows are coded by per-row coders (rowEnc) that can additionally run on
-// a wavefront runner when cfg.Wavefront is set — see sliceEnc.encode.
+// Encoder is the MPEG-2-class encoder (the paper's FFmpeg-mpeg2 role):
+// codec.FrameEncoder driving this package's slice coder. Each slice is a
+// stack of per-row coders (rowEnc) whose bitstreams are concatenated
+// bit-exactly, so the rows can run on a wavefront — see EncodeSlice.
 type Encoder struct {
-	cfg    codec.Config
-	gop    codec.GOPScheduler
-	runner codec.SliceRunner
-	wfRun  codec.WavefrontRunner
+	*codec.FrameEncoder
+	cfg codec.Config
 
-	prevRef, lastRef *frame.Frame // reconstructed references, coding order
-
-	spans  []codec.SliceSpan // fixed row split for cfg.Slices
-	slices []*sliceEnc       // per-slice coders, reused across frames
-
-	inCount int // display frames accepted
-	ptsBase int // chunk offset in the global timeline (codec.PTSRebaser)
-	frames  int // frames coded
-
-	rc       *codec.RateController // nil = constant Q
-	frameQ   int                   // quantizer of the frame being coded
-	sliceQs  []int                 // per-slice quantizers (nil unless cfg.SliceQ())
-	tap      *motion.Field         // capture target for cfg.MotionTap, per frame
-	hint     *motion.Field         // hint field for the frame being coded
-	sliceBuf []int                 // scratch: per-slice bits for the controller
+	prevRef, lastRef *frame.Frame // the frame's references, coding order
+	slices           []*sliceEnc  // per-slice coders, reused across frames
 }
 
 // sliceEnc codes one slice as a stack of per-row coders. Slices of one
@@ -76,9 +54,10 @@ type rowEnc struct {
 
 	pred predBuf
 
-	q      int32 // quantizer for the row's slice (frame or rebalanced slice q)
-	lambda int   // motion λ derived from q
+	lambda int           // motion λ derived from q
+	hint   *motion.Field // cross-rung seed field for the frame, or nil
 
+	q       int32 // quantizer of the row's slice (here, it packs with dcPred)
 	dcPred  [3]int32
 	fwdPred motion.MV   // half-pel forward MV predictor within the row
 	bwdPred motion.MV   // half-pel backward MV predictor within the row
@@ -90,23 +69,20 @@ type rowEnc struct {
 
 // NewEncoder returns an MPEG-2 encoder for cfg.
 func NewEncoder(cfg codec.Config) (*Encoder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("mpeg2: %w", err)
+	e := &Encoder{cfg: cfg}
+	var err error
+	if e.FrameEncoder, err = codec.NewFrameEncoder("mpeg2", cfg, container.CodecMPEG2, 0, 2, e); err != nil {
+		return nil, err
 	}
-	e := &Encoder{
-		cfg: cfg,
-		gop: codec.GOPScheduler{BFrames: cfg.BFrames, IntraPeriod: cfg.IntraPeriod, SceneCut: cfg.SceneCutIntra},
-		rc:  codec.NewRateController(cfg),
-	}
-	e.spans = codec.SliceRows(cfg.MBRows(), cfg.Slices)
-	e.slices = make([]*sliceEnc, len(e.spans))
-	hint := cfg.Width*cfg.Height/4/len(e.spans) + 64
+	spans := codec.SliceRows(cfg.MBRows(), cfg.Slices)
+	e.slices = make([]*sliceEnc, len(spans))
+	hint := cfg.Width*cfg.Height/4/len(spans) + 64
 	rowHint := cfg.Width*cfg.Height/4/cfg.MBRows() + 64
 	for i := range e.slices {
 		s := &sliceEnc{
 			e:    e,
 			bw:   bitstream.NewWriter(hint),
-			rows: make([]*rowEnc, e.spans[i].Rows),
+			rows: make([]*rowEnc, spans[i].Rows),
 		}
 		s.mvBuf[0] = make([]motion.MV, cfg.MBCols())
 		s.mvBuf[1] = make([]motion.MV, cfg.MBCols())
@@ -118,152 +94,41 @@ func NewEncoder(cfg codec.Config) (*Encoder, error) {
 	return e, nil
 }
 
-// SetSliceRunner implements codec.SliceScheduler: per-frame slice jobs
-// run on r (nil restores the serial default). Output bytes do not depend
-// on the runner.
-func (e *Encoder) SetSliceRunner(r codec.SliceRunner) { e.runner = r }
+// The codec.SliceEncoder hooks. P pictures predict from the last
+// reference, B pictures from the two around them; payloads carry the
+// MPEG-scale quantizer as it is; there is no in-loop filter; searches
+// score half-pel candidates against bilinear planes.
 
-// SetWavefrontRunner implements codec.WavefrontScheduler: when
-// cfg.Wavefront is set, each slice's macroblock grid runs on r (nil
-// restores the serial default). Output bytes depend on neither the
-// runner nor cfg.Wavefront.
-func (e *Encoder) SetWavefrontRunner(r codec.WavefrontRunner) { e.wfRun = r }
-
-// SetPTSBase implements codec.PTSRebaser: the GOP-parallel pipeline
-// announces the chunk's offset in the global display timeline so the
-// motion tap/hint callbacks key on global stamps.
-func (e *Encoder) SetPTSBase(base int) { e.ptsBase = base }
-
-// Header implements codec.Encoder.
-func (e *Encoder) Header() container.Header { return header(e.cfg, 0) }
-
-// Encode implements codec.Encoder.
-func (e *Encoder) Encode(f *frame.Frame) ([]container.Packet, error) {
-	if f.Width != e.cfg.Width || f.Height != e.cfg.Height {
-		return nil, fmt.Errorf("mpeg2: frame is %dx%d, config is %dx%d",
-			f.Width, f.Height, e.cfg.Width, e.cfg.Height)
-	}
-	f.PTS = e.inCount // display index = arrival order
-	e.inCount++
-	var pkts []container.Packet
-	for _, entry := range e.gop.Push(f) {
-		pkts = append(pkts, e.encodeFrame(entry.Frame, entry.Type))
-	}
-	return pkts, nil
+func (e *Encoder) BeginFrame(refs *codec.RefList, _ int) {
+	e.lastRef, e.prevRef = refs.Get(0), refs.Get(1)
 }
+func (e *Encoder) WireQ(q int) int                 { return q }
+func (e *Encoder) EndFrame(*frame.Frame, int)      {}
+func (e *Encoder) NewReference(recon *frame.Frame) { interp.BuildHalfPelBilin(recon, e.cfg.Kernels) }
 
-// Flush implements codec.Encoder.
-func (e *Encoder) Flush() ([]container.Packet, error) {
-	var pkts []container.Packet
-	for _, entry := range e.gop.Flush() {
-		pkts = append(pkts, e.encodeFrame(entry.Frame, entry.Type))
-	}
-	return pkts, nil
-}
-
-func (e *Encoder) encodeFrame(src *frame.Frame, ftype container.FrameType) container.Packet {
-	recon := frame.NewPadded(e.cfg.Width, e.cfg.Height, codec.RefPad)
-	recon.PTS = src.PTS
-
-	e.frameQ = e.cfg.Q
-	if e.rc != nil {
-		e.frameQ = e.rc.FrameQ(ftype)
-		if e.cfg.SliceQ() {
-			e.sliceQs = e.rc.SliceQs(e.frameQ, len(e.spans))
-		}
-	}
-	e.tap, e.hint = nil, nil
-	if ftype != container.FrameI {
-		if e.cfg.MotionTap != nil {
-			e.tap = motion.NewField(e.cfg.Width, e.cfg.Height)
-		}
-		if e.cfg.MotionHints != nil {
-			e.hint = e.cfg.MotionHints(src.PTS + e.ptsBase)
-		}
-	}
-
-	codec.RunSlices(e.runner, len(e.spans), func(i int) {
-		e.slices[i].encode(src, recon, ftype, e.spans[i], i)
-	})
-
-	recon.ExtendBorders()
-	switch ftype {
-	case container.FrameI:
-		// Closed GOP: an I frame invalidates earlier references, so a
-		// chunk encoder starting here matches the serial stream exactly.
-		interp.BuildHalfPelBilin(recon, e.cfg.Kernels)
-		e.prevRef = nil
-		e.lastRef = recon
-	case container.FrameP:
-		interp.BuildHalfPelBilin(recon, e.cfg.Kernels)
-		e.prevRef = e.lastRef
-		e.lastRef = recon
-	}
-	e.frames++
-
-	// Payload layout: one quantizer byte, the slice table, then the
-	// per-slice bitstreams in row order.
-	total := 1 + codec.SliceTableSize(len(e.spans))
-	for i, s := range e.slices {
-		e.spans[i].Size = len(s.bw.Bytes())
-		total += e.spans[i].Size
-	}
-	payload := make([]byte, 0, total)
-	payload = append(payload, byte(e.frameQ))
-	payload = codec.AppendSliceTable(payload, e.spans)
-	for _, s := range e.slices {
-		payload = append(payload, s.bw.Bytes()...)
-	}
-
-	if e.rc != nil {
-		e.rc.AddFrame(ftype, 8*len(payload))
-		if e.cfg.SliceQ() {
-			e.sliceBuf = e.sliceBuf[:0]
-			for i := range e.spans {
-				e.sliceBuf = append(e.sliceBuf, 8*e.spans[i].Size)
-			}
-			e.rc.AddSlices(e.sliceBuf)
-		}
-	}
-	if e.tap != nil {
-		e.cfg.MotionTap(src.PTS+e.ptsBase, e.tap)
-		e.tap = nil
-	}
-	return container.Packet{Type: ftype, DisplayIndex: src.PTS, Payload: payload}
-}
-
-// encode codes one slice: the macroblock rows [span.Row, span.Row+span.Rows)
-// with all prediction state starting from the slice-boundary reset.
+// EncodeSlice implements codec.SliceEncoder: the macroblock rows
+// [span.Row, span.Row+span.Rows) with all prediction state starting from
+// the slice-boundary reset.
 //
 // Each row is coded by its own rowEnc into its own bitstream; the row
 // streams are concatenated bit-exactly afterwards, so the slice bytes
-// are those of a single raster-order pass regardless of schedule. With
-// cfg.Wavefront set and a runner installed, the rows run concurrently in
-// wavefront dependency order — which is exactly the order the EPZS
-// predictor reads (left, above, above-right) require.
-func (s *sliceEnc) encode(src, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, idx int) {
-	cols := s.e.cfg.MBCols()
-	// The slice quantizer: the frame q, or the rebalanced per-slice q
-	// when rate control is slicing the budget.
-	q := int32(s.e.frameQ)
-	if s.e.sliceQs != nil {
-		q = int32(s.e.sliceQs[idx])
-	}
-	lambda := lambdaFor(int(q))
+// are those of a single raster-order pass regardless of schedule. On a
+// wavefront runner the rows run concurrently in dependency order — which
+// is exactly the order the EPZS predictor reads (left, above,
+// above-right) require.
+func (e *Encoder) EncodeSlice(i int, src, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan,
+	q int, wf codec.WavefrontRunner, tap, hint *motion.Field) []byte {
+	s := e.slices[i]
+	lambda := lambdaFor(q)
 	for _, r := range s.rows {
-		r.q, r.lambda = q, lambda
+		r.q, r.lambda, r.hint = int32(q), lambda, hint
 	}
 	// Row 0 reads a zeroed "row above" (the slice-boundary reset); every
 	// later row fully overwrites its write buffer before it is read.
-	for i := range s.mvBuf[1] {
-		s.mvBuf[1][i] = motion.MV{}
+	for x := range s.mvBuf[1] {
+		s.mvBuf[1][x] = motion.MV{}
 	}
-	var run codec.WavefrontRunner
-	if s.e.cfg.Wavefront {
-		run = s.e.wfRun
-	}
-	tap := s.e.tap
-	codec.RunWavefront(run, span.Rows, cols, func(x, y int) bool {
+	codec.RunWavefront(wf, span.Rows, e.cfg.MBCols(), func(x, y int) bool {
 		r := s.rows[y]
 		if x == 0 {
 			r.bw.Reset()
@@ -288,14 +153,11 @@ func (s *sliceEnc) encode(src, recon *frame.Frame, ftype container.FrameType, sp
 		return true
 	})
 	s.bw.Reset()
-	if s.e.sliceQs != nil {
-		// FlagSliceQ layout: the slice body leads with its own q byte.
-		s.bw.WriteBits(uint64(q), 8)
-	}
 	for y := 0; y < span.Rows; y++ {
 		s.bw.AppendWriter(s.rows[y].bw)
 	}
 	s.bw.AlignByte()
+	return s.bw.Bytes()
 }
 
 func (s *rowEnc) resetRowState() {
@@ -355,31 +217,6 @@ func (s *rowEnc) sadMB(src *frame.Frame, px, py int, pred []byte) int {
 	return codec.SADBlockBytes(src.Y, off, src.YStride, pred, 0, 16, 16, 16)
 }
 
-// intraCostMB estimates the intra coding cost of a macroblock as the mean
-// absolute deviation from the block mean (plus a fixed mode bias).
-//
-//hdvlint:noalloc
-func intraCostMB(src *frame.Frame, px, py int) int {
-	off := src.YOrigin + py*src.YStride + px
-	sum := 0
-	for r := 0; r < 16; r++ {
-		sum += swar.SumRow(src.Y[off+r*src.YStride:], 16)
-	}
-	mean := byte(sum / 256)
-	cost := 0
-	for r := 0; r < 16; r++ {
-		row := src.Y[off+r*src.YStride:]
-		for c := 0; c < 16; c++ {
-			d := int(row[c]) - int(mean)
-			if d < 0 {
-				d = -d
-			}
-			cost += d
-		}
-	}
-	return cost + 512 // intra mode bias
-}
-
 // setupEstimator points the shared estimator at the current luma block.
 func (s *rowEnc) setupEstimator(est *motion.Estimator, src, ref *frame.Frame, px, py int, predFull motion.MV) {
 	est.Kern = s.e.cfg.Kernels
@@ -420,14 +257,14 @@ func (s *rowEnc) searchLuma(src, ref *frame.Frame, px, py, mbx int, predHalf mot
 	if mbx+1 < len(s.mvAbove) {
 		preds = append(preds, s.mvAbove[mbx+1])
 	}
-	if h := s.e.hint; h != nil {
+	if h := s.hint; h != nil {
 		// Cross-rung seed: the full-resolution rung's vector for this
 		// macroblock, scaled to our geometry. Near-optimal, so the
 		// early-termination threshold usually fires almost immediately.
 		preds = append(preds, h.Sample(mbx, py/16, s.e.cfg.Width, s.e.cfg.Height))
 	}
 	exitT := 2 * int(s.q) * 16
-	if s.e.hint != nil {
+	if s.hint != nil {
 		// A trusted cross-rung seed is in the candidate list, so accept a
 		// looser match without the diamond walk (EPZS's adaptive-threshold
 		// move); the ladder PSNR guard bounds the quality cost.
@@ -446,8 +283,8 @@ func (s *rowEnc) searchLuma(src, ref *frame.Frame, px, py, mbx int, predHalf mot
 			}
 			hx := int(res.MV.X)*2 + dx
 			hy := int(res.MV.Y)*2 + dy
-			ix, fx := splitHalf(hx)
-			iy, fy := splitHalf(hy)
+			ix, fx := codec.SplitHalf(hx)
+			iy, fy := codec.SplitHalf(hy)
 			est.Ref = interp.BilinPlaneFor(ref, fx, fy)
 			if sad := est.SADMax(ix, iy, bestSAD); sad < bestSAD {
 				bestSAD = sad
@@ -457,8 +294,8 @@ func (s *rowEnc) searchLuma(src, ref *frame.Frame, px, py, mbx int, predHalf mot
 	}
 
 	// Materialize only the winning prediction, straight from its plane.
-	ix, fx := splitHalf(int(bestMV.X))
-	iy, fy := splitHalf(int(bestMV.Y))
+	ix, fx := codec.SplitHalf(int(bestMV.X))
+	iy, fy := codec.SplitHalf(int(bestMV.Y))
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	swar.CopyBlock(pred, 16, interp.BilinPlaneFor(ref, fx, fy)[so:], ref.YStride, 16, 16)
 	return bestMV, bestSAD
@@ -468,8 +305,8 @@ func (s *rowEnc) searchLuma(src, ref *frame.Frame, px, py, mbx int, predHalf mot
 func predictChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr []byte, k kernel.Set) {
 	cvx := chromaMV(int(mv.X))
 	cvy := chromaMV(int(mv.Y))
-	ix, fx := splitHalf(cvx)
-	iy, fy := splitHalf(cvy)
+	ix, fx := codec.SplitHalf(cvx)
+	iy, fy := codec.SplitHalf(cvy)
 	cx, cy := px/2, py/2
 	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
 	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, k)
@@ -594,7 +431,7 @@ func (s *rowEnc) encodePMB(src, recon *frame.Frame, mbx, mby int) {
 	ref := s.e.lastRef
 
 	mv, interSAD := s.searchLuma(src, ref, px, py, mbx, s.fwdPred, s.pred.y[:])
-	intraCost := intraCostMB(src, px, py)
+	intraCost := codec.IntraCostMB(src, px, py)
 
 	if intraCost < interSAD {
 		entropy.WriteUE(s.bw, pIntra)
@@ -642,7 +479,7 @@ func (s *rowEnc) encodeBMB(src, recon *frame.Frame, mbx, mby int) {
 	interp.Avg(bi[:], 16, s.pred.yAlt[:], 16, 16, 16, s.e.cfg.Kernels)
 	biSAD := s.sadMB(src, px, py, bi[:]) + 2*s.lambda // extra MV cost
 
-	intraCost := intraCostMB(src, px, py)
+	intraCost := codec.IntraCostMB(src, px, py)
 
 	mode := bFwd
 	best := fwdSAD

@@ -6,14 +6,13 @@
 //
 // The bitstream is the HDVB container format (see DESIGN.md §2), not ISO
 // 13818-2; encoder and decoder form a complete bit-exact pair.
+//
+// The package holds only what is MPEG-2: the slice coders (macroblock
+// modes, residual coding, motion search and compensation) that
+// internal/codec's frame drivers call once per slice. GOP structure,
+// rate control, references, slice dispatch and the payload layout live
+// there, shared with the other two codecs.
 package mpeg2
-
-import (
-	"fmt"
-
-	"hdvideobench/internal/codec"
-	"hdvideobench/internal/container"
-)
 
 // Macroblock modes. P frames use pSkip/pInter/pIntra; B frames use the b*
 // set.
@@ -47,12 +46,6 @@ type predBuf struct {
 	crAlt  [64]byte
 }
 
-// splitHalf splits a half-pel MV component into integer offset and
-// half-pel fraction (floor semantics, valid for negative values).
-func splitHalf(v int) (ipel, frac int) {
-	return v >> 1, v & 1
-}
-
 // chromaMV derives the chroma half-pel MV from the luma half-pel MV
 // (division by two truncating toward zero, per MPEG-2).
 func chromaMV(v int) int { return v / 2 }
@@ -65,52 +58,4 @@ func lambdaFor(q int) int {
 		l = 1
 	}
 	return l
-}
-
-// header builds the container header for a config.
-func header(cfg codec.Config, frames int) container.Header {
-	var flags uint16
-	if cfg.SliceQ() {
-		flags |= container.FlagSliceQ
-	}
-	return container.Header{
-		Codec:  container.CodecMPEG2,
-		Flags:  flags,
-		Width:  cfg.Width,
-		Height: cfg.Height,
-		FPSNum: cfg.FPSNum,
-		FPSDen: cfg.FPSDen,
-		Frames: frames,
-	}
-}
-
-// validateSize checks a decoded packet's geometry against the header.
-func validateSize(hdr container.Header) error {
-	if hdr.Width%16 != 0 || hdr.Height%16 != 0 || hdr.Width <= 0 || hdr.Height <= 0 {
-		return fmt.Errorf("mpeg2: invalid dimensions %dx%d", hdr.Width, hdr.Height)
-	}
-	return nil
-}
-
-// lumaMargin and chromaMargin are how far outside the picture a decoded
-// block may start: inside the RefPad (RefPad/2 for chroma) border with
-// room left for the interpolation taps, and at least as far as any vector
-// the encoder's search window allows, so only damaged streams are clamped.
-const (
-	lumaMargin   = codec.RefPad - 8
-	chromaMargin = codec.RefPad/2 - 2
-)
-
-// clampMVToWindow keeps a decoded integer-pel offset inside the padded
-// reference area, guarding against corrupt streams.
-func clampMVToWindow(ival, pos, size, blk, margin int) int {
-	lo := -pos - margin
-	hi := size - pos - blk + margin
-	if ival < lo {
-		ival = lo
-	}
-	if ival > hi {
-		ival = hi
-	}
-	return ival
 }

@@ -1,8 +1,6 @@
 package mpeg4
 
 import (
-	"fmt"
-
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -16,44 +14,15 @@ import (
 	"hdvideobench/internal/swar"
 )
 
-// Encoder is the MPEG-4 ASP-class encoder (the paper's Xvid role).
-//
-// Frames are coded as cfg.Slices independent macroblock-row slices (see
-// internal/codec's slice layer): each slice has its own bitstream, DC
-// and MV predictors, so slices run concurrently on the SliceRunner while
-// the merged payload stays byte-identical for every schedule. Inside
-// each slice the macroblock rows are coded by per-row coders (rowEnc)
-// that can additionally run on a wavefront runner when cfg.Wavefront is
-// set — see sliceEnc.encode.
+// Encoder is the MPEG-4 ASP-class encoder (the paper's Xvid role):
+// codec.FrameEncoder driving this package's slice coder, whose slices
+// are stacks of per-row coders exactly as in package mpeg2.
 type Encoder struct {
-	cfg    codec.Config
-	gop    codec.GOPScheduler
-	runner codec.SliceRunner
-	wfRun  codec.WavefrontRunner
+	*codec.FrameEncoder
+	cfg codec.Config
 
-	prevRef, lastRef *frame.Frame
-
-	dcInit int32
-
-	spans  []codec.SliceSpan
-	slices []*sliceEnc
-
-	inCount int
-	ptsBase int // chunk offset in the global timeline (codec.PTSRebaser)
-
-	// Rate control (nil/zero when cfg.TargetKbps == 0): frameQ is the
-	// current frame's controller-chosen quantizer, sliceQs the per-slice
-	// overrides when cfg.SliceQ().
-	rc       *codec.RateController
-	frameQ   int
-	sliceQs  []int
-	sliceBuf []int
-
-	// Ladder motion plumbing: tap collects this frame's full-pel forward
-	// field for cfg.MotionTap; hint is the cross-rung seed field for the
-	// frame being coded (see codec.Config.MotionHints).
-	tap  *motion.Field
-	hint *motion.Field
+	prevRef, lastRef *frame.Frame // the frame's references, coding order
+	slices           []*sliceEnc
 }
 
 // sliceEnc codes one slice as a stack of per-row coders. Rows inside a
@@ -92,35 +61,32 @@ type rowEnc struct {
 	mvRow   []motion.MV // full-pel MVs for EPZS predictors
 	mvAbove []motion.MV
 
-	// Per-slice coding parameters, set by sliceEnc.encode before any
-	// macroblock runs: with rate control off they mirror cfg.Q.
+	// Per-slice coding parameters, set by EncodeSlice before any
+	// macroblock runs.
 	q      int32
 	lambda int
 	dcInit int32
+	hint   *motion.Field // cross-rung seed field for the frame, or nil
 
 	epzsPreds [4]motion.MV // scratch for the EPZS candidate list (+1 hint slot)
 }
 
 // NewEncoder returns an MPEG-4 encoder for cfg.
 func NewEncoder(cfg codec.Config) (*Encoder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, fmt.Errorf("mpeg4: %w", err)
+	e := &Encoder{cfg: cfg}
+	var err error
+	if e.FrameEncoder, err = codec.NewFrameEncoder("mpeg4", cfg, container.CodecMPEG4, 0, 2, e); err != nil {
+		return nil, err
 	}
-	e := &Encoder{
-		cfg:    cfg,
-		gop:    codec.GOPScheduler{BFrames: cfg.BFrames, IntraPeriod: cfg.IntraPeriod, SceneCut: cfg.SceneCutIntra},
-		dcInit: 1024 / quant.Mpeg4DCScaler(int32(cfg.Q)),
-		rc:     codec.NewRateController(cfg),
-	}
-	e.spans = codec.SliceRows(cfg.MBRows(), cfg.Slices)
-	e.slices = make([]*sliceEnc, len(e.spans))
-	hint := cfg.Width*cfg.Height/4/len(e.spans) + 64
+	spans := codec.SliceRows(cfg.MBRows(), cfg.Slices)
+	e.slices = make([]*sliceEnc, len(spans))
+	hint := cfg.Width*cfg.Height/4/len(spans) + 64
 	rowHint := cfg.Width*cfg.Height/4/cfg.MBRows() + 64
 	for i := range e.slices {
 		s := &sliceEnc{
 			e:    e,
 			bw:   bitstream.NewWriter(hint),
-			rows: make([]*rowEnc, e.spans[i].Rows),
+			rows: make([]*rowEnc, spans[i].Rows),
 		}
 		s.mvBuf[0] = make([]motion.MV, cfg.MBCols())
 		s.mvBuf[1] = make([]motion.MV, cfg.MBCols())
@@ -132,158 +98,40 @@ func NewEncoder(cfg codec.Config) (*Encoder, error) {
 	return e, nil
 }
 
-// SetSliceRunner implements codec.SliceScheduler: per-frame slice jobs
-// run on r (nil restores the serial default). Output bytes do not depend
-// on the runner.
-func (e *Encoder) SetSliceRunner(r codec.SliceRunner) { e.runner = r }
+// The codec.SliceEncoder hooks: references and quantizer byte as in
+// package mpeg2; quarter-pel searches score against 6-tap half planes.
 
-// SetWavefrontRunner implements codec.WavefrontScheduler: when
-// cfg.Wavefront is set, each slice's macroblock grid runs on r (nil
-// restores the serial default). Output bytes depend on neither the
-// runner nor cfg.Wavefront.
-func (e *Encoder) SetWavefrontRunner(r codec.WavefrontRunner) { e.wfRun = r }
-
-// SetPTSBase implements codec.PTSRebaser: the GOP-parallel pipeline
-// announces the chunk's offset in the global display timeline so the
-// motion tap/hint callbacks key on global stamps.
-func (e *Encoder) SetPTSBase(base int) { e.ptsBase = base }
-
-// Header implements codec.Encoder.
-func (e *Encoder) Header() container.Header { return header(e.cfg, 0) }
-
-// Encode implements codec.Encoder.
-func (e *Encoder) Encode(f *frame.Frame) ([]container.Packet, error) {
-	if f.Width != e.cfg.Width || f.Height != e.cfg.Height {
-		return nil, fmt.Errorf("mpeg4: frame is %dx%d, config is %dx%d",
-			f.Width, f.Height, e.cfg.Width, e.cfg.Height)
-	}
-	f.PTS = e.inCount
-	e.inCount++
-	var pkts []container.Packet
-	for _, entry := range e.gop.Push(f) {
-		pkts = append(pkts, e.encodeFrame(entry.Frame, entry.Type))
-	}
-	return pkts, nil
+func (e *Encoder) BeginFrame(refs *codec.RefList, _ int) {
+	e.lastRef, e.prevRef = refs.Get(0), refs.Get(1)
 }
+func (e *Encoder) WireQ(q int) int                 { return q }
+func (e *Encoder) EndFrame(*frame.Frame, int)      {}
+func (e *Encoder) NewReference(recon *frame.Frame) { interp.BuildHalfPel6(recon, e.cfg.Kernels) }
 
-// Flush implements codec.Encoder.
-func (e *Encoder) Flush() ([]container.Packet, error) {
-	var pkts []container.Packet
-	for _, entry := range e.gop.Flush() {
-		pkts = append(pkts, e.encodeFrame(entry.Frame, entry.Type))
-	}
-	return pkts, nil
-}
-
-func (e *Encoder) encodeFrame(src *frame.Frame, ftype container.FrameType) container.Packet {
-	recon := frame.NewPadded(e.cfg.Width, e.cfg.Height, codec.RefPad)
-	recon.PTS = src.PTS
-
-	if e.rc != nil {
-		e.frameQ = e.rc.FrameQ(ftype)
-	} else {
-		e.frameQ = e.cfg.Q
-	}
-	if e.cfg.SliceQ() {
-		e.sliceQs = e.rc.SliceQs(e.frameQ, len(e.spans))
-	} else {
-		e.sliceQs = nil
-	}
-	if ftype != container.FrameI {
-		if e.cfg.MotionTap != nil {
-			e.tap = motion.NewField(e.cfg.Width, e.cfg.Height)
-		}
-		if e.cfg.MotionHints != nil {
-			e.hint = e.cfg.MotionHints(src.PTS + e.ptsBase)
-		}
-	} else {
-		e.tap, e.hint = nil, nil
-	}
-
-	codec.RunSlices(e.runner, len(e.spans), func(i int) {
-		e.slices[i].encode(src, recon, ftype, e.spans[i], i)
-	})
-
-	recon.ExtendBorders()
-	switch ftype {
-	case container.FrameI:
-		// Closed GOP: an I frame invalidates earlier references, so a
-		// chunk encoder starting here matches the serial stream exactly.
-		interp.BuildHalfPel6(recon, e.cfg.Kernels)
-		e.prevRef = nil
-		e.lastRef = recon
-	case container.FrameP:
-		interp.BuildHalfPel6(recon, e.cfg.Kernels)
-		e.prevRef = e.lastRef
-		e.lastRef = recon
-	}
-
-	// Payload layout: one quantizer byte, the slice table, then the
-	// per-slice bitstreams in row order.
-	total := 1 + codec.SliceTableSize(len(e.spans))
-	for i, s := range e.slices {
-		e.spans[i].Size = len(s.bw.Bytes())
-		total += e.spans[i].Size
-	}
-	payload := make([]byte, 0, total)
-	payload = append(payload, byte(e.frameQ))
-	payload = codec.AppendSliceTable(payload, e.spans)
-	for _, s := range e.slices {
-		payload = append(payload, s.bw.Bytes()...)
-	}
-	if e.rc != nil {
-		e.rc.AddFrame(ftype, 8*len(payload))
-		if e.sliceQs != nil {
-			e.sliceBuf = e.sliceBuf[:0]
-			for i := range e.spans {
-				e.sliceBuf = append(e.sliceBuf, 8*e.spans[i].Size)
-			}
-			e.rc.AddSlices(e.sliceBuf)
-		}
-	}
-	if e.tap != nil {
-		e.cfg.MotionTap(src.PTS+e.ptsBase, e.tap)
-		e.tap = nil
-	}
-	return container.Packet{Type: ftype, DisplayIndex: src.PTS, Payload: payload}
-}
-
-// encode codes one slice's macroblock rows with slice-local state.
+// EncodeSlice implements codec.SliceEncoder with slice-local state.
 //
 // Each row is coded by its own rowEnc into its own bitstream; the row
 // streams are concatenated bit-exactly afterwards, so the slice bytes
-// are those of a single raster-order pass regardless of schedule. With
-// cfg.Wavefront set and a runner installed, the rows run concurrently in
-// wavefront dependency order — the order the EPZS predictor reads (left,
-// above, above-right) require.
-func (s *sliceEnc) encode(src, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, idx int) {
-	cols := s.e.cfg.MBCols()
-	q := int32(s.e.frameQ)
-	if s.e.sliceQs != nil {
-		q = int32(s.e.sliceQs[idx])
+// are those of a single raster-order pass regardless of schedule. On a
+// wavefront runner the rows run concurrently in dependency order — the
+// order the EPZS predictor reads (left, above, above-right) require.
+func (e *Encoder) EncodeSlice(i int, src, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan,
+	q int, wf codec.WavefrontRunner, tap, hint *motion.Field) []byte {
+	s := e.slices[i]
+	lambda := lambdaFor(q)
+	dcInit := 1024 / quant.Mpeg4DCScaler(int32(q))
+	for _, r := range s.rows {
+		r.q, r.lambda, r.dcInit, r.hint = int32(q), lambda, dcInit, hint
 	}
-	lambda := lambdaFor(int(q))
-	dcInit := s.e.dcInit
-	if q != int32(s.e.cfg.Q) {
-		dcInit = 1024 / quant.Mpeg4DCScaler(q)
-	}
-	for _, r := range s.rows[:span.Rows] {
-		r.q, r.lambda, r.dcInit = q, lambda, dcInit
-	}
-	tap := s.e.tap
 	p := s.mvPhase
 	// Row 0 reads a zeroed "row above" (the slice-boundary reset); the
 	// write buffers keep their prior contents — B-intra macroblocks read
 	// stale entries through them, matching the serial swap history.
 	above0 := s.mvBuf[(p+1)%2]
-	for i := range above0 {
-		above0[i] = motion.MV{}
+	for x := range above0 {
+		above0[x] = motion.MV{}
 	}
-	var run codec.WavefrontRunner
-	if s.e.cfg.Wavefront {
-		run = s.e.wfRun
-	}
-	codec.RunWavefront(run, span.Rows, cols, func(x, y int) bool {
+	codec.RunWavefront(wf, span.Rows, e.cfg.MBCols(), func(x, y int) bool {
 		r := s.rows[y]
 		if x == 0 {
 			r.bw.Reset()
@@ -300,21 +148,18 @@ func (s *sliceEnc) encode(src, recon *frame.Frame, ftype container.FrameType, sp
 		default:
 			r.encodeBMB(src, recon, x, mby)
 		}
-		if tap != nil && ftype != container.FrameI {
+		if tap != nil {
 			tap.Set(x, mby, r.mvRow[x])
 		}
 		return true
 	})
 	s.mvPhase = (p + span.Rows) % 2
 	s.bw.Reset()
-	if s.e.sliceQs != nil {
-		// FlagSliceQ layout: the slice body opens with its quantizer byte.
-		s.bw.WriteBits(uint64(q), 8)
-	}
 	for y := 0; y < span.Rows; y++ {
 		s.bw.AppendWriter(s.rows[y].bw)
 	}
 	s.bw.AlignByte()
+	return s.bw.Bytes()
 }
 
 func (s *rowEnc) resetRowState() {
@@ -373,28 +218,6 @@ func (s *rowEnc) sadBlock(src *frame.Frame, px, py, w, h int, pred []byte, pstri
 	return codec.SADBlockBytes(src.Y, off, src.YStride, pred, 0, pstride, w, h)
 }
 
-//hdvlint:noalloc
-func intraCostMB(src *frame.Frame, px, py int) int {
-	off := src.YOrigin + py*src.YStride + px
-	sum := 0
-	for r := 0; r < 16; r++ {
-		sum += swar.SumRow(src.Y[off+r*src.YStride:], 16)
-	}
-	mean := byte(sum / 256)
-	cost := 0
-	for r := 0; r < 16; r++ {
-		row := src.Y[off+r*src.YStride:]
-		for c := 0; c < 16; c++ {
-			d := int(row[c]) - int(mean)
-			if d < 0 {
-				d = -d
-			}
-			cost += d
-		}
-	}
-	return cost + 512
-}
-
 // searchQPel runs full-pel EPZS then two-stage sub-pel refinement in the
 // quarter-pel domain, filling pred (stride 16) with the winning prediction.
 // blockW/blockH select 16×16 or 8×8 partitions; (px,py) addresses the
@@ -424,14 +247,14 @@ func (s *rowEnc) searchQPel(src, ref *frame.Frame, px, py, blockW, blockH, mbx i
 		if mbx+1 < len(s.mvAbove) {
 			preds = append(preds, s.mvAbove[mbx+1])
 		}
-		if h := s.e.hint; h != nil {
+		if h := s.hint; h != nil {
 			// Cross-rung seed from the full-resolution rung, scaled to
 			// this geometry (see motion.Field.Sample).
 			preds = append(preds, h.Sample(mbx, py/16, s.e.cfg.Width, s.e.cfg.Height))
 		}
 	}
 	exitT := 2 * int(s.q) * blockW * blockH / 16
-	if s.e.hint != nil {
+	if s.hint != nil {
 		// A trusted cross-rung seed is in the candidate list, so accept a
 		// looser match without the diamond walk (EPZS's adaptive-threshold
 		// move); the ladder PSNR guard bounds the quality cost.
@@ -468,8 +291,8 @@ func (s *rowEnc) searchQPel(src, ref *frame.Frame, px, py, blockW, blockH, mbx i
 // sadQPel scores one quarter-pel candidate against the precomputed half
 // planes, early-terminating once the partial SAD reaches max.
 func (s *rowEnc) sadQPel(src, ref *frame.Frame, px, py, w, h int, mv motion.MV, max int) int {
-	ix, fx := splitQuarter(int(mv.X))
-	iy, fy := splitQuarter(int(mv.Y))
+	ix, fx := codec.SplitQuarter(int(mv.X))
+	iy, fy := codec.SplitQuarter(int(mv.Y))
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	co := src.YOrigin + py*src.YStride + px
 	return motion.SADQPel(s.e.cfg.Kernels, src.Y[co:], src.YStride, ref, so, w, h, fx, fy, max)
@@ -481,8 +304,8 @@ func (s *rowEnc) sadQPel(src, ref *frame.Frame, px, py, w, h int, mv motion.MV, 
 // decoder keeps the per-block QPel path, which is bit-exact with this
 // one).
 func (s *rowEnc) mcLumaInto(ref *frame.Frame, px, py, w, h int, mv motion.MV, dst []byte) {
-	ix, fx := splitQuarter(int(mv.X))
-	iy, fy := splitQuarter(int(mv.Y))
+	ix, fx := codec.SplitQuarter(int(mv.X))
+	iy, fy := codec.SplitQuarter(int(mv.Y))
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	interp.LumaPlanes(dst, 16, ref.Y, ref.Hpel6, so, ref.YStride, w, h, fx, fy, s.e.cfg.Kernels)
 }
@@ -491,8 +314,8 @@ func (s *rowEnc) mcLumaInto(ref *frame.Frame, px, py, w, h int, mv motion.MV, ds
 func (s *rowEnc) predictChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr []byte) {
 	cvx := chromaFromLuma(int(mv.X))
 	cvy := chromaFromLuma(int(mv.Y))
-	ix, fx := splitHalf(cvx)
-	iy, fy := splitHalf(cvy)
+	ix, fx := codec.SplitHalf(cvx)
+	iy, fy := codec.SplitHalf(cvy)
 	cx, cy := px/2, py/2
 	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
 	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, s.e.cfg.Kernels)
@@ -647,7 +470,7 @@ func (s *rowEnc) encodePMB(src, recon *frame.Frame, mbx, mby int) {
 		}
 	}
 
-	intraCost := intraCostMB(src, px, py)
+	intraCost := codec.IntraCostMB(src, px, py)
 
 	if intraCost < cost16 && intraCost < cost4 {
 		entropy.WriteUE(s.bw, pIntra)
@@ -709,7 +532,7 @@ func (s *rowEnc) encodeBMB(src, recon *frame.Frame, mbx, mby int) {
 	interp.Avg(bi[:], 16, s.pred.yAlt[:], 16, 16, 16, s.e.cfg.Kernels)
 	biSAD := s.sadBlock(src, px, py, 16, 16, bi[:], 16) + 2*lambda
 
-	intraCost := intraCostMB(src, px, py)
+	intraCost := codec.IntraCostMB(src, px, py)
 
 	mode := bFwd
 	best := fwdSAD

@@ -9,15 +9,9 @@
 //   - per-block intra DC prediction.
 //
 // The bitstream is the HDVB container format (see DESIGN.md §2); encoder
-// and decoder form a complete bit-exact pair.
+// and decoder form a complete bit-exact pair. As in package mpeg2, only
+// the slice coders live here; internal/codec's frame drivers call them.
 package mpeg4
-
-import (
-	"fmt"
-
-	"hdvideobench/internal/codec"
-	"hdvideobench/internal/container"
-)
 
 // Macroblock modes.
 const (
@@ -51,17 +45,6 @@ type predBuf struct {
 	crAlt  [64]byte
 }
 
-// splitQuarter splits a quarter-pel MV component into integer offset and
-// quarter fraction (floor semantics).
-func splitQuarter(v int) (ipel, frac int) {
-	return v >> 2, v & 3
-}
-
-// splitHalf splits a half-pel component (chroma path).
-func splitHalf(v int) (ipel, frac int) {
-	return v >> 1, v & 1
-}
-
 // chromaFromLuma converts a quarter-pel luma MV component to the half-pel
 // chroma component (truncating toward zero, Xvid-style).
 func chromaFromLuma(v int) int { return v / 4 }
@@ -71,46 +54,4 @@ func lambdaFor(q int) int {
 		return 1
 	}
 	return q
-}
-
-func header(cfg codec.Config, frames int) container.Header {
-	var flags uint16
-	if cfg.SliceQ() {
-		flags |= container.FlagSliceQ
-	}
-	return container.Header{
-		Codec:  container.CodecMPEG4,
-		Flags:  flags,
-		Width:  cfg.Width,
-		Height: cfg.Height,
-		FPSNum: cfg.FPSNum,
-		FPSDen: cfg.FPSDen,
-		Frames: frames,
-	}
-}
-
-func validateSize(hdr container.Header) error {
-	if hdr.Width%16 != 0 || hdr.Height%16 != 0 || hdr.Width <= 0 || hdr.Height <= 0 {
-		return fmt.Errorf("mpeg4: invalid dimensions %dx%d", hdr.Width, hdr.Height)
-	}
-	return nil
-}
-
-// lumaMargin and chromaMargin bound how far outside the picture a decoded
-// block may start; only damaged streams reach them (see package mpeg2).
-const (
-	lumaMargin   = codec.RefPad - 8
-	chromaMargin = codec.RefPad/2 - 2
-)
-
-func clampMVToWindow(ival, pos, size, blk, margin int) int {
-	lo := -pos - margin
-	hi := size - pos - blk + margin
-	if ival < lo {
-		ival = lo
-	}
-	if ival > hi {
-		ival = hi
-	}
-	return ival
 }

@@ -16,19 +16,20 @@ import (
 var budgetWorkers = []int{2, 3, 4}
 
 // TestBudgetBatch: EncodeFrames and DecodePackets over workers+1 chunks
-// of a fake codec that offers more slices and rows than there are
-// workers never have more than `workers` goroutines doing codec work —
+// of the probe codec (the real frame drivers over slices that code
+// nothing), which offers more slices and rows than there are workers,
+// never have more than `workers` goroutines doing codec work —
 // not while every chunk worker is busy, and not in the tail where the
 // idle ones lend their tokens to the last chunk's frames.
 func TestBudgetBatch(t *testing.T) {
 	const gop = 3
 	for _, workers := range budgetWorkers {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			enc := &codectest.Probe{Slices: workers + 1, Rows: 4, Cols: 4, GOP: gop}
 			frames := make([]*frame.Frame, (workers+1)*gop)
 			for i := range frames {
-				frames[i] = frame.New(16, 16)
+				frames[i] = enc.NewFrame()
 			}
-			enc := &codectest.Probe{Slices: workers + 1, Rows: 4, Cols: 4, GOP: gop}
 			pkts, _, err := EncodeFrames(enc.NewEncoder, gop, workers, frames)
 			if err != nil {
 				t.Fatal(err)

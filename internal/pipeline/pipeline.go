@@ -206,9 +206,7 @@ func encodeAll(enc codec.Encoder, frames []*frame.Frame) ([]container.Packet, er
 func EncodeChunk(enc codec.Encoder, frames []*frame.Frame, base int) ([]container.Packet, error) {
 	// The encoder stamps chunk-local display indices; its motion
 	// tap/hint callbacks need the global timeline to key their fields.
-	if r, ok := enc.(codec.PTSRebaser); ok {
-		r.SetPTSBase(base)
-	}
+	enc.SetPTSBase(base)
 	pkts, err := encodeAll(enc, frames)
 	if err != nil {
 		return nil, err

@@ -151,29 +151,17 @@ func (g *SliceGate) Run(n int, job func(i int)) {
 	g.col.ObserveGateWait(time.Since(t0))
 }
 
-// install points a codec instance's slice scheduling — and, for encoders
-// that support it, its wavefront scheduling — at the gate. Installing
-// the wavefront runner is unconditional; codecs use it only when
-// Config.Wavefront is set.
-func (g *SliceGate) install(v any) {
-	if g.tokens == nil {
-		return // serial gate: the codec's own inline runners are the fast path
-	}
-	if s, ok := v.(codec.SliceScheduler); ok {
-		s.SetSliceRunner(g.Run)
-	}
-	if s, ok := v.(codec.WavefrontScheduler); ok {
-		s.SetWavefrontRunner(g.Wavefront().Run)
-	}
-}
-
 // Encoders wraps an encoder factory so every instance it creates
-// schedules its slices and rows on the gate.
+// schedules its slices and rows on the gate. Installing the wavefront
+// runner is unconditional; encoders use it only when Config.Wavefront is
+// set. A serial gate installs nothing: the codec's own inline runners
+// are the fast path.
 func (g *SliceGate) Encoders(f EncoderFactory) EncoderFactory {
 	return func() (codec.Encoder, error) {
 		e, err := f()
-		if err == nil {
-			g.install(e)
+		if err == nil && g.tokens != nil {
+			e.SetSliceRunner(g.Run)
+			e.SetWavefrontRunner(g.Wavefront().Run)
 		}
 		return e, err
 	}
@@ -183,8 +171,8 @@ func (g *SliceGate) Encoders(f EncoderFactory) EncoderFactory {
 func (g *SliceGate) Decoders(f DecoderFactory) DecoderFactory {
 	return func() (codec.Decoder, error) {
 		d, err := f()
-		if err == nil {
-			g.install(d)
+		if err == nil && g.tokens != nil {
+			d.SetSliceRunner(g.Run)
 		}
 		return d, err
 	}

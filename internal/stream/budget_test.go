@@ -1,12 +1,11 @@
 // Worker-budget suite: the streaming encoder and decoder, built on one
 // pipeline.SliceGate, never have more goroutines inside the codec than
 // the gate has tokens, and tokens a chunk worker is not using are lent
-// to the frames still being coded. The codec is codectest's fake, which
-// counts the goroutines inside it.
+// to the frames still being coded. The codec is codectest's probe on the
+// real frame drivers, which counts the goroutines inside it.
 package stream_test
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"testing"
@@ -20,11 +19,11 @@ import (
 
 var budgetWorkers = []int{2, 3, 4}
 
-// numberedFrames returns n blank frames stamped 0..n-1.
-func numberedFrames(n int) []*frame.Frame {
+// numberedFrames returns n blank frames of p's size stamped 0..n-1.
+func numberedFrames(p *codectest.Probe, n int) []*frame.Frame {
 	frames := make([]*frame.Frame, n)
 	for i := range frames {
-		frames[i] = frame.New(16, 16)
+		frames[i] = p.NewFrame()
 		frames[i].PTS = i
 	}
 	return frames
@@ -41,7 +40,7 @@ func TestBudgetStreamEncode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frames := numberedFrames((workers + 1) * gop)
+			frames := numberedFrames(probe, (workers+1)*gop)
 			pkts := runEncoder(t, enc, frames)
 			for i, p := range pkts {
 				if p.DisplayIndex != i {
@@ -105,7 +104,7 @@ func TestIdleChunkWorkersLendTokens(t *testing.T) {
 				}
 				werr := make(chan error, 1)
 				go func() {
-					for _, f := range numberedFrames(chunks * gop) {
+					for _, f := range numberedFrames(probe, chunks*gop) {
 						if err := enc.Write(f); err != nil {
 							enc.Close()
 							werr <- err
@@ -162,14 +161,6 @@ func TestIdleChunkWorkersLendTokens(t *testing.T) {
 	}
 }
 
-// idPacket builds a fake packet whose payload carries its global index,
-// which survives the display-index rebasing segments and fallbacks do.
-func idPacket(typ container.FrameType, id int) container.Packet {
-	return container.Packet{Type: typ, DisplayIndex: id, Payload: binary.LittleEndian.AppendUint32(nil, uint32(id))}
-}
-
-func packetID(p container.Packet) int { return int(binary.LittleEndian.Uint32(p.Payload)) }
-
 // TestBudgetStreamDecodeAcrossFallbackAndRearm streams two short
 // segments, one longer than FallbackPackets, and three more short ones
 // through a chunked decoder: pool → serial fallback → re-armed pool. The
@@ -179,36 +170,37 @@ func packetID(p container.Packet) int { return int(binary.LittleEndian.Uint32(p.
 // its own would run workers+1 goroutines.
 func TestBudgetStreamDecodeAcrossFallbackAndRearm(t *testing.T) {
 	const short = 3
-	var pkts []container.Packet
-	segment := func(n int) {
-		for i := 0; i < n; i++ {
-			typ := container.FrameP
-			if i == 0 {
-				typ = container.FrameI
-			}
-			pkts = append(pkts, idPacket(typ, len(pkts)))
-		}
-	}
-	segment(short)
-	segment(short)
-	longStart := len(pkts)
-	segment(stream.FallbackPackets + 4)
-	for i := 0; i < 3; i++ {
-		segment(short)
-	}
-
+	const longStart = 2 * short
 	for _, workers := range budgetWorkers {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			fallbackRunning := make(chan struct{})
 			probe := &codectest.Probe{Slices: workers + 1, Rows: 3, Cols: 3,
 				OnDecode: func(p container.Packet) {
-					switch packetID(p) {
+					// The id in the payload survives the display-index
+					// rebasing segments and fallbacks do.
+					switch codectest.PacketID(p) {
 					case 0:
 						<-fallbackRunning
 					case longStart:
 						close(fallbackRunning)
 					}
 				}}
+			var pkts []container.Packet
+			segment := func(n int) {
+				for i := 0; i < n; i++ {
+					typ := container.FrameP
+					if i == 0 {
+						typ = container.FrameI
+					}
+					pkts = append(pkts, probe.Packet(typ, len(pkts)))
+				}
+			}
+			segment(short)
+			segment(short)
+			segment(stream.FallbackPackets + 4)
+			for i := 0; i < 3; i++ {
+				segment(short)
+			}
 			dec, err := stream.NewDecoder(probe.NewDecoder, pipeline.NewSliceGate(workers), 0)
 			if err != nil {
 				t.Fatal(err)
