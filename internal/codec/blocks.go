@@ -167,6 +167,32 @@ func Add4Clip(plane []byte, off, stride int, pred []byte, po, pStride int, res *
 	}
 }
 
+// PredMB is one macroblock of prediction samples of the 8×8-block codecs
+// (MPEG-2, MPEG-4): what their motion compensation writes and their
+// reconstruction adds the residual to.
+type PredMB struct {
+	Y, YAlt      [256]byte // 16×16 luma; YAlt holds a bi-predicted MB's second hypothesis
+	Cb, Cr       [64]byte  // 8×8 chroma
+	CbAlt, CrAlt [64]byte
+}
+
+// CopyTo writes the prediction unchanged into the macroblock at (px, py)
+// of recon: the reconstruction of a macroblock without residual.
+//
+//hdvlint:noalloc
+func (p *PredMB) CopyTo(recon *frame.Frame, px, py int) {
+	for r := 0; r < 16; r++ {
+		ro := recon.YOrigin + (py+r)*recon.YStride + px
+		copy(recon.Y[ro:ro+16], p.Y[r*16:r*16+16])
+	}
+	cx, cy := px/2, py/2
+	for r := 0; r < 8; r++ {
+		ro := recon.COrigin + (cy+r)*recon.CStride + cx
+		copy(recon.Cb[ro:ro+8], p.Cb[r*8:r*8+8])
+		copy(recon.Cr[ro:ro+8], p.Cr[r*8:r*8+8])
+	}
+}
+
 // SADBlockBytes is a small scalar SAD for mode decisions on prediction
 // buffers (the motion package owns the search-loop SAD kernels).
 func SADBlockBytes(a []byte, ao, aStride int, b []byte, bo, bStride, w, h int) int {

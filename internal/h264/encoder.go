@@ -1,6 +1,8 @@
 package h264
 
 import (
+	"fmt"
+
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -92,26 +94,23 @@ type sliceEnc struct {
 	rows []*rowEnc // one decision coder per MB row of the span
 }
 
-// rowEnc is the decision-phase coder for one macroblock row: prediction
-// scratch, the row-local backward MV predictor and the row's syntax
-// records. Rows of a slice may run concurrently under the wavefront, so
-// nothing here is shared across rows.
+// rowEnc is the decision-phase coder for one macroblock row: the
+// reconstruction it shares with the decoder, search scratch, the
+// row-local backward MV predictor and the row's syntax records. Rows of a
+// slice may run concurrently under the wavefront, so nothing here is
+// shared across rows.
 type rowEnc struct {
+	mbRecon
 	e *Encoder
 
-	predY [256]byte
-	predC [2][64]byte
-	tmpY  [256]byte
+	tmpY [256]byte
 
 	bwdPredRow motion.MV // backward MV predictor within a B row
 
-	top4  int // slice top row in 4×4-block units
-	topPx int // slice top row in pixels
-
 	// Per-slice coding parameters, set by EncodeSlice before any
-	// macroblock runs.
-	qp, qpc, lambda int
-	hint            *motion.Field // cross-rung seed field for the frame, or nil
+	// macroblock runs (and qp, in mbRecon).
+	lambda int
+	hint   *motion.Field // cross-rung seed field for the frame, or nil
 
 	recs []mbRec // per-MB records for this row, one per MB column
 }
@@ -136,6 +135,10 @@ func NewEncoder(cfg codec.Config) (*Encoder, error) {
 	if e.FrameEncoder, err = codec.NewFrameEncoder("h264", cfg, container.CodecH264, flags, cfg.Refs, e); err != nil {
 		return nil, err
 	}
+	if cfg.BFrames > 0 && cfg.Refs < 2 {
+		// A B macroblock predicts from both references around it.
+		return nil, fmt.Errorf("h264: B frames need refs ≥ 2, have %d", cfg.Refs)
+	}
 	e.meta = newFrameMeta(cfg.Width, cfg.Height)
 	spans := codec.SliceRows(cfg.MBRows(), cfg.Slices)
 	e.slices = make([]*sliceEnc, len(spans))
@@ -150,10 +153,9 @@ func NewEncoder(cfg codec.Config) (*Encoder, error) {
 		s.rows = make([]*rowEnc, spans[i].Rows)
 		for y := range s.rows {
 			s.rows[y] = &rowEnc{
-				e:     e,
-				top4:  spans[i].Row * 4,
-				topPx: spans[i].Row * 16,
-				recs:  make([]mbRec, cfg.MBCols()),
+				mbRecon: mbRecon{kern: cfg.Kernels, meta: e.meta, topPx: spans[i].Row * 16},
+				e:       e,
+				recs:    make([]mbRec, cfg.MBCols()),
 			}
 		}
 		e.slices[i] = s
@@ -205,9 +207,9 @@ func (e *Encoder) EncodeSlice(i int, src, recon *frame.Frame, ftype container.Fr
 	qp int, wf codec.WavefrontRunner, tap, hint *motion.Field) []byte {
 	s := e.slices[i]
 	cols := e.cfg.MBCols()
-	qpc, lambda := quant.H264ChromaQP(qp), lambdaForQP(qp)
+	lambda := lambdaForQP(qp)
 	for _, r := range s.rows {
-		r.qp, r.qpc, r.lambda, r.hint = qp, qpc, lambda, hint
+		r.qp, r.lambda, r.hint = qp, lambda, hint
 	}
 	codec.RunWavefront(wf, span.Rows, cols, func(x, y int) bool {
 		r := s.rows[y]
@@ -304,7 +306,7 @@ func (s *sliceEnc) emitMB(rec *mbRec) {
 //hdvlint:noalloc
 func (s *rowEnc) sadBlock(src *frame.Frame, px, py, w, h int, pred []byte, pstride int) int {
 	off := src.YOrigin + py*src.YStride + px
-	if s.e.cfg.Kernels == kernel.SWAR {
+	if s.kern == kernel.SWAR {
 		return swar.SADBlock(src.Y[off:], src.YStride, pred, pstride, w, h)
 	}
 	return codec.SADBlockBytes(src.Y, off, src.YStride, pred, 0, pstride, w, h)
@@ -316,17 +318,18 @@ func mvdBits(mv, pred motion.MV) int {
 
 // --- motion search ------------------------------------------------------------
 
-// mcLumaInto fills dst (stride 16) with the quarter-pel prediction from
-// the reference's half-pel planes (every encoder reference has them —
-// BuildHalfPel6 runs before refs.Add; the decoder keeps the per-block
-// QPel path, which is bit-exact with this one).
+// mcLumaInto fills dst (stride 16) with the quarter-pel prediction of the
+// w×h block at (px, py) from the reference's half-pel planes (every
+// encoder reference has them — BuildHalfPel6 runs before refs.Add; the
+// decoder keeps the per-block QPel path, which is bit-exact with this
+// one).
 //
 //hdvlint:noalloc
 func (s *rowEnc) mcLumaInto(ref *frame.Frame, px, py, w, h int, mv motion.MV, dst []byte) {
 	ix, fx := codec.SplitQuarter(int(mv.X))
 	iy, fy := codec.SplitQuarter(int(mv.Y))
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
-	interp.LumaPlanes(dst, 16, ref.Y, ref.Hpel6, so, ref.YStride, w, h, fx, fy, s.e.cfg.Kernels)
+	interp.LumaPlanes(dst, 16, ref.Y, ref.Hpel6, so, ref.YStride, w, h, fx, fy, s.kern)
 }
 
 // sadQPel scores one quarter-pel candidate against the precomputed half
@@ -338,7 +341,7 @@ func (s *rowEnc) sadQPel(src, ref *frame.Frame, px, py, w, h int, mv motion.MV, 
 	iy, fy := codec.SplitQuarter(int(mv.Y))
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
 	co := src.YOrigin + py*src.YStride + px
-	return motion.SADQPel(s.e.cfg.Kernels, src.Y[co:], src.YStride, ref, so, w, h, fx, fy, max)
+	return motion.SADQPel(s.kern, src.Y[co:], src.YStride, ref, so, w, h, fx, fy, max)
 }
 
 // searchRef runs seed selection + hexagon + two-stage quarter-pel
@@ -347,7 +350,7 @@ func (s *rowEnc) sadQPel(src, ref *frame.Frame, px, py, w, h int, mv motion.MV, 
 //hdvlint:noalloc
 func (s *rowEnc) searchRef(src, ref *frame.Frame, px, py, w, h int, mvpQ motion.MV, pred []byte) (motion.MV, int) {
 	var est motion.Estimator
-	est.Kern = s.e.cfg.Kernels
+	est.Kern = s.kern
 	est.Cur = src.Y
 	est.CurOff = src.YOrigin + py*src.YStride + px
 	est.CurStride = src.YStride
@@ -362,7 +365,7 @@ func (s *rowEnc) searchRef(src, ref *frame.Frame, px, py, w, h int, mvpQ motion.
 
 	// Seed from spatial neighbours in the meta grid (quarter-pel → full),
 	// never reaching above the slice's top row.
-	m := s.e.meta
+	m := s.meta
 	bx4, by4 := px/4, py/4
 	var seeds [4]motion.MV
 	ns := 0
@@ -373,7 +376,7 @@ func (s *rowEnc) searchRef(src, ref *frame.Frame, px, py, w, h int, mvpQ motion.
 		seeds[ns] = motion.MV{X: v.X >> 2, Y: v.Y >> 2}
 		ns++
 	}
-	if by4 > s.top4 && m.ref[(by4-1)*m.w4+bx4] >= 0 {
+	if by4 > s.top4() && m.ref[(by4-1)*m.w4+bx4] >= 0 {
 		v := m.mv[(by4-1)*m.w4+bx4]
 		seeds[ns] = motion.MV{X: v.X >> 2, Y: v.Y >> 2}
 		ns++
@@ -422,24 +425,6 @@ func (s *rowEnc) searchRef(src, ref *frame.Frame, px, py, w, h int, mvpQ motion.
 	return bestMV, bestSAD
 }
 
-// mcChromaPart motion-compensates one chroma partition region for both
-// planes into predC with stride 8. (ox, oy, w, h) are luma-partition pixel
-// geometry relative to the MB origin.
-//
-//hdvlint:noalloc
-func (s *rowEnc) mcChromaPart(ref *frame.Frame, px, py, ox, oy, w, h int, mv motion.MV) {
-	cx := (px + ox) / 2
-	cy := (py + oy) / 2
-	ix := int(mv.X) >> 3
-	iy := int(mv.Y) >> 3
-	dx := int(mv.X) & 7
-	dy := int(mv.Y) & 7
-	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
-	do := (oy/2)*8 + ox/2
-	interp.ChromaBilin(s.predC[0][do:], 8, ref.Cb[so:], ref.CStride, w/2, h/2, dx, dy, s.e.cfg.Kernels)
-	interp.ChromaBilin(s.predC[1][do:], 8, ref.Cr[so:], ref.CStride, w/2, h/2, dx, dy, s.e.cfg.Kernels)
-}
-
 // --- residual pipeline ----------------------------------------------------------
 
 // lumaGroupBlocks lists the 4×4 block indices of each 8×8 CBP group.
@@ -447,52 +432,39 @@ var lumaGroupBlocks = [4][4]int{
 	{0, 1, 4, 5}, {2, 3, 6, 7}, {8, 9, 12, 13}, {10, 11, 14, 15},
 }
 
+// lumaCBP is the luma coded-block pattern of the per-4×4 non-zero flags:
+// bit g is set when a block of 8×8 group g has a coefficient.
+//
+//hdvlint:noalloc
+func lumaCBP(nz *[16]bool) int {
+	cbp := 0
+	for g, blocks := range lumaGroupBlocks {
+		for _, bi := range blocks {
+			if nz[bi] {
+				cbp |= 1 << g
+				break
+			}
+		}
+	}
+	return cbp
+}
+
 // transformLumaInter quantizes the luma residual of an inter (or I4-less)
 // MB against predY and fills md.luma/cbpLuma/lumaNZ.
 //
 //hdvlint:noalloc
 func (s *rowEnc) transformLumaInter(src *frame.Frame, px, py int, md *mbData) {
-	md.cbpLuma = 0
 	for bi := 0; bi < 16; bi++ {
 		bx, by := 4*(bi%4), 4*(bi/4)
 		var blk [16]int32
 		codec.Residual4(&blk, src.Y, src.YOrigin+(py+by)*src.YStride+px+bx, src.YStride,
-			s.predY[:], by*16+bx, 16, s.e.cfg.Kernels)
+			s.predY[:], by*16+bx, 16, s.kern)
 		dct.Forward4(&blk)
 		nz := quant.H264Quant(&blk, s.qp, false)
 		md.luma[bi] = blk
 		md.lumaNZ[bi] = nz > 0
 	}
-	for g := 0; g < 4; g++ {
-		for _, bi := range lumaGroupBlocks[g] {
-			if md.lumaNZ[bi] {
-				md.cbpLuma |= 1 << g
-				break
-			}
-		}
-	}
-}
-
-// reconLumaInter reconstructs the luma of an inter MB from md into recon.
-//
-//hdvlint:noalloc
-func (s *rowEnc) reconLumaInter(recon *frame.Frame, px, py int, md *mbData) {
-	for bi := 0; bi < 16; bi++ {
-		bx, by := 4*(bi%4), 4*(bi/4)
-		ro := recon.YOrigin + (py+by)*recon.YStride + px + bx
-		po := by*16 + bx
-		if md.lumaNZ[bi] {
-			blk := md.luma[bi]
-			quant.H264Dequant(&blk, s.qp)
-			dct.Inverse4(&blk)
-			codec.Add4Clip(recon.Y, ro, recon.YStride, s.predY[:], po, 16, &blk, s.e.cfg.Kernels)
-		} else {
-			for r := 0; r < 4; r++ {
-				copy(recon.Y[ro+r*recon.YStride:ro+r*recon.YStride+4],
-					s.predY[po+r*16:po+r*16+4])
-			}
-		}
-	}
+	md.cbpLuma = lumaCBP(&md.lumaNZ)
 }
 
 // transformChroma quantizes both chroma planes against predC and fills
@@ -501,6 +473,7 @@ func (s *rowEnc) reconLumaInter(recon *frame.Frame, px, py int, md *mbData) {
 //hdvlint:noalloc
 func (s *rowEnc) transformChroma(src *frame.Frame, px, py int, intra bool, md *mbData) {
 	cx, cy := px/2, py/2
+	qpc := quant.H264ChromaQP(s.qp)
 	anyAC, anyDC := false, false
 	for pl := 0; pl < 2; pl++ {
 		plane := src.Cb
@@ -512,17 +485,17 @@ func (s *rowEnc) transformChroma(src *frame.Frame, px, py int, intra bool, md *m
 			ox, oy := 4*(ci%2), 4*(ci/2)
 			var blk [16]int32
 			codec.Residual4(&blk, plane, src.COrigin+(cy+oy)*src.CStride+cx+ox, src.CStride,
-				s.predC[pl][:], oy*8+ox, 8, s.e.cfg.Kernels)
+				s.predC[pl][:], oy*8+ox, 8, s.kern)
 			dct.Forward4(&blk)
 			dc[ci] = blk[0]
 			blk[0] = 0
-			if quant.H264Quant(&blk, s.qpc, intra) > 0 {
+			if quant.H264Quant(&blk, qpc, intra) > 0 {
 				anyAC = true
 			}
 			md.chroma[pl][ci] = blk
 		}
 		dct.Hadamard2(&dc)
-		if quant.H264QuantChromaDC(&dc, s.qpc, intra) > 0 {
+		if quant.H264QuantChromaDC(&dc, qpc, intra) > 0 {
 			anyDC = true
 		}
 		md.chromaDC[pl] = dc
@@ -534,47 +507,6 @@ func (s *rowEnc) transformChroma(src *frame.Frame, px, py int, intra bool, md *m
 		md.cbpChroma = 1
 	default:
 		md.cbpChroma = 0
-	}
-}
-
-// reconChroma reconstructs both chroma planes from md into recon.
-//
-//hdvlint:noalloc
-func (s *rowEnc) reconChroma(recon *frame.Frame, px, py int, md *mbData) {
-	cx, cy := px/2, py/2
-	for pl := 0; pl < 2; pl++ {
-		plane := recon.Cb
-		if pl == 1 {
-			plane = recon.Cr
-		}
-		dc := md.chromaDC[pl]
-		if md.cbpChroma >= 1 {
-			dct.Hadamard2(&dc)
-			quant.H264DequantChromaDC(&dc, s.qpc)
-		} else {
-			dc = [4]int32{}
-		}
-		for ci := 0; ci < 4; ci++ {
-			ox, oy := 4*(ci%2), 4*(ci/2)
-			ro := recon.COrigin + (cy+oy)*recon.CStride + cx + ox
-			po := oy*8 + ox
-			blk := md.chroma[pl][ci]
-			if md.cbpChroma == 2 {
-				quant.H264Dequant(&blk, s.qpc)
-			} else {
-				blk = [16]int32{}
-			}
-			blk[0] = dc[ci]
-			if md.cbpChroma >= 1 {
-				dct.Inverse4(&blk)
-				codec.Add4Clip(plane, ro, recon.CStride, s.predC[pl][:], po, 8, &blk, s.e.cfg.Kernels)
-			} else {
-				for r := 0; r < 4; r++ {
-					copy(plane[ro+r*recon.CStride:ro+r*recon.CStride+4],
-						s.predC[pl][po+r*8:po+r*8+4])
-				}
-			}
-		}
 	}
 }
 
@@ -620,21 +552,6 @@ func (s *sliceEnc) writeResidual(md *mbData, i16 bool) {
 	}
 }
 
-// updateMetaNZ records per-4×4 non-zero flags for deblocking.
-//
-//hdvlint:noalloc
-func (s *rowEnc) updateMetaNZ(px, py int, md *mbData, i16 bool) {
-	m := s.e.meta
-	bx4, by4 := px/4, py/4
-	for bi := 0; bi < 16; bi++ {
-		nz := md.lumaNZ[bi]
-		if i16 && md.lumaDCNZ {
-			nz = true
-		}
-		m.nz[(by4+bi/4)*m.w4+bx4+bi%4] = nz
-	}
-}
-
 // --- intra coding ----------------------------------------------------------------
 
 // bestI16 selects the best I16×16 mode by SAD and returns (mode, cost).
@@ -655,24 +572,22 @@ func (s *rowEnc) bestI16(src, recon *frame.Frame, px, py int) (int, int) {
 	return bestMode, bestCost
 }
 
-// encodeI16Into performs the full I16 pipeline: prediction, transform with
-// DC Hadamard, quantization, reconstruction, and meta update. The caller
-// writes the syntax.
+// encodeI16Into predicts the macroblock with I16×16 mode into predY and
+// quantizes its luma residual into md: the AC of every 4×4 block and the
+// Hadamard-transformed block of their DCs. reconIntraMB reconstructs it.
 //
 //hdvlint:noalloc
 func (s *rowEnc) encodeI16Into(src, recon *frame.Frame, px, py, mode int, md *mbData) {
-	availLeft := px > 0
-	availTop := py > s.topPx
-	predI16(s.predY[:], recon.Y, recon.YOrigin, recon.YStride, px, py, mode, availLeft, availTop)
+	s.predictI16(recon, px, py, mode)
+	md.mode = mI16x16
 	md.i16Mode = mode
 
 	var dcs [16]int32
-	md.cbpLuma = 0
 	for bi := 0; bi < 16; bi++ {
 		bx, by := 4*(bi%4), 4*(bi/4)
 		var blk [16]int32
 		codec.Residual4(&blk, src.Y, src.YOrigin+(py+by)*src.YStride+px+bx, src.YStride,
-			s.predY[:], by*16+bx, 16, s.e.cfg.Kernels)
+			s.predY[:], by*16+bx, 16, s.kern)
 		dct.Forward4(&blk)
 		dcs[bi] = blk[0]
 		blk[0] = 0
@@ -685,29 +600,7 @@ func (s *rowEnc) encodeI16Into(src, recon *frame.Frame, px, py, mode int, md *mb
 	dct.Hadamard4(&dcs, true)
 	md.lumaDCNZ = quant.H264QuantDC(&dcs, s.qp) > 0
 	md.lumaDC = dcs
-	for g := 0; g < 4; g++ {
-		for _, bi := range lumaGroupBlocks[g] {
-			if md.lumaNZ[bi] {
-				md.cbpLuma |= 1 << g
-				break
-			}
-		}
-	}
-
-	// Reconstruction.
-	dcRec := md.lumaDC
-	dct.Hadamard4(&dcRec, false)
-	quant.H264DequantDC(&dcRec, s.qp)
-	for bi := 0; bi < 16; bi++ {
-		bx, by := 4*(bi%4), 4*(bi/4)
-		ro := recon.YOrigin + (py+by)*recon.YStride + px + bx
-		po := by*16 + bx
-		blk := md.luma[bi]
-		quant.H264Dequant(&blk, s.qp)
-		blk[0] = dcRec[bi]
-		dct.Inverse4(&blk)
-		codec.Add4Clip(recon.Y, ro, recon.YStride, s.predY[:], po, 16, &blk, s.e.cfg.Kernels)
-	}
+	md.cbpLuma = lumaCBP(&md.lumaNZ)
 }
 
 // encodeI4Into performs the sequential I4×4 pipeline, choosing a mode per
@@ -715,11 +608,11 @@ func (s *rowEnc) encodeI16Into(src, recon *frame.Frame, px, py, mode int, md *mb
 //
 //hdvlint:noalloc
 func (s *rowEnc) encodeI4Into(src, recon *frame.Frame, px, py int, md *mbData) {
-	md.cbpLuma = 0
+	md.mode = mI4x4
 	for bi := 0; bi < 16; bi++ {
 		bx, by := 4*(bi%4), 4*(bi/4)
 		gx4, gy4 := (px+bx)/4, (py+by)/4
-		av := availI4(gx4, gy4, s.e.meta.w4, s.top4)
+		av := availI4(gx4, gy4, s.meta.w4, s.top4())
 		var best [16]byte
 		bestMode, bestCost := -1, 1<<30
 		var cand [16]byte
@@ -739,39 +632,26 @@ func (s *rowEnc) encodeI4Into(src, recon *frame.Frame, px, py int, md *mbData) {
 		md.i4Modes[bi] = bestMode
 
 		var blk [16]int32
-		codec.Residual4(&blk, src.Y, src.YOrigin+(py+by)*src.YStride+px+bx, src.YStride, best[:], 0, 4, s.e.cfg.Kernels)
+		codec.Residual4(&blk, src.Y, src.YOrigin+(py+by)*src.YStride+px+bx, src.YStride, best[:], 0, 4, s.kern)
 		dct.Forward4(&blk)
 		nz := quant.H264Quant(&blk, s.qp, true)
 		md.luma[bi] = blk
 		md.lumaNZ[bi] = nz > 0
 
 		// Immediate reconstruction: later blocks predict from it.
-		ro := recon.YOrigin + (py+by)*recon.YStride + px + bx
-		rblk := blk
-		quant.H264Dequant(&rblk, s.qp)
-		dct.Inverse4(&rblk)
-		codec.Add4Clip(recon.Y, ro, recon.YStride, best[:], 0, 4, &rblk, s.e.cfg.Kernels)
+		s.reconI4Block(recon, px, py, bi, &best, blk)
 	}
-	for g := 0; g < 4; g++ {
-		for _, bi := range lumaGroupBlocks[g] {
-			if md.lumaNZ[bi] {
-				md.cbpLuma |= 1 << g
-				break
-			}
-		}
-	}
+	md.cbpLuma = lumaCBP(&md.lumaNZ)
 }
 
-// intraChroma predicts chroma with the DC mode and runs the chroma
-// residual pipeline.
+// finishIntraMB predicts and codes the chroma of an intra macroblock whose
+// luma md holds, and reconstructs the macroblock.
 //
 //hdvlint:noalloc
-func (s *rowEnc) intraChroma(src, recon *frame.Frame, px, py int, md *mbData) {
-	cx, cy := px/2, py/2
-	availTop := py > s.topPx
-	predChromaDC(s.predC[0][:], recon.Cb, recon.COrigin, recon.CStride, cx, cy, px > 0, availTop)
-	predChromaDC(s.predC[1][:], recon.Cr, recon.COrigin, recon.CStride, cx, cy, px > 0, availTop)
+func (s *rowEnc) finishIntraMB(src, recon *frame.Frame, px, py int, md *mbData) {
+	s.predictIntraChroma(recon, px, py)
 	s.transformChroma(src, px, py, true, md)
+	s.reconIntraMB(recon, px, py, md)
 }
 
 // i4CostEstimate returns the summed best-mode SAD over the 16 blocks,
@@ -785,7 +665,7 @@ func (s *rowEnc) i4CostEstimate(src, recon *frame.Frame, px, py int) int {
 	for bi := 0; bi < 16; bi++ {
 		bx, by := 4*(bi%4), 4*(bi/4)
 		gx4, gy4 := (px+bx)/4, (py+by)/4
-		av := availI4(gx4, gy4, s.e.meta.w4, s.top4)
+		av := availI4(gx4, gy4, s.meta.w4, s.top4())
 		best := 1 << 30
 		var cands [numI4Modes]int
 		for _, mode := range i4Candidates(av, &cands) {
@@ -814,23 +694,18 @@ func (s *rowEnc) decideIMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	if i4Cost < i16Cost {
 		rec.kind = recI4
 		s.encodeI4Into(src, recon, px, py, md)
-		md.mode = mI4x4
 	} else {
 		rec.kind = recI16
 		s.encodeI16Into(src, recon, px, py, i16Mode, md)
-		md.mode = mI16x16
 	}
-	s.intraChroma(src, recon, px, py, md)
-	s.reconChroma(recon, px, py, md)
-
-	s.e.meta.setBlock(px/4, py/4, 4, 4, motion.MV{}, -1)
-	s.updateMetaNZ(px, py, md, md.mode == mI16x16)
+	s.finishIntraMB(src, recon, px, py, md)
 }
 
 // --- P macroblocks ---------------------------------------------------------------
 
-// partGeom lists partition geometry per mode: offsets and sizes in pixels.
-var partGeom = map[int][][4]int{
+// partGeom lists partition geometry per P mode (mP16x16..mP8x8): offsets
+// and sizes in pixels.
+var partGeom = [...][][4]int{
 	mP16x16: {{0, 0, 16, 16}},
 	mP16x8:  {{0, 0, 16, 8}, {0, 8, 16, 8}},
 	mP8x16:  {{0, 0, 8, 16}, {8, 0, 8, 16}},
@@ -846,7 +721,7 @@ func (s *rowEnc) decidePMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	px, py := mbx*16, mby*16
 	bx4, by4 := px/4, py/4
 	nRefs := s.e.refs.Len()
-	mvp := s.e.meta.predictMV(bx4, by4, 4, s.top4)
+	mvp := s.meta.predictMV(bx4, by4, 4, s.top4())
 
 	// 16×16 search across references.
 	bestRef := int8(0)
@@ -870,10 +745,9 @@ func (s *rowEnc) decidePMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	// Partition hypotheses only when 16×16 leaves real residual energy.
 	if bestSAD > 16*16*3 {
 		for _, m := range partModes {
-			parts := partGeom[m]
 			total := s.lambda * 4 // mode overhead
 			var pmvs [4]motion.MV
-			for pi, g := range parts {
+			for pi, g := range partGeom[m] {
 				mv, sad := s.searchRef(src, ref, px+g[0], py+g[1], g[2], g[3], bestMV, s.tmpY[:])
 				pmvs[pi] = mv
 				total += sad + s.lambda*mvdBits(mv, bestMV)
@@ -891,19 +765,15 @@ func (s *rowEnc) decidePMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	i16Mode, i16Cost := s.bestI16(src, recon, px, py)
 	if i16Cost+s.lambda*16 < bestCost {
 		rec.kind = recPIntra
-		md.mode = mI16x16
 		s.encodeI16Into(src, recon, px, py, i16Mode, md)
-		s.intraChroma(src, recon, px, py, md)
-		s.reconChroma(recon, px, py, md)
-		s.e.meta.setBlock(bx4, by4, 4, 4, motion.MV{}, -1)
-		s.updateMetaNZ(px, py, md, true)
+		s.finishIntraMB(src, recon, px, py, md)
 		return
 	}
 
 	// Build the inter prediction for the chosen mode.
 	parts := partGeom[mode]
 	for pi, g := range parts {
-		s.mcLumaPart(ref, px, py, g[0], g[1], g[2], g[3], mvs[pi])
+		s.mcLumaInto(ref, px+g[0], py+g[1], g[2], g[3], mvs[pi], s.predY[g[1]*16+g[0]:])
 		s.mcChromaPart(ref, px, py, g[0], g[1], g[2], g[3], mvs[pi])
 	}
 
@@ -913,39 +783,21 @@ func (s *rowEnc) decidePMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	s.transformLumaInter(src, px, py, md)
 	s.transformChroma(src, px, py, false, md)
 
-	// P-skip: 16×16, ref 0, MV == predictor, no residual.
+	// P-skip: 16×16, ref 0, MV == predictor, no residual. Its one
+	// partition enters the meta grid like a coded 16×16's.
+	rec.kind = recPInter
 	if mode == mP16x16 && bestRef == 0 && bestMV == mvp &&
 		md.cbpLuma == 0 && md.cbpChroma == 0 {
 		rec.kind = recSkip
-		s.reconLumaInter(recon, px, py, md)
-		s.reconChroma(recon, px, py, md)
-		s.e.meta.setBlock(bx4, by4, 4, 4, mvp, 0)
-		s.updateMetaNZ(px, py, md, false)
-		return
 	}
-
-	rec.kind = recPInter
 	// The predictor for each partition is sampled between setBlock calls,
 	// exactly where the serial code wrote the mvd fields — the recorded
 	// pmvp values reproduce that interleaving at emission time.
 	for pi, g := range parts {
-		rec.pmvp[pi] = s.e.meta.predictMV(bx4+g[0]/4, by4+g[1]/4, g[2]/4, s.top4)
-		s.e.meta.setBlock(bx4+g[0]/4, by4+g[1]/4, g[2]/4, g[3]/4, mvs[pi], bestRef)
+		rec.pmvp[pi] = s.meta.predictMV(bx4+g[0]/4, by4+g[1]/4, g[2]/4, s.top4())
+		s.meta.setBlock(bx4+g[0]/4, by4+g[1]/4, g[2]/4, g[3]/4, mvs[pi], bestRef)
 	}
-	s.reconLumaInter(recon, px, py, md)
-	s.reconChroma(recon, px, py, md)
-	s.updateMetaNZ(px, py, md, false)
-}
-
-// mcLumaPart motion-compensates one luma partition into predY (via the
-// reference's half-pel planes, like mcLumaInto).
-//
-//hdvlint:noalloc
-func (s *rowEnc) mcLumaPart(ref *frame.Frame, px, py, ox, oy, w, h int, mv motion.MV) {
-	ix, fx := codec.SplitQuarter(int(mv.X))
-	iy, fy := codec.SplitQuarter(int(mv.Y))
-	so := ref.YOrigin + (py+oy+iy)*ref.YStride + px + ox + ix
-	interp.LumaPlanes(s.predY[oy*16+ox:], 16, ref.Y, ref.Hpel6, so, ref.YStride, w, h, fx, fy, s.e.cfg.Kernels)
+	s.reconInterMB(recon, px, py, md)
 }
 
 // --- B macroblocks ---------------------------------------------------------------
@@ -956,7 +808,7 @@ func (s *rowEnc) decideBMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	bx4, by4 := px/4, py/4
 	fwdRef := s.e.refs.Get(1)
 	bwdRef := s.e.refs.Get(0)
-	mvpF := s.e.meta.predictMV(bx4, by4, 4, s.top4)
+	mvpF := s.meta.predictMV(bx4, by4, 4, s.top4())
 
 	var fwdPred, bwdPred [256]byte
 	fwdMV, fwdSAD := s.searchRef(src, fwdRef, px, py, 16, 16, mvpF, fwdPred[:])
@@ -964,7 +816,7 @@ func (s *rowEnc) decideBMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 
 	var bi [256]byte
 	copy(bi[:], fwdPred[:])
-	interp.Avg(bi[:], 16, bwdPred[:], 16, 16, 16, s.e.cfg.Kernels)
+	interp.Avg(bi[:], 16, bwdPred[:], 16, 16, 16, s.kern)
 	biSAD := s.sadBlock(src, px, py, 16, 16, bi[:], 16)
 
 	fwdCost := fwdSAD + s.lambda*mvdBits(fwdMV, mvpF)
@@ -984,12 +836,8 @@ func (s *rowEnc) decideBMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	i16Mode, i16Cost := s.bestI16(src, recon, px, py)
 	if i16Cost+s.lambda*16 < best {
 		rec.kind = recBIntra
-		md.mode = mI16x16
 		s.encodeI16Into(src, recon, px, py, i16Mode, md)
-		s.intraChroma(src, recon, px, py, md)
-		s.reconChroma(recon, px, py, md)
-		s.e.meta.setBlock(bx4, by4, 4, 4, motion.MV{}, -1)
-		s.updateMetaNZ(px, py, md, true)
+		s.finishIntraMB(src, recon, px, py, md)
 		return
 	}
 
@@ -997,50 +845,31 @@ func (s *rowEnc) decideBMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	switch mode {
 	case mBFwd:
 		copy(s.predY[:], fwdPred[:])
-		s.mcChromaPart(fwdRef, px, py, 0, 0, 16, 16, fwdMV)
 	case mBBwd:
 		copy(s.predY[:], bwdPred[:])
-		s.mcChromaPart(bwdRef, px, py, 0, 0, 16, 16, bwdMV)
 	case mBBi:
 		copy(s.predY[:], bi[:])
-		s.mcChromaPart(fwdRef, px, py, 0, 0, 16, 16, fwdMV)
-		var cbF, crF [64]byte
-		copy(cbF[:], s.predC[0][:])
-		copy(crF[:], s.predC[1][:])
-		s.mcChromaPart(bwdRef, px, py, 0, 0, 16, 16, bwdMV)
-		interp.Avg(s.predC[0][:], 8, cbF[:], 8, 8, 8, s.e.cfg.Kernels)
-		interp.Avg(s.predC[1][:], 8, crF[:], 8, 8, 8, s.e.cfg.Kernels)
 	}
+	s.mcChromaB(mode, fwdRef, bwdRef, px, py, fwdMV, bwdMV)
 
 	md.mode = mode
 	s.transformLumaInter(src, px, py, md)
 	s.transformChroma(src, px, py, false, md)
 
 	// B-skip: forward, MV == predictor, no residual.
+	rec.kind = recBInter
 	if mode == mBFwd && fwdMV == mvpF && md.cbpLuma == 0 && md.cbpChroma == 0 {
 		rec.kind = recSkip
-		s.reconLumaInter(recon, px, py, md)
-		s.reconChroma(recon, px, py, md)
-		s.e.meta.setBlock(bx4, by4, 4, 4, mvpF, 0)
-		s.updateMetaNZ(px, py, md, false)
-		return
 	}
-
-	rec.kind = recBInter
-	md.mvs[0] = fwdMV
-	md.mvs[1] = bwdMV
-	rec.pmvp[0] = mvpF
-	rec.pmvp[1] = s.bwdPredRow
-	if mode == mBBwd || mode == mBBi {
+	md.mvs[0], md.mvs[1] = fwdMV, bwdMV
+	rec.pmvp[0], rec.pmvp[1] = mvpF, s.bwdPredRow
+	if mode != mBFwd {
 		s.bwdPredRow = bwdMV
 	}
-	switch mode {
-	case mBFwd, mBBi:
-		s.e.meta.setBlock(bx4, by4, 4, 4, fwdMV, 0)
-	default:
-		s.e.meta.setBlock(bx4, by4, 4, 4, bwdMV, 0)
+	mv := fwdMV // mBFwd, mBBi
+	if mode == mBBwd {
+		mv = bwdMV
 	}
-	s.reconLumaInter(recon, px, py, md)
-	s.reconChroma(recon, px, py, md)
-	s.updateMetaNZ(px, py, md, false)
+	s.meta.setBlock(bx4, by4, 4, 4, mv, 0)
+	s.reconInterMB(recon, px, py, md)
 }

@@ -19,7 +19,9 @@
 // record/replay split that keeps entropy coding in raster order under a
 // wavefront, the per-frame 4×4 meta grids and the deblocking filter;
 // internal/codec's frame drivers call them once per slice and own the
-// rest (GOP, rate control, references, payload layout).
+// rest (GOP, rate control, references, payload layout). Reconstruction
+// exists once, in recon.go: encoder and decoder both call it, so the
+// encoder's reconstruction is the decoder's output by construction.
 package h264
 
 import (

@@ -52,7 +52,7 @@ type rowEnc struct {
 	e  *Encoder
 	bw *bitstream.Writer
 
-	pred predBuf
+	pred codec.PredMB
 
 	lambda int           // motion λ derived from q
 	hint   *motion.Field // cross-rung seed field for the frame, or nil
@@ -199,10 +199,7 @@ func (s *rowEnc) intraBlock(plane []byte, off, stride int, rec []byte, roff, rst
 	entropy.WriteSE(s.bw, blk[0]-s.dcPred[comp])
 	s.dcPred[comp] = blk[0]
 	codec.WriteRunLevels(s.bw, &blk, 1, eob8)
-
-	quant.Mpeg2DequantIntra(&blk, q)
-	dct.Inverse8(&blk)
-	codec.Store8Clip(rec, roff, rstride, &blk)
+	reconIntraBlock(rec, roff, rstride, &blk, q)
 }
 
 // sadMB computes SAD between the current 16×16 luma block and a prediction
@@ -301,24 +298,11 @@ func (s *rowEnc) searchLuma(src, ref *frame.Frame, px, py, mbx int, predHalf mot
 	return bestMV, bestSAD
 }
 
-// predictChroma fills the chroma prediction for a half-pel luma MV.
-func predictChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr []byte, k kernel.Set) {
-	cvx := chromaMV(int(mv.X))
-	cvy := chromaMV(int(mv.Y))
-	ix, fx := codec.SplitHalf(cvx)
-	iy, fy := codec.SplitHalf(cvy)
-	cx, cy := px/2, py/2
-	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
-	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, k)
-	interp.HalfPel(cr, 8, ref.Cr[so:], ref.CStride, 8, 8, fx, fy, k)
-}
-
 // codeResidualMB writes CBP and residual blocks for an inter MB, using the
-// prediction in s.pred (y/cb/cr), and reconstructs into recon.
-// Returns the CBP.
+// prediction in s.pred, and reconstructs into recon.
 //
 //hdvlint:noalloc
-func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
+func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) {
 	q := s.q
 	// First pass: find CBP.
 	var blks [6][64]int32
@@ -326,7 +310,7 @@ func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
 	for i := 0; i < 4; i++ {
 		co := src.YOrigin + (py+8*(i/2))*src.YStride + px + 8*(i%2)
 		po := 8*(i/2)*16 + 8*(i%2)
-		codec.Residual8(&blks[i], src.Y, co, src.YStride, s.pred.y[:], po, 16, s.e.cfg.Kernels)
+		codec.Residual8(&blks[i], src.Y, co, src.YStride, s.pred.Y[:], po, 16, s.e.cfg.Kernels)
 		dct.Forward8(&blks[i])
 		if quant.Mpeg2QuantInter(&blks[i], q) > 0 {
 			cbp |= 1 << (5 - i)
@@ -334,12 +318,12 @@ func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
 	}
 	cx, cy := px/2, py/2
 	co := src.COrigin + cy*src.CStride + cx
-	codec.Residual8(&blks[4], src.Cb, co, src.CStride, s.pred.cb[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blks[4], src.Cb, co, src.CStride, s.pred.Cb[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blks[4])
 	if quant.Mpeg2QuantInter(&blks[4], q) > 0 {
 		cbp |= 1 << 1
 	}
-	codec.Residual8(&blks[5], src.Cr, co, src.CStride, s.pred.cr[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blks[5], src.Cr, co, src.CStride, s.pred.Cr[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blks[5])
 	if quant.Mpeg2QuantInter(&blks[5], q) > 0 {
 		cbp |= 1
@@ -351,35 +335,7 @@ func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
 			codec.WriteRunLevels(s.bw, &blks[i], 0, eob64)
 		}
 	}
-
-	// Reconstruction.
-	for i := 0; i < 4; i++ {
-		ro := recon.YOrigin + (py+8*(i/2))*recon.YStride + px + 8*(i%2)
-		po := 8*(i/2)*16 + 8*(i%2)
-		if cbp&(1<<(5-i)) != 0 {
-			quant.Mpeg2DequantInter(&blks[i], q)
-			dct.Inverse8(&blks[i])
-			codec.Add8Clip(recon.Y, ro, recon.YStride, s.pred.y[:], po, 16, &blks[i], s.e.cfg.Kernels)
-		} else {
-			codec.Copy8(recon.Y, ro, recon.YStride, s.pred.y[:], po, 16)
-		}
-	}
-	cro := recon.COrigin + cy*recon.CStride + cx
-	if cbp&2 != 0 {
-		quant.Mpeg2DequantInter(&blks[4], q)
-		dct.Inverse8(&blks[4])
-		codec.Add8Clip(recon.Cb, cro, recon.CStride, s.pred.cb[:], 0, 8, &blks[4], s.e.cfg.Kernels)
-	} else {
-		codec.Copy8(recon.Cb, cro, recon.CStride, s.pred.cb[:], 0, 8)
-	}
-	if cbp&1 != 0 {
-		quant.Mpeg2DequantInter(&blks[5], q)
-		dct.Inverse8(&blks[5])
-		codec.Add8Clip(recon.Cr, cro, recon.CStride, s.pred.cr[:], 0, 8, &blks[5], s.e.cfg.Kernels)
-	} else {
-		codec.Copy8(recon.Cr, cro, recon.CStride, s.pred.cr[:], 0, 8)
-	}
-	return cbp
+	reconInterMB(recon, px, py, &s.pred, &blks, cbp, q, s.e.cfg.Kernels)
 }
 
 // residualWouldBeZero checks cheaply whether the quantized residual of the
@@ -390,7 +346,7 @@ func (s *rowEnc) residualWouldBeZero(src *frame.Frame, px, py int) bool {
 	for i := 0; i < 4; i++ {
 		co := src.YOrigin + (py+8*(i/2))*src.YStride + px + 8*(i%2)
 		po := 8*(i/2)*16 + 8*(i%2)
-		codec.Residual8(&blk, src.Y, co, src.YStride, s.pred.y[:], po, 16, s.e.cfg.Kernels)
+		codec.Residual8(&blk, src.Y, co, src.YStride, s.pred.Y[:], po, 16, s.e.cfg.Kernels)
 		dct.Forward8(&blk)
 		if quant.Mpeg2QuantInter(&blk, q) > 0 {
 			return false
@@ -398,29 +354,14 @@ func (s *rowEnc) residualWouldBeZero(src *frame.Frame, px, py int) bool {
 	}
 	cx, cy := px/2, py/2
 	co := src.COrigin + cy*src.CStride + cx
-	codec.Residual8(&blk, src.Cb, co, src.CStride, s.pred.cb[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blk, src.Cb, co, src.CStride, s.pred.Cb[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blk)
 	if quant.Mpeg2QuantInter(&blk, q) > 0 {
 		return false
 	}
-	codec.Residual8(&blk, src.Cr, co, src.CStride, s.pred.cr[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blk, src.Cr, co, src.CStride, s.pred.Cr[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blk)
 	return quant.Mpeg2QuantInter(&blk, q) == 0
-}
-
-// copyPredToRecon writes the current prediction unchanged into recon
-// (skip macroblocks).
-func (s *rowEnc) copyPredToRecon(recon *frame.Frame, px, py int) {
-	for r := 0; r < 16; r++ {
-		ro := recon.YOrigin + (py+r)*recon.YStride + px
-		copy(recon.Y[ro:ro+16], s.pred.y[r*16:r*16+16])
-	}
-	cx, cy := px/2, py/2
-	for r := 0; r < 8; r++ {
-		ro := recon.COrigin + (cy+r)*recon.CStride + cx
-		copy(recon.Cb[ro:ro+8], s.pred.cb[r*8:r*8+8])
-		copy(recon.Cr[ro:ro+8], s.pred.cr[r*8:r*8+8])
-	}
 }
 
 // encodePMB codes one macroblock of a P frame.
@@ -430,7 +371,7 @@ func (s *rowEnc) encodePMB(src, recon *frame.Frame, mbx, mby int) {
 	px, py := mbx*16, mby*16
 	ref := s.e.lastRef
 
-	mv, interSAD := s.searchLuma(src, ref, px, py, mbx, s.fwdPred, s.pred.y[:])
+	mv, interSAD := s.searchLuma(src, ref, px, py, mbx, s.fwdPred, s.pred.Y[:])
 	intraCost := codec.IntraCostMB(src, px, py)
 
 	if intraCost < interSAD {
@@ -441,12 +382,12 @@ func (s *rowEnc) encodePMB(src, recon *frame.Frame, mbx, mby int) {
 		return
 	}
 
-	predictChroma(ref, px, py, mv, s.pred.cb[:], s.pred.cr[:], s.e.cfg.Kernels)
+	mcChroma(ref, px, py, mv, s.pred.Cb[:], s.pred.Cr[:], s.e.cfg.Kernels)
 
 	// Skip: zero MV and empty residual.
 	if mv == (motion.MV{}) && s.residualWouldBeZero(src, px, py) {
 		entropy.WriteUE(s.bw, pSkip)
-		s.copyPredToRecon(recon, px, py)
+		s.pred.CopyTo(recon, px, py)
 		s.fwdPred = motion.MV{}
 		s.mvRow[mbx] = motion.MV{}
 		s.dcPred = [3]int32{dcPredInit, dcPredInit, dcPredInit}
@@ -469,14 +410,14 @@ func (s *rowEnc) encodeBMB(src, recon *frame.Frame, mbx, mby int) {
 	px, py := mbx*16, mby*16
 	fwdRef, bwdRef := s.e.prevRef, s.e.lastRef
 
-	fwdMV, fwdSAD := s.searchLuma(src, fwdRef, px, py, mbx, s.fwdPred, s.pred.y[:])
+	fwdMV, fwdSAD := s.searchLuma(src, fwdRef, px, py, mbx, s.fwdPred, s.pred.Y[:])
 	// Keep the forward prediction; search backward into yAlt.
 	bwdMV, bwdSAD := s.searchLumaAlt(src, bwdRef, px, py, mbx, s.bwdPred)
 
 	// Bi-directional hypothesis: average of both predictions.
 	var bi [256]byte
-	copy(bi[:], s.pred.y[:])
-	interp.Avg(bi[:], 16, s.pred.yAlt[:], 16, 16, 16, s.e.cfg.Kernels)
+	copy(bi[:], s.pred.Y[:])
+	interp.Avg(bi[:], 16, s.pred.YAlt[:], 16, 16, 16, s.e.cfg.Kernels)
 	biSAD := s.sadMB(src, px, py, bi[:]) + 2*s.lambda // extra MV cost
 
 	intraCost := codec.IntraCostMB(src, px, py)
@@ -500,23 +441,17 @@ func (s *rowEnc) encodeBMB(src, recon *frame.Frame, mbx, mby int) {
 
 	// Assemble final prediction into s.pred.
 	switch mode {
-	case bFwd:
-		predictChroma(fwdRef, px, py, fwdMV, s.pred.cb[:], s.pred.cr[:], s.e.cfg.Kernels)
 	case bBwd:
-		copy(s.pred.y[:], s.pred.yAlt[:])
-		predictChroma(bwdRef, px, py, bwdMV, s.pred.cb[:], s.pred.cr[:], s.e.cfg.Kernels)
+		copy(s.pred.Y[:], s.pred.YAlt[:])
 	case bBi:
-		copy(s.pred.y[:], bi[:])
-		predictChroma(fwdRef, px, py, fwdMV, s.pred.cb[:], s.pred.cr[:], s.e.cfg.Kernels)
-		predictChroma(bwdRef, px, py, bwdMV, s.pred.cbAlt[:], s.pred.crAlt[:], s.e.cfg.Kernels)
-		interp.Avg(s.pred.cb[:], 8, s.pred.cbAlt[:], 8, 8, 8, s.e.cfg.Kernels)
-		interp.Avg(s.pred.cr[:], 8, s.pred.crAlt[:], 8, 8, 8, s.e.cfg.Kernels)
+		copy(s.pred.Y[:], bi[:])
 	}
+	mcChromaB(&s.pred, mode, fwdRef, bwdRef, px, py, fwdMV, bwdMV, s.e.cfg.Kernels)
 
 	// Skip: forward mode with MV equal to the predictor and no residual.
 	if mode == bFwd && fwdMV == s.fwdPred && s.residualWouldBeZero(src, px, py) {
 		entropy.WriteUE(s.bw, bSkip)
-		s.copyPredToRecon(recon, px, py)
+		s.pred.CopyTo(recon, px, py)
 		s.mvRow[mbx] = motion.MV{X: fwdMV.X >> 1, Y: fwdMV.Y >> 1}
 		s.dcPred = [3]int32{dcPredInit, dcPredInit, dcPredInit}
 		return
@@ -543,7 +478,7 @@ func (s *rowEnc) encodeBMB(src, recon *frame.Frame, mbx, mby int) {
 	s.dcPred = [3]int32{dcPredInit, dcPredInit, dcPredInit}
 }
 
-// searchLumaAlt is searchLuma writing its prediction into pred.yAlt.
+// searchLumaAlt is searchLuma writing its prediction into pred.YAlt.
 func (s *rowEnc) searchLumaAlt(src, ref *frame.Frame, px, py, mbx int, predHalf motion.MV) (motion.MV, int) {
-	return s.searchLuma(src, ref, px, py, mbx, predHalf, s.pred.yAlt[:])
+	return s.searchLuma(src, ref, px, py, mbx, predHalf, s.pred.YAlt[:])
 }

@@ -11,7 +11,9 @@
 // modes, residual coding, motion search and compensation) that
 // internal/codec's frame drivers call once per slice. GOP structure,
 // rate control, references, slice dispatch and the payload layout live
-// there, shared with the other two codecs.
+// there, shared with the other two codecs. Reconstruction exists once, in
+// recon.go: encoder and decoder both call it, so the encoder's
+// reconstruction is the decoder's output by construction.
 package mpeg2
 
 // Macroblock modes. P frames use pSkip/pInter/pIntra; B frames use the b*
@@ -36,15 +38,6 @@ const eob64 = 64
 
 // dcPredInit is the intra DC predictor reset value (mid-grey, level scale).
 const dcPredInit = 128
-
-// predBuf holds one macroblock of prediction samples.
-type predBuf struct {
-	y      [256]byte // 16×16 luma
-	yAlt   [256]byte // second hypothesis for bi-prediction / refinement
-	cb, cr [64]byte  // 8×8 chroma
-	cbAlt  [64]byte
-	crAlt  [64]byte
-}
 
 // chromaMV derives the chroma half-pel MV from the luma half-pel MV
 // (division by two truncating toward zero, per MPEG-2).

@@ -4,7 +4,6 @@ import (
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
-	"hdvideobench/internal/dct"
 	"hdvideobench/internal/entropy"
 	"hdvideobench/internal/frame"
 	"hdvideobench/internal/interp"
@@ -29,7 +28,7 @@ type sliceDec struct {
 	d  *Decoder
 	br bitstream.Reader
 
-	pred predBuf
+	pred codec.PredMB
 	qpel interp.QPel
 
 	dcInit  int32 // DC predictor reset value, derived from the slice's q
@@ -48,7 +47,8 @@ func NewDecoder(hdr container.Header, kern kernel.Set) (*Decoder, error) {
 	return d, nil
 }
 
-// BeginFrame implements codec.SliceDecoder: the mirror of the encoder's.
+// BeginFrame implements codec.SliceDecoder: P pictures predict from the
+// last reference, B pictures from the two around them.
 func (d *Decoder) BeginFrame(refs *codec.RefList, slices int) {
 	d.lastRef, d.prevRef = refs.Get(0), refs.Get(1)
 	for len(d.slices) < slices {
@@ -126,9 +126,7 @@ func (s *sliceDec) intraBlock(rec []byte, roff, rstride int, q int32, comp int) 
 	if err := codec.ReadRunLevels(&s.br, &blk, 1, eob8); err != nil {
 		return err
 	}
-	quant.Mpeg4DequantIntra(&blk, q)
-	dct.Inverse8(&blk)
-	codec.Store8Clip(rec, roff, rstride, &blk)
+	reconIntraBlock(rec, roff, rstride, &blk, q)
 	return nil
 }
 
@@ -142,86 +140,22 @@ func (s *sliceDec) mcLuma(ref *frame.Frame, px, py, w, h int, mv motion.MV, dst 
 	s.qpel.Luma(dst, 16, ref.Y, so, ref.YStride, w, h, fx, fy, s.d.kern)
 }
 
-func (s *sliceDec) mcChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr []byte) {
-	cvx := chromaFromLuma(int(mv.X))
-	cvy := chromaFromLuma(int(mv.Y))
-	ix, fx := codec.SplitHalf(cvx)
-	iy, fy := codec.SplitHalf(cvy)
-	cx, cy := px/2, py/2
-	ix = codec.ClampMVToWindow(ix, cx, s.d.hdr.Width/2, 8, codec.ChromaMargin)
-	iy = codec.ClampMVToWindow(iy, cy, s.d.hdr.Height/2, 8, codec.ChromaMargin)
-	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
-	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
-	interp.HalfPel(cr, 8, ref.Cr[so:], ref.CStride, 8, 8, fx, fy, s.d.kern)
-}
-
-func (s *sliceDec) mcChroma4MV(ref *frame.Frame, px, py int, mvs *[4]motion.MV, cb, cr []byte) {
-	sx, sy := 0, 0
-	for _, v := range mvs {
-		sx += int(v.X)
-		sy += int(v.Y)
-	}
-	avg := motion.MV{X: int16(sx / 4), Y: int16(sy / 4)}
-	s.mcChroma(ref, px, py, avg, cb, cr)
-}
-
+// decodeResidualMB parses CBP and the coded blocks of an inter
+// macroblock, then reconstructs it on the prediction in s.pred.
+//
 //hdvlint:noalloc
 func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) error {
 	cbp := int(s.br.ReadBits(6))
-	var blk [64]int32
-	for i := 0; i < 4; i++ {
-		ro := recon.YOrigin + (py+8*(i/2))*recon.YStride + px + 8*(i%2)
-		po := 8*(i/2)*16 + 8*(i%2)
+	var blks [6][64]int32
+	for i := range blks {
 		if cbp&(1<<(5-i)) != 0 {
-			blk = [64]int32{}
-			if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
+			if err := codec.ReadRunLevels(&s.br, &blks[i], 0, eob64); err != nil {
 				return err
 			}
-			quant.Mpeg4DequantInter(&blk, q)
-			dct.Inverse8(&blk)
-			codec.Add8Clip(recon.Y, ro, recon.YStride, s.pred.y[:], po, 16, &blk, s.d.kern)
-		} else {
-			codec.Copy8(recon.Y, ro, recon.YStride, s.pred.y[:], po, 16)
 		}
 	}
-	cx, cy := px/2, py/2
-	cro := recon.COrigin + cy*recon.CStride + cx
-	if cbp&2 != 0 {
-		blk = [64]int32{}
-		if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
-			return err
-		}
-		quant.Mpeg4DequantInter(&blk, q)
-		dct.Inverse8(&blk)
-		codec.Add8Clip(recon.Cb, cro, recon.CStride, s.pred.cb[:], 0, 8, &blk, s.d.kern)
-	} else {
-		codec.Copy8(recon.Cb, cro, recon.CStride, s.pred.cb[:], 0, 8)
-	}
-	if cbp&1 != 0 {
-		blk = [64]int32{}
-		if err := codec.ReadRunLevels(&s.br, &blk, 0, eob64); err != nil {
-			return err
-		}
-		quant.Mpeg4DequantInter(&blk, q)
-		dct.Inverse8(&blk)
-		codec.Add8Clip(recon.Cr, cro, recon.CStride, s.pred.cr[:], 0, 8, &blk, s.d.kern)
-	} else {
-		codec.Copy8(recon.Cr, cro, recon.CStride, s.pred.cr[:], 0, 8)
-	}
+	reconInterMB(recon, px, py, &s.pred, &blks, cbp, q, s.d.kern)
 	return nil
-}
-
-func (s *sliceDec) copyPredToRecon(recon *frame.Frame, px, py int) {
-	for r := 0; r < 16; r++ {
-		ro := recon.YOrigin + (py+r)*recon.YStride + px
-		copy(recon.Y[ro:ro+16], s.pred.y[r*16:r*16+16])
-	}
-	cx, cy := px/2, py/2
-	for r := 0; r < 8; r++ {
-		ro := recon.COrigin + (cy+r)*recon.CStride + cx
-		copy(recon.Cb[ro:ro+8], s.pred.cb[r*8:r*8+8])
-		copy(recon.Cr[ro:ro+8], s.pred.cr[r*8:r*8+8])
-	}
 }
 
 func (s *sliceDec) readMV(pred motion.MV) motion.MV {
@@ -243,17 +177,17 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.fwdPred = motion.MV{}
 		return nil
 	case pSkip:
-		s.mcLuma(s.d.lastRef, px, py, 16, 16, motion.MV{}, s.pred.y[:])
-		s.mcChroma(s.d.lastRef, px, py, motion.MV{}, s.pred.cb[:], s.pred.cr[:])
-		s.copyPredToRecon(recon, px, py)
+		s.mcLuma(s.d.lastRef, px, py, 16, 16, motion.MV{}, s.pred.Y[:])
+		mcChroma(s.d.lastRef, px, py, motion.MV{}, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
+		s.pred.CopyTo(recon, px, py)
 		s.fwdPred = motion.MV{}
 		s.resetDCPred()
 		return nil
 	case pInter:
 		mv := s.readMV(s.fwdPred)
 		s.fwdPred = mv
-		s.mcLuma(s.d.lastRef, px, py, 16, 16, mv, s.pred.y[:])
-		s.mcChroma(s.d.lastRef, px, py, mv, s.pred.cb[:], s.pred.cr[:])
+		s.mcLuma(s.d.lastRef, px, py, 16, 16, mv, s.pred.Y[:])
+		mcChroma(s.d.lastRef, px, py, mv, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
 		if err := s.decodeResidualMB(recon, px, py, q); err != nil {
 			return err
 		}
@@ -273,10 +207,10 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 			by := py + 8*(i/2)
 			s.mcLuma(s.d.lastRef, bx, by, 8, 8, mvs[i], sub[:])
 			for r := 0; r < 8; r++ {
-				copy(s.pred.y[(8*(i/2)+r)*16+8*(i%2):(8*(i/2)+r)*16+8*(i%2)+8], sub[r*16:r*16+8])
+				copy(s.pred.Y[(8*(i/2)+r)*16+8*(i%2):(8*(i/2)+r)*16+8*(i%2)+8], sub[r*16:r*16+8])
 			}
 		}
-		s.mcChroma4MV(s.d.lastRef, px, py, &mvs, s.pred.cb[:], s.pred.cr[:])
+		mcChroma4MV(s.d.lastRef, px, py, &mvs, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
 		if err := s.decodeResidualMB(recon, px, py, q); err != nil {
 			return err
 		}
@@ -299,9 +233,9 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.bwdPred = motion.MV{}
 		return nil
 	case bSkip:
-		s.mcLuma(s.d.prevRef, px, py, 16, 16, s.fwdPred, s.pred.y[:])
-		s.mcChroma(s.d.prevRef, px, py, s.fwdPred, s.pred.cb[:], s.pred.cr[:])
-		s.copyPredToRecon(recon, px, py)
+		s.mcLuma(s.d.prevRef, px, py, 16, 16, s.fwdPred, s.pred.Y[:])
+		mcChroma(s.d.prevRef, px, py, s.fwdPred, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
+		s.pred.CopyTo(recon, px, py)
 		s.resetDCPred()
 		return nil
 	case bFwd, bBwd, bBi:
@@ -316,20 +250,15 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		}
 		switch mode {
 		case bFwd:
-			s.mcLuma(s.d.prevRef, px, py, 16, 16, fwdMV, s.pred.y[:])
-			s.mcChroma(s.d.prevRef, px, py, fwdMV, s.pred.cb[:], s.pred.cr[:])
+			s.mcLuma(s.d.prevRef, px, py, 16, 16, fwdMV, s.pred.Y[:])
 		case bBwd:
-			s.mcLuma(s.d.lastRef, px, py, 16, 16, bwdMV, s.pred.y[:])
-			s.mcChroma(s.d.lastRef, px, py, bwdMV, s.pred.cb[:], s.pred.cr[:])
+			s.mcLuma(s.d.lastRef, px, py, 16, 16, bwdMV, s.pred.Y[:])
 		case bBi:
-			s.mcLuma(s.d.prevRef, px, py, 16, 16, fwdMV, s.pred.y[:])
-			s.mcLuma(s.d.lastRef, px, py, 16, 16, bwdMV, s.pred.yAlt[:])
-			interp.Avg(s.pred.y[:], 16, s.pred.yAlt[:], 16, 16, 16, s.d.kern)
-			s.mcChroma(s.d.prevRef, px, py, fwdMV, s.pred.cb[:], s.pred.cr[:])
-			s.mcChroma(s.d.lastRef, px, py, bwdMV, s.pred.cbAlt[:], s.pred.crAlt[:])
-			interp.Avg(s.pred.cb[:], 8, s.pred.cbAlt[:], 8, 8, 8, s.d.kern)
-			interp.Avg(s.pred.cr[:], 8, s.pred.crAlt[:], 8, 8, 8, s.d.kern)
+			s.mcLuma(s.d.prevRef, px, py, 16, 16, fwdMV, s.pred.Y[:])
+			s.mcLuma(s.d.lastRef, px, py, 16, 16, bwdMV, s.pred.YAlt[:])
+			interp.Avg(s.pred.Y[:], 16, s.pred.YAlt[:], 16, 16, 16, s.d.kern)
 		}
+		mcChromaB(&s.pred, int(mode), s.d.prevRef, s.d.lastRef, px, py, fwdMV, bwdMV, s.d.kern)
 		if err := s.decodeResidualMB(recon, px, py, q); err != nil {
 			return err
 		}

@@ -53,7 +53,7 @@ type rowEnc struct {
 	e  *Encoder
 	bw *bitstream.Writer
 
-	pred predBuf
+	pred codec.PredMB
 
 	dcPred  [3]int32
 	fwdPred motion.MV // quarter-pel forward predictor within the row
@@ -201,10 +201,7 @@ func (s *rowEnc) intraBlock(plane []byte, off, stride int, rec []byte, roff, rst
 	entropy.WriteSE(s.bw, blk[0]-s.dcPred[comp])
 	s.dcPred[comp] = blk[0]
 	codec.WriteRunLevels(s.bw, &blk, 1, eob8)
-
-	quant.Mpeg4DequantIntra(&blk, q)
-	dct.Inverse8(&blk)
-	codec.Store8Clip(rec, roff, rstride, &blk)
+	reconIntraBlock(rec, roff, rstride, &blk, q)
 }
 
 // --- motion search -----------------------------------------------------------
@@ -310,40 +307,20 @@ func (s *rowEnc) mcLumaInto(ref *frame.Frame, px, py, w, h int, mv motion.MV, ds
 	interp.LumaPlanes(dst, 16, ref.Y, ref.Hpel6, so, ref.YStride, w, h, fx, fy, s.e.cfg.Kernels)
 }
 
-// predictChroma fills 8×8 chroma predictions for a 16×16 quarter-pel MV.
-func (s *rowEnc) predictChroma(ref *frame.Frame, px, py int, mv motion.MV, cb, cr []byte) {
-	cvx := chromaFromLuma(int(mv.X))
-	cvy := chromaFromLuma(int(mv.Y))
-	ix, fx := codec.SplitHalf(cvx)
-	iy, fy := codec.SplitHalf(cvy)
-	cx, cy := px/2, py/2
-	so := ref.COrigin + (cy+iy)*ref.CStride + cx + ix
-	interp.HalfPel(cb, 8, ref.Cb[so:], ref.CStride, 8, 8, fx, fy, s.e.cfg.Kernels)
-	interp.HalfPel(cr, 8, ref.Cr[so:], ref.CStride, 8, 8, fx, fy, s.e.cfg.Kernels)
-}
-
-// predictChroma4MV derives chroma from the sum of four 8×8 vectors.
-func (s *rowEnc) predictChroma4MV(ref *frame.Frame, px, py int, mvs *[4]motion.MV, cb, cr []byte) {
-	sx, sy := 0, 0
-	for _, v := range mvs {
-		sx += int(v.X)
-		sy += int(v.Y)
-	}
-	avg := motion.MV{X: int16(sx / 4), Y: int16(sy / 4)}
-	s.predictChroma(ref, px, py, avg, cb, cr)
-}
-
 // --- residual ----------------------------------------------------------------
 
+// codeResidualMB writes CBP and residual blocks for an inter MB, using the
+// prediction in s.pred, and reconstructs into recon.
+//
 //hdvlint:noalloc
-func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
+func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) {
 	q := s.q
 	var blks [6][64]int32
 	cbp := 0
 	for i := 0; i < 4; i++ {
 		co := src.YOrigin + (py+8*(i/2))*src.YStride + px + 8*(i%2)
 		po := 8*(i/2)*16 + 8*(i%2)
-		codec.Residual8(&blks[i], src.Y, co, src.YStride, s.pred.y[:], po, 16, s.e.cfg.Kernels)
+		codec.Residual8(&blks[i], src.Y, co, src.YStride, s.pred.Y[:], po, 16, s.e.cfg.Kernels)
 		dct.Forward8(&blks[i])
 		if quant.Mpeg4QuantInter(&blks[i], q) > 0 {
 			cbp |= 1 << (5 - i)
@@ -351,12 +328,12 @@ func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
 	}
 	cx, cy := px/2, py/2
 	co := src.COrigin + cy*src.CStride + cx
-	codec.Residual8(&blks[4], src.Cb, co, src.CStride, s.pred.cb[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blks[4], src.Cb, co, src.CStride, s.pred.Cb[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blks[4])
 	if quant.Mpeg4QuantInter(&blks[4], q) > 0 {
 		cbp |= 2
 	}
-	codec.Residual8(&blks[5], src.Cr, co, src.CStride, s.pred.cr[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blks[5], src.Cr, co, src.CStride, s.pred.Cr[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blks[5])
 	if quant.Mpeg4QuantInter(&blks[5], q) > 0 {
 		cbp |= 1
@@ -368,34 +345,7 @@ func (s *rowEnc) codeResidualMB(src, recon *frame.Frame, px, py int) int {
 			codec.WriteRunLevels(s.bw, &blks[i], 0, eob64)
 		}
 	}
-
-	for i := 0; i < 4; i++ {
-		ro := recon.YOrigin + (py+8*(i/2))*recon.YStride + px + 8*(i%2)
-		po := 8*(i/2)*16 + 8*(i%2)
-		if cbp&(1<<(5-i)) != 0 {
-			quant.Mpeg4DequantInter(&blks[i], q)
-			dct.Inverse8(&blks[i])
-			codec.Add8Clip(recon.Y, ro, recon.YStride, s.pred.y[:], po, 16, &blks[i], s.e.cfg.Kernels)
-		} else {
-			codec.Copy8(recon.Y, ro, recon.YStride, s.pred.y[:], po, 16)
-		}
-	}
-	cro := recon.COrigin + cy*recon.CStride + cx
-	if cbp&2 != 0 {
-		quant.Mpeg4DequantInter(&blks[4], q)
-		dct.Inverse8(&blks[4])
-		codec.Add8Clip(recon.Cb, cro, recon.CStride, s.pred.cb[:], 0, 8, &blks[4], s.e.cfg.Kernels)
-	} else {
-		codec.Copy8(recon.Cb, cro, recon.CStride, s.pred.cb[:], 0, 8)
-	}
-	if cbp&1 != 0 {
-		quant.Mpeg4DequantInter(&blks[5], q)
-		dct.Inverse8(&blks[5])
-		codec.Add8Clip(recon.Cr, cro, recon.CStride, s.pred.cr[:], 0, 8, &blks[5], s.e.cfg.Kernels)
-	} else {
-		codec.Copy8(recon.Cr, cro, recon.CStride, s.pred.cr[:], 0, 8)
-	}
-	return cbp
+	reconInterMB(recon, px, py, &s.pred, &blks, cbp, q, s.e.cfg.Kernels)
 }
 
 func (s *rowEnc) residualWouldBeZero(src *frame.Frame, px, py int) bool {
@@ -404,7 +354,7 @@ func (s *rowEnc) residualWouldBeZero(src *frame.Frame, px, py int) bool {
 	for i := 0; i < 4; i++ {
 		co := src.YOrigin + (py+8*(i/2))*src.YStride + px + 8*(i%2)
 		po := 8*(i/2)*16 + 8*(i%2)
-		codec.Residual8(&blk, src.Y, co, src.YStride, s.pred.y[:], po, 16, s.e.cfg.Kernels)
+		codec.Residual8(&blk, src.Y, co, src.YStride, s.pred.Y[:], po, 16, s.e.cfg.Kernels)
 		dct.Forward8(&blk)
 		if quant.Mpeg4QuantInter(&blk, q) > 0 {
 			return false
@@ -412,27 +362,14 @@ func (s *rowEnc) residualWouldBeZero(src *frame.Frame, px, py int) bool {
 	}
 	cx, cy := px/2, py/2
 	co := src.COrigin + cy*src.CStride + cx
-	codec.Residual8(&blk, src.Cb, co, src.CStride, s.pred.cb[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blk, src.Cb, co, src.CStride, s.pred.Cb[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blk)
 	if quant.Mpeg4QuantInter(&blk, q) > 0 {
 		return false
 	}
-	codec.Residual8(&blk, src.Cr, co, src.CStride, s.pred.cr[:], 0, 8, s.e.cfg.Kernels)
+	codec.Residual8(&blk, src.Cr, co, src.CStride, s.pred.Cr[:], 0, 8, s.e.cfg.Kernels)
 	dct.Forward8(&blk)
 	return quant.Mpeg4QuantInter(&blk, q) == 0
-}
-
-func (s *rowEnc) copyPredToRecon(recon *frame.Frame, px, py int) {
-	for r := 0; r < 16; r++ {
-		ro := recon.YOrigin + (py+r)*recon.YStride + px
-		copy(recon.Y[ro:ro+16], s.pred.y[r*16:r*16+16])
-	}
-	cx, cy := px/2, py/2
-	for r := 0; r < 8; r++ {
-		ro := recon.COrigin + (cy+r)*recon.CStride + cx
-		copy(recon.Cb[ro:ro+8], s.pred.cb[r*8:r*8+8])
-		copy(recon.Cr[ro:ro+8], s.pred.cr[r*8:r*8+8])
-	}
 }
 
 // --- P macroblocks -------------------------------------------------------------
@@ -448,7 +385,7 @@ func (s *rowEnc) encodePMB(src, recon *frame.Frame, mbx, mby int) {
 	lambda := s.lambda
 
 	// 16×16 hypothesis.
-	mv16, sad16 := s.searchQPel(src, ref, px, py, 16, 16, mbx, s.fwdPred, s.pred.y[:], true)
+	mv16, sad16 := s.searchQPel(src, ref, px, py, 16, 16, mbx, s.fwdPred, s.pred.Y[:], true)
 	cost16 := sad16 + lambda*mvBitsQ(mv16, s.fwdPred)
 
 	// 4MV hypothesis: four 8×8 searches seeded from the 16×16 winner.
@@ -481,8 +418,8 @@ func (s *rowEnc) encodePMB(src, recon *frame.Frame, mbx, mby int) {
 	}
 
 	if cost4 < cost16 {
-		copy(s.pred.y[:], pred4[:])
-		s.predictChroma4MV(ref, px, py, &mvs4, s.pred.cb[:], s.pred.cr[:])
+		copy(s.pred.Y[:], pred4[:])
+		mcChroma4MV(ref, px, py, &mvs4, s.pred.Cb[:], s.pred.Cr[:], s.e.cfg.Kernels)
 		entropy.WriteUE(s.bw, pInter4V)
 		prev = s.fwdPred
 		for i := 0; i < 4; i++ {
@@ -497,10 +434,10 @@ func (s *rowEnc) encodePMB(src, recon *frame.Frame, mbx, mby int) {
 		return
 	}
 
-	s.predictChroma(ref, px, py, mv16, s.pred.cb[:], s.pred.cr[:])
+	mcChroma(ref, px, py, mv16, s.pred.Cb[:], s.pred.Cr[:], s.e.cfg.Kernels)
 	if mv16 == (motion.MV{}) && s.residualWouldBeZero(src, px, py) {
 		entropy.WriteUE(s.bw, pSkip)
-		s.copyPredToRecon(recon, px, py)
+		s.pred.CopyTo(recon, px, py)
 		s.fwdPred = motion.MV{}
 		s.mvRow[mbx] = motion.MV{}
 		s.resetDCPred()
@@ -524,12 +461,12 @@ func (s *rowEnc) encodeBMB(src, recon *frame.Frame, mbx, mby int) {
 	fwdRef, bwdRef := s.e.prevRef, s.e.lastRef
 	lambda := s.lambda
 
-	fwdMV, fwdSAD := s.searchQPel(src, fwdRef, px, py, 16, 16, mbx, s.fwdPred, s.pred.y[:], true)
-	bwdMV, bwdSAD := s.searchQPel(src, bwdRef, px, py, 16, 16, mbx, s.bwdPred, s.pred.yAlt[:], true)
+	fwdMV, fwdSAD := s.searchQPel(src, fwdRef, px, py, 16, 16, mbx, s.fwdPred, s.pred.Y[:], true)
+	bwdMV, bwdSAD := s.searchQPel(src, bwdRef, px, py, 16, 16, mbx, s.bwdPred, s.pred.YAlt[:], true)
 
 	var bi [256]byte
-	copy(bi[:], s.pred.y[:])
-	interp.Avg(bi[:], 16, s.pred.yAlt[:], 16, 16, 16, s.e.cfg.Kernels)
+	copy(bi[:], s.pred.Y[:])
+	interp.Avg(bi[:], 16, s.pred.YAlt[:], 16, 16, 16, s.e.cfg.Kernels)
 	biSAD := s.sadBlock(src, px, py, 16, 16, bi[:], 16) + 2*lambda
 
 	intraCost := codec.IntraCostMB(src, px, py)
@@ -551,22 +488,16 @@ func (s *rowEnc) encodeBMB(src, recon *frame.Frame, mbx, mby int) {
 	}
 
 	switch mode {
-	case bFwd:
-		s.predictChroma(fwdRef, px, py, fwdMV, s.pred.cb[:], s.pred.cr[:])
 	case bBwd:
-		copy(s.pred.y[:], s.pred.yAlt[:])
-		s.predictChroma(bwdRef, px, py, bwdMV, s.pred.cb[:], s.pred.cr[:])
+		copy(s.pred.Y[:], s.pred.YAlt[:])
 	case bBi:
-		copy(s.pred.y[:], bi[:])
-		s.predictChroma(fwdRef, px, py, fwdMV, s.pred.cb[:], s.pred.cr[:])
-		s.predictChroma(bwdRef, px, py, bwdMV, s.pred.cbAlt[:], s.pred.crAlt[:])
-		interp.Avg(s.pred.cb[:], 8, s.pred.cbAlt[:], 8, 8, 8, s.e.cfg.Kernels)
-		interp.Avg(s.pred.cr[:], 8, s.pred.crAlt[:], 8, 8, 8, s.e.cfg.Kernels)
+		copy(s.pred.Y[:], bi[:])
 	}
+	mcChromaB(&s.pred, mode, fwdRef, bwdRef, px, py, fwdMV, bwdMV, s.e.cfg.Kernels)
 
 	if mode == bFwd && fwdMV == s.fwdPred && s.residualWouldBeZero(src, px, py) {
 		entropy.WriteUE(s.bw, bSkip)
-		s.copyPredToRecon(recon, px, py)
+		s.pred.CopyTo(recon, px, py)
 		s.mvRow[mbx] = motion.MV{X: fwdMV.X >> 2, Y: fwdMV.Y >> 2}
 		s.resetDCPred()
 		return

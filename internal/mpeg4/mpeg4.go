@@ -11,6 +11,9 @@
 // The bitstream is the HDVB container format (see DESIGN.md §2); encoder
 // and decoder form a complete bit-exact pair. As in package mpeg2, only
 // the slice coders live here; internal/codec's frame drivers call them.
+// Reconstruction exists once, in recon.go: encoder and decoder both call
+// it, so the encoder's reconstruction is the decoder's output by
+// construction.
 package mpeg4
 
 // Macroblock modes.
@@ -36,14 +39,6 @@ const (
 // (1024 / dc_scaler for mid-grey; with dc_scaler 8..46 the level varies, so
 // the predictor is kept in the *reconstructed* domain instead: 1024).
 const dcPredInit = 1024
-
-type predBuf struct {
-	y      [256]byte
-	yAlt   [256]byte
-	cb, cr [64]byte
-	cbAlt  [64]byte
-	crAlt  [64]byte
-}
 
 // chromaFromLuma converts a quarter-pel luma MV component to the half-pel
 // chroma component (truncating toward zero, Xvid-style).
