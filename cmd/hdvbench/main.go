@@ -25,7 +25,7 @@
 // on the codecs can be driven by `go tool pprof` instead of guesswork.
 //
 // Parallelism flags: -workers N runs the codecs' GOP-parallel pipeline
-// on N goroutines (default runtime.NumCPU(); 1 = legacy serial path);
+// on N goroutines (default runtime.NumCPU(); 1 = one codec instance);
 // -gop N sets the intra period that defines the closed GOP chunks
 // (default 0 = first frame only, the paper's setting); -slices N splits
 // every frame into N independently coded macroblock-row slices, the

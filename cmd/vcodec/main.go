@@ -19,7 +19,7 @@
 // long the input is — a multi-hour sequence transcodes at the same
 // footprint as a 25-frame one. Parallel encoding needs closed GOPs to
 // chunk on, so pass -gop N (intra period) when encoding with more than
-// one worker; output is byte-identical to the serial and batch paths
+// one worker; output is byte-identical to a single codec instance
 // either way. With -gop 0 (the paper's first-frame-only-intra default)
 // pass -slices N instead: each frame is split into N independently
 // coded macroblock-row slices that spread across the workers, at a

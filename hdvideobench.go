@@ -36,7 +36,10 @@
 // The parallel output — bitstream bytes, packet order, display stamps,
 // decoded pixels — is byte-identical to the serial path at every worker
 // count (a benchmark whose results change with GOMAXPROCS is worthless);
-// internal/pipeline's test suite proves it under the race detector.
+// the equivalence suites of internal/core and internal/stream prove it
+// under the race detector. The batch calls are the streaming engine
+// (NewStreamEncoder, EncodeStream) run over a slice, so every entry point
+// schedules chunks, slices and rows the same way.
 // SuiteOptions.Workers threads the same parallelism through the Table V
 // and Figure 1 runners, and RunScalingReport adds the frames/s-by-worker-
 // count dimension to Figure 1.
@@ -70,9 +73,9 @@ import (
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/core"
 	"hdvideobench/internal/frame"
-	"hdvideobench/internal/kernel"
 	"hdvideobench/internal/metrics"
 	"hdvideobench/internal/obs"
+	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 	"hdvideobench/internal/stream"
 )
@@ -197,118 +200,11 @@ const (
 // EncoderOptions configures an encoder. Zero fields take the paper's §IV
 // defaults (Q=5, two B frames, first-frame-only intra, search range 24,
 // four references, CABAC, scalar kernels).
-type EncoderOptions struct {
-	Width, Height int
-	// Q is the quantizer in MPEG scale 1..31; H.264 maps it via Eq. 1.
-	Q int
-	// Kbps, when > 0, switches the encoder from constant-Q to
-	// rate-targeted coding: a per-frame quantizer controller steers the
-	// stream toward this average bitrate (at the configured frame rate),
-	// and with Slices > 1 each slice additionally carries its own
-	// quantizer, rebalanced from the previous frame's per-slice spend.
-	// Q then only seeds the controller. 0 (the default) keeps exact
-	// constant-Q streams.
-	Kbps int
-	// BFrames is the number of consecutive B pictures (paper: 2).
-	// Set to -1 for no B frames.
-	BFrames int
-	// IntraPeriod inserts an I frame every N frames; 0 = first frame only.
-	IntraPeriod int
-	// SearchRange is the full-pel motion search range.
-	SearchRange int
-	// Refs is the H.264 reference-frame count.
-	Refs int
-	// SIMD selects the SWAR kernel set (the paper's SIMD codec versions).
-	SIMD bool
-	// Entropy selects the H.264 entropy coder.
-	Entropy EntropyMode
-	// Workers is the worker budget of one encode, decode or transcode
-	// call, shared by all three axes of parallelism — closed-GOP chunks
-	// (IntraPeriod frames each), the Slices of a frame and the Wavefront
-	// rows of a slice — under one rule: a goroutine holds one of the
-	// Workers tokens while it is inside a codec call, and idle tokens go
-	// to whoever dispatches next. A chunk worker holds one for the length
-	// of its chunk; when it has no chunk (the tail of a stream, a single
-	// GOP) its token funds the slices and rows of the frames still being
-	// coded, so the call never runs more than Workers codec goroutines
-	// and never leaves one idle while a frame could use it. 0 or 1 is
-	// the serial path, negative selects runtime.NumCPU(). Output is
-	// byte-identical for every value.
-	Workers int
-	// Slices splits every frame into this many independently coded
-	// macroblock-row slices (x264's sliced-threads shape; 0/1 = one
-	// slice). Unlike Workers, Slices affects the bitstream: prediction
-	// clamps at slice boundaries, costing a little compression. In
-	// exchange the slices of one frame are coded concurrently on
-	// whatever Workers tokens are free when the frame is dispatched —
-	// all but one at the paper's IntraPeriod == 0 default, the idle
-	// chunk workers' otherwise — and for a fixed slice count output
-	// stays byte-identical at every worker count.
-	Slices int
-	// Wavefront enables wavefront (2D) macroblock scheduling inside each
-	// slice: macroblock rows run concurrently as soon as their left and
-	// top-right dependencies are met, each extra row helper on a free
-	// Workers token like a slice. Unlike Slices it never changes the
-	// bitstream — output stays byte-identical with the flag on or off,
-	// at every worker count — so it is the axis that scales a
-	// single-slice, IntraPeriod == 0 stream without any compression cost.
-	Wavefront bool
-	// SceneCutIntra enables adaptive I-frame placement: a subsampled-luma
-	// SAD spike between consecutive input frames restarts the GOP with an
-	// I frame at the cut instead of waiting for the next IntraPeriod
-	// boundary. Opt-in because it moves frame types (the bitstream
-	// changes); off, streams are exactly the fixed-GOP ones.
-	SceneCutIntra bool
-	// Window caps the closed-GOP chunks in flight on the streaming paths
-	// (NewStreamEncoder, EncodeStream, Transcode): peak memory is
-	// O(Window × IntraPeriod) frames regardless of sequence length.
-	// 0 selects 2×Workers. It does not affect the batch entry points.
-	Window int
-	// Collector, when non-nil, receives the encode pipeline's
-	// self-measurements on the streaming paths: per-chunk encode wall
-	// time, pool queue depth, ordered-drain stalls, and slice-gate
-	// spawn/wait accounting. The serving tier wires one backed by its
-	// metrics registry; nil (the default) disables collection with zero
-	// per-frame overhead.
-	Collector *Collector
-}
-
-// config converts public options to the internal configuration.
-func (o EncoderOptions) config() (codec.Config, error) {
-	cfg := codec.Default(o.Width, o.Height)
-	if o.Q != 0 {
-		cfg.Q = o.Q
-	}
-	switch {
-	case o.BFrames < 0:
-		cfg.BFrames = 0
-	case o.BFrames > 0:
-		cfg.BFrames = o.BFrames
-	}
-	cfg.TargetKbps = o.Kbps
-	cfg.IntraPeriod = o.IntraPeriod
-	if o.SearchRange != 0 {
-		cfg.SearchRange = o.SearchRange
-	}
-	if o.Refs != 0 {
-		cfg.Refs = o.Refs
-	}
-	if o.SIMD {
-		cfg.Kernels = kernel.SWAR
-	}
-	cfg.Entropy = o.Entropy
-	cfg.Slices = o.Slices
-	cfg.Wavefront = o.Wavefront
-	cfg.SceneCutIntra = o.SceneCutIntra
-	if err := cfg.Validate(); err != nil {
-		return codec.Config{}, err
-	}
-	return cfg, nil
-}
+type EncoderOptions = core.EncoderOptions
 
 // NewEncoder constructs an encoder for the given codec.
 func NewEncoder(c Codec, opts EncoderOptions) (Encoder, error) {
-	cfg, err := opts.config()
+	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -318,11 +214,7 @@ func NewEncoder(c Codec, opts EncoderOptions) (Encoder, error) {
 // NewDecoder constructs a decoder for a coded stream. simd selects the SWAR
 // motion-compensation kernels (the paper's SIMD decoder versions).
 func NewDecoder(hdr StreamHeader, simd bool) (Decoder, error) {
-	k := kernel.Scalar
-	if simd {
-		k = kernel.SWAR
-	}
-	return core.NewDecoder(hdr, k)
+	return core.NewDecoder(hdr, core.Kernels(simd))
 }
 
 // WriteStream writes a stream header and packets to w in HDVB container
@@ -362,44 +254,26 @@ func ReadStream(r io.Reader) (StreamHeader, []Packet, error) {
 
 // EncodeFrames is a convenience that drives enc over frames and flushes.
 func EncodeFrames(enc Encoder, frames []*Frame) ([]Packet, error) {
-	var pkts []Packet
-	for _, f := range frames {
-		ps, err := enc.Encode(f)
-		if err != nil {
-			return nil, err
-		}
-		pkts = append(pkts, ps...)
-	}
-	ps, err := enc.Flush()
-	if err != nil {
-		return nil, err
-	}
-	return append(pkts, ps...), nil
+	return pipeline.EncodeChunk(enc, frames, 0)
 }
 
 // DecodePackets is a convenience that drives dec over pkts and flushes,
 // returning frames in display order.
 func DecodePackets(dec Decoder, pkts []Packet) ([]*Frame, error) {
-	var out []*Frame
-	for _, p := range pkts {
-		fs, err := dec.Decode(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fs...)
-	}
-	return append(out, dec.Flush()...), nil
+	return pipeline.DecodeSegment(dec, pkts)
 }
 
-// EncodeFramesParallel encodes display-order frames with opts.Workers
-// parallel encoder instances, one closed GOP (opts.IntraPeriod frames)
-// per task, and returns the packets in coding order plus the stream
-// header. The stream is byte-identical to the serial path (NewEncoder +
-// EncodeFrames) for every worker count; opts.Workers of 0 or 1, or
-// opts.IntraPeriod == 0, simply run serially, and negative Workers
-// selects runtime.NumCPU().
+// EncodeFramesParallel encodes display-order frames on the streaming
+// engine — the slice fed in, the packets drained back out — with
+// opts.Workers parallel encoder instances, one closed GOP
+// (opts.IntraPeriod frames) per task, and returns the packets in coding
+// order plus the stream header. The stream is byte-identical to the
+// serial path (NewEncoder + EncodeFrames) for every worker count;
+// opts.Workers of 0 or 1 run one encoder instance, opts.IntraPeriod == 0
+// leaves only slices and wavefront rows to parallelize, and negative
+// Workers selects runtime.NumCPU().
 func EncodeFramesParallel(c Codec, opts EncoderOptions, frames []*Frame) ([]Packet, StreamHeader, error) {
-	cfg, err := opts.config()
+	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return nil, StreamHeader{}, err
 	}
@@ -434,23 +308,21 @@ func ParseLadder(spec string, mezzWidth, mezzHeight int) ([]LadderRung, error) {
 // stream is byte-identical at every Workers count and Wavefront
 // setting.
 func EncodeLadder(c Codec, opts EncoderOptions, frames []*Frame, rungs []LadderRung) ([]LadderRendition, error) {
-	cfg, err := opts.config()
+	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	return core.EncodeLadder(c, cfg, frames, rungs, opts.Workers)
 }
 
-// DecodePacketsParallel decodes a coding-order packet stream with workers
-// parallel decoder instances, one closed GOP per task, returning frames
-// in display order — identical to the serial path for every worker
-// count. simd selects the SWAR kernels as in NewDecoder.
+// DecodePacketsParallel decodes a coding-order packet stream on the
+// streaming engine with workers parallel decoder instances, one closed
+// GOP per task, returning frames in display order — identical to the
+// serial path for every worker count. A packet that displays before its
+// GOP's I frame (an open GOP) is an error. simd selects the SWAR kernels
+// as in NewDecoder.
 func DecodePacketsParallel(hdr StreamHeader, simd bool, workers int, pkts []Packet) ([]*Frame, error) {
-	k := kernel.Scalar
-	if simd {
-		k = kernel.SWAR
-	}
-	return core.DecodePacketsParallel(hdr, k, pkts, workers)
+	return core.DecodePacketsParallel(hdr, core.Kernels(simd), pkts, workers)
 }
 
 // --- streaming ---------------------------------------------------------------
@@ -489,9 +361,9 @@ type TranscodeStats = core.TranscodeStats
 // chunk length is opts.IntraPeriod, the parallelism opts.Workers, the
 // window opts.Window; opts.Workers <= 1 or opts.IntraPeriod == 0 runs
 // the serial constant-memory mode. The packet stream is byte-identical
-// to the batch path for every worker count and window.
+// to the serial path for every worker count and window.
 func NewStreamEncoder(c Codec, opts EncoderOptions) (*StreamEncoder, error) {
-	cfg, err := opts.config()
+	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -502,11 +374,7 @@ func NewStreamEncoder(c Codec, opts EncoderOptions) (*StreamEncoder, error) {
 // selects the SWAR kernels as in NewDecoder; workers and window as in
 // NewStreamEncoder.
 func NewStreamDecoder(hdr StreamHeader, simd bool, workers, window int) (*StreamDecoder, error) {
-	k := kernel.Scalar
-	if simd {
-		k = kernel.SWAR
-	}
-	return core.NewStreamDecoder(hdr, k, workers, window)
+	return core.NewStreamDecoder(hdr, core.Kernels(simd), workers, window)
 }
 
 // EncodeStream pulls frames from next until it returns io.EOF, encodes
@@ -517,7 +385,7 @@ func NewStreamDecoder(hdr StreamHeader, simd bool, workers, window int) (*Stream
 // length in the container header when known upfront (readers can then
 // detect truncated transfers); 0 means unknown, read until EOF.
 func EncodeStream(w io.Writer, c Codec, opts EncoderOptions, frames int, next func() (*Frame, error)) (StreamStats, error) {
-	cfg, err := opts.config()
+	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return StreamStats{}, err
 	}
@@ -541,7 +409,7 @@ type GOPIndexEntry = container.GOPIndexEntry
 // bounded opts.IntraPeriod: indexing drains chunk-granularly, so a
 // boundary-less stream would buffer all its coded packets as one chunk.
 func EncodeStreamIndexed(w io.Writer, c Codec, opts EncoderOptions, frames int, next func() (*Frame, error)) (StreamStats, GOPIndex, error) {
-	cfg, err := opts.config()
+	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return StreamStats{}, GOPIndex{}, err
 	}
@@ -558,11 +426,7 @@ func EncodeStreamIndexed(w io.Writer, c Codec, opts EncoderOptions, frames int, 
 // counterpart of ReadStream + DecodePacketsParallel. An error from yield
 // aborts the stream and is returned.
 func DecodeStream(r io.Reader, simd bool, workers, window int, yield func(*Frame) error) (StreamHeader, StreamStats, error) {
-	k := kernel.Scalar
-	if simd {
-		k = kernel.SWAR
-	}
-	return core.DecodeStream(r, k, workers, window, yield)
+	return core.DecodeStream(r, core.Kernels(simd), workers, window, yield)
 }
 
 // Transcode decodes the HDVB stream on r and re-encodes it as c, writing
@@ -573,11 +437,7 @@ func DecodeStream(r io.Reader, simd bool, workers, window int, yield func(*Frame
 // must match the input), and opts.SIMD selects the kernels for both the
 // decode and encode stages, which share the one opts.Workers budget.
 func Transcode(r io.Reader, w io.Writer, c Codec, opts EncoderOptions) (TranscodeStats, error) {
-	k := kernel.Scalar
-	if opts.SIMD {
-		k = kernel.SWAR
-	}
-	return core.Transcode(r, w, c, k, opts.Workers, opts.Window, opts.transcodeConfig(), opts.Collector)
+	return core.Transcode(r, w, c, opts)
 }
 
 // TranscodeReader is the pull-flavored Transcode: it returns a reader
@@ -587,33 +447,7 @@ func Transcode(r io.Reader, w io.Writer, c Codec, opts EncoderOptions) (Transcod
 // early without leaking its goroutines — the natural shape for HTTP
 // handlers and io.Copy plumbing that want to stop mid-stream.
 func TranscodeReader(r io.Reader, c Codec, opts EncoderOptions) io.ReadCloser {
-	k := kernel.Scalar
-	if opts.SIMD {
-		k = kernel.SWAR
-	}
-	return core.TranscodeReader(r, c, k, opts.Workers, opts.Window, opts.transcodeConfig(), opts.Collector)
-}
-
-// transcodeConfig maps a parsed input header to the target coding
-// options shared by Transcode and TranscodeReader: zero Width/Height
-// copy the input's dimensions, and the input's frame rate carries over.
-func (o EncoderOptions) transcodeConfig() func(container.Header) (codec.Config, error) {
-	return func(hdr container.Header) (codec.Config, error) {
-		if o.Width == 0 {
-			o.Width = hdr.Width
-		}
-		if o.Height == 0 {
-			o.Height = hdr.Height
-		}
-		cfg, err := o.config()
-		if err != nil {
-			return codec.Config{}, err
-		}
-		if hdr.FPSNum > 0 && hdr.FPSDen > 0 {
-			cfg.FPSNum, cfg.FPSDen = hdr.FPSNum, hdr.FPSDen
-		}
-		return cfg, nil
-	}
+	return core.TranscodeReader(r, c, opts)
 }
 
 // RawFrameReader iterates a raw planar I420 stream frame by frame (the
@@ -630,55 +464,7 @@ func NewRawFrameReader(r io.Reader, width, height int) *RawFrameReader {
 
 // SuiteOptions configures a benchmark run. Zero fields take the paper
 // defaults: the full codec/sequence/resolution matrix, Q=5, 25 frames.
-type SuiteOptions struct {
-	Frames      int
-	Q           int
-	SIMD        bool
-	Resolutions []Resolution
-	Sequences   []Sequence
-	Codecs      []Codec
-	// IntraPeriod inserts an I frame every N frames (0 = first frame
-	// only, the paper's setting). Nonzero periods produce closed GOPs,
-	// the unit of Workers parallelism.
-	IntraPeriod int
-	// Workers is the worker budget of the suite's encode and decode
-	// passes (0/1 = serial; see EncoderOptions.Workers for how chunks,
-	// slices and wavefront rows share it). Results are byte-identical
-	// across worker counts.
-	Workers int
-	// Slices is the per-frame macroblock-row slice count (0/1 = one
-	// slice). Slices parallelize inside each frame — the axis that
-	// scales the paper's IntraPeriod == 0 default — at a small,
-	// documented prediction-efficiency cost.
-	Slices int
-	// Wavefront enables wavefront (2D) macroblock scheduling inside each
-	// slice for the suite's encode passes — frame-internal parallelism
-	// with no bitstream change (see EncoderOptions.Wavefront).
-	Wavefront bool
-	// Repeats is the number of timing repetitions for speed runs (the
-	// fastest is kept); the paper used five runs of each application.
-	Repeats int
-}
-
-func (o SuiteOptions) core() core.Options {
-	k := kernel.Scalar
-	if o.SIMD {
-		k = kernel.SWAR
-	}
-	return core.Options{
-		Frames:      o.Frames,
-		Q:           o.Q,
-		Kernels:     k,
-		Resolutions: o.Resolutions,
-		Sequences:   o.Sequences,
-		Codecs:      o.Codecs,
-		IntraPeriod: o.IntraPeriod,
-		Workers:     o.Workers,
-		Slices:      o.Slices,
-		Wavefront:   o.Wavefront,
-		Repeats:     o.Repeats,
-	}
-}
+type SuiteOptions = core.SuiteOptions
 
 // RDResult is one Table V row group.
 type RDResult = core.RDResult
@@ -687,7 +473,7 @@ type RDResult = core.RDResult
 type SpeedResult = core.SpeedResult
 
 // RunTableV measures rate-distortion for the configured matrix.
-func RunTableV(o SuiteOptions) ([]RDResult, error) { return core.RunRD(o.core()) }
+func RunTableV(o SuiteOptions) ([]RDResult, error) { return core.RunRD(o) }
 
 // RunFigure1 measures throughput: encode=false gives panels (a)/(b)
 // depending on o.SIMD, encode=true gives panels (c)/(d).
@@ -696,7 +482,7 @@ func RunFigure1(o SuiteOptions, encode bool) ([]SpeedResult, error) {
 	if encode {
 		dir = core.Encode
 	}
-	return core.RunSpeed(o.core(), dir)
+	return core.RunSpeed(o, dir)
 }
 
 // RunScalingReport measures throughput at each worker count — Figure 1's
@@ -710,7 +496,7 @@ func RunScalingReport(o SuiteOptions, encode bool, workerCounts []int) ([]SpeedR
 	if encode {
 		dir = core.Encode
 	}
-	return core.RunScaling(o.core(), dir, workerCounts)
+	return core.RunScaling(o, dir, workerCounts)
 }
 
 // RunScalingMatrixReport sweeps the full slices × workers grid: every
@@ -724,7 +510,7 @@ func RunScalingMatrixReport(o SuiteOptions, encode bool, workerCounts, sliceCoun
 	if encode {
 		dir = core.Encode
 	}
-	return core.RunScalingMatrix(o.core(), dir, workerCounts, sliceCounts)
+	return core.RunScalingMatrix(o, dir, workerCounts, sliceCounts)
 }
 
 // FormatScaling renders scaling results as a worker-count table.
@@ -734,7 +520,7 @@ func FormatScaling(rs []SpeedResult, title string) string { return core.FormatSc
 // (the BENCH_*.json trajectory format), carrying the run configuration
 // so the file is self-describing.
 func FormatScalingJSON(o SuiteOptions, rs []SpeedResult) ([]byte, error) {
-	return core.FormatScalingJSON(o.core(), rs)
+	return core.FormatScalingJSON(o, rs)
 }
 
 // FormatTableV renders RD results in the paper's Table V layout.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -74,13 +75,100 @@ func TestStreamFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncoderOptionsValidation hands one bad option to every public
+// entry point that takes EncoderOptions. Each must return an error that
+// names the field — without panicking, hanging, or leaving a goroutine
+// behind — however many layers sit between it and the codec.
 func TestEncoderOptionsValidation(t *testing.T) {
-	if _, err := NewEncoder(H264, EncoderOptions{Width: 100, Height: 80}); err == nil {
-		t.Error("non-multiple-of-16 width must fail")
+	const w, h = 96, 80
+	frames := NewSequence(BlueSky, w, h).Generate(2)
+	pkts, hdr, err := EncodeFramesParallel(MPEG2, EncoderOptions{Width: w, Height: h}, frames)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewEncoder(H264, EncoderOptions{Width: 96, Height: 80, Q: 40}); err == nil {
-		t.Error("Q out of range must fail")
+	var src bytes.Buffer
+	if err := WriteStream(&src, hdr, pkts); err != nil {
+		t.Fatal(err)
 	}
+	next := func() func() (*Frame, error) {
+		i := 0
+		return func() (*Frame, error) {
+			if i == len(frames) {
+				return nil, io.EOF
+			}
+			i++
+			return frames[i-1], nil
+		}
+	}
+	rungs := []LadderRung{{Name: "96x80", Width: w, Height: h}}
+
+	bad := []struct {
+		name, field string
+		set         func(*EncoderOptions)
+	}{
+		{"Width 100", "dimensions", func(o *EncoderOptions) { o.Width = 100 }},
+		{"Q 40", "quantizer", func(o *EncoderOptions) { o.Q = 40 }},
+		{"Slices -1", "slices", func(o *EncoderOptions) { o.Slices = -1 }},
+		{"Kbps -1", "bitrate", func(o *EncoderOptions) { o.Kbps = -1 }},
+		{"SearchRange 99", "search range", func(o *EncoderOptions) { o.SearchRange = 99 }},
+	}
+	entries := []struct {
+		name string
+		call func(EncoderOptions) error
+	}{
+		{"NewEncoder", func(o EncoderOptions) error { _, err := NewEncoder(H264, o); return err }},
+		{"EncodeFramesParallel/workers=1", func(o EncoderOptions) error {
+			o.Workers = 1
+			_, _, err := EncodeFramesParallel(H264, o, frames)
+			return err
+		}},
+		{"EncodeFramesParallel/workers=4", func(o EncoderOptions) error {
+			o.Workers, o.IntraPeriod = 4, 1
+			_, _, err := EncodeFramesParallel(H264, o, frames)
+			return err
+		}},
+		{"NewStreamEncoder", func(o EncoderOptions) error { _, err := NewStreamEncoder(H264, o); return err }},
+		{"EncodeStream", func(o EncoderOptions) error {
+			_, err := EncodeStream(io.Discard, H264, o, 0, next())
+			return err
+		}},
+		{"EncodeStreamIndexed", func(o EncoderOptions) error {
+			_, _, err := EncodeStreamIndexed(io.Discard, H264, o, 0, next())
+			return err
+		}},
+		{"EncodeLadder", func(o EncoderOptions) error { _, err := EncodeLadder(H264, o, frames, rungs); return err }},
+		{"Transcode", func(o EncoderOptions) error {
+			_, err := Transcode(bytes.NewReader(src.Bytes()), io.Discard, H264, o)
+			return err
+		}},
+		{"TranscodeReader", func(o EncoderOptions) error {
+			rc := TranscodeReader(bytes.NewReader(src.Bytes()), H264, o)
+			defer rc.Close()
+			_, err := io.Copy(io.Discard, rc)
+			return err
+		}},
+	}
+	for _, b := range bad {
+		for _, e := range entries {
+			t.Run(b.name+"/"+e.name, func(t *testing.T) {
+				opts := EncoderOptions{Width: w, Height: h}
+				b.set(&opts)
+				before := runtime.NumGoroutine()
+				err := e.call(opts)
+				if err == nil || !strings.Contains(err.Error(), b.field) {
+					t.Errorf("err = %v, want one naming %q", err, b.field)
+				}
+				deadline := time.Now().Add(time.Second)
+				for runtime.NumGoroutine() > before {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines left running, started with %d", runtime.NumGoroutine(), before)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
+	}
+
 	if err := ValidateResolution(96, 80); err != nil {
 		t.Error(err)
 	}

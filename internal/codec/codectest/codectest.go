@@ -6,9 +6,9 @@
 // offered to the WavefrontRunner the driver hands it — and the Probe
 // counts how many goroutines are inside a work unit at the same instant.
 // That high-water mark is what the pipeline's worker budget bounds, so
-// the scheduler tests in internal/pipeline, internal/stream and
-// internal/core assert it on the drivers' own dispatch code rather than
-// inferring it from timing on a real codec.
+// the scheduler tests in internal/stream and internal/core assert it on
+// the drivers' own dispatch code rather than inferring it from timing on
+// a real codec.
 //
 // FuzzDecode (fuzzdecode.go) is the other kind of shared test scaffolding:
 // the differential decode fuzzer the three real codecs instantiate.

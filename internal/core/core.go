@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -22,6 +23,7 @@ import (
 	"hdvideobench/internal/mpeg4"
 	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
+	"hdvideobench/internal/stream"
 )
 
 // CodecID identifies one of the three benchmark codecs.
@@ -143,158 +145,74 @@ func NewDecoder(hdr container.Header, kern kernel.Set) (codec.Decoder, error) {
 	return nil, fmt.Errorf("core: unknown stream codec %v", hdr.Codec)
 }
 
-// Options configures a suite run. The zero value is completed by
-// (*Options).defaults: the full paper matrix at the paper's settings with a
-// reduced frame count.
-type Options struct {
-	Frames      int
-	Q           int
-	Kernels     kernel.Set
-	Resolutions []Resolution
-	Sequences   []seqgen.Sequence
-	Codecs      []CodecID
-	BFrames     int
-	Refs        int
-	Entropy     codec.EntropyMode
-
-	// IntraPeriod inserts an I frame every N frames (0 = first frame
-	// only, the paper's setting). A nonzero period produces closed GOPs,
-	// the unit of the pipeline's parallelism: with IntraPeriod == 0 a
-	// Workers > 1 run degenerates to the serial path.
-	IntraPeriod int
-
-	// Workers is the codec-level parallelism: closed-GOP chunks are
-	// encoded/decoded concurrently on this many goroutines. 0 or 1 is
-	// the legacy serial path. Output is byte-identical for every value.
-	Workers int
-
-	// Slices splits every frame into this many independently coded
-	// macroblock-row slices (0/1 = one slice). Unlike Workers it
-	// affects the bitstream — prediction clamps at slice boundaries —
-	// but for a fixed slice count output stays byte-identical at every
-	// worker count, and slices are the parallelism that works at the
-	// paper's IntraPeriod == 0 setting where GOP chunking cannot.
-	Slices int
-
-	// Wavefront enables wavefront (2D) macroblock scheduling inside each
-	// slice: rows run concurrently in dependency order, funded by the
-	// same Workers budget as chunks and slices. It never changes the
-	// bitstream — the scheduling axis with zero compression cost.
-	Wavefront bool
-
-	// Repeats is the number of timing repetitions per speed measurement;
-	// the fastest run is reported (filters scheduler/steal noise on shared
-	// machines). Zero means one run.
-	Repeats int
-}
-
-func (o Options) defaults() Options {
-	if o.Frames == 0 {
-		o.Frames = 25
-	}
-	if o.Q == 0 {
-		o.Q = 5
-	}
-	if o.Resolutions == nil {
-		o.Resolutions = Resolutions
-	}
-	if o.Sequences == nil {
-		o.Sequences = seqgen.All
-	}
-	if o.Codecs == nil {
-		o.Codecs = AllCodecs
-	}
-	if o.BFrames == 0 {
-		o.BFrames = 2
-	}
-	if o.Refs == 0 {
-		o.Refs = 4
-	}
-	return o
-}
-
-// Config builds the codec configuration for one resolution under o.
-func (o Options) Config(res Resolution) codec.Config {
-	o = o.defaults()
-	cfg := codec.Default(res.Width, res.Height)
-	cfg.Q = o.Q
-	cfg.Kernels = o.Kernels
-	cfg.BFrames = o.BFrames
-	cfg.Refs = o.Refs
-	cfg.Entropy = o.Entropy
-	cfg.IntraPeriod = o.IntraPeriod
-	cfg.Slices = o.Slices
-	cfg.Wavefront = o.Wavefront
-	return cfg
-}
-
-// EncodeSequence encodes frames with the given codec and returns the
-// packets in coding order.
+// EncodeSequence is the single-instance reference the scheduler tests
+// compare against: one encoder over the whole sequence, packets in
+// coding order.
 func EncodeSequence(id CodecID, cfg codec.Config, frames []*frame.Frame) ([]container.Packet, container.Header, error) {
 	enc, err := NewEncoder(id, cfg)
 	if err != nil {
 		return nil, container.Header{}, err
 	}
-	var pkts []container.Packet
-	for _, f := range frames {
-		ps, err := enc.Encode(f)
-		if err != nil {
-			return nil, container.Header{}, err
-		}
-		pkts = append(pkts, ps...)
-	}
-	ps, err := enc.Flush()
-	if err != nil {
-		return nil, container.Header{}, err
-	}
-	pkts = append(pkts, ps...)
-	return pkts, enc.Header(), nil
+	pkts, err := pipeline.EncodeChunk(enc, frames, 0)
+	return pkts, enc.Header(), err
 }
 
-// EncodeSequenceParallel is EncodeSequence spread over workers goroutines
-// via the GOP-chunk pipeline. The packet stream is byte-identical to the
-// serial one for every worker count; parallelism requires
-// cfg.IntraPeriod > 0 (closed GOPs are the unit of work). workers <= 1
-// selects the serial path, workers < 0 selects runtime.NumCPU().
-func EncodeSequenceParallel(id CodecID, cfg codec.Config, frames []*frame.Frame, workers int) ([]container.Packet, container.Header, error) {
-	if workers < 0 {
-		workers = pipeline.Workers(0)
-	}
-	if workers <= 1 {
-		return EncodeSequence(id, cfg, frames)
-	}
-	return pipeline.EncodeFrames(encoderFactory(id, cfg), cfg.IntraPeriod, workers, frames)
-}
-
-// DecodePacketsParallel is DecodePackets spread over workers goroutines,
-// one closed GOP per task. Decoded frames are identical to the serial
-// path for every worker count.
-func DecodePacketsParallel(hdr container.Header, kern kernel.Set, pkts []container.Packet, workers int) ([]*frame.Frame, error) {
-	if workers < 0 {
-		workers = pipeline.Workers(0)
-	}
-	if workers <= 1 {
-		return DecodePackets(hdr, kern, pkts)
-	}
-	return pipeline.DecodePackets(decoderFactory(hdr, kern), workers, pkts)
-}
-
-// DecodePackets decodes a packet stream back to display-order frames.
+// DecodePackets is the decode twin of EncodeSequence: one decoder over
+// the whole packet stream, frames in display order.
 func DecodePackets(hdr container.Header, kern kernel.Set, pkts []container.Packet) ([]*frame.Frame, error) {
 	dec, err := NewDecoder(hdr, kern)
 	if err != nil {
 		return nil, err
 	}
-	var out []*frame.Frame
-	for _, p := range pkts {
-		fs, err := dec.Decode(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, fs...)
+	return pipeline.DecodeSegment(dec, pkts)
+}
+
+// EncodeSequenceParallel encodes frames on the streaming engine with a
+// budget of workers goroutines — the slice is fed in and the packets,
+// in coding order, drained back out. The packet stream is byte-identical
+// to EncodeSequence for every worker count; GOP-chunk parallelism
+// requires cfg.IntraPeriod > 0 (closed GOPs are the unit of work),
+// slices and wavefront rows do not. workers <= 1 is the single-instance
+// mode, workers < 0 selects runtime.NumCPU(). On return every input
+// frame carries its display index as PTS.
+func EncodeSequenceParallel(id CodecID, cfg codec.Config, frames []*frame.Frame, workers int) ([]container.Packet, container.Header, error) {
+	return encodeFrames(encoderFactory(id, cfg), cfg.IntraPeriod, frames, workers)
+}
+
+// encodeFrames is EncodeSequenceParallel from the point where the codec
+// is chosen.
+func encodeFrames(newEnc pipeline.EncoderFactory, gop int, frames []*frame.Frame, workers int) ([]container.Packet, container.Header, error) {
+	enc, err := stream.NewEncoder(newEnc, gop, workerGate(workers, nil), 0)
+	if err != nil {
+		return nil, container.Header{}, err
 	}
-	out = append(out, dec.Flush()...)
-	return out, nil
+	pkts, err := overSlice(frames, enc.Write, enc.Close, enc.Abort, enc.ReadPacket)
+	if err != nil {
+		return nil, container.Header{}, err
+	}
+	// Chunk encoders stamp chunk-local arrival indices on their frames.
+	for i, f := range frames {
+		f.PTS = i
+	}
+	return pkts, enc.Header(), nil
+}
+
+// DecodePacketsParallel decodes a coding-order packet stream on the
+// streaming engine, one closed GOP per task, with a budget of workers
+// goroutines. Decoded frames are identical to DecodePackets for every
+// worker count; a stream whose GOPs are not closed is an error.
+func DecodePacketsParallel(hdr container.Header, kern kernel.Set, pkts []container.Packet, workers int) ([]*frame.Frame, error) {
+	return decodePackets(decoderFactory(hdr, kern), pkts, workers)
+}
+
+// decodePackets is DecodePacketsParallel from the point where the codec
+// is chosen.
+func decodePackets(newDec pipeline.DecoderFactory, pkts []container.Packet, workers int) ([]*frame.Frame, error) {
+	dec, err := stream.NewDecoder(newDec, workerGate(workers, nil), 0)
+	if err != nil {
+		return nil, err
+	}
+	return overSlice(pkts, dec.Write, dec.Close, dec.Abort, dec.ReadFrame)
 }
 
 // RDResult is one Table V cell group: quality and rate for a codec on a
@@ -310,11 +228,14 @@ type RDResult struct {
 }
 
 // RunRD measures rate-distortion for the full matrix in o (Table V).
-func RunRD(o Options) ([]RDResult, error) {
+func RunRD(o SuiteOptions) ([]RDResult, error) {
 	o = o.defaults()
 	var results []RDResult
 	for _, res := range o.Resolutions {
-		cfg := o.Config(res)
+		cfg, err := o.config(res)
+		if err != nil {
+			return nil, err
+		}
 		for _, seq := range o.Sequences {
 			inputs := seqgen.New(seq, res.Width, res.Height).Generate(o.Frames)
 			for _, id := range o.Codecs {
@@ -322,7 +243,7 @@ func RunRD(o Options) ([]RDResult, error) {
 				if err != nil {
 					return nil, fmt.Errorf("encoding %v/%v/%v: %w", res.Name, seq, id, err)
 				}
-				decoded, err := DecodePacketsParallel(hdr, o.Kernels, pkts, o.Workers)
+				decoded, err := DecodePacketsParallel(hdr, cfg.Kernels, pkts, o.Workers)
 				if err != nil {
 					return nil, fmt.Errorf("decoding %v/%v/%v: %w", res.Name, seq, id, err)
 				}
@@ -375,7 +296,7 @@ type SpeedResult struct {
 	Codec      CodecID
 	Direction  Direction
 	Kernels    kernel.Set
-	Workers    int  // goroutines used (0/1 = serial path)
+	Workers    int  // worker budget, resolved (1 = serial path)
 	Slices     int  // macroblock-row slices per frame (0/1 = one slice)
 	Wavefront  bool // wavefront (2D) macroblock scheduling inside slices
 	GOP        int  // effective intra period (0 = first frame only)
@@ -385,8 +306,8 @@ type SpeedResult struct {
 
 // RunSpeed measures encode or decode throughput for the matrix in o
 // (Figure 1: a = decode scalar, b = decode SIMD, c = encode scalar,
-// d = encode SIMD, depending on o.Kernels and dir).
-func RunSpeed(o Options, dir Direction) ([]SpeedResult, error) {
+// d = encode SIMD, depending on o.SIMD and dir).
+func RunSpeed(o SuiteOptions, dir Direction) ([]SpeedResult, error) {
 	o = o.defaults()
 	var results []SpeedResult
 	repeats := o.Repeats
@@ -394,7 +315,10 @@ func RunSpeed(o Options, dir Direction) ([]SpeedResult, error) {
 		repeats = 1
 	}
 	for _, res := range o.Resolutions {
-		cfg := o.Config(res)
+		cfg, err := o.config(res)
+		if err != nil {
+			return nil, err
+		}
 		// Each clip is generated once and timed by every codec and repeat
 		// before the next one exists, so one clip is resident at a time.
 		// times[c][rep] is codec c's time over all sequences in repeat rep.
@@ -423,8 +347,8 @@ func RunSpeed(o Options, dir Direction) ([]SpeedResult, error) {
 				Resolution: res,
 				Codec:      id,
 				Direction:  dir,
-				Kernels:    o.Kernels,
-				Workers:    o.Workers,
+				Kernels:    cfg.Kernels,
+				Workers:    resolveWorkers(o.Workers),
 				Slices:     max(o.Slices, 1),
 				Wavefront:  o.Wavefront,
 				GOP:        o.IntraPeriod,
@@ -438,7 +362,7 @@ func RunSpeed(o Options, dir Direction) ([]SpeedResult, error) {
 
 // timeClip times one encode of inputs, or one decode of their encoding,
 // and returns the frames it processed.
-func timeClip(o Options, dir Direction, id CodecID, cfg codec.Config, inputs []*frame.Frame) (int, time.Duration, error) {
+func timeClip(o SuiteOptions, dir Direction, id CodecID, cfg codec.Config, inputs []*frame.Frame) (int, time.Duration, error) {
 	if dir == Encode {
 		start := time.Now()
 		_, _, err := EncodeSequenceParallel(id, cfg, inputs, o.Workers)
@@ -449,7 +373,7 @@ func timeClip(o Options, dir Direction, id CodecID, cfg codec.Config, inputs []*
 		return 0, 0, err
 	}
 	start := time.Now()
-	decoded, err := DecodePacketsParallel(hdr, o.Kernels, pkts, o.Workers)
+	decoded, err := DecodePacketsParallel(hdr, cfg.Kernels, pkts, o.Workers)
 	return len(decoded), time.Since(start), err
 }
 
@@ -464,10 +388,10 @@ const ScalingGOP = 6
 // Figure 1's new scaling dimension (frames/s at 1, 2, 4, N workers).
 // All counts run with identical coding options (same IntraPeriod and
 // Slices, so identical bitstreams); only the goroutine count varies.
-// workerCounts nil defaults to {1, 2, 4, runtime.NumCPU()}; duplicates
-// are measured once. When neither IntraPeriod nor Slices provides a
+// workerCounts nil defaults to {1, 2, 4, runtime.NumCPU()}; counts that
+// resolve to the same budget are measured once. When neither IntraPeriod nor Slices provides a
 // parallel axis, IntraPeriod is pinned to ScalingGOP so chunks exist.
-func RunScaling(o Options, dir Direction, workerCounts []int) ([]SpeedResult, error) {
+func RunScaling(o SuiteOptions, dir Direction, workerCounts []int) ([]SpeedResult, error) {
 	if o.IntraPeriod == 0 && o.Slices <= 1 {
 		o.IntraPeriod = ScalingGOP
 	}
@@ -479,11 +403,17 @@ func RunScaling(o Options, dir Direction, workerCounts []int) ([]SpeedResult, er
 // matrix shows both the intra-frame scaling (slices at the paper's
 // IntraPeriod == 0 default) and the prediction-efficiency price of
 // slicing. sliceCounts nil measures only o.Slices; workerCounts nil
-// defaults to {1, 2, 4, runtime.NumCPU()}. Duplicates are measured once.
-func RunScalingMatrix(o Options, dir Direction, workerCounts, sliceCounts []int) ([]SpeedResult, error) {
+// defaults to {1, 2, 4, runtime.NumCPU()}. Worker counts are resolved
+// as every call resolves them (0 is 1, negative is runtime.NumCPU()),
+// and counts that resolve alike are measured once.
+func RunScalingMatrix(o SuiteOptions, dir Direction, workerCounts, sliceCounts []int) ([]SpeedResult, error) {
 	o = o.defaults()
 	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, pipeline.Workers(0)}
+		workerCounts = []int{1, 2, 4, runtime.NumCPU()}
+	}
+	budgets := make([]int, len(workerCounts))
+	for i, wc := range workerCounts {
+		budgets[i] = resolveWorkers(wc)
 	}
 	if len(sliceCounts) == 0 {
 		sliceCounts = []int{max(o.Slices, 1)}
@@ -502,7 +432,7 @@ func RunScalingMatrix(o Options, dir Direction, workerCounts, sliceCounts []int)
 	}
 	var results []SpeedResult
 	for _, sc := range dedup(sliceCounts) {
-		for _, wc := range dedup(workerCounts) {
+		for _, wc := range dedup(budgets) {
 			ow := o
 			ow.Slices = sc
 			ow.Workers = wc

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 )
 
 // tiny matrix for CI-speed suite runs.
-func tinyOptions() Options {
-	return Options{
+func tinyOptions() SuiteOptions {
+	return SuiteOptions{
 		Frames:      5,
 		Resolutions: []Resolution{{"tiny", 96, 80}},
 		Sequences:   []seqgen.Sequence{seqgen.RushHour, seqgen.PedestrianArea},
@@ -123,7 +124,7 @@ func TestFormatTableV(t *testing.T) {
 func TestRunSpeedDecode(t *testing.T) {
 	// Ordering assertions need the full sequence mix (the skip-heavy
 	// sequences alone make every decoder a memcpy) and a non-trivial size.
-	o := Options{
+	o := SuiteOptions{
 		Frames:      8,
 		Resolutions: []Resolution{{"test", 160, 128}},
 		Sequences:   seqgen.All,
@@ -183,6 +184,31 @@ func TestRunSpeedEncodeSlowerThanDecode(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunScalingMatrixResolvesWorkers: worker options that resolve to
+// the same budget (-1 and NumCPU, 0 and 1) are one measurement, and the
+// results report the budget that ran, never the raw option.
+func TestRunScalingMatrixResolvesWorkers(t *testing.T) {
+	o := tinyOptions()
+	o.Frames = 2
+	o.Sequences = []seqgen.Sequence{seqgen.BlueSky}
+	o.Codecs = []CodecID{MPEG2}
+	results, err := RunScalingMatrix(o, Encode, []int{-1, 0, 1, runtime.NumCPU()}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]bool{1: true, runtime.NumCPU(): true}
+	seen := map[int]bool{}
+	for _, r := range results {
+		if !want[r.Workers] || seen[r.Workers] {
+			t.Errorf("result for %d workers; want one each for %v", r.Workers, want)
+		}
+		seen[r.Workers] = true
+	}
+	if len(results) != len(want) {
+		t.Fatalf("%d results, want %d", len(results), len(want))
 	}
 }
 

@@ -11,10 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/core"
-	"hdvideobench/internal/kernel"
 	"hdvideobench/internal/seqgen"
 )
 
@@ -95,15 +93,11 @@ func TestTranscodeReaderMatchesTranscode(t *testing.T) {
 		frameFeeder(seqgen.BlueSky, w, h, n), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	cfgFor := func(hdr container.Header) (codec.Config, error) {
-		return streamCfg(hdr.Width, hdr.Height, gop), nil
-	}
 	var push bytes.Buffer
-	if _, err := core.Transcode(bytes.NewReader(src.Bytes()), &push, core.H264,
-		kernel.Scalar, 2, 0, cfgFor, nil); err != nil {
+	if _, err := core.Transcode(bytes.NewReader(src.Bytes()), &push, core.H264, transcodeOpts(gop)); err != nil {
 		t.Fatal(err)
 	}
-	rc := core.TranscodeReader(bytes.NewReader(src.Bytes()), core.H264, kernel.Scalar, 2, 0, cfgFor, nil)
+	rc := core.TranscodeReader(bytes.NewReader(src.Bytes()), core.H264, transcodeOpts(gop))
 	pull, err := io.ReadAll(rc)
 	if err != nil {
 		t.Fatalf("reading TranscodeReader: %v", err)
@@ -126,8 +120,7 @@ func TestTranscodeReaderEarlyClose(t *testing.T) {
 		frameFeeder(seqgen.RushHour, w, h, n), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	rc := core.TranscodeReader(bytes.NewReader(src.Bytes()), core.MPEG4, kernel.Scalar, 2, 0,
-		func(hdr container.Header) (codec.Config, error) { return streamCfg(hdr.Width, hdr.Height, gop), nil }, nil)
+	rc := core.TranscodeReader(bytes.NewReader(src.Bytes()), core.MPEG4, transcodeOpts(gop))
 	if _, err := io.ReadFull(rc, make([]byte, 64)); err != nil {
 		t.Fatalf("reading stream head: %v", err)
 	}

@@ -1,21 +1,24 @@
-// Determinism suite for the GOP-parallel pipeline: for every codec,
-// resolution and worker count, the parallel bitstream must be
-// byte-identical to the serial one and the decoded frames must match
-// exactly — a benchmark whose output changes with the worker count
-// measures nothing. Run it under -race for the full story (the CI
-// workflow does): identical bytes prove scheduling determinism, the race
-// detector proves the workers shared nothing they shouldn't have.
-package pipeline_test
+// Determinism suite for the batch entry points: for every codec,
+// resolution and worker count, EncodeSequenceParallel must reproduce the
+// single-instance bitstream byte for byte and DecodePacketsParallel the
+// single-instance decode exactly — a benchmark whose output changes with
+// the worker count measures nothing. Run it under -race for the full
+// story (the CI workflow does): identical bytes prove scheduling
+// determinism, the race detector proves the workers shared nothing they
+// shouldn't have.
+package core_test
 
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/core"
 	"hdvideobench/internal/frame"
+	"hdvideobench/internal/kernel"
 	"hdvideobench/internal/metrics"
 	"hdvideobench/internal/seqgen"
 )
@@ -182,5 +185,22 @@ func TestParallelNoIntraPeriodFallsBack(t *testing.T) {
 	}
 	if len(decoded) != len(inputs) {
 		t.Fatalf("decoded %d of %d frames", len(decoded), len(inputs))
+	}
+}
+
+// TestDecodePacketsParallelRejectsOpenGOP feeds the open-GOP packets of
+// internal/stream's TestDecoderRejectsOpenGOP — a P that displays before
+// its segment's I frame — to the batch decoder. It is the streaming
+// decoder over a slice, so it must fail with that decoder's clean
+// rejection rather than decode the segment some other way.
+func TestDecodePacketsParallelRejectsOpenGOP(t *testing.T) {
+	hdr := container.Header{Codec: container.CodecMPEG2, Width: 96, Height: 80, FPSNum: 25, FPSDen: 1}
+	pkts := []container.Packet{
+		{Type: container.FrameI, DisplayIndex: 5, Payload: []byte{1}},
+		{Type: container.FrameP, DisplayIndex: 2, Payload: []byte{2}},
+	}
+	_, err := core.DecodePacketsParallel(hdr, kernel.Scalar, pkts, 4)
+	if err == nil || !strings.Contains(err.Error(), "displays before") {
+		t.Fatalf("err = %v, want the stream decoder's open-GOP rejection", err)
 	}
 }

@@ -228,7 +228,7 @@ type ScalingReport struct {
 
 // FormatScalingJSON renders scaling results as indented JSON, carrying
 // the run configuration from o so a captured file is self-describing.
-func FormatScalingJSON(o Options, results []SpeedResult) ([]byte, error) {
+func FormatScalingJSON(o SuiteOptions, results []SpeedResult) ([]byte, error) {
 	o = o.defaults()
 	rep := ScalingReport{
 		Benchmark: "hdvbench-scaling",

@@ -5,7 +5,7 @@
 // a small, bounded amount of quality. The matrix runs at the paper's
 // IntraPeriod == 0 default, the setting where GOP chunking degenerates
 // to one segment and slices are the only parallelism.
-package pipeline_test
+package core_test
 
 import (
 	"fmt"

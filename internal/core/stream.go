@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -18,15 +19,12 @@ import (
 // ReadPacket, and at most window closed-GOP chunks (cfg.IntraPeriod
 // frames each) are in flight at once. workers <= 1 or
 // cfg.IntraPeriod <= 0 runs the serial single-instance mode; negative
-// workers selects runtime.NumCPU(). Output is byte-identical to the
-// batch path for every worker count and window. col, when non-nil,
+// workers selects runtime.NumCPU(). Output is byte-identical to
+// EncodeSequence for every worker count and window. col, when non-nil,
 // receives the pipeline's self-measurements (chunk encode time, queue
 // depth, drain stalls, slice-gate and wavefront waits); nil disables
 // collection.
 func NewStreamEncoder(id CodecID, cfg codec.Config, workers, window int, col *obs.Collector) (*stream.Encoder, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	return stream.NewEncoder(encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
 }
 
@@ -39,14 +37,20 @@ func NewStreamDecoder(hdr container.Header, kern kernel.Set, workers, window int
 	return stream.NewDecoder(decoderFactory(hdr, kern), workerGate(workers, nil), window)
 }
 
-// workerGate builds the token bank of one streaming call: every stage of
-// the call is constructed on it, so together they keep to `workers`
-// codec goroutines.
+// workerGate builds the token bank of one call: every stage of the call
+// is constructed on it, so together they keep to `workers` codec
+// goroutines.
 func workerGate(workers int, col *obs.Collector) *pipeline.SliceGate {
+	return pipeline.NewSliceGate(resolveWorkers(workers)).Observe(col)
+}
+
+// resolveWorkers maps a worker option onto the budget a call runs with:
+// negative selects runtime.NumCPU(), 0 and 1 the single-instance mode.
+func resolveWorkers(workers int) int {
 	if workers < 0 {
-		workers = pipeline.Workers(0)
+		return runtime.NumCPU()
 	}
-	return pipeline.NewSliceGate(workers).Observe(col)
+	return max(workers, 1)
 }
 
 func encoderFactory(id CodecID, cfg codec.Config) pipeline.EncoderFactory {
@@ -111,6 +115,32 @@ func drain[T any](next func() (T, error), sink func(T) error, onSinkFail ...func
 	}
 }
 
+// overSlice runs one windowed stage as a batch call: in is fed to the
+// stage from a writer goroutine and its output drained into the returned
+// slice, one output per input expected.
+func overSlice[I, O any](in []I, write func(I) error, closeStage func() error, abort func(), read func() (O, error)) ([]O, error) {
+	i := 0
+	next := func() (I, error) {
+		if i == len(in) {
+			var zero I
+			return zero, io.EOF
+		}
+		i++
+		return in[i-1], nil
+	}
+	feedErr := make(chan error, 1)
+	go func() { feedErr <- feed(next, write, closeStage, abort, nil) }()
+	out := make([]O, 0, len(in))
+	err := drain(read, func(v O) error {
+		out = append(out, v)
+		return nil
+	})
+	if err := firstError(err, <-feedErr); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // EncodeStream pulls display-order frames from next until it returns
 // io.EOF, encodes them with the streaming engine, and writes the HDVB
 // container to w incrementally — peak memory stays O(window × GOP)
@@ -124,7 +154,8 @@ func drain[T any](next func() (T, error), sink func(T) error, onSinkFail ...func
 // a packet boundary, where an undeclared-length container looks
 // perfectly complete. Pass 0 when the length is unknown (reading a file
 // of frames until EOF); readers then consume until EOF, matching the
-// batch path's header byte for byte.
+// header of a container written from EncodeSequenceParallel byte for
+// byte.
 //
 // onGOP, when non-nil, is called once per closed-GOP chunk with the byte
 // offset its first packet begins at in the container stream and the
@@ -220,27 +251,33 @@ type TranscodeStats struct {
 // writing the resulting container to w — all four stages (container
 // read, decode, encode, container write) run concurrently with bounded
 // windows, so sequences of any length transcode at constant memory.
-// cfgFor maps the parsed input header to the target coding options
-// (dimensions normally copy the input's). workers/window as in
-// NewStreamEncoder; the two codec stages share one budget of workers
-// tokens, so the decode side gets what the encode side is not using and
-// the whole transcode keeps to `workers` codec goroutines. (workers <= 1
-// is the serial path and banks nothing: each stage drives its one
-// instance inline on its own pipeline goroutine, as it always has.)
-func Transcode(r io.Reader, w io.Writer, target CodecID, kern kernel.Set, workers, window int, cfgFor func(container.Header) (codec.Config, error), col *obs.Collector) (TranscodeStats, error) {
+// opts are the target coding options: zero Width/Height copy the
+// input's dimensions, the input's frame rate carries over, and opts.SIMD
+// selects the kernels of both codec stages. Those two stages share one
+// budget of opts.Workers tokens, so the decode side gets what the encode
+// side is not using and the whole transcode keeps to Workers codec
+// goroutines. (Workers <= 1 is the serial path and banks nothing: each
+// stage drives its one instance inline on its own pipeline goroutine.)
+func Transcode(r io.Reader, w io.Writer, target CodecID, opts EncoderOptions) (TranscodeStats, error) {
 	sr, err := container.NewStreamReader(r)
 	if err != nil {
 		return TranscodeStats{}, err
 	}
 	hdr := sr.Header()
-	cfg, err := cfgFor(hdr)
+	if opts.Width == 0 {
+		opts.Width = hdr.Width
+	}
+	if opts.Height == 0 {
+		opts.Height = hdr.Height
+	}
+	cfg, err := CodecConfig(opts)
 	if err != nil {
 		return TranscodeStats{}, err
 	}
-	if err := cfg.Validate(); err != nil {
-		return TranscodeStats{}, err
+	if hdr.FPSNum > 0 && hdr.FPSDen > 0 {
+		cfg.FPSNum, cfg.FPSDen = hdr.FPSNum, hdr.FPSDen
 	}
-	return transcode(sr, w, decoderFactory(hdr, kern), encoderFactory(target, cfg), cfg.IntraPeriod, workers, window, col)
+	return transcode(sr, w, decoderFactory(hdr, cfg.Kernels), encoderFactory(target, cfg), cfg.IntraPeriod, opts.Workers, opts.Window, opts.Collector)
 }
 
 // transcode is Transcode from the point where the codecs are chosen: it
@@ -304,10 +341,10 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 // the pipeline down early — the next pipe write fails, which aborts
 // every stage, so an abandoned reader never leaks the goroutine. The
 // shape HTTP handlers and io.Copy plumbing want.
-func TranscodeReader(r io.Reader, target CodecID, kern kernel.Set, workers, window int, cfgFor func(container.Header) (codec.Config, error), col *obs.Collector) io.ReadCloser {
+func TranscodeReader(r io.Reader, target CodecID, opts EncoderOptions) io.ReadCloser {
 	pr, pw := io.Pipe()
 	go func() {
-		_, err := Transcode(r, pw, target, kern, workers, window, cfgFor, col)
+		_, err := Transcode(r, pw, target, opts)
 		pw.CloseWithError(err) // nil = clean EOF for the reader
 	}()
 	return pr

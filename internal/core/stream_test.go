@@ -24,6 +24,12 @@ func streamCfg(w, h, gop int) codec.Config {
 	return cfg
 }
 
+// transcodeOpts is streamCfg as Transcode takes it: dimensions copy the
+// input's, two workers.
+func transcodeOpts(gop int) core.EncoderOptions {
+	return core.EncoderOptions{IntraPeriod: gop, SearchRange: 8, Refs: 2, Workers: 2}
+}
+
 // frameFeeder yields n generated frames then io.EOF.
 func frameFeeder(seq seqgen.Sequence, w, h, n int) func() (*frame.Frame, error) {
 	gen := seqgen.New(seq, w, h)
@@ -191,11 +197,7 @@ func TestTranscodeStreaming(t *testing.T) {
 	}
 
 	var dst bytes.Buffer
-	stats, err := core.Transcode(bytes.NewReader(src.Bytes()), &dst, core.H264, kernel.Scalar, 2, 0,
-		func(in container.Header) (codec.Config, error) {
-			out := streamCfg(in.Width, in.Height, gop)
-			return out, nil
-		}, nil)
+	stats, err := core.Transcode(bytes.NewReader(src.Bytes()), &dst, core.H264, transcodeOpts(gop))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +236,7 @@ func TestTranscodeStreaming(t *testing.T) {
 // TestTranscodeBadInput checks a non-HDVB input fails cleanly.
 func TestTranscodeBadInput(t *testing.T) {
 	var dst bytes.Buffer
-	_, err := core.Transcode(strings.NewReader("not a container, just twenty-plus bytes"), &dst, core.H264, kernel.Scalar, 2, 0,
-		func(in container.Header) (codec.Config, error) {
-			return streamCfg(in.Width, in.Height, 4), nil
-		}, nil)
+	_, err := core.Transcode(strings.NewReader("not a container, just twenty-plus bytes"), &dst, core.H264, transcodeOpts(4))
 	if !errors.Is(err, container.ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
 	}
@@ -260,10 +259,7 @@ func TestTranscodeTruncatedInput(t *testing.T) {
 	full := src.Bytes()
 	full[16] = byte(n + 3) // little-endian u32 frame count at offset 16
 	var dst bytes.Buffer
-	_, err := core.Transcode(bytes.NewReader(full), &dst, core.MPEG4, kernel.Scalar, 2, 0,
-		func(in container.Header) (codec.Config, error) {
-			return streamCfg(in.Width, in.Height, gop), nil
-		}, nil)
+	_, err := core.Transcode(bytes.NewReader(full), &dst, core.MPEG4, transcodeOpts(gop))
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -272,7 +268,7 @@ func TestTranscodeTruncatedInput(t *testing.T) {
 // TestFormatScalingJSON checks the machine-readable scaling report is
 // valid JSON with the configuration echoed.
 func TestFormatScalingJSON(t *testing.T) {
-	o := core.Options{Frames: 4, Q: 5, IntraPeriod: 2, Repeats: 1}
+	o := core.SuiteOptions{Frames: 4, Q: 5, IntraPeriod: 2, Repeats: 1}
 	results := []core.SpeedResult{
 		{Resolution: core.Resolutions[0], Codec: core.MPEG2, Direction: core.Encode, Workers: 1, GOP: 2, FPS: 10, Frames: 4},
 		{Resolution: core.Resolutions[0], Codec: core.MPEG2, Direction: core.Encode, Workers: 2, GOP: 2, FPS: 19, Frames: 4},

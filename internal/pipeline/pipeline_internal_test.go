@@ -6,110 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"hdvideobench/internal/container"
 )
-
-func TestChunkSpans(t *testing.T) {
-	cases := []struct {
-		n, gop int
-		want   []span
-	}{
-		{0, 4, []span{{0, 0}}},
-		{10, 0, []span{{0, 10}}},  // no intra period: one chunk
-		{10, 12, []span{{0, 10}}}, // gop longer than input
-		{12, 4, []span{{0, 4}, {4, 8}, {8, 12}}},
-		{10, 4, []span{{0, 4}, {4, 8}, {8, 10}}}, // ragged tail
-		{10, 3, []span{{0, 3}, {3, 6}, {6, 9}, {9, 10}}},
-	}
-	for _, c := range cases {
-		got := chunkSpans(c.n, c.gop)
-		if len(got) != len(c.want) {
-			t.Errorf("chunkSpans(%d,%d) = %v, want %v", c.n, c.gop, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("chunkSpans(%d,%d)[%d] = %v, want %v", c.n, c.gop, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
-// pkt builds a minimal packet for segmentation tests.
-func pkt(t container.FrameType, display int) container.Packet {
-	return container.Packet{Type: t, DisplayIndex: display}
-}
-
-func TestSegmentsClosedGOP(t *testing.T) {
-	// The scheduler's shape for IntraPeriod=3, BFrames=2: every frame
-	// between refreshes becomes a trailing P, giving I0 P1 P2 | I3 P4 P5.
-	pkts := []container.Packet{
-		pkt(container.FrameI, 0), pkt(container.FrameP, 1), pkt(container.FrameP, 2),
-		pkt(container.FrameI, 3), pkt(container.FrameP, 4), pkt(container.FrameP, 5),
-	}
-	got := segments(pkts)
-	want := []span{{0, 3}, {3, 6}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("segments = %v, want %v", got, want)
-	}
-}
-
-func TestSegmentsWithBFrames(t *testing.T) {
-	// IntraPeriod=6, BFrames=2 closed-GOP coding order:
-	// I0 P3 B1 B2 P4 P5 | I6 P9 B7 B8.
-	pkts := []container.Packet{
-		pkt(container.FrameI, 0), pkt(container.FrameP, 3), pkt(container.FrameB, 1),
-		pkt(container.FrameB, 2), pkt(container.FrameP, 4), pkt(container.FrameP, 5),
-		pkt(container.FrameI, 6), pkt(container.FrameP, 9), pkt(container.FrameB, 7),
-		pkt(container.FrameB, 8),
-	}
-	got := segments(pkts)
-	want := []span{{0, 6}, {6, 10}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("segments = %v, want %v", got, want)
-	}
-}
-
-func TestSegmentsRejectsOpenGOP(t *testing.T) {
-	// Open-GOP shape (the seed's old scheduler): B frames coded after the
-	// mid-stream I display *before* it, so the I is not a safe split point.
-	// Coding order I0 P3 B1 B2 I6 B4 B5 ...
-	pkts := []container.Packet{
-		pkt(container.FrameI, 0), pkt(container.FrameP, 3), pkt(container.FrameB, 1),
-		pkt(container.FrameB, 2), pkt(container.FrameI, 6), pkt(container.FrameB, 4),
-		pkt(container.FrameB, 5), pkt(container.FrameP, 7),
-	}
-	got := segments(pkts)
-	if len(got) != 1 || got[0] != (span{0, 8}) {
-		t.Fatalf("segments = %v, want one merged span (open GOP must not split)", got)
-	}
-}
-
-func TestRunOrderedPreservesOrderAndErrors(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		got, err := runOrdered(NewSliceGate(workers), 20, func(i int) (int, error) { return i * i, nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-
-	boom := errors.New("boom")
-	_, err := runOrdered(NewSliceGate(4), 20, func(i int) (int, error) {
-		if i >= 7 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-}
 
 // TestOrderedPoolOrderAndWindow drives the windowed pool with out-of-order
 // completion pressure (tiny window, many items) and checks results come

@@ -14,7 +14,7 @@ import (
 // keeps the budget: a goroutine holds exactly one token while it is
 // inside a codec call, and idle tokens go to whoever dispatches next.
 //
-//   - Whoever drives a codec instance — a chunk worker of runOrdered or
+//   - Whoever drives a codec instance — a chunk worker of an
 //     OrderedPool, or the caller of a single persistent instance — takes
 //     its token with the blocking Acquire and gives it back with Release
 //     as soon as the call returns; it never holds one while parked on a

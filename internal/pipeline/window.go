@@ -11,16 +11,15 @@ import (
 // downstream stage failed) and in-flight work was discarded.
 var ErrAborted = errors.New("pipeline: aborted")
 
-// OrderedPool is the streaming counterpart of runOrdered: items are
-// submitted one at a time, processed by a fixed set of workers — each
-// holding one token of the pool's SliceGate while inside fn, and none
-// while idle — and results come back in submission order through Next.
-// Several pools (and other codec callers) may share one gate; together
-// they never run more than gate.Workers() goroutines. At most window
-// items are admitted and not yet consumed, so Submit applies
-// backpressure — a producer that outruns the consumer blocks instead of
-// buffering without bound. That window is what turns the batch GOP
-// pipeline into a constant-memory streaming scheduler (internal/stream
+// OrderedPool is the chunk scheduler: items are submitted one at a
+// time, processed by a fixed set of workers — each holding one token of
+// the pool's SliceGate while inside fn, and none while idle — and
+// results come back in submission order through Next. Several pools (and
+// other codec callers) may share one gate; together they never run more
+// than gate.Workers() goroutines. At most window items are admitted and
+// not yet consumed, so Submit applies backpressure — a producer that
+// outruns the consumer blocks instead of buffering without bound. That
+// window is what keeps the scheduler at constant memory (internal/stream
 // builds its encoder and decoder on it).
 //
 // Concurrency contract: one goroutine calls Submit and then Close

@@ -116,8 +116,9 @@ func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGa
 	return e, nil
 }
 
-// Header describes the stream being produced (same header as the batch
-// path: codec, dimensions, frame rate; Frames is zero, unknown upfront).
+// Header describes the stream being produced (same header as a single
+// codec instance: codec, dimensions, frame rate; Frames is zero, unknown
+// upfront).
 func (e *Encoder) Header() container.Header { return e.hdr }
 
 // Window reports the resolved chunk window.

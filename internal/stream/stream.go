@@ -1,6 +1,8 @@
-// Package stream is the bounded-memory streaming subsystem: it turns the
-// batch GOP-parallel pipeline into an incremental engine that can encode,
-// decode and transcode sequences of any length at constant memory.
+// Package stream is the one chunk scheduler: an incremental engine that
+// encodes, decodes and transcodes sequences of any length at constant
+// memory, built from internal/pipeline's OrderedPool, SliceGate and
+// chunk coders. Every entry point runs on it — a batch call is a stream
+// over a slice (internal/core feeds the slice in and drains the result).
 //
 // # The window/backpressure model
 //
@@ -43,9 +45,9 @@
 //
 // Chunk workers inherit the closed-GOP invariant of internal/pipeline:
 // every chunk starts at an I frame, nothing references across the
-// boundary, and codec state resets there, so the streaming output is
-// byte-identical to the batch path (and to the serial path) for every
-// worker count and window size. stream_test.go proves the full
+// boundary, and codec state resets there, so the output is byte-identical
+// to a single codec instance over the whole sequence for every worker
+// count and window size. stream_test.go proves the full
 // codec × resolution × workers matrix.
 //
 // # Concurrency contract
@@ -61,7 +63,7 @@
 // exist — the engine degrades to a single persistent codec instance
 // driven inline by Write, which is still constant-memory (the codec
 // buffers only its B-frame lookahead and reference frames) and still
-// byte-identical to the batch serial path. With more workers that single
+// byte-identical to the single-instance path. With more workers that single
 // instance is not the end of parallelism: its slices and rows have the
 // rest of the bank to themselves, so streams coded with Slices > 1 or
 // Wavefront scale inside each frame even when the GOP gives the window
