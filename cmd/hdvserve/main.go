@@ -21,7 +21,7 @@
 //
 //	codec    target codec: mpeg2, mpeg4, h264 (default h264)
 //	seq      source sequence: blue_sky, pedestrian_area, riverbed,
-//	         rush_hour, sport_pan, scene_cut (default blue_sky)
+//	         rush_hour, sport_pan, scene_cut, film_grain (default blue_sky)
 //	res      named resolution (576p25, 720p25, 1088p25, 2160p25, plus
 //	         aliases like 1080p and 4k); sets width and height, which
 //	         explicit width=/height= still override
@@ -29,18 +29,31 @@
 //	height   frame height, multiple of 16 (default 720)
 //	frames   frames to encode, 1..-max-frames (default 250)
 //	q        quantizer, MPEG scale 1..31 (default 5)
+//	kbps     target bitrate in kbit/s, 0..1000000 (default 0 = constant
+//	         q); rate control then only seeds from q
 //	gop      closed-GOP length in frames, 1..255 (default 8; the chunk
 //	         unit of the streaming encoder, the cache's fill unit, and
 //	         the granularity of the seek index)
 //	slices   macroblock-row slices per frame, 1..255 (default 1),
 //	         clamped to the request's worker budget
 //	workers  encoder goroutines for this request, clamped to -workers
+//	wavefront  code macroblock rows as a wavefront (strconv.ParseBool
+//	         syntax); a scheduling knob only — the bytes are identical
 //	simd     use the SWAR kernel set (strconv.ParseBool syntax;
 //	         default false — garbage values are 400s, not false)
 //	vlc      H.264 only: VLC entropy instead of CABAC (same syntax)
 //	index    with caching enabled: return the entry's GOP index as JSON
 //	         ({"size":N,"gops":[{"offset":O,"frame":F},...]}) instead
 //	         of the stream — the seek table for Range requests
+//	ladder   rendition ladder over the request's geometry (the
+//	         mezzanine): comma-separated named resolutions, each with an
+//	         optional @kbps (e.g. 240p,576p@800; a bare kbps= is the
+//	         default per rung). Without rung= the response is a JSON
+//	         manifest listing each rung's geometry and URL. Ladder
+//	         requests allow at most 250 frames and no index
+//	rung     with ladder: stream this rung, a resolution in the ladder.
+//	         A cold rung runs one ladder encode that caches every rung,
+//	         so its siblings are hits; the response carries X-HDVB-Rung
 //
 // Cold requests stream with chunked transfer, one coded packet per
 // flush, while a tee populates the cache; repeat requests are served
@@ -65,7 +78,8 @@
 //
 // The request body is an HDVB container (any of the three codecs); the
 // response streams its transcode to the target codec. Query parameters
-// codec, q, gop, slices, workers, simd and vlc apply as for GET;
+// codec, q, kbps, gop, slices, workers, wavefront, simd and vlc apply as
+// for GET;
 // width/height default to the input's dimensions. Uploads are capped at
 // -max-upload bytes. Transcodes are not cached (the key space is the
 // upload's content, not a small parameter tuple).

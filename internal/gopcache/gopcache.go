@@ -288,11 +288,17 @@ func (c *Cache) evictLocked(keep *entry) {
 // file that becomes the entry atomically on Commit. A Fill that is
 // never committed must be Aborted; both are idempotent and safe after
 // the other (the later call is a no-op).
+//
+// The first write failure sticks: later Writes return it without
+// writing, and Commit aborts the fill instead of sealing a torn body.
+// A caller teeing a response into the fill can therefore ignore the
+// tee's errors and learn of them from Commit (or Err).
 type Fill struct {
 	c    *Cache
 	id   string
 	f    *os.File
 	n    int64
+	err  error // first write failure
 	done bool
 }
 
@@ -309,10 +315,21 @@ func (c *Cache) NewFill(key Key) (*Fill, error) {
 
 // Write appends container bytes to the pending entry.
 func (f *Fill) Write(p []byte) (int, error) {
+	if f.err != nil {
+		return 0, f.err
+	}
 	n, err := f.f.Write(p)
 	f.n += int64(n)
+	f.err = err
 	return n, err
 }
+
+// Err returns the fill's first write failure, nil while every write has
+// succeeded.
+func (f *Fill) Err() error { return f.err }
+
+// Written returns the container bytes the fill has accepted.
+func (f *Fill) Written() int64 { return f.n }
 
 // Commit seals the fill: the GOP index (whose Size must equal the bytes
 // written) is appended as the entry's trailer, the temp file moves into
@@ -322,6 +339,10 @@ func (f *Fill) Write(p []byte) (int, error) {
 func (f *Fill) Commit(idx container.GOPIndex) (*Entry, error) {
 	if f.done {
 		return nil, fmt.Errorf("gopcache: fill already finished")
+	}
+	if f.err != nil {
+		f.Abort()
+		return nil, fmt.Errorf("gopcache: fill write failed: %w", f.err)
 	}
 	if idx.Size != f.n {
 		f.Abort()

@@ -2,8 +2,10 @@ package gopcache
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"hdvideobench/internal/container"
@@ -91,6 +93,52 @@ func TestCommitSizeMismatchRejected(t *testing.T) {
 	}
 	if _, ok := c.Get(testKey(0)); ok {
 		t.Fatal("rejected fill became servable")
+	}
+}
+
+// TestFillWriteFailureSticks: once a fill's write fails (here its file
+// is closed underneath it), later writes return that error without
+// writing, Commit refuses the fill, and neither an entry nor the fill's
+// temp file remains; Written counts only the bytes accepted before.
+func TestFillWriteFailureSticks(t *testing.T) {
+	dir := t.TempDir()
+	c, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.NewFill(testKey(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.WriteString(f, "HDVB head"); err != nil {
+		t.Fatal(err)
+	}
+	f.f.Close()
+	_, first := f.Write([]byte("lost"))
+	if first == nil {
+		t.Fatal("write to a closed fill succeeded")
+	}
+	if n, err := f.Write([]byte("more")); n != 0 || err != first {
+		t.Fatalf("write after the failure = (%d, %v), want (0, %v)", n, err, first)
+	}
+	if f.Err() != first {
+		t.Fatalf("Err() = %v, want %v", f.Err(), first)
+	}
+	if got := f.Written(); got != int64(len("HDVB head")) {
+		t.Fatalf("Written() = %d, want %d", got, len("HDVB head"))
+	}
+	if _, err := f.Commit(container.GOPIndex{Size: f.Written()}); !errors.Is(err, first) {
+		t.Fatalf("Commit of a failed fill = %v, want it to wrap %v", err, first)
+	}
+	if _, ok := c.Get(testKey(0)); ok {
+		t.Fatal("failed fill became servable")
+	}
+	left, err := filepath.Glob(filepath.Join(dir, "fill-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("temp files left behind: %v", left)
 	}
 }
 

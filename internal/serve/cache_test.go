@@ -309,6 +309,24 @@ func TestErrorResponsesCarryNoStreamHeaders(t *testing.T) {
 	if !strings.Contains(string(body), "encoder construction failed") {
 		t.Fatalf("400 body %q does not surface the failure", body)
 	}
+
+	// A ladder rung turned away at capacity, and one whose ladder encode
+	// fails: neither has produced a byte of the rung's stream.
+	rung := ts.URL + "/transcode?codec=mpeg2&res=576p25&frames=2&ladder=240p&rung=240p"
+	for range cap(s.sem) {
+		s.sem <- struct{}{}
+	}
+	resp, _ = get(t, rung)
+	assertClean(resp, http.StatusServiceUnavailable)
+	for range cap(s.sem) {
+		<-s.sem
+	}
+	s.ladder = func(hdvideobench.Codec, hdvideobench.EncoderOptions,
+		[]*hdvideobench.Frame, []hdvideobench.LadderRung) ([]hdvideobench.LadderRendition, error) {
+		return nil, errors.New("ladder encode failed")
+	}
+	resp, _ = get(t, rung)
+	assertClean(resp, http.StatusInternalServerError)
 }
 
 // TestBoolParamsStrict pins the ParseBool fix: malformed booleans are

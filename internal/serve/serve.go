@@ -1,22 +1,33 @@
-// Package serve implements the hdvserve HTTP transcoding service: the
-// GET/POST /transcode handlers, the disk-backed GOP cache integration,
-// per-client rate limiting, admission control and /metrics. It lives
-// outside cmd/hdvserve so the real-time SLO harness (internal/slo,
-// cmd/hdvslo) and the httptest suites can run the exact production
-// handler in-process; cmd/hdvserve is a thin flag-parsing front end.
-// See cmd/hdvserve's command documentation for the HTTP API.
+// Package serve implements the hdvserve HTTP transcoding service behind
+// cmd/hdvserve, whose command documentation describes the HTTP API. It
+// lives outside the command so the real-time SLO harness (internal/slo,
+// cmd/hdvslo) and the httptest suites run the exact production handler
+// in-process.
 //
-// Observability (PR 7): every series lives on an internal/obs registry —
-// the original flat counters keep their exact names, joined by labeled
-// latency histograms ({endpoint, codec, res, cache}) and the pipeline's
-// chunk/queue/gate series fed through an obs.Collector threaded into
-// EncoderOptions. Each /transcode request carries an X-Request-ID
-// (propagated from the client or generated), emits a Server-Timing
-// header (and, on cold chunked streams, a Server-Timing trailer with
-// the encode phases that only finish after the first byte), and lands
-// in a last-N ring served at /debug/requests on the DebugRoutes mux —
-// which, with /debug/pprof/*, binds only to the separate -debug-addr
-// listener, never the public one.
+// A GET /transcode goes plan → source → writer:
+//
+//   - The query is parsed and validated once into a plan: what to encode,
+//     the cache key of the entry that serves it, and the singleflight key
+//     its production runs under (the key itself, or for a ladder rung the
+//     whole ladder's run, which fills every rung).
+//   - The source is the cache entry (a hit); else, while another request
+//     produces the flight, that request's committed entry (shared); else
+//     the request leads, takes an encoding slot and produces: a cold
+//     stream teed into a cache fill, a fill it then serves from for Range
+//     and index requests, or one EncodeLadder run committing every rung.
+//   - Every response body goes through one writer, reqTrack: it counts
+//     status, bytes and first-byte time, tees a cold stream into its fill,
+//     and sets the stream headers (Content-Type, X-HDVB-*, Server-Timing)
+//     as the first body byte leaves, so a failure before any output
+//     answers with a clean status and none of them.
+//
+// POST /transcode runs hdvideobench.Transcode through the same writer.
+// Every series lives on an internal/obs registry served at /metrics. Each
+// /transcode request carries an X-Request-ID, reports its phases (cache,
+// flight, gen, enc, commit, write) as Server-Timing — in a trailer on
+// chunked cold streams, whose encode ends after the first byte — and
+// lands in the /debug/requests ring of DebugRoutes, which cmd/hdvserve
+// binds only to the separate -debug-addr listener.
 package serve
 
 import (
@@ -234,17 +245,17 @@ func (s *Server) registerMetrics() {
 
 func (s *Server) Routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("GET /transcode", s.instrument("transcode", s.limit(s.handleTranscode)))
-	mux.Handle("POST /transcode", s.instrument("transcode", s.limit(s.handleTranscodePost)))
+	mux.Handle("GET /transcode", s.instrument("transcode", s.handleTranscode))
+	mux.Handle("POST /transcode", s.instrument("transcode", s.handleTranscodePost))
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
-// reqTrack is the per-request instrumentation carrier: a ResponseWriter
-// wrapper recording status, bytes, and first-byte time, plus the trace
-// and label fields the middleware turns into histograms and a ring
-// record when the handler returns. Handlers reach it via track(w).
+// reqTrack is the one response writer of a /transcode request: it
+// records status, bytes and first-byte time, carries the trace and the
+// labels the middleware turns into histograms and a ring record, mirrors
+// the body into a cache fill, and sets the stream headers.
 type reqTrack struct {
 	rw    http.ResponseWriter
 	bytes *obs.Counter // global bytes-served total
@@ -257,7 +268,15 @@ type reqTrack struct {
 	firstByte time.Time
 	codec     string // "" until the request parses
 	res       string
-	cache     string // hit, miss, or none
+	cache     string // hit, miss, shared, or none
+
+	// The stream headers writeHead sets: ctype is the body's
+	// Content-Type, "" until the handler knows the body (and again once
+	// set); frames 0 and rung "" leave their headers out.
+	ctype  string
+	frames int
+	rung   string
+	tee    *gopcache.Fill // nil = the body fills no cache entry
 }
 
 func (t *reqTrack) Header() http.Header { return t.rw.Header() }
@@ -271,6 +290,7 @@ func (t *reqTrack) WriteHeader(code int) {
 
 func (t *reqTrack) Write(p []byte) (int, error) {
 	if t.status == 0 {
+		t.writeHead()
 		t.status = http.StatusOK
 	}
 	if t.firstByte.IsZero() {
@@ -279,6 +299,11 @@ func (t *reqTrack) Write(p []byte) (int, error) {
 	n, err := t.rw.Write(p)
 	t.written += int64(n)
 	t.bytes.Add(float64(n))
+	if t.tee != nil && n > 0 {
+		// A failed fill keeps its error and Commit refuses it: caching
+		// is an optimization, never a reason to fail the client's stream.
+		t.tee.Write(p[:n])
+	}
 	return n, err
 }
 
@@ -286,6 +311,37 @@ func (t *reqTrack) Flush() {
 	if f, ok := t.rw.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// writeHead sets the stream headers of a successful body, once. Write
+// calls it at the first byte of a body whose status nobody set, so an
+// error status (http.Error sets it first) never carries X-HDVB-*
+// headers; serveCached calls it before http.ServeContent, which would
+// otherwise sniff the body for a Content-Type. Server-Timing holds the
+// phases finished by then plus the cache disposition, which tells a warm
+// hit from a cold miss before the miss's encode phases exist. Keys are
+// spelled canonically: Header.Set copies any other spelling into a new
+// string on every response.
+func (t *reqTrack) writeHead() {
+	if t.ctype == "" {
+		return
+	}
+	h := t.rw.Header()
+	h.Set("Content-Type", t.ctype)
+	if t.ctype == StreamContentType {
+		h.Set("X-Hdvb-Codec", t.codec)
+		if t.frames > 0 {
+			h.Set("X-Hdvb-Frames", strconv.Itoa(t.frames))
+		}
+		if t.rung != "" {
+			h.Set("X-Hdvb-Rung", t.rung)
+		}
+	}
+	if t.cache != "none" {
+		h.Set("X-Hdvb-Cache", t.cache)
+	}
+	h.Set("Server-Timing", t.serverTiming())
+	t.ctype = ""
 }
 
 // setStream records the parsed stream shape on the track's labels.
@@ -299,9 +355,7 @@ func (t *reqTrack) setStream(c hdvideobench.Codec, opts hdvideobench.EncoderOpti
 }
 
 // serverTiming renders the completed phases plus the cache disposition
-// as a Server-Timing value — the disposition marker is what makes a
-// warm hit and a cold miss distinguishable at header time, before the
-// cold path's encode phases have finished.
+// as a Server-Timing value.
 func (t *reqTrack) serverTiming() string {
 	st := t.trace.ServerTiming()
 	if t.cache == "none" {
@@ -313,31 +367,24 @@ func (t *reqTrack) serverTiming() string {
 	return st + t.cache
 }
 
-// track returns the request's instrumentation carrier. Handlers only
-// run wrapped by instrument, so the assertion holds; the fallback keeps
-// a directly-invoked handler (subtests poking internals) functional.
-func track(w http.ResponseWriter) *reqTrack {
-	if t, ok := w.(*reqTrack); ok {
-		return t
-	}
-	return &reqTrack{rw: w, bytes: nil, start: time.Now(), trace: obs.NewTrace(), cache: "none"}
-}
-
-// instrument wraps a /transcode handler with the per-request
-// observability: request-ID generation/propagation/echo, byte and
-// latency accounting, the /debug/requests ring, and the debug log line.
-func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler {
+// instrument wraps a /transcode handler with the per-client rate limit
+// and the per-request observability: request-ID generation/propagation/
+// echo, byte and latency accounting, the /debug/requests ring, and the
+// debug log line.
+func (s *Server) instrument(endpoint string, next func(*reqTrack, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-ID")
 		if id == "" {
 			id = obs.NewRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-Id", id) // canonical spelling: no per-request copy
 		t := &reqTrack{
 			rw: w, bytes: s.m.bytesServed,
 			id: id, start: time.Now(), trace: obs.NewTrace(), cache: "none",
 		}
-		next(t, r)
+		if s.allow(t, r) {
+			next(t, r)
+		}
 		if t.status == 0 {
 			t.status = http.StatusOK // handler wrote nothing at all
 		}
@@ -356,23 +403,23 @@ func (s *Server) instrument(endpoint string, next http.HandlerFunc) http.Handler
 	})
 }
 
-// limit applies the per-client token bucket, keyed by peer IP.
-func (s *Server) limit(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.limiter != nil {
-			host, _, err := net.SplitHostPort(r.RemoteAddr)
-			if err != nil {
-				host = r.RemoteAddr
-			}
-			if !s.limiter.allow(host, time.Now()) {
-				s.m.rateLimited.Inc()
-				w.Header().Set("Retry-After", strconv.Itoa(s.limiter.retryAfterSeconds()))
-				http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-				return
-			}
-		}
-		next(w, r)
+// allow applies the per-client token bucket, keyed by peer IP, and
+// answers 429 when the client's bucket is empty.
+func (s *Server) allow(w http.ResponseWriter, r *http.Request) bool {
+	if s.limiter == nil {
+		return true
 	}
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		host = r.RemoteAddr
+	}
+	if s.limiter.allow(host, time.Now()) {
+		return true
+	}
+	s.m.rateLimited.Inc()
+	w.Header().Set("Retry-After", strconv.Itoa(s.limiter.retryAfterSeconds()))
+	http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
+	return false
 }
 
 // intParam parses an integer query parameter with a default and bounds.
@@ -442,50 +489,54 @@ func (g *flightGroup) finish(key gopcache.Key) {
 	close(ch)
 }
 
-// transcodeRequest is a validated /transcode query.
-type transcodeRequest struct {
+// plan is a validated GET /transcode query and the two cache keys it
+// resolves to.
+type plan struct {
 	codec  hdvideobench.Codec
 	seq    hdvideobench.Sequence
 	frames int
-	index  bool // GET: serve the GOP index instead of the stream
+	index  bool // serve the GOP index instead of the stream
 	opts   hdvideobench.EncoderOptions
 
-	// Ladder mode (GET only): ladder holds the validated rung list when
-	// the ladder= parameter is present, rung the index of the rendition
-	// selected with rung= (-1 = none: serve the JSON manifest), and
-	// ladderSpec the canonical "name@kbps,..." form shared by the flight
-	// key, so concurrent requests for different rungs of the same ladder
+	// Ladder mode: ladder holds the validated rung list when the ladder=
+	// parameter is present, rung the index of the rendition selected
+	// with rung= (-1 = none: serve the JSON manifest), and ladderSpec
+	// the canonical "name@kbps,..." form shared by the flight key, so
+	// concurrent requests for different rungs of the same ladder
 	// coalesce onto one EncodeLadder run.
 	ladder     []hdvideobench.LadderRung
 	rung       int
 	ladderSpec string
+
+	key    gopcache.Key // the cache entry that serves the request
+	flight gopcache.Key // the singleflight key its production runs under
 }
 
 // cacheKey maps the request onto the GOP cache's key space: every field
 // that shapes the coded bytes, and nothing else (workers and window are
 // byte-identical by the pipeline's determinism guarantee).
-func (req transcodeRequest) cacheKey() gopcache.Key {
+func (p *plan) cacheKey() gopcache.Key {
 	// Only H.264 has a selectable entropy coder; keying it for the other
 	// codecs would give byte-identical streams two cache entries.
 	entropy := ""
-	if req.codec == hdvideobench.H264 {
+	if p.codec == hdvideobench.H264 {
 		entropy = "cabac"
-		if req.opts.Entropy == hdvideobench.EntropyVLC {
+		if p.opts.Entropy == hdvideobench.EntropyVLC {
 			entropy = "vlc"
 		}
 	}
 	return gopcache.Key{
-		Codec:   req.codec.String(),
-		Seq:     req.seq.String(),
-		Width:   req.opts.Width,
-		Height:  req.opts.Height,
-		Frames:  req.frames,
-		Q:       req.opts.Q,
-		GOP:     req.opts.IntraPeriod,
-		Slices:  req.opts.Slices,
+		Codec:   p.codec.String(),
+		Seq:     p.seq.String(),
+		Width:   p.opts.Width,
+		Height:  p.opts.Height,
+		Frames:  p.frames,
+		Q:       p.opts.Q,
+		GOP:     p.opts.IntraPeriod,
+		Slices:  p.opts.Slices,
 		Entropy: entropy,
-		SIMD:    req.opts.SIMD,
-		Kbps:    req.opts.Kbps,
+		SIMD:    p.opts.SIMD,
+		Kbps:    p.opts.Kbps,
 	}
 }
 
@@ -495,19 +546,19 @@ func (req transcodeRequest) cacheKey() gopcache.Key {
 // and bitrate distinguish it. Sibling rungs deliberately do not appear:
 // a rung's bytes depend only on the top rung's motion field, which the
 // ladder composition cannot change.
-func (req transcodeRequest) rungKey(i int) gopcache.Key {
-	k := req.cacheKey()
-	k.Rung = req.ladder[i].Name
-	k.Kbps = req.ladder[i].Kbps
+func (p *plan) rungKey(i int) gopcache.Key {
+	k := p.cacheKey()
+	k.Rung = p.ladder[i].Name
+	k.Kbps = p.ladder[i].Kbps
 	return k
 }
 
 // ladderFlightKey is the singleflight key of the whole ladder run: one
 // EncodeLadder call fills every rung's entry, so concurrent requests
 // for any rung of the same ladder coalesce onto it.
-func (req transcodeRequest) ladderFlightKey() gopcache.Key {
-	k := req.cacheKey()
-	k.Rung = "ladder:" + req.ladderSpec
+func (p *plan) ladderFlightKey() gopcache.Key {
+	k := p.cacheKey()
+	k.Rung = "ladder:" + p.ladderSpec
 	return k
 }
 
@@ -605,9 +656,9 @@ func (s *Server) parseCoding(q url.Values, defWidth, defHeight int) (hdvideobenc
 	return c, opts, nil
 }
 
-func (s *Server) parseTranscode(r *http.Request) (transcodeRequest, error) {
+func (s *Server) parseTranscode(r *http.Request) (plan, error) {
 	q := r.URL.Query()
-	var req transcodeRequest
+	var p plan
 	var err error
 
 	// res= names a benchmark resolution (576p25 ... 2160p25, plus
@@ -617,78 +668,80 @@ func (s *Server) parseTranscode(r *http.Request) (transcodeRequest, error) {
 	if name := q.Get("res"); name != "" {
 		res, err := hdvideobench.ResolutionByName(name)
 		if err != nil {
-			return req, err
+			return p, err
 		}
 		defWidth, defHeight = res.Width, res.Height
 	}
-	if req.codec, req.opts, err = s.parseCoding(q, defWidth, defHeight); err != nil {
-		return req, err
+	if p.codec, p.opts, err = s.parseCoding(q, defWidth, defHeight); err != nil {
+		return p, err
 	}
 	seqName := q.Get("seq")
 	if seqName == "" {
 		seqName = "blue_sky"
 	}
-	if req.seq, err = hdvideobench.ParseSequence(seqName); err != nil {
-		return req, err
+	if p.seq, err = hdvideobench.ParseSequence(seqName); err != nil {
+		return p, err
 	}
-	if req.frames, err = intParam(q, "frames", min(250, s.cfg.MaxFrames), 1, s.cfg.MaxFrames); err != nil {
-		return req, err
+	if p.frames, err = intParam(q, "frames", min(250, s.cfg.MaxFrames), 1, s.cfg.MaxFrames); err != nil {
+		return p, err
 	}
-	if req.index, err = boolParam(q, "index"); err != nil {
-		return req, err
+	if p.index, err = boolParam(q, "index"); err != nil {
+		return p, err
 	}
-	req.rung = -1
+	p.rung = -1
 	if spec := q.Get("ladder"); spec != "" {
 		// The rung list validates against the request's mezzanine: unknown
 		// names, duplicates, and rungs exceeding the mezzanine are 400s.
-		req.ladder, err = hdvideobench.ParseLadder(spec, req.opts.Width, req.opts.Height)
+		p.ladder, err = hdvideobench.ParseLadder(spec, p.opts.Width, p.opts.Height)
 		if err != nil {
-			return req, err
+			return p, err
 		}
-		// A bare kbps= is the default budget for rungs without their own
-		// @kbps, mirroring hdvbench -ladder -kbps.
-		if req.opts.Kbps > 0 {
-			for i := range req.ladder {
-				if req.ladder[i].Kbps == 0 {
-					req.ladder[i].Kbps = req.opts.Kbps
-				}
+		parts := make([]string, len(p.ladder))
+		for i := range p.ladder {
+			lr := &p.ladder[i]
+			// A bare kbps= is the default budget for rungs without their
+			// own @kbps, mirroring hdvbench -ladder -kbps.
+			if lr.Kbps == 0 {
+				lr.Kbps = p.opts.Kbps
 			}
-		}
-		var parts []string
-		for _, lr := range req.ladder {
-			p := lr.Name
+			parts[i] = lr.Name
 			if lr.Kbps > 0 {
-				p += "@" + strconv.Itoa(lr.Kbps)
+				parts[i] += "@" + strconv.Itoa(lr.Kbps)
 			}
-			parts = append(parts, p)
 		}
-		req.ladderSpec = strings.Join(parts, ",")
-		if req.index {
-			return req, fmt.Errorf("index is not supported with ladder")
+		p.ladderSpec = strings.Join(parts, ",")
+		if p.index {
+			return p, fmt.Errorf("index is not supported with ladder")
 		}
 		// Every rung is held in memory as packets before serving starts,
 		// so the ladder path caps frames below the streaming paths' limit.
-		if req.frames > maxLadderFrames {
-			return req, fmt.Errorf("ladder is limited to %d frames, got %d", maxLadderFrames, req.frames)
+		if p.frames > maxLadderFrames {
+			return p, fmt.Errorf("ladder is limited to %d frames, got %d", maxLadderFrames, p.frames)
 		}
 		if name := q.Get("rung"); name != "" {
 			res, err := hdvideobench.ResolutionByName(name)
 			if err != nil {
-				return req, err
+				return p, err
 			}
-			for i, lr := range req.ladder {
+			for i, lr := range p.ladder {
 				if lr.Name == res.Name {
-					req.rung = i
+					p.rung = i
 				}
 			}
-			if req.rung < 0 {
-				return req, fmt.Errorf("rung %q is not in ladder %q", name, spec)
+			if p.rung < 0 {
+				return p, fmt.Errorf("rung %q is not in ladder %q", name, spec)
 			}
 		}
 	} else if q.Get("rung") != "" {
-		return req, fmt.Errorf("rung requires ladder")
+		return p, fmt.Errorf("rung requires ladder")
 	}
-	return req, nil
+	if p.rung >= 0 {
+		p.key, p.flight = p.rungKey(p.rung), p.ladderFlightKey()
+	} else {
+		p.key = p.cacheKey()
+		p.flight = p.key
+	}
+	return p, nil
 }
 
 // acquire takes an encoding slot or answers 503: hand back pressure
@@ -712,6 +765,13 @@ func (s *Server) release() {
 	<-s.sem
 }
 
+// encoded counts one finished encoder run on the request's labels.
+func (s *Server) encoded(t *reqTrack, d time.Duration) {
+	s.m.encodes.Inc()
+	s.m.encSeconds.Add(d.Seconds())
+	s.m.coldEnc.With("transcode", t.codec, t.res, t.cache).Observe(d.Seconds())
+}
+
 // frameFeed yields the request's generated frames, honoring the request
 // context so a dropped client aborts the encode from the input side, and
 // adds up the time it spends generating them.
@@ -720,11 +780,6 @@ type frameFeed struct {
 	gen       *hdvideobench.SequenceGenerator
 	frames, i int
 	spent     time.Duration // read once the encode has returned
-}
-
-func newFrameFeed(ctx context.Context, req transcodeRequest) *frameFeed {
-	gen := hdvideobench.NewSequence(req.seq, req.opts.Width, req.opts.Height)
-	return &frameFeed{ctx: ctx, gen: gen, frames: req.frames}
 }
 
 func (ff *frameFeed) next() (*hdvideobench.Frame, error) {
@@ -745,102 +800,133 @@ func (ff *frameFeed) next() (*hdvideobench.Frame, error) {
 // records two phases on the request's trace: "enc", the wall time of the
 // encode call, and "gen", the part of it the frame feed spent in the
 // sequence generator ("enc" contains "gen": the encoder pulls its input).
-func (s *Server) encodeGenerated(ctx context.Context, t *reqTrack, w io.Writer, req transcodeRequest, indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, time.Duration, error) {
-	feed := newFrameFeed(ctx, req)
+func (s *Server) encodeGenerated(ctx context.Context, t *reqTrack, w io.Writer, p *plan, indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
+	feed := &frameFeed{ctx: ctx, gen: hdvideobench.NewSequence(p.seq, p.opts.Width, p.opts.Height), frames: p.frames}
 	sp := t.trace.Start("enc")
-	stats, idx, err := s.encode(w, req.codec, req.opts, req.frames, feed.next, indexed)
-	encDur := sp.End()
+	stats, idx, err := s.encode(w, p.codec, p.opts, p.frames, feed.next, indexed)
+	d := sp.End()
 	t.trace.Record("gen", feed.spent)
-	return stats, idx, encDur, err
+	if err == nil {
+		s.encoded(t, d)
+	}
+	return stats, idx, err
 }
 
-func (s *Server) handleTranscode(w http.ResponseWriter, r *http.Request) {
+// commit seals a fill under the "commit" phase. Fill time spans encode
+// start through commit: the window during which a second request for
+// the same key would find no entry.
+func (s *Server) commit(t *reqTrack, fill *gopcache.Fill, idx hdvideobench.GOPIndex, start time.Time) (*gopcache.Entry, error) {
+	sp := t.trace.Start("commit")
+	ent, err := fill.Commit(idx)
+	sp.End()
+	if err == nil {
+		s.m.cacheFill.With("transcode", t.codec, t.res, t.cache).Observe(time.Since(start).Seconds())
+	}
+	return ent, err
+}
+
+func (s *Server) handleTranscode(t *reqTrack, r *http.Request) {
 	s.m.getReqs.Inc()
-	t := track(w)
-	req, err := s.parseTranscode(r)
+	p, err := s.parseTranscode(r)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(t, err.Error(), http.StatusBadRequest)
 		return
 	}
-	t.setStream(req.codec, req.opts)
-	if req.index && s.cache == nil {
-		http.Error(w, "index requires caching (-cache-dir)", http.StatusBadRequest)
+	t.setStream(p.codec, p.opts)
+	if p.index && s.cache == nil {
+		http.Error(t, "index requires caching (-cache-dir)", http.StatusBadRequest)
 		return
 	}
-	if len(req.ladder) > 0 {
-		if req.rung < 0 {
-			s.writeLadderManifest(w, r, req)
-			return
-		}
-		s.handleLadderRung(w, r, req)
+	if len(p.ladder) > 0 && p.rung < 0 {
+		s.writeLadderManifest(t, r, &p)
 		return
+	}
+	t.ctype, t.frames = StreamContentType, p.frames
+	if p.index {
+		t.ctype = "application/json"
+	}
+	if p.rung >= 0 {
+		lr := p.ladder[p.rung]
+		t.res = strconv.Itoa(lr.Width) + "x" + strconv.Itoa(lr.Height)
+		t.rung = lr.Name
 	}
 
-	var key gopcache.Key
 	if s.cache != nil {
-		key = req.cacheKey()
 		sp := t.trace.Start("cache")
-		ent, ok := s.cache.Get(key)
+		ent, ok := s.cache.Get(p.key)
 		sp.End()
 		if ok {
 			t.cache = "hit"
-			s.serveCached(w, r, req, ent, "hit")
+			s.serveCached(t, r, &p, ent)
 			return
 		}
 		t.cache = "miss"
-		if ent, ok := s.waitFlight(w, r, key, key); ok {
+		if ent, follower := s.waitFlight(t, r, &p); follower {
 			if ent != nil {
-				s.serveCached(w, r, req, ent, "shared")
+				s.serveCached(t, r, &p, ent)
 			}
 			return
 		}
-		defer s.flights.finish(key)
+		defer s.flights.finish(p.flight)
 	}
-
-	if !s.acquire(w) {
+	if !s.acquire(t) {
 		return
 	}
 	defer s.release()
 
-	// Seek and index need the complete entry: encode it into the cache
-	// first, then serve the requested span off disk.
-	if s.cache != nil && (req.index || r.Header.Get("Range") != "") {
-		ent, ok := s.fillCache(w, r, req, key)
-		if !ok {
-			return
-		}
-		s.serveCached(w, r, req, ent, "miss")
-		return
+	switch {
+	case p.rung >= 0:
+		s.encodeLadder(t, r, &p)
+	case s.cache != nil && (p.index || r.Header.Get("Range") != ""):
+		s.fillThenServe(t, r, &p)
+	default:
+		s.streamCold(t, r, &p)
 	}
-	s.streamCold(w, r, req, key)
+}
+
+// waitFlight applies singleflight to a cold fill. While another request
+// produces p.flight it waits, then hands back the freshly cached entry
+// for p.key with follower set; a nil entry then means the client
+// vanished while waiting. follower false means the caller is now the
+// leader and must s.flights.finish(p.flight) when done.
+func (s *Server) waitFlight(t *reqTrack, r *http.Request, p *plan) (ent *gopcache.Entry, follower bool) {
+	for {
+		ch, leader := s.flights.begin(p.flight)
+		if leader {
+			return nil, false
+		}
+		sp := t.trace.Start("flight")
+		select {
+		case <-ch:
+			sp.End()
+		case <-r.Context().Done():
+			sp.End()
+			return nil, true
+		}
+		if ent, ok := s.cache.Get(p.key); ok {
+			s.m.sfShared.Inc()
+			t.cache = "shared"
+			return ent, true
+		}
+		// The leader aborted without committing; race for leadership.
+	}
 }
 
 // serveCached serves a request straight from an opened cache entry:
 // the index as JSON, or the container bytes with standard Range
-// support. state names how the entry got here ("hit" or "miss").
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, req transcodeRequest, ent *gopcache.Entry, state string) {
+// support.
+func (s *Server) serveCached(t *reqTrack, r *http.Request, p *plan, ent *gopcache.Entry) {
 	defer ent.Close()
-	t := track(w)
-	if req.index {
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-HDVB-Cache", state)
-		w.Header().Set("Server-Timing", t.serverTiming())
-		writeIndexJSON(w, ent.Index)
+	t.writeHead()
+	if p.index {
+		writeIndexJSON(t, ent.Index)
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", StreamContentType)
-	h.Set("X-HDVB-Codec", req.codec.String())
-	h.Set("X-HDVB-Frames", strconv.Itoa(req.frames))
-	h.Set("X-HDVB-Cache", state)
-	// The phases completed so far: the cache lookup on a hit, plus the
-	// full encode/fill on a ranged or indexed miss.
-	h.Set("Server-Timing", t.serverTiming())
 	// ServeContent handles Range/If-Range/HEAD and sets Content-Length
 	// and Accept-Ranges; the body is the exact byte stream a cold
 	// encode produces, so hits are byte-identical to misses.
 	sp := t.trace.Start("write")
-	http.ServeContent(w, r, "", ent.ModTime, ent.Body())
+	http.ServeContent(t, r, "", ent.ModTime, ent.Body())
 	sp.End()
 	s.m.served.Inc()
 }
@@ -863,165 +949,95 @@ func writeIndexJSON(w io.Writer, idx hdvideobench.GOPIndex) {
 	json.NewEncoder(w).Encode(out)
 }
 
-// fillCache encodes the request into the cache without streaming to the
-// client (the ranged/indexed miss path). On failure it writes the error
-// response and reports !ok.
-func (s *Server) fillCache(w http.ResponseWriter, r *http.Request, req transcodeRequest, key gopcache.Key) (*gopcache.Entry, bool) {
-	t := track(w)
-	fill, err := s.cache.NewFill(key)
+// fillThenServe produces a Range or index miss: both need the complete
+// entry, so the encode goes into the cache first and the requested span
+// is served off the commit.
+func (s *Server) fillThenServe(t *reqTrack, r *http.Request, p *plan) {
+	fill, err := s.cache.NewFill(p.key)
 	if err != nil {
-		http.Error(w, "cache unavailable", http.StatusInternalServerError)
-		return nil, false
+		http.Error(t, "cache unavailable", http.StatusInternalServerError)
+		return
 	}
-	ctx := r.Context()
 	start := time.Now()
-	fw := &errTrackWriter{w: fill}
-	stats, idx, encDur, err := s.encodeGenerated(ctx, t, fw, req, true)
+	stats, idx, err := s.encodeGenerated(r.Context(), t, fill, p, true)
 	if err != nil {
 		fill.Abort()
-		if ctx.Err() != nil {
-			return nil, false // client gone; nobody is listening
-		}
 		switch {
-		case fw.err != nil:
+		case r.Context().Err() != nil:
+			// Client gone; nobody is listening.
+		case fill.Err() != nil:
 			// The request was fine; the cache disk was not. A zero-byte
 			// fill failure must not masquerade as a client error.
-			http.Error(w, "cache write failed", http.StatusInternalServerError)
+			http.Error(t, "cache write failed", http.StatusInternalServerError)
 		case stats.Bytes == 0:
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(t, err.Error(), http.StatusBadRequest)
 		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			http.Error(t, err.Error(), http.StatusInternalServerError)
 		}
-		return nil, false
+		return
 	}
-	s.m.encodes.Inc()
-	s.m.encSeconds.Add(encDur.Seconds())
-	s.m.coldEnc.With("transcode", t.codec, t.res, t.cache).Observe(encDur.Seconds())
-	csp := t.trace.Start("commit")
-	ent, err := fill.Commit(idx)
-	csp.End()
+	ent, err := s.commit(t, fill, idx, start)
 	if err != nil {
-		http.Error(w, "cache commit failed", http.StatusInternalServerError)
-		return nil, false
+		http.Error(t, "cache commit failed", http.StatusInternalServerError)
+		return
 	}
-	// Fill time spans encode start through commit: the window during
-	// which a second request for the same key would find no entry.
-	s.m.cacheFill.With("transcode", t.codec, t.res, t.cache).Observe(time.Since(start).Seconds())
-	return ent, true
+	s.serveCached(t, r, p, ent)
 }
 
-// streamCold encodes and streams the request with chunked transfer,
-// teeing the byte stream into a cache fill when caching is on. Stream
-// headers are deferred to the first body byte so pre-stream failures
-// (nothing on the wire yet) produce clean, headerless error statuses.
-func (s *Server) streamCold(w http.ResponseWriter, r *http.Request, req transcodeRequest, key gopcache.Key) {
-	t := track(w)
-	hw := &deferredHeaderWriter{rw: w, set: func(h http.Header) {
-		h.Set("Content-Type", StreamContentType)
-		h.Set("X-HDVB-Codec", req.codec.String())
-		h.Set("X-HDVB-Frames", strconv.Itoa(req.frames))
-		if s.cache != nil {
-			h.Set("X-HDVB-Cache", "miss")
-		}
-		// Only the phases finished before the first byte (the cache
-		// lookup) can go in the header; the encode phases arrive in the
-		// Server-Timing trailer once the chunked stream completes.
-		h.Set("Server-Timing", t.serverTiming())
-	}}
-	var sink flushWriter = hw
-	var tee *cacheTeeWriter
+// streamCold encodes the request straight onto the wire with chunked
+// transfer, teeing the bytes into a cache fill when caching is on.
+func (s *Server) streamCold(t *reqTrack, r *http.Request, p *plan) {
+	var fill *gopcache.Fill
 	if s.cache != nil {
 		// Cache trouble must never fail serving: no fill, no tee.
-		if fill, err := s.cache.NewFill(key); err == nil {
-			tee = &cacheTeeWriter{dst: hw, fill: fill}
-			sink = tee
-		}
+		fill, _ = s.cache.NewFill(p.key)
 	}
-
-	ctx := r.Context()
+	t.tee = fill
 	start := time.Now()
 	// The GOP index only exists to be committed with the fill; without a
 	// tee the plain per-packet drain keeps first-byte latency at one
 	// packet, not one GOP.
-	stats, idx, encDur, err := s.encodeGenerated(ctx, t, sink, req, tee != nil)
-	abortTee := func() {
-		if tee != nil {
-			tee.fill.Abort()
+	stats, idx, err := s.encodeGenerated(r.Context(), t, t, p, fill != nil)
+	t.tee = nil
+	if fill != nil {
+		if err != nil {
+			fill.Abort()
+		} else if ent, cerr := s.commit(t, fill, idx, start); cerr != nil {
+			s.log.Warn("cache commit failed", "id", t.id, "err", cerr)
+		} else {
+			ent.Close() // already streamed
 		}
 	}
-	switch {
-	case err == nil:
-		s.m.served.Inc()
-		s.m.encodes.Inc()
-		s.m.encSeconds.Add(encDur.Seconds())
-		s.m.coldEnc.With("transcode", t.codec, t.res, t.cache).Observe(encDur.Seconds())
-		if tee != nil {
-			if tee.teeErr != nil {
-				tee.fill.Abort()
-			} else {
-				csp := t.trace.Start("commit")
-				ent, err := tee.fill.Commit(idx)
-				csp.End()
-				if err != nil {
-					s.log.Warn("cache commit failed", "id", t.id, "err", err)
-				} else {
-					ent.Close() // already streamed; only fillCache serves off the commit
-					s.m.cacheFill.With("transcode", t.codec, t.res, t.cache).Observe(time.Since(start).Seconds())
-				}
-			}
-		}
-		if hw.wrote {
-			// The response is chunked (no Content-Length), so the encode
-			// phases can still reach the client as a trailer.
-			w.Header().Set(http.TrailerPrefix+"Server-Timing", t.serverTiming())
-		}
-		s.log.Info("stream served",
-			"id", t.id, "codec", req.codec.String(), "seq", req.seq.String(),
-			"res", t.res, "frames", req.frames, "workers", req.opts.Workers,
-			"bytes", stats.Bytes, "dur", time.Since(start).Round(time.Millisecond))
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil:
-		abortTee()
-		s.log.Debug("client gone", "id", t.id, "frames", stats.Frames, "bytes", stats.Bytes)
-	case !hw.wrote:
-		// Nothing on the wire yet: the error can still become a status,
-		// and since the stream headers are deferred, the 400 carries
-		// none of them.
-		abortTee()
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	default:
-		// Mid-stream failure; the truncated body is the only signal.
-		abortTee()
-		s.log.Warn("stream failed mid-flight", "id", t.id, "frames", stats.Frames, "err", err)
+	if !s.settle(t, r, err, stats.Frames) {
+		return
 	}
+	s.m.served.Inc()
+	s.log.Info("stream served",
+		"id", t.id, "codec", t.codec, "seq", p.seq.String(),
+		"res", t.res, "frames", p.frames, "workers", p.opts.Workers,
+		"bytes", stats.Bytes, "dur", time.Since(start).Round(time.Millisecond))
 }
 
-// waitFlight applies singleflight to a cold fill. If another request is
-// already encoding flightKey, it blocks until that fill commits and
-// hands back the freshly cached entry for cacheKey; (nil, true) means
-// the client vanished while waiting. (nil, false) means the caller is
-// now the leader and must s.flights.finish(flightKey) when done.
-func (s *Server) waitFlight(w http.ResponseWriter, r *http.Request, flightKey, cacheKey gopcache.Key) (*gopcache.Entry, bool) {
-	t := track(w)
-	for {
-		ch, leader := s.flights.begin(flightKey)
-		if leader {
-			return nil, false
-		}
-		sp := t.trace.Start("flight")
-		select {
-		case <-ch:
-			sp.End()
-		case <-r.Context().Done():
-			sp.End()
-			return nil, true
-		}
-		if ent, ok := s.cache.Get(cacheKey); ok {
-			s.m.sfShared.Inc()
-			t.cache = "shared"
-			return ent, true
-		}
-		// The leader aborted without committing; race for leadership.
+// settle ends a response its encoder wrote straight to the client (a
+// cold GET stream, a POST transcode) and reports whether it succeeded.
+// Success puts the phases into a Server-Timing trailer: the chunked body
+// has no Content-Length, so the encode phases, which end after the
+// first byte, can still reach the client. A failure with nothing on the
+// wire yet becomes a 400 without stream headers; one mid-stream leaves
+// the truncated body as the only signal.
+func (s *Server) settle(t *reqTrack, r *http.Request, err error, frames int) bool {
+	switch {
+	case err == nil:
+		t.Header().Set(http.TrailerPrefix+"Server-Timing", t.serverTiming())
+		return true
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || r.Context().Err() != nil:
+		s.log.Debug("client gone", "id", t.id, "method", r.Method, "frames", frames, "bytes", t.written)
+	case t.status == 0:
+		http.Error(t, err.Error(), http.StatusBadRequest)
+	default:
+		s.log.Warn("stream failed mid-flight", "id", t.id, "method", r.Method, "frames", frames, "err", err)
 	}
+	return false
 }
 
 // ladderManifestJSON is the GET /transcode?ladder= response when no
@@ -1043,15 +1059,15 @@ type ladderRungJSON struct {
 	URL    string `json:"url"`
 }
 
-func (s *Server) writeLadderManifest(w http.ResponseWriter, r *http.Request, req transcodeRequest) {
+func (s *Server) writeLadderManifest(w http.ResponseWriter, r *http.Request, p *plan) {
 	out := ladderManifestJSON{
-		Codec:     req.codec.String(),
-		Seq:       req.seq.String(),
-		Frames:    req.frames,
-		Mezzanine: strconv.Itoa(req.opts.Width) + "x" + strconv.Itoa(req.opts.Height),
+		Codec:     p.codec.String(),
+		Seq:       p.seq.String(),
+		Frames:    p.frames,
+		Mezzanine: strconv.Itoa(p.opts.Width) + "x" + strconv.Itoa(p.opts.Height),
 	}
 	u := *r.URL
-	for _, lr := range req.ladder {
+	for _, lr := range p.ladder {
 		q := u.Query()
 		q.Set("rung", lr.Name)
 		u.RawQuery = q.Encode()
@@ -1064,180 +1080,102 @@ func (s *Server) writeLadderManifest(w http.ResponseWriter, r *http.Request, req
 	json.NewEncoder(w).Encode(out)
 }
 
-// handleLadderRung serves one rendition of a ladder request. Cache hits
-// serve the rung's entry directly; a miss runs one EncodeLadder pass —
-// coalesced across concurrent requests for any rung of the same ladder
-// by the flight group — and commits every rung it produced, so the
-// sibling rungs of the first request are hits for the rest of the
-// playlist.
-func (s *Server) handleLadderRung(w http.ResponseWriter, r *http.Request, req transcodeRequest) {
-	t := track(w)
-	rung := req.ladder[req.rung]
-	t.res = strconv.Itoa(rung.Width) + "x" + strconv.Itoa(rung.Height)
-	w.Header().Set("X-HDVB-Rung", rung.Name)
-
-	var key gopcache.Key
-	if s.cache != nil {
-		key = req.rungKey(req.rung)
-		sp := t.trace.Start("cache")
-		ent, ok := s.cache.Get(key)
-		sp.End()
-		if ok {
-			t.cache = "hit"
-			s.serveCached(w, r, req, ent, "hit")
-			return
-		}
-		t.cache = "miss"
-		flightKey := req.ladderFlightKey()
-		if ent, ok := s.waitFlight(w, r, flightKey, key); ok {
-			if ent != nil {
-				s.serveCached(w, r, req, ent, "shared")
-			}
-			return
-		}
-		defer s.flights.finish(flightKey)
-	}
-
-	if !s.acquire(w) {
-		return
-	}
-	defer s.release()
-
-	ctx := r.Context()
+// encodeLadder produces a ladder rung: one EncodeLadder pass whose every
+// rung is committed, so the siblings of the first rung asked for are
+// hits for the rest of the playlist. Cache trouble downgrades to serving
+// the requested rung from memory, never to failing the request.
+func (s *Server) encodeLadder(t *reqTrack, r *http.Request, p *plan) {
 	start := time.Now()
-	gsp := t.trace.Start("gen")
-	frames := make([]*hdvideobench.Frame, req.frames)
-	gen := hdvideobench.NewSequence(req.seq, req.opts.Width, req.opts.Height)
+	sp := t.trace.Start("gen")
+	frames := make([]*hdvideobench.Frame, p.frames)
+	gen := hdvideobench.NewSequence(p.seq, p.opts.Width, p.opts.Height)
 	for i := range frames {
 		frames[i] = gen.Frame(i)
 	}
-	gsp.End()
-	sp := t.trace.Start("enc")
-	rends, err := s.ladder(req.codec, req.opts, frames, req.ladder)
-	encDur := sp.End()
+	sp.End()
+	sp = t.trace.Start("enc")
+	rends, err := s.ladder(p.codec, p.opts, frames, p.ladder)
+	d := sp.End()
 	if err != nil {
-		if ctx.Err() != nil {
-			return
+		if r.Context().Err() == nil {
+			http.Error(t, err.Error(), http.StatusInternalServerError)
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.m.encodes.Inc()
-	s.m.encSeconds.Add(encDur.Seconds())
-	s.m.coldEnc.With("transcode", t.codec, t.res, t.cache).Observe(encDur.Seconds())
+	s.encoded(t, d)
 
-	// Commit every rung; cache trouble downgrades to serving the
-	// requested rung from memory, never to failing the request.
-	var serveEnt *gopcache.Entry
+	var ent *gopcache.Entry
 	if s.cache != nil {
-		csp := t.trace.Start("commit")
+		sp = t.trace.Start("commit")
 		for i, rend := range rends {
-			fill, err := s.cache.NewFill(req.rungKey(i))
+			fill, err := s.cache.NewFill(p.rungKey(i))
 			if err != nil {
 				continue
 			}
-			cw := &countWriter{w: fill}
-			if err := hdvideobench.WriteStream(cw, rend.Header, rend.Packets); err != nil {
+			if err := hdvideobench.WriteStream(fill, rend.Header, rend.Packets); err != nil {
 				fill.Abort()
 				continue
 			}
-			ent, err := fill.Commit(hdvideobench.GOPIndex{Size: cw.n})
-			if err != nil {
-				continue
-			}
-			if i == req.rung {
-				serveEnt = ent
-			} else {
-				ent.Close()
+			e, err := fill.Commit(hdvideobench.GOPIndex{Size: fill.Written()})
+			switch {
+			case err != nil:
+			case i == p.rung:
+				ent = e
+			default:
+				e.Close()
 			}
 		}
-		csp.End()
+		sp.End()
 		s.m.cacheFill.With("transcode", t.codec, t.res, t.cache).Observe(time.Since(start).Seconds())
 	}
-	if serveEnt != nil {
-		s.serveCached(w, r, req, serveEnt, "miss")
+	if ent != nil {
+		s.serveCached(t, r, p, ent)
 	} else {
-		h := w.Header()
-		h.Set("Content-Type", StreamContentType)
-		h.Set("X-HDVB-Codec", req.codec.String())
-		h.Set("X-HDVB-Frames", strconv.Itoa(req.frames))
-		h.Set("Server-Timing", t.serverTiming())
-		wsp := t.trace.Start("write")
-		werr := hdvideobench.WriteStream(w, rends[req.rung].Header, rends[req.rung].Packets)
-		wsp.End()
-		if werr != nil {
-			s.log.Warn("ladder stream failed mid-flight", "id", t.id, "rung", rung.Name, "err", werr)
+		sp = t.trace.Start("write")
+		err := hdvideobench.WriteStream(t, rends[p.rung].Header, rends[p.rung].Packets)
+		sp.End()
+		if err != nil {
+			s.log.Warn("ladder stream failed mid-flight", "id", t.id, "rung", t.rung, "err", err)
 			return
 		}
 		s.m.served.Inc()
 	}
 	s.log.Info("ladder rung served",
-		"id", t.id, "codec", req.codec.String(), "seq", req.seq.String(),
-		"ladder", req.ladderSpec, "rung", rung.Name, "frames", req.frames,
+		"id", t.id, "codec", t.codec, "seq", p.seq.String(),
+		"ladder", p.ladderSpec, "rung", t.rung, "frames", p.frames,
 		"dur", time.Since(start).Round(time.Millisecond))
 }
 
-// countWriter counts bytes through to w (the cache fill needs the body
-// size for the index trailer's Size field).
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (s *Server) handleTranscodePost(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTranscodePost(t *reqTrack, r *http.Request) {
 	s.m.postReqs.Inc()
-	t := track(w)
-	q := r.URL.Query()
-	codec, opts, err := s.parseCoding(q, 0, 0) // width/height 0: copy the input's
+	codec, opts, err := s.parseCoding(r.URL.Query(), 0, 0) // width/height 0: copy the input's
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(t, err.Error(), http.StatusBadRequest)
 		return
 	}
 	t.setStream(codec, opts)
-	if !s.acquire(w) {
+	t.ctype = StreamContentType
+	if !s.acquire(t) {
 		return
 	}
 	defer s.release()
 
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUpload)
-	hw := &deferredHeaderWriter{rw: w, set: func(h http.Header) {
-		h.Set("Content-Type", StreamContentType)
-		h.Set("X-HDVB-Codec", codec.String())
-		h.Set("Server-Timing", t.serverTiming())
-	}}
-	ctx := r.Context()
+	body := http.MaxBytesReader(t, r.Body, s.cfg.MaxUpload)
 	start := time.Now()
 	sp := t.trace.Start("enc")
-	stats, err := hdvideobench.Transcode(body, hw, codec, opts)
-	encDur := sp.End()
-	switch {
-	case err == nil:
-		s.m.transcoded.Inc()
-		s.m.encodes.Inc()
-		s.m.encSeconds.Add(encDur.Seconds())
-		s.m.coldEnc.With("transcode", t.codec, t.res, t.cache).Observe(encDur.Seconds())
-		if hw.wrote {
-			w.Header().Set(http.TrailerPrefix+"Server-Timing", t.serverTiming())
-		}
-		s.log.Info("upload transcoded",
-			"id", t.id, "in", stats.In.String(), "out", stats.Out.String(),
-			"frames", stats.Frames, "bytes_in", stats.BytesIn, "bytes_out", stats.BytesOut,
-			"dur", time.Since(start).Round(time.Millisecond))
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil:
-		s.log.Debug("transcode client gone", "id", t.id, "frames", stats.Frames)
-	case !hw.wrote:
-		// A bad upload (wrong magic, unsupported version, bad config)
-		// fails before the output container opens.
-		http.Error(w, err.Error(), http.StatusBadRequest)
-	default:
-		s.log.Warn("transcode failed mid-flight", "id", t.id, "frames", stats.Frames, "err", err)
+	// A bad upload (wrong magic, unsupported version, bad config) fails
+	// before the output container opens, so settle answers it with a 400.
+	stats, err := hdvideobench.Transcode(body, t, codec, opts)
+	d := sp.End()
+	if !s.settle(t, r, err, stats.Frames) {
+		return
 	}
+	s.m.transcoded.Inc()
+	s.encoded(t, d)
+	s.log.Info("upload transcoded",
+		"id", t.id, "in", stats.In.String(), "out", stats.Out.String(),
+		"frames", stats.Frames, "bytes_in", stats.BytesIn, "bytes_out", stats.BytesOut,
+		"dur", time.Since(start).Round(time.Millisecond))
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1259,75 +1197,3 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Served:   int64(s.m.served.Value()),
 	})
 }
-
-// flushWriter is what the streaming paths need from their sink: the
-// container's StreamWriter flush-through triggers on the error-less
-// Flush flavor.
-type flushWriter interface {
-	io.Writer
-	Flush()
-}
-
-// deferredHeaderWriter postpones the stream headers to the first body
-// byte: a request that fails before producing any output (bad encoder
-// config, cache fill refusal) can then answer with a clean error status
-// instead of a 400 that carries X-HDVB-* stream headers.
-type deferredHeaderWriter struct {
-	rw    http.ResponseWriter
-	set   func(http.Header)
-	wrote bool
-}
-
-func (d *deferredHeaderWriter) Write(p []byte) (int, error) {
-	if !d.wrote {
-		d.wrote = true
-		if d.set != nil {
-			d.set(d.rw.Header())
-		}
-	}
-	return d.rw.Write(p)
-}
-
-func (d *deferredHeaderWriter) Flush() {
-	if f, ok := d.rw.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// errTrackWriter remembers the first write failure, letting fillCache
-// tell a cache-disk fault (500) apart from a request the encoder
-// rejected before producing bytes (400).
-type errTrackWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errTrackWriter) Write(p []byte) (int, error) {
-	n, err := e.w.Write(p)
-	if err != nil && e.err == nil {
-		e.err = err
-	}
-	return n, err
-}
-
-// cacheTeeWriter mirrors the response byte stream into a cache fill. A
-// fill failure (disk full) quietly stops the tee — caching is an
-// optimization, never a reason to fail the client's stream — and the
-// fill is aborted instead of committed.
-type cacheTeeWriter struct {
-	dst    *deferredHeaderWriter
-	fill   *gopcache.Fill
-	teeErr error
-}
-
-func (t *cacheTeeWriter) Write(p []byte) (int, error) {
-	n, err := t.dst.Write(p)
-	if n > 0 && t.teeErr == nil {
-		if _, werr := t.fill.Write(p[:n]); werr != nil {
-			t.teeErr = werr
-		}
-	}
-	return n, err
-}
-
-func (t *cacheTeeWriter) Flush() { t.dst.Flush() }
