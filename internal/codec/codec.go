@@ -7,8 +7,9 @@
 // The drivers own everything outside a slice: the dimension check and
 // display stamp, IPBB GOP typing and reordering (GOPScheduler,
 // DisplayReorderer), the rate controller, the reference list and its
-// reset at every I frame, reconstruction frames and their border
-// extension, slice dispatch on the installed runners, the payload layout
+// reset at every I frame, reconstruction frames (recycled through a free
+// list, half-pel plane memory included) and their border extension,
+// slice dispatch on the installed runners, the payload layout
 // (quantizer byte, slice table, per-slice quantizer bytes), and on the
 // decode side packet validation and per-slice error collection. A slice
 // coder owns its per-slice and per-row state (bitstreams, entropy
@@ -23,6 +24,8 @@
 //     inside its span's macroblock rows (never the borders); it may read
 //     back what it wrote there, and nothing of another slice's rows —
 //     which is why no runner can change a coded byte or a decoded sample.
+//     An encoder's recon is recycled, so samples not yet written this
+//     frame are stale: a coder that wants them zero clears them first.
 package codec
 
 import (
@@ -208,6 +211,11 @@ type Encoder interface {
 	Flush() ([]container.Packet, error)
 	// Header describes the stream for the container.
 	Header() container.Header
+	// Reset returns the encoder to the state of a fresh instance with the
+	// same Config, keeping its buffers (reconstruction frames and their
+	// half-pel planes, writer capacity, per-row records), so the next
+	// Encode starts a new stream byte-identical to a fresh instance's.
+	Reset()
 
 	// SetSliceRunner runs each frame's slice jobs on r, SetWavefrontRunner
 	// each slice's macroblock grid (used only under Config.Wavefront);

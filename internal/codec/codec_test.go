@@ -180,18 +180,25 @@ func TestDisplayReordererFlushWithGap(t *testing.T) {
 func TestRefList(t *testing.T) {
 	l := RefList{Max: 2}
 	a, b, c := mkFrame(0), mkFrame(1), mkFrame(2)
-	l.Add(a)
-	l.Add(b)
-	l.Add(c)
+	if l.Add(a) != nil || l.Add(b) != nil {
+		t.Fatal("a filling list dropped a frame")
+	}
+	if got := l.Add(c); got != a {
+		t.Fatalf("Add dropped %v, want the oldest", got)
+	}
 	if l.Len() != 2 {
 		t.Fatalf("len = %d", l.Len())
 	}
 	if l.Get(0) != c || l.Get(1) != b {
 		t.Fatal("wrong eviction order")
 	}
-	l.Reset()
+	free := []*frame.Frame{a}
+	l.Reset(&free)
 	if l.Len() != 0 {
 		t.Fatal("reset failed")
+	}
+	if len(free) != 3 || free[0] != a || free[1] != c || free[2] != b {
+		t.Fatal("Reset did not append the dropped frames, most recent first")
 	}
 }
 

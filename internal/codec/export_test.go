@@ -21,3 +21,6 @@ func (t reconTap) EndFrame(recon *frame.Frame, q int) {
 	t.SliceEncoder.EndFrame(recon, q)
 	t.fn(recon)
 }
+
+// Every test in this package codes into poisoned recycled frames.
+func init() { poisonRecycled = true }

@@ -69,7 +69,7 @@ func (d *FrameDecoder) decodeFrame(p container.Packet) (*frame.Frame, error) {
 	switch p.Type {
 	case container.FrameI:
 		// Closed GOP: mirror the encoder's reference reset at I frames.
-		d.refs.Reset()
+		d.refs.Reset(nil)
 	case container.FrameP:
 		if d.refs.Len() < 1 {
 			return nil, fmt.Errorf("P frame before any reference")

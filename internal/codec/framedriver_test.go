@@ -396,7 +396,7 @@ func TestRefListAllocatesOnce(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { l.Add(f) }); n != 0 {
 		t.Errorf("%v allocations per Add", n)
 	}
-	l.Reset()
+	l.Reset(nil)
 	if n := testing.AllocsPerRun(50, func() { l.Add(f) }); n != 0 || l.Len() != 3 {
 		t.Errorf("after Reset: %v allocations per Add, %d references", n, l.Len())
 	}

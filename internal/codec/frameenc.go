@@ -51,6 +51,7 @@ type FrameEncoder struct {
 	gop    GOPScheduler
 	rc     *RateController // nil = constant Q
 	refs   RefList
+	free   []*frame.Frame // reconstructions nothing reads any more, for reuse
 	runner SliceRunner
 	wfRun  WavefrontRunner
 
@@ -108,6 +109,19 @@ func (e *FrameEncoder) SetWavefrontRunner(r WavefrontRunner) {
 	}
 }
 
+// Reset implements Encoder. Slice coders keep no state across an I
+// frame (the closed-GOP invariant GOP-chunk parallelism relies on), and
+// a stream opens with one, so Reset leaves them alone; the installed
+// runners stay too.
+func (e *FrameEncoder) Reset() {
+	e.gop.Reset()
+	if e.rc != nil {
+		e.rc.Reset()
+	}
+	e.refs.Reset(&e.free)
+	e.inCount, e.ptsBase = 0, 0
+}
+
 // Encode implements Encoder.
 func (e *FrameEncoder) Encode(f *frame.Frame) ([]container.Packet, error) {
 	if f.Width != e.cfg.Width || f.Height != e.cfg.Height {
@@ -140,8 +154,70 @@ func (e *FrameEncoder) encodeSlice(i int) {
 	e.bodies[i] = e.sc.EncodeSlice(i, e.src, e.recon, e.ftype, e.spans[i], q, e.wfRun, e.tap, e.hint)
 }
 
+// newRecon returns a frame to reconstruct a picture of type ftype into:
+// one from the free list when it has any — a reference prefers a frame
+// that owns half-pel plane memory for NewReference to refill, a B
+// picture one that does not — and a new one otherwise.
+func (e *FrameEncoder) newRecon(ftype container.FrameType) *frame.Frame {
+	n := len(e.free)
+	if n == 0 {
+		return frame.NewPadded(e.cfg.Width, e.cfg.Height, RefPad)
+	}
+	ref, i := ftype != container.FrameB, n-1
+	for j, f := range e.free {
+		if ownsPlanes(f) == ref {
+			i = j
+			break
+		}
+	}
+	f := e.free[i]
+	e.free[i] = e.free[n-1]
+	e.free[n-1] = nil
+	e.free = e.free[:n-1]
+	f.Recycle()
+	if poisonRecycled {
+		poison(f)
+	}
+	return f
+}
+
+func ownsPlanes(f *frame.Frame) bool { return f.Hpel6 != nil || f.HpelBilin != nil || f.Spare != nil }
+
+// poisonRecycled, set only by tests, makes newRecon fill every recycled
+// frame's samples and spare plane memory with 0xA5 before reuse: a slice
+// coder, in-loop filter or search that read anything not written since
+// would move a bitstream.
+var poisonRecycled bool
+
+func poison(f *frame.Frame) {
+	fill := func(b []byte) { // by doubling copies: cheap under -race too
+		if len(b) > 0 {
+			b[0] = 0xA5
+			for n := 1; n < len(b); n *= 2 {
+				copy(b[n:], b[:n])
+			}
+		}
+	}
+	fill(f.Y)
+	fill(f.Cb)
+	fill(f.Cr)
+	if hp := f.Spare; hp != nil {
+		fill(hp.H)
+		fill(hp.V)
+		fill(hp.HV)
+		for i := range hp.Rows {
+			hp.Rows[i] = ^0x5a5a5a5a // 0xA5A5A5A5 as an int32
+		}
+	}
+}
+
 func (e *FrameEncoder) encodeFrame(src *frame.Frame, ftype container.FrameType) container.Packet {
-	recon := frame.NewPadded(e.cfg.Width, e.cfg.Height, RefPad)
+	if ftype == container.FrameI {
+		// Closed GOP: an I frame invalidates every earlier reference, so a
+		// chunk encoder starting here matches the serial stream exactly.
+		e.refs.Reset(&e.free)
+	}
+	recon := e.newRecon(ftype)
 	recon.PTS = src.PTS
 	e.src, e.recon, e.ftype = src, recon, ftype
 
@@ -167,10 +243,6 @@ func (e *FrameEncoder) encodeFrame(src *frame.Frame, ftype container.FrameType) 
 		if e.cfg.MotionHints != nil {
 			e.hint = e.cfg.MotionHints(src.PTS + e.ptsBase)
 		}
-	} else {
-		// Closed GOP: an I frame invalidates every earlier reference, so a
-		// chunk encoder starting here matches the serial stream exactly.
-		e.refs.Reset()
 	}
 
 	e.sc.BeginFrame(&e.refs, len(e.spans))
@@ -179,7 +251,11 @@ func (e *FrameEncoder) encodeFrame(src *frame.Frame, ftype container.FrameType) 
 	recon.ExtendBorders()
 	if ftype != container.FrameB {
 		e.sc.NewReference(recon)
-		e.refs.Add(recon)
+		if old := e.refs.Add(recon); old != nil {
+			e.free = append(e.free, old)
+		}
+	} else {
+		e.free = append(e.free, recon) // nothing references a B picture
 	}
 
 	// Payload layout: the frame's quantizer byte, the slice table, then

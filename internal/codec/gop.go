@@ -120,6 +120,13 @@ func (g *GOPScheduler) Push(f *frame.Frame) []GOPEntry {
 	return entries
 }
 
+// Reset returns the scheduler to its state before the first Push: no
+// frame consumed, none buffered, no scene-cut history.
+func (g *GOPScheduler) Reset() {
+	clear(g.pending)
+	*g = GOPScheduler{BFrames: g.BFrames, IntraPeriod: g.IntraPeriod, SceneCut: g.SceneCut, pending: g.pending[:0]}
+}
+
 // Flush codes any trailing buffered frames. Without a backward reference
 // they are coded as P pictures (standard end-of-stream encoder behaviour).
 func (g *GOPScheduler) Flush() []GOPEntry {
@@ -202,17 +209,21 @@ type RefList struct {
 	frames []*frame.Frame
 }
 
-// Add pushes a new reference, evicting the oldest beyond Max. The list
-// shifts within one Max-sized backing array for its whole life.
-func (l *RefList) Add(f *frame.Frame) {
+// Add pushes a new reference and returns the oldest one it evicts
+// beyond Max (nil while the list is filling). The list shifts within one
+// Max-sized backing array for its whole life.
+func (l *RefList) Add(f *frame.Frame) (dropped *frame.Frame) {
 	if l.frames == nil {
 		l.frames = make([]*frame.Frame, 0, l.Max)
 	}
 	if len(l.frames) < l.Max {
 		l.frames = l.frames[:len(l.frames)+1]
+	} else {
+		dropped = l.frames[len(l.frames)-1]
 	}
 	copy(l.frames[1:], l.frames)
 	l.frames[0] = f
+	return dropped
 }
 
 // Len returns the number of available references.
@@ -227,8 +238,12 @@ func (l *RefList) Get(i int) *frame.Frame {
 	return l.frames[i]
 }
 
-// Reset clears the list (intra refresh).
-func (l *RefList) Reset() {
+// Reset clears the list (intra refresh), appending the frames it drops
+// to *free; a nil free lets them go.
+func (l *RefList) Reset(free *[]*frame.Frame) {
+	if free != nil {
+		*free = append(*free, l.frames...)
+	}
 	clear(l.frames)
 	l.frames = l.frames[:0]
 }

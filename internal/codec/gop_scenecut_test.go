@@ -1,9 +1,11 @@
 package codec
 
 import (
+	"reflect"
 	"testing"
 
 	"hdvideobench/internal/container"
+	"hdvideobench/internal/frame"
 	"hdvideobench/internal/seqgen"
 )
 
@@ -73,6 +75,33 @@ func TestSceneCutSteadySequence(t *testing.T) {
 	for i := 1; i < n; i++ {
 		if types[i] == container.FrameI {
 			t.Errorf("frame %d: pan motion misdetected as a scene cut", i)
+		}
+	}
+}
+
+// TestGOPSchedulerResetForgetsHistory: after flashing black/white
+// frames (a huge running SAD average, a white last frame), Reset leaves
+// a scheduler equal to a new one, which places the scene_cut clip's I
+// frames exactly as a new one does.
+func TestGOPSchedulerResetForgetsHistory(t *testing.T) {
+	const n = 3*seqgen.SceneCutPeriod + 4
+	g := &GOPScheduler{BFrames: 2, SceneCut: true}
+	for i := 0; i < 7; i++ {
+		f := frame.New(176, 144)
+		f.Fill(byte(255*(i%2)), 128, 128)
+		g.Push(f)
+	}
+	g.Reset()
+	reset, fresh := *g, GOPScheduler{BFrames: 2, SceneCut: true}
+	reset.pending = nil // kept for its capacity
+	if len(g.pending) != 0 || !reflect.DeepEqual(reset, fresh) {
+		t.Errorf("after Reset %+v, fresh %+v", *g, fresh)
+	}
+	got := scheduleTypes(t, g, seqgen.SceneCut, n)
+	want := scheduleTypes(t, &GOPScheduler{BFrames: 2, SceneCut: true}, seqgen.SceneCut, n)
+	for i := 0; i < n; i++ {
+		if got[i] != want[i] {
+			t.Errorf("frame %d: %c after Reset, %c fresh", i, got[i], want[i])
 		}
 	}
 }

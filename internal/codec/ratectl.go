@@ -20,9 +20,9 @@ import "hdvideobench/internal/container"
 //
 // Determinism: every I frame resets the controller completely (Reset),
 // mirroring the codecs' closed-GOP reference resets — a GOP-parallel
-// encoder that starts a fresh instance per chunk makes exactly the
-// decisions the serial encoder makes, so rate-targeted streams stay
-// byte-identical at every worker count. All state advances in coding
+// encoder that starts each chunk on a new or Reset instance makes
+// exactly the decisions the serial encoder makes, so rate-targeted
+// streams stay byte-identical at every worker count. All state advances in coding
 // order only, which both paths share.
 type RateController struct {
 	baseQ        int

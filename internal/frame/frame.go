@@ -38,13 +38,19 @@ type Frame struct {
 
 	// HpelBilin and Hpel6 cache the bilinear (MPEG-2-style) and 6-tap
 	// (H.264/MPEG-4-style) half-sample luma planes of a reference frame.
-	// Derived data, nil until built: encoders fill them via
-	// interp.BuildHalfPelBilin / interp.BuildHalfPel6 once a
-	// reconstruction becomes a reference, so motion search scores
-	// sub-pel candidates straight from plane memory instead of
-	// re-interpolating per candidate. Clone and CopyFrom do not carry
-	// them (they are recomputed where needed).
+	// Derived data, nil while not built from the current samples:
+	// encoders fill them via interp.BuildHalfPelBilin /
+	// interp.BuildHalfPel6 once a reconstruction becomes a reference, so
+	// motion search scores sub-pel candidates straight from plane memory
+	// instead of re-interpolating per candidate. Recycle sets them back
+	// to nil. Clone and CopyFrom do not carry them (they are recomputed
+	// where needed).
 	HpelBilin, Hpel6 *HalfPlanes
+
+	// Spare is half-pel plane memory Recycle set aside, its samples
+	// stale: the next BuildHalfPel* on this frame fills it instead of
+	// allocating. Nothing reads it as planes.
+	Spare *HalfPlanes
 }
 
 // HalfPlanes holds half-sample interpolated copies of a padded luma plane,
@@ -55,6 +61,24 @@ type Frame struct {
 // motion.Estimator.Window) is guaranteed to be filled.
 type HalfPlanes struct {
 	H, V, HV []byte
+
+	// Rows is a builder's working memory (interp.BuildHalfPel6's ring of
+	// horizontal intermediates), kept with the planes so a rebuild into
+	// them allocates nothing. Not a plane.
+	Rows []int32
+}
+
+// Recycle readies f to be drawn into again, keeping all its memory: the
+// half-pel planes derived from its old samples stop being valid
+// (HpelBilin and Hpel6 read nil) and one set of them moves to Spare.
+func (f *Frame) Recycle() {
+	switch {
+	case f.Hpel6 != nil:
+		f.Spare = f.Hpel6
+	case f.HpelBilin != nil:
+		f.Spare = f.HpelBilin
+	}
+	f.HpelBilin, f.Hpel6 = nil, nil
 }
 
 // ChromaWidth returns the width of the Cb/Cr planes.

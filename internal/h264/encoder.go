@@ -681,6 +681,16 @@ func (s *rowEnc) i4CostEstimate(src, recon *frame.Frame, px, py int) int {
 
 // --- I macroblocks ---------------------------------------------------------------
 
+// clearMB zeroes the luma of the macroblock at (px, py).
+//
+//hdvlint:noalloc
+func clearMB(f *frame.Frame, px, py int) {
+	off := f.YOrigin + py*f.YStride + px
+	for y := 0; y < 16; y++ {
+		clear(f.Y[off+y*f.YStride : off+y*f.YStride+16])
+	}
+}
+
 //hdvlint:noalloc
 func (s *rowEnc) decideIMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	px, py := mbx*16, mby*16
@@ -689,6 +699,9 @@ func (s *rowEnc) decideIMB(src, recon *frame.Frame, mbx, mby int, rec *mbRec) {
 	i16Mode, i16Cost := s.bestI16(src, recon, px, py)
 	// The I4 estimate predicts from already-reconstructed pixels only
 	// approximately (blocks inside the MB are not yet coded), so bias I16.
+	// Those uncoded pixels read as zero, as in a newly allocated frame:
+	// the driver recycles reconstructions, so clear them first.
+	clearMB(recon, px, py)
 	i4Cost := s.i4CostEstimate(src, recon, px, py) + s.lambda*24
 
 	if i4Cost < i16Cost {

@@ -19,7 +19,11 @@ package interp
 // plane; motion.Estimator.Window keeps every access at least 8 pixels
 // inside the padding (margin = pad-8), so with RefPad = 32 all legal
 // reads — including the +1 column/row of averaging and the refinement's
-// ±1 integer step — land inside the built interior.
+// ±1 integer step — land inside the built interior. Encoders rebuild a
+// recycled reference's planes into their old memory (frame.Frame.Spare),
+// so outside that interior the planes hold stale samples, not zeros; the
+// codec tests fill recycled memory with a poison pattern and check that
+// no bitstream moves.
 
 import (
 	"hdvideobench/internal/frame"
@@ -37,11 +41,7 @@ func BuildHalfPelBilin(f *frame.Frame, k kernel.Set) {
 	}
 	stride := f.YStride
 	rows := len(f.Y) / stride
-	hp := &frame.HalfPlanes{
-		H:  make([]byte, len(f.Y)),
-		V:  make([]byte, len(f.Y)),
-		HV: make([]byte, len(f.Y)),
-	}
+	hp := planesFor(f)
 	n := stride - 1 // H and HV read column +1
 	for r := 0; r+1 < rows; r++ {
 		row := r * stride
@@ -65,6 +65,21 @@ func BuildHalfPelBilin(f *frame.Frame, k kernel.Set) {
 		vRow[n] = byte((int(s0[n]) + int(s1[n]) + 1) >> 1)
 	}
 	f.HpelBilin = hp
+}
+
+// planesFor returns the memory a build over f fills: f.Spare when f was
+// recycled, else fresh planes. Spare samples outside the region a
+// builder fills stay stale, which is safe because nothing reads there.
+func planesFor(f *frame.Frame) *frame.HalfPlanes {
+	if hp := f.Spare; hp != nil {
+		f.Spare = nil
+		return hp
+	}
+	return &frame.HalfPlanes{
+		H:  make([]byte, len(f.Y)),
+		V:  make([]byte, len(f.Y)),
+		HV: make([]byte, len(f.Y)),
+	}
 }
 
 // BilinPlaneFor returns the plane holding bilinear half-pel position
@@ -94,11 +109,7 @@ func BuildHalfPel6(f *frame.Frame, k kernel.Set) {
 	}
 	stride := f.YStride
 	rows := len(f.Y) / stride
-	hp := &frame.HalfPlanes{
-		H:  make([]byte, len(f.Y)),
-		V:  make([]byte, len(f.Y)),
-		HV: make([]byte, len(f.Y)),
-	}
+	hp := planesFor(f)
 	w := stride - 5 // cols [2, stride-4]
 	hRows := rows - 5
 	filterH(hp.H[2*stride+2:], stride, f.Y, 2*stride+2, stride, w, hRows, k)
@@ -106,7 +117,10 @@ func BuildHalfPel6(f *frame.Frame, k kernel.Set) {
 
 	// HV (the j position): vertical 6-tap over unrounded horizontal
 	// intermediates, via a rolling six-row int32 window.
-	ring := make([]int32, 6*w)
+	if cap(hp.Rows) < 6*w {
+		hp.Rows = make([]int32, 6*w)
+	}
+	ring := hp.Rows[:6*w]
 	hrow := func(r int, dst []int32) {
 		base := r*stride + 2
 		for c := 0; c < w; c++ {

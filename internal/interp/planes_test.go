@@ -102,3 +102,46 @@ func TestBuildHalfPelIdempotent(t *testing.T) {
 		t.Fatal("rebuild replaced existing planes")
 	}
 }
+
+// TestBuildHalfPelReusesSpare: after Recycle a build refills the same
+// plane memory, allocating nothing (the 6-tap row ring included), with
+// what a build into fresh planes produces over the rows and columns the
+// builders fill.
+func TestBuildHalfPelReusesSpare(t *testing.T) {
+	for _, b := range []struct {
+		name   string
+		build  func(*frame.Frame, kernel.Set)
+		planes func(*frame.Frame) *frame.HalfPlanes
+	}{
+		{"bilin", BuildHalfPelBilin, func(f *frame.Frame) *frame.HalfPlanes { return f.HpelBilin }},
+		{"6-tap", BuildHalfPel6, func(f *frame.Frame) *frame.HalfPlanes { return f.Hpel6 }},
+	} {
+		f := randomRef(t, 64, 48, 17)
+		b.build(f, kernel.SWAR)
+		hp := b.planes(f)
+		f.Recycle()
+		if b.planes(f) != nil || f.Spare != hp {
+			t.Fatalf("%s: Recycle left planes %p, spare %p; want nil and %p", b.name, b.planes(f), f.Spare, hp)
+		}
+		f.CopyFrom(randomRef(t, 64, 48, 18)) // new samples, stale planes
+		f.ExtendBorders()
+		if n := testing.AllocsPerRun(3, func() { f.Recycle(); b.build(f, kernel.SWAR) }); n != 0 {
+			t.Errorf("%s: %v allocations per rebuild into spare planes", b.name, n)
+		}
+		if b.planes(f) != hp || f.Spare != nil {
+			t.Fatalf("%s: rebuild did not fill the spare planes", b.name)
+		}
+		fresh := f.Clone()
+		b.build(fresh, kernel.SWAR)
+		want := b.planes(fresh)
+		stride, rows := f.YStride, len(f.Y)/f.YStride
+		for r := 2; r <= rows-4; r++ {
+			for c := 2; c <= stride-4; c++ {
+				p := r*stride + c
+				if hp.H[p] != want.H[p] || hp.V[p] != want.V[p] || hp.HV[p] != want.HV[p] {
+					t.Fatalf("%s: rebuilt planes differ from fresh ones at row %d col %d", b.name, r, c)
+				}
+			}
+		}
+	}
+}

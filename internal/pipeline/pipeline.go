@@ -41,9 +41,10 @@ import (
 	"hdvideobench/internal/frame"
 )
 
-// EncoderFactory constructs a fresh encoder; each worker chunk gets its
-// own instance, so factories must not share mutable state between the
-// encoders they return.
+// EncoderFactory constructs a fresh encoder. The chunk scheduler calls it
+// at most once per chunk worker and Resets an instance between the
+// chunks it codes; instances run concurrently, so factories must not
+// share mutable state between the encoders they return.
 type EncoderFactory func() (codec.Encoder, error)
 
 // DecoderFactory constructs a fresh decoder for the stream being decoded.

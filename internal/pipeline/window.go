@@ -25,8 +25,8 @@ var ErrAborted = errors.New("pipeline: aborted")
 // Concurrency contract: one goroutine calls Submit and then Close
 // exactly once (even after Abort); one goroutine calls Next until it
 // returns io.EOF or an error. Abort is safe from any goroutine and
-// idempotent. fn runs on the worker goroutines and must not share
-// mutable state across calls.
+// idempotent. fn runs on the worker goroutines, concurrently: state it
+// shares across calls needs its own synchronization.
 type OrderedPool[I, O any] struct {
 	gate *SliceGate
 	fn   func(I) (O, error)

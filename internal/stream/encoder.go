@@ -27,6 +27,9 @@ type Encoder struct {
 	pool    *pipeline.OrderedPool[encChunk, []container.Packet]
 	cur     []*frame.Frame // chunk being filled (writer goroutine only)
 	written int            // frames accepted so far (writer goroutine only)
+	factory pipeline.EncoderFactory
+	idleMu  sync.Mutex
+	idle    []codec.Encoder // Reset instances no chunk is using
 
 	// serial mode: one persistent encoder driven inline by Write, which
 	// holds a gate token for the length of each codec call.
@@ -55,7 +58,9 @@ type encChunk struct {
 }
 
 // NewEncoder builds a streaming encoder on gate's worker budget. factory
-// constructs the codec instances (one per chunk in chunked mode); gop is
+// constructs the codec instances (in chunked mode one per chunk worker
+// at most: a worker takes an idle instance, building one only when none
+// is idle, and Resets it for the next chunk); gop is
 // the closed-GOP chunk length in frames and window the maximum chunks in
 // flight (<= 0 selects 2×workers). A one-worker gate or gop <= 0 selects
 // the single-instance mode. Every instance schedules its slices and
@@ -86,17 +91,15 @@ func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGa
 		return e, nil
 	}
 	e.window = normWindow(window, gate.Workers())
+	e.factory = factory
+	e.idle = []codec.Encoder{enc} // the instance that supplied the header
 	e.pool = pipeline.NewOrderedPool(gate, e.window,
 		func(c encChunk) ([]container.Packet, error) {
 			defer col.ChunkDone()
-			// The instance that supplied the header codes the first chunk.
-			ce := enc
-			if c.base != 0 {
-				var err error
-				if ce, err = factory(); err != nil {
-					e.resident.add(-len(c.frames))
-					return nil, err
-				}
+			ce, err := e.takeInstance()
+			if err != nil {
+				e.resident.add(-len(c.frames))
+				return nil, err
 			}
 			//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
 			t0 := time.Now()
@@ -106,6 +109,12 @@ func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGa
 			// The chunk's raw frames are released here, whether or not
 			// the encode succeeded; only coded bytes travel onward.
 			e.resident.add(-len(c.frames))
+			if err == nil { // a failed instance is dropped
+				ce.Reset()
+				e.idleMu.Lock()
+				e.idle = append(e.idle, ce)
+				e.idleMu.Unlock()
+			}
 			return pkts, err
 		},
 		func(c encChunk) { // dropped on abort, never coded
@@ -114,6 +123,21 @@ func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGa
 		},
 	)
 	return e, nil
+}
+
+// takeInstance pops an idle codec instance or builds one. Chunk workers
+// run under the gate, so a call builds at most min(workers, chunks).
+func (e *Encoder) takeInstance() (codec.Encoder, error) {
+	e.idleMu.Lock()
+	n := len(e.idle)
+	if n == 0 {
+		e.idleMu.Unlock()
+		return e.factory()
+	}
+	ce := e.idle[n-1]
+	e.idle = e.idle[:n-1]
+	e.idleMu.Unlock()
+	return ce, nil
 }
 
 // Header describes the stream being produced (same header as a single

@@ -10,8 +10,10 @@
 // work into closed-GOP chunks — GOP frames on the encode side, the
 // packets between consecutive closed-GOP I frames on the decode side —
 // and submits each completed chunk to a pipeline.OrderedPool: a fixed
-// set of worker goroutines, each running a private codec instance per
-// chunk, with results drained in submission order. The pool admits at
+// set of worker goroutines, each coding a chunk on a codec instance no
+// other chunk is using, with results drained in submission order (the
+// decoder builds an instance per segment; the encoder Resets and reuses
+// its instances, so it builds at most one per worker). The pool admits at
 // most Window chunks that are submitted, processing, or emitted but not
 // yet consumed. When the window is full, Write blocks until the reader
 // drains a chunk; when the reader outruns the writer, ReadPacket /
