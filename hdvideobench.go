@@ -66,6 +66,7 @@
 package hdvideobench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -340,9 +341,11 @@ type StreamEncoder = stream.Encoder
 // as StreamEncoder.
 type StreamDecoder = stream.Decoder
 
-// ErrStreamAborted is returned by streaming calls after the stream has
-// been torn down early (Abort, a failure on the other side, or a gone
-// client).
+// ErrStreamAborted is the cause StreamEncoder.Abort and
+// StreamDecoder.Abort tear a stream down with: the stream's calls return
+// it afterwards. A stream torn down by a failure instead returns that
+// failure, and the one-call entry points (EncodeStream, Transcode, ...)
+// return their first failure, never ErrStreamAborted.
 var ErrStreamAborted = stream.ErrAborted
 
 // Collector is the encode pipeline's observability hook (see
@@ -367,14 +370,14 @@ func NewStreamEncoder(c Codec, opts EncoderOptions) (*StreamEncoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewStreamEncoder(c, cfg, opts.Workers, opts.Window, opts.Collector)
+	return core.NewStreamEncoder(context.Background(), c, cfg, opts.Workers, opts.Window, opts.Collector)
 }
 
 // NewStreamDecoder builds a streaming decoder for a coded stream. simd
 // selects the SWAR kernels as in NewDecoder; workers and window as in
 // NewStreamEncoder.
 func NewStreamDecoder(hdr StreamHeader, simd bool, workers, window int) (*StreamDecoder, error) {
-	return core.NewStreamDecoder(hdr, core.Kernels(simd), workers, window)
+	return core.NewStreamDecoder(context.Background(), hdr, core.Kernels(simd), workers, window)
 }
 
 // EncodeStream pulls frames from next until it returns io.EOF, encodes

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -182,11 +183,13 @@ func EncodeSequenceParallel(id CodecID, cfg codec.Config, frames []*frame.Frame,
 // encodeFrames is EncodeSequenceParallel from the point where the codec
 // is chosen.
 func encodeFrames(newEnc pipeline.EncoderFactory, gop int, frames []*frame.Frame, workers int) ([]container.Packet, container.Header, error) {
-	enc, err := stream.NewEncoder(newEnc, gop, workerGate(workers, nil), 0)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, newEnc, gop, workerGate(workers, nil), 0)
 	if err != nil {
 		return nil, container.Header{}, err
 	}
-	pkts, err := overSlice(frames, enc.Write, enc.Close, enc.Abort, enc.ReadPacket)
+	pkts, err := overSlice(ctx, cancel, frames, enc.Write, enc.Close, enc.ReadPacket)
 	if err != nil {
 		return nil, container.Header{}, err
 	}
@@ -208,11 +211,13 @@ func DecodePacketsParallel(hdr container.Header, kern kernel.Set, pkts []contain
 // decodePackets is DecodePacketsParallel from the point where the codec
 // is chosen.
 func decodePackets(newDec pipeline.DecoderFactory, pkts []container.Packet, workers int) ([]*frame.Frame, error) {
-	dec, err := stream.NewDecoder(newDec, workerGate(workers, nil), 0)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	dec, err := stream.NewDecoder(ctx, newDec, workerGate(workers, nil), 0)
 	if err != nil {
 		return nil, err
 	}
-	return overSlice(pkts, dec.Write, dec.Close, dec.Abort, dec.ReadFrame)
+	return overSlice(ctx, cancel, pkts, dec.Write, dec.Close, dec.ReadFrame)
 }
 
 // RDResult is one Table V cell group: quality and rate for a codec on a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -15,7 +16,7 @@ import (
 )
 
 // NewStreamEncoder builds the bounded-memory streaming encoder for a
-// codec: frames go in through Write, coded packets come out of
+// codec, for the call whose context is ctx: frames go in through Write, coded packets come out of
 // ReadPacket, and at most window closed-GOP chunks (cfg.IntraPeriod
 // frames each) are in flight at once. workers <= 1 or
 // cfg.IntraPeriod <= 0 runs the serial single-instance mode; negative
@@ -24,17 +25,17 @@ import (
 // receives the pipeline's self-measurements (chunk encode time, queue
 // depth, drain stalls, slice-gate and wavefront waits); nil disables
 // collection.
-func NewStreamEncoder(id CodecID, cfg codec.Config, workers, window int, col *obs.Collector) (*stream.Encoder, error) {
-	return stream.NewEncoder(encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
+func NewStreamEncoder(ctx context.Context, id CodecID, cfg codec.Config, workers, window int, col *obs.Collector) (*stream.Encoder, error) {
+	return stream.NewEncoder(ctx, encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
 }
 
 // NewStreamDecoder builds the streaming decoder for a coded stream
-// header: packets go in through Write, display-order frames come out of
-// ReadFrame, with at most window closed-GOP segments in flight.
-// workers <= 1 selects the serial mode; negative workers selects
-// runtime.NumCPU().
-func NewStreamDecoder(hdr container.Header, kern kernel.Set, workers, window int) (*stream.Decoder, error) {
-	return stream.NewDecoder(decoderFactory(hdr, kern), workerGate(workers, nil), window)
+// header, for the call whose context is ctx: packets go in through
+// Write, display-order frames come out of ReadFrame, with at most window
+// closed-GOP segments in flight. workers <= 1 selects the serial mode;
+// negative workers selects runtime.NumCPU().
+func NewStreamDecoder(ctx context.Context, hdr container.Header, kern kernel.Set, workers, window int) (*stream.Decoder, error) {
+	return stream.NewDecoder(ctx, decoderFactory(hdr, kern), workerGate(workers, nil), window)
 }
 
 // workerGate builds the token bank of one call: every stage of the call
@@ -67,58 +68,64 @@ type StreamStats struct {
 	Bytes  int64 // container bytes on the coded side
 }
 
-// feed drives a source into a windowed stage from its writer goroutine,
-// implementing the writer half of the teardown contract once for every
-// pipeline: io.EOF from the source closes the stage cleanly, a source
-// error aborts and closes it, and a write error (the stage is already
-// dead or rejected the item) closes it — after notifying further
-// upstream stages via onWriteFail, when there are any.
-func feed[T any](next func() (T, error), write func(T) error, closeStage func() error, abort func(), onWriteFail func()) error {
-	for {
-		v, err := next()
-		if err == io.EOF {
-			return closeStage()
-		}
-		if err != nil {
-			abort()
-			closeStage()
-			return err
-		}
-		if err := write(v); err != nil {
-			if onWriteFail != nil {
-				onWriteFail()
+// Teardown: every call below builds all its stages on one context,
+// cancelled with a cause by the first failure anywhere — a source, a
+// stage, a sink. A cancel reaches every stage, each stage reports a
+// teardown by returning the context's cause, and a later cancel keeps
+// the first cause, so the call returns context.Cause: the first failure
+// wins by construction.
+
+// feed starts the writer half of a windowed stage on a goroutine of its
+// own and returns a channel closed when it is done: items move from next
+// into the stage until io.EOF, then the stage is closed. Any failure
+// cancels the call.
+func feed[T any](next func() (T, error), write func(T) error, closeStage func() error, cancel context.CancelCauseFunc) <-chan struct{} {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			v, err := next()
+			if err == io.EOF {
+				break
 			}
-			closeStage()
-			return err
+			if err == nil {
+				err = write(v)
+			}
+			if err != nil {
+				cancel(err)
+				break
+			}
 		}
-	}
+		if err := closeStage(); err != nil {
+			cancel(err)
+		}
+	}()
+	return done
 }
 
 // drain is the reader half: it moves a stage's output into a sink until
-// io.EOF, aborting the listed stages when the sink fails so blocked
-// writers unblock.
-func drain[T any](next func() (T, error), sink func(T) error, onSinkFail ...func()) error {
+// io.EOF, and a failure of either cancels the call so blocked writers
+// unblock.
+func drain[T any](next func() (T, error), sink func(T) error, cancel context.CancelCauseFunc) {
 	for {
 		v, err := next()
 		if err == io.EOF {
-			return nil
+			return
+		}
+		if err == nil {
+			err = sink(v)
 		}
 		if err != nil {
-			return err
-		}
-		if err := sink(v); err != nil {
-			for _, abort := range onSinkFail {
-				abort()
-			}
-			return err
+			cancel(err)
+			return
 		}
 	}
 }
 
-// overSlice runs one windowed stage as a batch call: in is fed to the
-// stage from a writer goroutine and its output drained into the returned
-// slice, one output per input expected.
-func overSlice[I, O any](in []I, write func(I) error, closeStage func() error, abort func(), read func() (O, error)) ([]O, error) {
+// overSlice runs one windowed stage, built on ctx, as a batch call: in
+// is fed to the stage from a writer goroutine and its output drained
+// into the returned slice, one output per input expected.
+func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in []I, write func(I) error, closeStage func() error, read func() (O, error)) ([]O, error) {
 	i := 0
 	next := func() (I, error) {
 		if i == len(in) {
@@ -128,14 +135,14 @@ func overSlice[I, O any](in []I, write func(I) error, closeStage func() error, a
 		i++
 		return in[i-1], nil
 	}
-	feedErr := make(chan error, 1)
-	go func() { feedErr <- feed(next, write, closeStage, abort, nil) }()
+	fed := feed(next, write, closeStage, cancel)
 	out := make([]O, 0, len(in))
-	err := drain(read, func(v O) error {
+	drain(read, func(v O) error {
 		out = append(out, v)
 		return nil
-	})
-	if err := firstError(err, <-feedErr); err != nil {
+	}, cancel)
+	<-fed
+	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -167,7 +174,9 @@ func overSlice[I, O any](in []I, write func(I) error, closeStage func() error, a
 // bounded IntraPeriod when tapping, or a boundary-less stream degrades
 // to one stream-sized chunk of coded bytes).
 func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, frames int, next func() (*frame.Frame, error), onGOP func(offset int64, frame int), col *obs.Collector) (StreamStats, error) {
-	enc, err := NewStreamEncoder(id, cfg, workers, window, col)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := NewStreamEncoder(ctx, id, cfg, workers, window, col)
 	if err != nil {
 		return StreamStats{}, err
 	}
@@ -177,25 +186,23 @@ func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, fr
 	}
 	sw, err := container.NewStreamWriter(w, hdr)
 	if err != nil {
-		enc.Abort()
+		cancel(err)
 		enc.Close()
 		return StreamStats{}, err
 	}
 
-	feedErr := make(chan error, 1)
-	go func() { feedErr <- feed(next, enc.Write, enc.Close, enc.Abort, nil) }()
-	var werr error
+	fed := feed(next, enc.Write, enc.Close, cancel)
 	if onGOP == nil {
-		werr = drain(enc.ReadPacket, func(p container.Packet) error {
+		drain(enc.ReadPacket, func(p container.Packet) error {
 			if err := sw.WritePacket(p); err != nil {
 				return fmt.Errorf("core: writing stream: %w", err)
 			}
 			return nil
-		}, enc.Abort)
+		}, cancel)
 	} else {
 		// Chunk-granular drain: record where each GOP starts before its
 		// first packet lands, still writing (and flushing) per packet.
-		werr = drain(enc.ReadChunk, func(pkts []container.Packet) error {
+		drain(enc.ReadChunk, func(pkts []container.Packet) error {
 			onGOP(sw.BytesWritten(), pkts[0].DisplayIndex)
 			for _, p := range pkts {
 				if err := sw.WritePacket(p); err != nil {
@@ -203,40 +210,41 @@ func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, fr
 				}
 			}
 			return nil
-		}, enc.Abort)
+		}, cancel)
 	}
-	ferr := <-feedErr
+	<-fed
 	stats := StreamStats{Frames: sw.Count(), Bytes: sw.BytesWritten()}
-	return stats, firstError(werr, ferr)
+	return stats, context.Cause(ctx)
 }
 
 // DecodeStream reads an HDVB container from r incrementally, decodes it
 // with the streaming engine, and hands each display-order frame to
-// yield. An error from yield aborts the pipeline and is returned.
+// yield. An error from yield tears the pipeline down and is returned.
 func DecodeStream(r io.Reader, kern kernel.Set, workers, window int, yield func(*frame.Frame) error) (container.Header, StreamStats, error) {
 	sr, err := container.NewStreamReader(r)
 	if err != nil {
 		return container.Header{}, StreamStats{}, err
 	}
 	hdr := sr.Header()
-	dec, err := NewStreamDecoder(hdr, kern, workers, window)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	dec, err := NewStreamDecoder(ctx, hdr, kern, workers, window)
 	if err != nil {
 		return hdr, StreamStats{}, err
 	}
 
-	feedErr := make(chan error, 1)
-	go func() { feedErr <- feed(sr.Next, dec.Write, dec.Close, dec.Abort, nil) }()
+	fed := feed(sr.Next, dec.Write, dec.Close, cancel)
 	frames := 0
-	werr := drain(dec.ReadFrame, func(f *frame.Frame) error {
+	drain(dec.ReadFrame, func(f *frame.Frame) error {
 		if err := yield(f); err != nil {
 			return err
 		}
 		frames++
 		return nil
-	}, dec.Abort)
-	ferr := <-feedErr
+	}, cancel)
+	<-fed
 	stats := StreamStats{Frames: frames, Bytes: sr.BytesRead()}
-	return hdr, stats, firstError(werr, ferr)
+	return hdr, stats, context.Cause(ctx)
 }
 
 // TranscodeStats summarizes one streaming transcode.
@@ -281,17 +289,20 @@ func Transcode(r io.Reader, w io.Writer, target CodecID, opts EncoderOptions) (T
 }
 
 // transcode is Transcode from the point where the codecs are chosen: it
-// builds both codec stages on one gate and runs the four-stage pipeline.
+// builds both codec stages on one gate and one context and runs the
+// four-stage pipeline.
 func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderFactory, newEnc pipeline.EncoderFactory, gop, workers, window int, col *obs.Collector) (TranscodeStats, error) {
 	hdr := sr.Header()
 	gate := workerGate(workers, col)
-	dec, err := stream.NewDecoder(newDec, gate, window)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	dec, err := stream.NewDecoder(ctx, newDec, gate, window)
 	if err != nil {
 		return TranscodeStats{}, err
 	}
-	enc, err := stream.NewEncoder(newEnc, gop, gate, window)
+	enc, err := stream.NewEncoder(ctx, newEnc, gop, gate, window)
 	if err != nil {
-		dec.Abort()
+		cancel(err)
 		dec.Close()
 		return TranscodeStats{}, err
 	}
@@ -299,31 +310,25 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 	ohdr.Frames = hdr.Frames // the input declares the length; pass it on
 	sw, err := container.NewStreamWriter(w, ohdr)
 	if err != nil {
-		dec.Abort()
+		cancel(err)
 		dec.Close()
-		enc.Abort()
 		enc.Close()
 		return TranscodeStats{}, err
 	}
 
-	// Stage 1: container packets into the decoder.
-	readErr := make(chan error, 1)
-	go func() { readErr <- feed(sr.Next, dec.Write, dec.Close, dec.Abort, nil) }()
-
-	// Stage 2: decoded frames into the encoder; a dead encoder stops
-	// the upstream decoder too.
-	pumpErr := make(chan error, 1)
-	go func() { pumpErr <- feed(dec.ReadFrame, enc.Write, enc.Close, enc.Abort, dec.Abort) }()
-
-	// Stage 3: coded packets onto the output container.
-	werr := drain(enc.ReadPacket, func(p container.Packet) error {
+	// Stage 1: container packets into the decoder; stage 2: decoded
+	// frames into the encoder; stage 3: coded packets onto the output
+	// container. A failure in any stage stops all three.
+	read := feed(sr.Next, dec.Write, dec.Close, cancel)
+	pumped := feed(dec.ReadFrame, enc.Write, enc.Close, cancel)
+	drain(enc.ReadPacket, func(p container.Packet) error {
 		if err := sw.WritePacket(p); err != nil {
 			return fmt.Errorf("core: writing stream: %w", err)
 		}
 		return nil
-	}, enc.Abort, dec.Abort)
-	perr := <-pumpErr
-	rerr := <-readErr
+	}, cancel)
+	<-pumped
+	<-read
 	stats := TranscodeStats{
 		In:       hdr.Codec,
 		Out:      ohdr.Codec,
@@ -331,14 +336,14 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 		BytesIn:  sr.BytesRead(),
 		BytesOut: sw.BytesWritten(),
 	}
-	return stats, firstError(werr, perr, rerr)
+	return stats, context.Cause(ctx)
 }
 
 // TranscodeReader is the pull-flavored Transcode: it returns a reader
 // producing the transcoded HDVB container, running the four-stage
 // pipeline concurrently behind an io.Pipe. Reads see the first
 // mid-pipeline failure as their error (io.EOF on success); Close tears
-// the pipeline down early — the next pipe write fails, which aborts
+// the pipeline down early — the next pipe write fails, which cancels
 // every stage, so an abandoned reader never leaks the goroutine. The
 // shape HTTP handlers and io.Copy plumbing want.
 func TranscodeReader(r io.Reader, target CodecID, opts EncoderOptions) io.ReadCloser {
@@ -348,24 +353,4 @@ func TranscodeReader(r io.Reader, target CodecID, opts EncoderOptions) io.ReadCl
 		pw.CloseWithError(err) // nil = clean EOF for the reader
 	}()
 	return pr
-}
-
-// firstError picks the most informative error of a torn-down pipeline:
-// the first real failure wins over the ErrAborted echoes the teardown
-// leaves on the other stages.
-func firstError(errs ...error) error {
-	var aborted error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if err == stream.ErrAborted {
-			if aborted == nil {
-				aborted = err
-			}
-			continue
-		}
-		return err
-	}
-	return aborted
 }

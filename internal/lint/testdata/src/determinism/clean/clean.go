@@ -2,7 +2,10 @@
 // not flag — slice ranges, single-binding selects, sorted map keys.
 package det
 
-import "sort"
+import (
+	"context"
+	"sort"
+)
 
 func sum(xs []int) int {
 	s := 0
@@ -18,6 +21,17 @@ func one(a chan int, done chan struct{}) int {
 		return v
 	case <-done:
 		return 0
+	}
+}
+
+// oneOrCancel is the stream stages' shape: one value-binding receive
+// against the call's cancellation.
+func oneOrCancel(ctx context.Context, a chan int) (int, error) {
+	select {
+	case v := <-a:
+		return v, nil
+	case <-ctx.Done():
+		return 0, context.Cause(ctx)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -8,7 +9,7 @@ import (
 )
 
 // TestOrderedPoolAbortWhileParkedInAcquire: every token is out, so the
-// pool's workers can only park in Acquire with their items. Abort must
+// pool's workers can only park in Acquire with their items. A cancel must
 // drop those items without running them, hand back nothing it never
 // took, and let the workers exit once the producer closes the pool.
 func TestOrderedPoolAbortWhileParkedInAcquire(t *testing.T) {
@@ -16,10 +17,11 @@ func TestOrderedPoolAbortWhileParkedInAcquire(t *testing.T) {
 	const workers = 2
 	g := NewSliceGate(workers)
 	for i := 0; i < workers; i++ {
-		g.Acquire(nil) // some other stage of the call is using the whole budget
+		g.Acquire(context.Background()) // some other stage of the call is using the whole budget
 	}
 	var ran, dropped atomic.Int64
-	p := NewOrderedPool(g, workers,
+	ctx, cancel := context.WithCancel(context.Background())
+	p := NewOrderedPool(ctx, g, workers,
 		func(i int) (int, error) { ran.Add(1); return i, nil },
 		func(int) { dropped.Add(1) })
 	for i := 0; i < workers; i++ {
@@ -27,7 +29,7 @@ func TestOrderedPoolAbortWhileParkedInAcquire(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	p.Abort()
+	cancel()
 	if err := p.Submit(workers); err != ErrAborted {
 		t.Fatalf("Submit after Abort: %v, want ErrAborted", err)
 	}
@@ -58,23 +60,23 @@ func TestOrderedPoolAbortWhileParkedInAcquire(t *testing.T) {
 	}
 }
 
-// TestAcquireAbort pins Acquire's contract: a closed abort channel wins
+// TestAcquireAbort pins Acquire's contract: a cancelled context wins
 // even when a token is free, and a failed Acquire holds nothing.
 func TestAcquireAbort(t *testing.T) {
 	g := NewSliceGate(2)
-	abort := make(chan struct{})
-	if !g.Acquire(abort) {
+	ctx, cancel := context.WithCancel(context.Background())
+	if !g.Acquire(ctx) {
 		t.Fatal("Acquire failed with tokens free")
 	}
-	close(abort)
-	if g.Acquire(abort) {
+	cancel()
+	if g.Acquire(ctx) {
 		t.Fatal("Acquire succeeded after abort")
 	}
 	g.Release()
 	if got := len(g.tokens); got != 2 {
 		t.Fatalf("%d tokens banked, want 2", got)
 	}
-	if one := NewSliceGate(1); !one.Acquire(abort) {
+	if one := NewSliceGate(1); !one.Acquire(ctx) {
 		t.Fatal("the serial gate banks nothing and must never refuse")
 	}
 }

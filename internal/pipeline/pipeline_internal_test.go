@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"io"
 	"sync/atomic"
@@ -22,7 +23,7 @@ func TestOrderedPoolOrderAndWindow(t *testing.T) {
 		workers = 2
 	)
 	gate := make(chan struct{})
-	p := NewOrderedPool(NewSliceGate(workers), window, func(i int) (int, error) {
+	p := NewOrderedPool(context.Background(), NewSliceGate(workers), window, func(i int) (int, error) {
 		<-gate
 		return i * i, nil
 	}, nil)
@@ -85,7 +86,8 @@ func TestOrderedPoolOrderAndWindow(t *testing.T) {
 // at the item's ordinal position.
 func TestOrderedPoolError(t *testing.T) {
 	boom := errors.New("boom")
-	p := NewOrderedPool(NewSliceGate(2), 4, func(i int) (int, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	p := NewOrderedPool(ctx, NewSliceGate(2), 4, func(i int) (int, error) {
 		if i == 2 {
 			return 0, boom
 		}
@@ -107,15 +109,16 @@ func TestOrderedPoolError(t *testing.T) {
 	if _, err := p.Next(); !errors.Is(err, boom) {
 		t.Fatalf("Next(2): %v, want boom", err)
 	}
-	p.Abort() // producer goroutine owns Close and runs it on its way out
+	cancel() // producer goroutine owns Close and runs it on its way out
 }
 
-// TestOrderedPoolAbortUnblocksSubmit checks Abort releases a producer
+// TestOrderedPoolAbortUnblocksSubmit checks a cancel releases a producer
 // blocked on a full window and accounts dropped items via the drop hook.
 func TestOrderedPoolAbortUnblocksSubmit(t *testing.T) {
 	var dropped atomic.Int64
 	block := make(chan struct{})
-	p := NewOrderedPool(NewSliceGate(1), 1, func(i int) (int, error) {
+	ctx, cancel := context.WithCancel(context.Background())
+	p := NewOrderedPool(ctx, NewSliceGate(1), 1, func(i int) (int, error) {
 		<-block
 		return i, nil
 	}, func(int) { dropped.Add(1) })
@@ -132,7 +135,7 @@ func TestOrderedPoolAbortUnblocksSubmit(t *testing.T) {
 
 	// Give the producer time to fill the window and block, then abort.
 	time.Sleep(10 * time.Millisecond)
-	p.Abort()
+	cancel()
 	if err := <-submitErr; err != ErrAborted {
 		t.Fatalf("Submit after abort: %v, want ErrAborted", err)
 	}

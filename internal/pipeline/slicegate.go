@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -74,22 +75,21 @@ func (g *SliceGate) Observe(col *obs.Collector) *SliceGate {
 func (g *SliceGate) Collector() *obs.Collector { return g.col }
 
 // Acquire takes the calling goroutine's token, blocking until one is
-// free. It returns false — holding nothing — once abort is closed; a nil
-// abort never fires. A goroutine parked here is handed the next token
+// free. ctx is the context of the call the token would work for: once
+// it is cancelled Acquire returns false, holding nothing, even with a
+// token free. A goroutine parked here is handed the next token
 // released, ahead of any slice or row that would try for it.
-func (g *SliceGate) Acquire(abort <-chan struct{}) bool {
+func (g *SliceGate) Acquire(ctx context.Context) bool {
 	if g.tokens == nil {
 		return true
 	}
-	select {
-	case <-abort:
+	if ctx.Err() != nil {
 		return false
-	default:
 	}
 	select {
 	case <-g.tokens:
 		return true
-	case <-abort:
+	case <-ctx.Done():
 		return false
 	}
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // caller's own token already taken — the state a codec call runs in.
 func newFront(workers int) (*SliceGate, *Wavefront) {
 	g := NewSliceGate(workers)
-	g.Acquire(nil)
+	g.Acquire(context.Background())
 	return g, g.Wavefront()
 }
 
@@ -124,7 +125,7 @@ func TestWavefrontTokensReturned(t *testing.T) {
 // token busy elsewhere the front is one goroutine in raster order.
 func TestWavefrontEmptyBankIsSerial(t *testing.T) {
 	g, w := newFront(2)
-	g.Acquire(nil) // the other worker is busy
+	g.Acquire(context.Background()) // the other worker is busy
 	next := 0
 	ok := w.Run(4, 4, func(x, y int) bool {
 		if y*4+x != next {
@@ -146,7 +147,7 @@ func TestWavefrontObserve(t *testing.T) {
 		FrontDepth:    reg.Histogram("wf_front_depth", "test", nil).With(),
 	}
 	g := NewSliceGate(4).Observe(col)
-	g.Acquire(nil)
+	g.Acquire(context.Background())
 	w := g.Wavefront()
 	w.Run(64, 4, func(x, y int) bool { return true })
 	if col.FrontDepth.Count() != 1 {

@@ -1,14 +1,15 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"io"
-	"sync"
 )
 
-// ErrAborted is returned by OrderedPool operations after Abort: the
-// caller tore the pipeline down early (a client disconnected, a
-// downstream stage failed) and in-flight work was discarded.
+// ErrAborted is returned by OrderedPool operations once the context the
+// pool was built on is cancelled: the call tore the pipeline down early
+// (a client disconnected, a downstream stage failed) and in-flight work
+// was discarded. The context's cause says why.
 var ErrAborted = errors.New("pipeline: aborted")
 
 // OrderedPool is the chunk scheduler: items are submitted one at a
@@ -22,21 +23,24 @@ var ErrAborted = errors.New("pipeline: aborted")
 // window is what keeps the scheduler at constant memory (internal/stream
 // builds its encoder and decoder on it).
 //
+// A pool lives on the call's context, and cancelling that context is its
+// only teardown: blocked and later Submit and Next calls return
+// ErrAborted, and workers drop queued items instead of processing them.
+//
 // Concurrency contract: one goroutine calls Submit and then Close
-// exactly once (even after Abort); one goroutine calls Next until it
-// returns io.EOF or an error. Abort is safe from any goroutine and
-// idempotent. fn runs on the worker goroutines, concurrently: state it
-// shares across calls needs its own synchronization.
+// exactly once (even after a cancel); one goroutine calls Next until it
+// returns io.EOF or an error. fn runs on the worker goroutines,
+// concurrently: state it shares across calls needs its own
+// synchronization.
 type OrderedPool[I, O any] struct {
+	ctx  context.Context
 	gate *SliceGate
 	fn   func(I) (O, error)
-	drop func(I) // resource accounting for items discarded by Abort
+	drop func(I) // resource accounting for items a cancel discards
 
-	slots   chan struct{}
-	work    chan *poolJob[I, O]
-	order   chan *poolJob[I, O]
-	aborted chan struct{}
-	once    sync.Once
+	slots chan struct{}
+	work  chan *poolJob[I, O]
+	order chan *poolJob[I, O]
 
 	holding bool // Next holds a slot for the result it returned last
 }
@@ -52,22 +56,23 @@ type poolResult[O any] struct {
 }
 
 // NewOrderedPool starts gate.Workers() goroutines running fn on the
-// gate's budget with at most window items in flight. drop, if non-nil,
-// is called for items that Abort discards before fn ran (so callers can
-// release per-item resources they account for at Submit time).
-func NewOrderedPool[I, O any](gate *SliceGate, window int, fn func(I) (O, error), drop func(I)) *OrderedPool[I, O] {
+// gate's budget with at most window items in flight, for the call whose
+// context is ctx. drop, if non-nil, is called for items a cancel
+// discards before fn ran (so callers can release per-item resources they
+// account for at Submit time).
+func NewOrderedPool[I, O any](ctx context.Context, gate *SliceGate, window int, fn func(I) (O, error), drop func(I)) *OrderedPool[I, O] {
 	workers := gate.Workers()
 	if window < workers {
 		window = workers
 	}
 	p := &OrderedPool[I, O]{
-		gate:    gate,
-		fn:      fn,
-		drop:    drop,
-		slots:   make(chan struct{}, window),
-		work:    make(chan *poolJob[I, O], window),
-		order:   make(chan *poolJob[I, O], window),
-		aborted: make(chan struct{}),
+		ctx:   ctx,
+		gate:  gate,
+		fn:    fn,
+		drop:  drop,
+		slots: make(chan struct{}, window),
+		work:  make(chan *poolJob[I, O], window),
+		order: make(chan *poolJob[I, O], window),
 	}
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -77,7 +82,7 @@ func NewOrderedPool[I, O any](gate *SliceGate, window int, fn func(I) (O, error)
 
 func (p *OrderedPool[I, O]) worker() {
 	for job := range p.work {
-		if !p.gate.Acquire(p.aborted) {
+		if !p.gate.Acquire(p.ctx) {
 			if p.drop != nil {
 				p.drop(job.in)
 			}
@@ -91,12 +96,12 @@ func (p *OrderedPool[I, O]) worker() {
 }
 
 // Submit admits one item, blocking while the window is full. It returns
-// ErrAborted (after dropping the item) once Abort has been called.
+// ErrAborted (after dropping the item) once the context is cancelled.
 func (p *OrderedPool[I, O]) Submit(in I) error {
 	job := &poolJob[I, O]{in: in, done: make(chan poolResult[O], 1)}
 	select {
 	case p.slots <- struct{}{}:
-	case <-p.aborted:
+	case <-p.ctx.Done():
 		if p.drop != nil {
 			p.drop(in)
 		}
@@ -121,7 +126,7 @@ func (p *OrderedPool[I, O]) Close() {
 // its worker finishes. The window slot of each result is released on the
 // following Next call, so "in flight" covers submitted, processing and
 // returned-but-not-yet-replaced items. After Close and a full drain it
-// returns io.EOF; after Abort, ErrAborted.
+// returns io.EOF; once the context is cancelled, ErrAborted.
 func (p *OrderedPool[I, O]) Next() (O, error) {
 	var zero O
 	if p.holding {
@@ -132,7 +137,7 @@ func (p *OrderedPool[I, O]) Next() (O, error) {
 	var ok bool
 	select {
 	case job, ok = <-p.order:
-	case <-p.aborted:
+	case <-p.ctx.Done():
 		return zero, ErrAborted
 	}
 	if !ok {
@@ -141,7 +146,7 @@ func (p *OrderedPool[I, O]) Next() (O, error) {
 	var res poolResult[O]
 	select {
 	case res = <-job.done:
-	case <-p.aborted:
+	case <-p.ctx.Done():
 		return zero, ErrAborted
 	}
 	if res.err != nil {
@@ -149,11 +154,4 @@ func (p *OrderedPool[I, O]) Next() (O, error) {
 	}
 	p.holding = true
 	return res.out, nil
-}
-
-// Abort tears the pool down early: blocked Submit and Next calls return
-// ErrAborted and workers drop queued items instead of processing them.
-// The producer must still call Close so the workers exit.
-func (p *OrderedPool[I, O]) Abort() {
-	p.once.Do(func() { close(p.aborted) })
 }

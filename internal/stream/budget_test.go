@@ -6,6 +6,7 @@
 package stream_test
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -36,7 +37,7 @@ func TestBudgetStreamEncode(t *testing.T) {
 	for _, workers := range budgetWorkers {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			probe := &codectest.Probe{Slices: workers + 1, Rows: 4, Cols: 4, GOP: gop}
-			enc, err := stream.NewEncoder(probe.NewEncoder, gop, pipeline.NewSliceGate(workers), 0)
+			enc, err := stream.NewEncoder(context.Background(), probe.NewEncoder, gop, pipeline.NewSliceGate(workers), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +99,7 @@ func TestIdleChunkWorkersLendTokens(t *testing.T) {
 				col := testCollector()
 				gate := pipeline.NewSliceGate(workers).Observe(col)
 				// The window admits every chunk, so the writer never waits on the reader.
-				enc, err := stream.NewEncoder(probe.NewEncoder, gop, gate, chunks)
+				enc, err := stream.NewEncoder(context.Background(), probe.NewEncoder, gop, gate, chunks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -201,7 +202,7 @@ func TestBudgetStreamDecodeAcrossFallbackAndRearm(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				segment(short)
 			}
-			dec, err := stream.NewDecoder(probe.NewDecoder, pipeline.NewSliceGate(workers), 0)
+			dec, err := stream.NewDecoder(context.Background(), probe.NewDecoder, pipeline.NewSliceGate(workers), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@
 package stream_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -21,7 +22,7 @@ func streamEncodeChunks(t *testing.T, id core.CodecID, cfg codec.Config, n, work
 	t.Helper()
 	const w, h = 96, 80
 	frames := seqgen.New(seqgen.BlueSky, w, h).Generate(n)
-	enc, err := stream.NewEncoder(encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
+	enc, err := stream.NewEncoder(context.Background(), encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestWriteAfterAbortRejected(t *testing.T) {
 	const w, h, gop = 96, 80, 4
 	cfg := eqConfig(w, h)
 	cfg.IntraPeriod = gop
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2), 2)
+	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -45,7 +46,7 @@ func TestCollectorChunkedMode(t *testing.T) {
 	cfg.Slices = slices
 	cfg.Wavefront = true
 	col := testCollector()
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 0)
+	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestCollectorAbortBalancesQueue(t *testing.T) {
 	cfg := eqConfig(w, h)
 	cfg.IntraPeriod = gop
 	col := testCollector()
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 2)
+	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestCollectorSerialGateMode(t *testing.T) {
 	cfg.IntraPeriod = 0 // first-frame-only intra: the serial gate shape
 	cfg.Slices = 2
 	col := testCollector()
-	enc, err := stream.NewEncoder(encFactory(core.MPEG2, cfg), 0, pipeline.NewSliceGate(2).Observe(col), 0)
+	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), 0, pipeline.NewSliceGate(2).Observe(col), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

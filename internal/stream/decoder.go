@@ -1,10 +1,9 @@
 package stream
 
 import (
+	"context"
 	"fmt"
 	"io"
-	"slices"
-	"sync"
 
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -38,7 +37,8 @@ import (
 // segment pool takes over — so a stream with one pathological segment
 // pays for that segment only. The writer hands each phase (pool or
 // serial channel) to the reader in order through an internal phase
-// queue.
+// queue. Every pool, re-armed ones included, is built on the decoder's
+// context, so one teardown reaches them all.
 type Decoder struct {
 	window int
 	// gate is the call's one worker budget: segment workers of every
@@ -58,7 +58,6 @@ type Decoder struct {
 	serialOnly bool
 	rearms     int
 	closed     bool
-	closeErr   error
 
 	// phases hands each decode phase to the reader in consumption order.
 	phases chan decPhase
@@ -67,13 +66,8 @@ type Decoder struct {
 	rp      decPhase
 	haveRP  bool
 	pending []*frame.Frame
-	rerr    error
 
-	poolsMu sync.Mutex
-	pools   []*pipeline.OrderedPool[decSegment, []*frame.Frame] // guarded by poolsMu
-
-	aborted  chan struct{}
-	abortOne sync.Once
+	teardown
 
 	resident gauge
 }
@@ -89,21 +83,22 @@ type decSegment struct {
 	pkts []container.Packet
 }
 
-// NewDecoder builds a streaming decoder on gate's worker budget. factory
+// NewDecoder builds a streaming decoder for the call whose context is
+// ctx, on gate's worker budget. factory
 // constructs the codec instances (one per closed-GOP segment in chunked
 // mode) and window is the maximum segments in flight (<= 0 selects
 // 2×workers). A one-worker gate selects the serial single-instance mode,
 // which handles any stream — including open-ended single-segment ones —
 // at the codec's own constant memory. Like the Encoder's, the gate may
 // be shared with the other stages of one call.
-func NewDecoder(factory pipeline.DecoderFactory, gate *pipeline.SliceGate, window int) (*Decoder, error) {
+func NewDecoder(ctx context.Context, factory pipeline.DecoderFactory, gate *pipeline.SliceGate, window int) (*Decoder, error) {
 	d := &Decoder{
 		maxDisplay: -1,
 		gate:       gate,
 		factory:    gate.Decoders(factory),
 		window:     normWindow(window, gate.Workers()),
-		aborted:    make(chan struct{}),
 		phases:     make(chan decPhase, 16),
+		teardown:   newTeardown(ctx),
 	}
 	if gate.Workers() <= 1 {
 		dec, err := d.factory()
@@ -123,9 +118,9 @@ func NewDecoder(factory pipeline.DecoderFactory, gate *pipeline.SliceGate, windo
 
 // newPool starts a fresh segment pool (the initial one, or a re-armed
 // one after a serial fallback ends at a boundary I frame) on the
-// decoder's gate.
+// decoder's context and gate.
 func (d *Decoder) newPool() *pipeline.OrderedPool[decSegment, []*frame.Frame] {
-	p := pipeline.NewOrderedPool(d.gate, d.window,
+	return pipeline.NewOrderedPool(d.ctx, d.gate, d.window,
 		func(s decSegment) ([]*frame.Frame, error) {
 			base := s.pkts[0].DisplayIndex
 			for _, p := range s.pkts {
@@ -149,32 +144,15 @@ func (d *Decoder) newPool() *pipeline.OrderedPool[decSegment, []*frame.Frame] {
 		},
 		nil,
 	)
-	d.poolsMu.Lock()
-	d.pools = append(d.pools, p)
-	select {
-	case <-d.aborted:
-		p.Abort()
-	default:
-	}
-	d.poolsMu.Unlock()
-	return p
 }
 
-// retirePool forgets a pool the reader has drained to io.EOF, so pools
-// holds only the ones Abort still has to reach.
-func (d *Decoder) retirePool(p *pipeline.OrderedPool[decSegment, []*frame.Frame]) {
-	d.poolsMu.Lock()
-	d.pools = slices.DeleteFunc(d.pools, func(q *pipeline.OrderedPool[decSegment, []*frame.Frame]) bool { return q == p })
-	d.poolsMu.Unlock()
-}
-
-// pushPhase queues a phase for the reader, honoring aborts.
+// pushPhase queues a phase for the reader until a teardown.
 func (d *Decoder) pushPhase(ph decPhase) error {
 	select {
 	case d.phases <- ph:
 		return nil
-	case <-d.aborted:
-		return ErrAborted
+	case <-d.ctx.Done():
+		return context.Cause(d.ctx)
 	}
 }
 
@@ -192,18 +170,26 @@ func (d *Decoder) PeakResident() int { return d.resident.high() }
 func (d *Decoder) Rearms() int { return d.rearms }
 
 // Write accepts the next coding-order packet, blocking while the segment
-// window is full. It returns ErrAborted once the stream is torn down.
+// window is full. It returns the stream's cause once the stream is torn
+// down; a codec error here tears it down.
 func (d *Decoder) Write(p container.Packet) error {
 	if d.closed {
 		return ErrClosed
 	}
+	if d.ctx.Err() != nil {
+		return context.Cause(d.ctx)
+	}
+	if err := d.write(p); err != nil {
+		return d.fail(err)
+	}
+	return nil
+}
+
+func (d *Decoder) write(p container.Packet) error {
 	if d.serialOnly {
 		return d.writeSerial(p)
 	}
 	if d.dec != nil { // serial fallback active
-		if d.closeErr != nil {
-			return d.closeErr
-		}
 		if p.Type == container.FrameI && p.DisplayIndex > d.maxDisplay {
 			return d.rearm(p)
 		}
@@ -231,17 +217,13 @@ func (d *Decoder) Write(p container.Packet) error {
 }
 
 func (d *Decoder) writeSerial(p container.Packet) error {
-	if d.closeErr != nil {
-		return d.closeErr
-	}
 	p.DisplayIndex -= d.serialBase
-	if !d.gate.Acquire(d.aborted) {
-		return ErrAborted
+	if err := d.acquire(d.gate); err != nil {
+		return err
 	}
 	frames, err := d.dec.Decode(p)
 	d.gate.Release()
 	if err != nil {
-		d.closeErr = err
 		return err
 	}
 	return d.push(frames)
@@ -305,8 +287,8 @@ func (d *Decoder) rearm(p container.Packet) error {
 // flushSerial drains the serial instance's reorder buffer under a token
 // and queues the frames it held back.
 func (d *Decoder) flushSerial() error {
-	if !d.gate.Acquire(d.aborted) {
-		return ErrAborted
+	if err := d.acquire(d.gate); err != nil {
+		return err
 	}
 	frames := d.dec.Flush()
 	d.gate.Release()
@@ -320,14 +302,14 @@ func (d *Decoder) submit() error {
 }
 
 // push queues serial-phase frames for the reader, restoring the global
-// display stamps a mid-stream fallback rebased away and honoring aborts.
+// display stamps a mid-stream fallback rebased away, until a teardown.
 func (d *Decoder) push(frames []*frame.Frame) error {
 	for _, f := range frames {
 		f.PTS += d.serialBase
 		select {
 		case d.out <- f:
-		case <-d.aborted:
-			return ErrAborted
+		case <-d.ctx.Done():
+			return context.Cause(d.ctx)
 		}
 	}
 	return nil
@@ -344,12 +326,8 @@ func (d *Decoder) Close() error {
 	d.closed = true
 	var err error
 	if d.dec != nil { // serial-only mode, or chunked mode inside a fallback
-		err = d.closeErr
-		if err == nil {
-			err = d.flushSerial()
-			d.closeErr = err
-		}
-		close(d.out)
+		err = d.flushSerial()
+		close(d.out) // after the cause is set: the reader checks it at the close
 	} else if d.pool != nil {
 		if len(d.cur) > 0 {
 			err = d.submit()
@@ -362,48 +340,34 @@ func (d *Decoder) Close() error {
 
 // ReadFrame returns the next frame in display order, blocking until one
 // is available. It reports io.EOF after Close once everything has been
-// drained. On a worker failure it returns the error and aborts the
-// stream so a blocked writer unblocks too; errors are sticky.
+// drained. A worker failure it meets tears the stream down, so a blocked
+// writer unblocks too, and is returned; errors are sticky.
 func (d *Decoder) ReadFrame() (*frame.Frame, error) {
-	if d.rerr != nil {
-		return nil, d.rerr
-	}
-	select { // an aborted stream is dead even if decoded frames remain
-	case <-d.aborted:
-		d.rerr = ErrAborted
-		return nil, d.rerr
-	default:
+	if err := d.dead(); err != nil {
+		return nil, err
 	}
 	for {
 		if !d.haveRP {
 			select {
 			case ph, ok := <-d.phases:
 				if !ok {
-					d.rerr = io.EOF
-					if d.closeErr != nil {
-						d.rerr = d.closeErr
-					}
-					return nil, d.rerr
+					return nil, d.readErr(io.EOF)
 				}
 				d.rp = ph
 				d.haveRP = true
-			case <-d.aborted:
-				d.rerr = ErrAborted
-				return nil, d.rerr
+			case <-d.ctx.Done():
+				return nil, d.dead()
 			}
 		}
 		if d.rp.pool != nil {
 			for len(d.pending) == 0 {
 				frames, err := d.rp.pool.Next()
 				if err == io.EOF {
-					d.retirePool(d.rp.pool)
 					d.haveRP = false
 					break
 				}
 				if err != nil {
-					d.rerr = err
-					d.Abort()
-					return nil, d.rerr
+					return nil, d.readErr(err)
 				}
 				d.pending = frames
 			}
@@ -422,21 +386,8 @@ func (d *Decoder) ReadFrame() (*frame.Frame, error) {
 				continue // serial phase ended (re-arm or Close)
 			}
 			return f, nil
-		case <-d.aborted:
-			d.rerr = ErrAborted
-			return nil, d.rerr
+		case <-d.ctx.Done():
+			return nil, d.dead()
 		}
 	}
-}
-
-// Abort tears the stream down early: pending segments are dropped and
-// blocked Write/ReadFrame calls return ErrAborted. Safe from any
-// goroutine; idempotent. The writer must still call Close.
-func (d *Decoder) Abort() {
-	d.abortOne.Do(func() { close(d.aborted) })
-	d.poolsMu.Lock()
-	for _, p := range d.pools {
-		p.Abort()
-	}
-	d.poolsMu.Unlock()
 }

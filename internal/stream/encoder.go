@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"io"
 	"sync"
 	"time"
@@ -39,14 +40,9 @@ type Encoder struct {
 	// reader-side state
 	pending   []container.Packet
 	chunkHold []container.Packet // ReadChunk serial mode: held-back GOP opener
-	rerr      error
 
-	closed   bool
-	closeErr error // serial mode: set before out is closed
-
-	closeOut sync.Once
-	aborted  chan struct{}
-	abortOne sync.Once
+	closed bool
+	teardown
 
 	resident gauge
 	col      *obs.Collector // nil = no collection
@@ -57,7 +53,8 @@ type encChunk struct {
 	frames []*frame.Frame
 }
 
-// NewEncoder builds a streaming encoder on gate's worker budget. factory
+// NewEncoder builds a streaming encoder for the call whose context is
+// ctx, on gate's worker budget. factory
 // constructs the codec instances (in chunked mode one per chunk worker
 // at most: a worker takes an idle instance, building one only when none
 // is idle, and Resets it for the next chunk); gop is
@@ -68,7 +65,7 @@ type encChunk struct {
 // when set, also receives the encoder's own measurements (chunk encode
 // time, queue depth, drain stalls). The gate may be shared with other
 // stages of the same call (core.Transcode shares it with its decoder).
-func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGate, window int) (*Encoder, error) {
+func NewEncoder(ctx context.Context, factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGate, window int) (*Encoder, error) {
 	factory = gate.Encoders(factory)
 	enc, err := factory()
 	if err != nil {
@@ -76,11 +73,11 @@ func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGa
 	}
 	col := gate.Collector()
 	e := &Encoder{
-		hdr:     enc.Header(),
-		gop:     gop,
-		gate:    gate,
-		aborted: make(chan struct{}),
-		col:     col,
+		hdr:      enc.Header(),
+		gop:      gop,
+		gate:     gate,
+		teardown: newTeardown(ctx),
+		col:      col,
 	}
 	if gate.Workers() <= 1 || gop <= 0 {
 		e.window = normWindow(window, 1)
@@ -93,7 +90,7 @@ func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGa
 	e.window = normWindow(window, gate.Workers())
 	e.factory = factory
 	e.idle = []codec.Encoder{enc} // the instance that supplied the header
-	e.pool = pipeline.NewOrderedPool(gate, e.window,
+	e.pool = pipeline.NewOrderedPool(e.ctx, gate, e.window,
 		func(c encChunk) ([]container.Packet, error) {
 			defer col.ChunkDone()
 			ce, err := e.takeInstance()
@@ -117,7 +114,7 @@ func NewEncoder(factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGa
 			}
 			return pkts, err
 		},
-		func(c encChunk) { // dropped on abort, never coded
+		func(c encChunk) { // dropped by a teardown, never coded
 			e.resident.add(-len(c.frames))
 			col.ChunkDone()
 		},
@@ -158,33 +155,26 @@ func (e *Encoder) PeakResident() int { return e.resident.high() }
 // Write accepts the next display-order frame. The encoder takes
 // ownership of f (it is handed to a codec instance and released once its
 // chunk is coded). Write blocks while the chunk window is full — the
-// backpressure that bounds memory — and returns ErrAborted once the
-// stream is torn down.
+// backpressure that bounds memory — and returns the stream's cause once
+// it is torn down; a codec error here tears it down.
 func (e *Encoder) Write(f *frame.Frame) error {
 	if e.closed {
 		return ErrClosed
 	}
-	select {
-	case <-e.aborted:
-		// A dead stream must not keep accumulating frames: without this
-		// check the chunked path would bump resident and buffer into the
-		// current chunk between an Abort and the writer noticing (the
-		// abort only surfaced at the next full-chunk Submit).
-		return ErrAborted
-	default:
+	// A dead stream must not keep accumulating frames: without this
+	// check the chunked path would bump resident and buffer into the
+	// current chunk between a teardown and the next full-chunk Submit.
+	if e.ctx.Err() != nil {
+		return context.Cause(e.ctx)
 	}
 	if e.pool == nil {
-		if e.closeErr != nil {
-			return e.closeErr
-		}
-		if !e.gate.Acquire(e.aborted) {
-			return ErrAborted
+		if err := e.acquire(e.gate); err != nil {
+			return err
 		}
 		pkts, err := e.enc.Encode(f)
 		e.gate.Release()
 		if err != nil {
-			e.closeErr = err
-			return err
+			return e.fail(err)
 		}
 		return e.push(pkts)
 	}
@@ -203,16 +193,19 @@ func (e *Encoder) submit() error {
 	// Queued before Submit so the gauge pairs with exactly one ChunkDone:
 	// a rejected Submit routes the chunk through the pool's drop callback.
 	e.col.ChunkQueued()
-	return e.pool.Submit(c)
+	if err := e.pool.Submit(c); err != nil {
+		return e.fail(err)
+	}
+	return nil
 }
 
-// push queues serial-mode packets for the reader, honoring aborts.
+// push queues serial-mode packets for the reader until a teardown.
 func (e *Encoder) push(pkts []container.Packet) error {
 	for _, p := range pkts {
 		select {
 		case e.out <- p:
-		case <-e.aborted:
-			return ErrAborted
+		case <-e.ctx.Done():
+			return context.Cause(e.ctx)
 		}
 	}
 	return nil
@@ -228,12 +221,8 @@ func (e *Encoder) Close() error {
 	}
 	e.closed = true
 	if e.pool == nil {
-		err := e.closeErr
-		if err == nil {
-			err = e.flushSerial()
-			e.closeErr = err
-		}
-		e.closeOut.Do(func() { close(e.out) })
+		err := e.flushSerial()
+		close(e.out) // after the cause is set: the reader checks it at the close
 		return err
 	}
 	var err error
@@ -247,57 +236,40 @@ func (e *Encoder) Close() error {
 // flushSerial drains the serial encoder under a token and queues what
 // it held back.
 func (e *Encoder) flushSerial() error {
-	if !e.gate.Acquire(e.aborted) {
-		return ErrAborted
+	if err := e.acquire(e.gate); err != nil {
+		return err
 	}
 	pkts, err := e.enc.Flush()
 	e.gate.Release()
 	if err != nil {
-		return err
+		return e.fail(err)
 	}
 	return e.push(pkts)
 }
 
 // ReadPacket returns the next packet in coding order, blocking until one
 // is available. It reports io.EOF after Close once everything has been
-// drained. On a worker failure it returns the error and aborts the
-// stream so a blocked writer unblocks too; errors are sticky.
+// drained. A worker failure it meets tears the stream down, so a blocked
+// writer unblocks too, and is returned; errors are sticky.
 func (e *Encoder) ReadPacket() (container.Packet, error) {
-	if e.rerr != nil {
-		return container.Packet{}, e.rerr
-	}
-	select { // an aborted stream is dead even if coded data remains
-	case <-e.aborted:
-		e.rerr = ErrAborted
-		return container.Packet{}, e.rerr
-	default:
+	if err := e.dead(); err != nil {
+		return container.Packet{}, err
 	}
 	if e.pool == nil {
 		select {
 		case p, ok := <-e.out:
-			if !ok {
-				e.rerr = io.EOF
-				if e.closeErr != nil {
-					e.rerr = e.closeErr
-				}
-				return container.Packet{}, e.rerr
+			if ok {
+				return p, nil
 			}
-			return p, nil
-		case <-e.aborted:
-			e.rerr = ErrAborted
-			return container.Packet{}, e.rerr
+			return container.Packet{}, e.readErr(io.EOF)
+		case <-e.ctx.Done():
+			return container.Packet{}, e.dead()
 		}
 	}
 	for len(e.pending) == 0 {
 		pkts, err := e.next()
 		if err != nil {
-			if err == io.EOF {
-				e.rerr = io.EOF
-			} else {
-				e.rerr = err
-				e.Abort() // unblock the writer; the stream is dead
-			}
-			return container.Packet{}, e.rerr
+			return container.Packet{}, e.readErr(err)
 		}
 		e.pending = pkts
 	}
@@ -314,18 +286,12 @@ func (e *Encoder) ReadPacket() (container.Packet, error) {
 // scheduler's unit; in serial mode packets are grouped at the I packets
 // that open each closed GOP, so both modes agree for the same gop. With
 // gop <= 0 the whole stream is one chunk. Same contract as ReadPacket
-// (io.EOF after Close, sticky errors, abort on worker failure); do not
+// (io.EOF after Close, sticky errors, teardown on worker failure); do not
 // interleave ReadChunk and ReadPacket mid-chunk.
 func (e *Encoder) ReadChunk() ([]container.Packet, error) {
 	if e.pool != nil {
-		if e.rerr != nil {
-			return nil, e.rerr
-		}
-		select {
-		case <-e.aborted:
-			e.rerr = ErrAborted
-			return nil, e.rerr
-		default:
+		if err := e.dead(); err != nil {
+			return nil, err
 		}
 		if len(e.pending) > 0 { // remainder of a ReadPacket-opened chunk
 			pkts := e.pending
@@ -335,13 +301,7 @@ func (e *Encoder) ReadChunk() ([]container.Packet, error) {
 		for {
 			pkts, err := e.next()
 			if err != nil {
-				if err == io.EOF {
-					e.rerr = io.EOF
-				} else {
-					e.rerr = err
-					e.Abort() // unblock the writer; the stream is dead
-				}
-				return nil, e.rerr
+				return nil, e.readErr(err)
 			}
 			if len(pkts) > 0 {
 				return pkts, nil
@@ -384,15 +344,4 @@ func (e *Encoder) next() ([]container.Packet, error) {
 	//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
 	e.col.ObserveDrainStall(time.Since(t0))
 	return pkts, err
-}
-
-// Abort tears the stream down early (client gone, downstream failure):
-// pending chunks are dropped, and blocked Write/ReadPacket calls return
-// ErrAborted. Safe from any goroutine; idempotent. The writer must still
-// call Close.
-func (e *Encoder) Abort() {
-	e.abortOne.Do(func() { close(e.aborted) })
-	if e.pool != nil {
-		e.pool.Abort()
-	}
 }

@@ -2,6 +2,7 @@ package stream_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -32,7 +33,7 @@ func TestChunkInstancesBounded(t *testing.T) {
 					built.Add(1)
 					return core.NewEncoder(id, cfg)
 				}
-				enc, err := stream.NewEncoder(factory, gop, pipeline.NewSliceGate(tc.workers), 0)
+				enc, err := stream.NewEncoder(context.Background(), factory, gop, pipeline.NewSliceGate(tc.workers), 0)
 				if err != nil {
 					t.Fatal(err)
 				}

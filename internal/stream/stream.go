@@ -54,12 +54,15 @@
 //
 // # Concurrency contract
 //
-// One goroutine writes (Write then exactly one Close, even after an
-// abort); another reads until io.EOF or an error. Abort is safe from any
-// goroutine and tears the stream down early — pending work is dropped
-// and both sides unblock with ErrAborted. ReadPacket/ReadFrame abort the
-// stream automatically when a worker fails, so a blocked writer cannot
-// deadlock on an error the reader has already seen.
+// One goroutine writes (Write then exactly one Close, even after a
+// failure); another reads until io.EOF or an error. An Encoder or
+// Decoder lives on a context of its own, derived from the context of the
+// call it serves, and cancelling it is the one teardown: every pool the
+// stream builds sits on that context, pending work is dropped and both
+// sides unblock. The first failure is the cause and every later call
+// returns it: a worker error the reader sees, a codec error in Write, a
+// cancel of the call's context (its cause carries over), or Abort, whose
+// cause is ErrAborted.
 //
 // On a one-worker gate — or with GOP <= 0, where no chunk boundaries
 // exist — the engine degrades to a single persistent codec instance
@@ -75,14 +78,16 @@
 package stream
 
 import (
+	"context"
 	"errors"
+	"io"
 	"sync/atomic"
 
 	"hdvideobench/internal/pipeline"
 )
 
-// ErrAborted is returned by blocked or subsequent calls after Abort (or
-// after a failure on the other side of the stream tore it down).
+// ErrAborted is the cause Abort tears a stream down with: blocked and
+// later calls return it.
 var ErrAborted = pipeline.ErrAborted
 
 // ErrClosed is returned by Write after Close.
@@ -144,3 +149,59 @@ func (g *gauge) add(d int) {
 
 // high reports the high-water mark.
 func (g *gauge) high() int { return int(g.peak.Load()) }
+
+// teardown is the cancellation state an Encoder and a Decoder share: the
+// stream's context and the reader's sticky error.
+type teardown struct {
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	rerr   error // reader side only
+}
+
+func newTeardown(ctx context.Context) teardown {
+	ctx, cancel := context.WithCancelCause(ctx)
+	return teardown{ctx: ctx, cancel: cancel}
+}
+
+// Abort tears the stream down early (client gone, downstream failure)
+// with ErrAborted as its cause: pending work is dropped and blocked
+// Write and read calls return. Safe from any goroutine; idempotent, and
+// a no-op on a stream that already failed. The writer must still call
+// Close.
+func (t *teardown) Abort() { t.cancel(ErrAborted) }
+
+// fail tears the stream down with err unless an earlier failure already
+// did, and returns the cause: the first failure wins.
+func (t *teardown) fail(err error) error {
+	t.cancel(err)
+	return context.Cause(t.ctx)
+}
+
+// acquire takes a gate token for one codec call of the stream's single
+// persistent instance, or returns the cause of a teardown.
+func (t *teardown) acquire(gate *pipeline.SliceGate) error {
+	if t.ctx.Err() != nil || !gate.Acquire(t.ctx) {
+		return context.Cause(t.ctx)
+	}
+	return nil
+}
+
+// dead reports the reader's sticky error; a torn-down stream is dead
+// even if coded data remains.
+func (t *teardown) dead() error {
+	if t.rerr == nil && t.ctx.Err() != nil {
+		t.rerr = context.Cause(t.ctx)
+	}
+	return t.rerr
+}
+
+// readErr makes an error the reader met sticky: io.EOF ends a live
+// stream, anything else — or the end of a torn-down one — is its
+// failure.
+func (t *teardown) readErr(err error) error {
+	if err != io.EOF || t.ctx.Err() != nil {
+		err = t.fail(err)
+	}
+	t.rerr = err
+	return err
+}
