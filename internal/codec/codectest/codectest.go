@@ -39,6 +39,12 @@ type Probe struct {
 	OnEncode func(f *frame.Frame)
 	OnDecode func(p container.Packet)
 
+	// OnUnit, when non-nil, is called in every encoder work unit inside a
+	// slice, on the goroutine running it, with the frame being coded:
+	// once for the slice itself (x, y = -1) and once per wavefront cell.
+	// A test can fail or panic there at an exact point of the dispatch.
+	OnUnit func(f *frame.Frame, slice, x, y int)
+
 	cur, peak atomic.Int32
 }
 
@@ -100,16 +106,23 @@ func (p *Probe) WireQ(q int) int                { return q }
 func (p *Probe) NewReference(*frame.Frame)      {}
 
 // EncodeSlice implements codec.SliceEncoder: one unit, then the grid.
-func (p *Probe) EncodeSlice(_ int, _, _ *frame.Frame, _ container.FrameType, _ codec.SliceSpan,
+func (p *Probe) EncodeSlice(i int, src, _ *frame.Frame, _ container.FrameType, _ codec.SliceSpan,
 	_ int, wf codec.WavefrontRunner, _, _ *motion.Field) []byte {
-	p.unit()
+	p.encUnit(src, i, -1, -1)
 	if p.Rows > 0 {
 		codec.RunWavefront(wf, p.Rows, p.Cols, func(x, y int) bool {
-			p.unit()
+			p.encUnit(src, i, x, y)
 			return true
 		})
 	}
 	return nil
+}
+
+func (p *Probe) encUnit(f *frame.Frame, slice, x, y int) {
+	if p.OnUnit != nil {
+		p.OnUnit(f, slice, x, y)
+	}
+	p.unit()
 }
 
 // DecodeSlice implements codec.SliceDecoder: one unit.

@@ -8,6 +8,7 @@ import (
 	"hdvideobench/internal/codec/codectest"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/frame"
+	"hdvideobench/internal/pipeline"
 )
 
 // budgetWorkers are the worker counts the budget invariant is asserted
@@ -29,7 +30,7 @@ func TestBudgetBatch(t *testing.T) {
 			for i := range frames {
 				frames[i] = enc.NewFrame()
 			}
-			pkts, _, err := encodeFrames(enc.NewEncoder, gop, frames, workers)
+			pkts, _, err := encodeFrames(enc.NewEncoder, gop, frames, pipeline.NewSliceGate(workers))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -177,15 +177,15 @@ func DecodePackets(hdr container.Header, kern kernel.Set, pkts []container.Packe
 // mode, workers < 0 selects runtime.NumCPU(). On return every input
 // frame carries its display index as PTS.
 func EncodeSequenceParallel(id CodecID, cfg codec.Config, frames []*frame.Frame, workers int) ([]container.Packet, container.Header, error) {
-	return encodeFrames(encoderFactory(id, cfg), cfg.IntraPeriod, frames, workers)
+	return encodeFrames(encoderFactory(id, cfg), cfg.IntraPeriod, frames, workerGate(workers, nil))
 }
 
 // encodeFrames is EncodeSequenceParallel from the point where the codec
-// is chosen.
-func encodeFrames(newEnc pipeline.EncoderFactory, gop int, frames []*frame.Frame, workers int) ([]container.Packet, container.Header, error) {
+// and the call's gate are chosen.
+func encodeFrames(newEnc pipeline.EncoderFactory, gop int, frames []*frame.Frame, gate *pipeline.SliceGate) ([]container.Packet, container.Header, error) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	enc, err := stream.NewEncoder(ctx, newEnc, gop, workerGate(workers, nil), 0)
+	enc, err := stream.NewEncoder(ctx, newEnc, gop, gate, 0)
 	if err != nil {
 		return nil, container.Header{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -78,11 +79,18 @@ type StreamStats struct {
 // feed starts the writer half of a windowed stage on a goroutine of its
 // own and returns a channel closed when it is done: items move from next
 // into the stage until io.EOF, then the stage is closed. Any failure
-// cancels the call.
+// cancels the call — a panic too: a serial stage runs its codec on this
+// goroutine, and a codec panic must fail the call, not the process.
 func feed[T any](next func() (T, error), write func(T) error, closeStage func() error, cancel context.CancelCauseFunc) <-chan struct{} {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		defer func() {
+			if r := recover(); r != nil {
+				cancel(fmt.Errorf("core: pipeline stage panic: %v\n%s", r, debug.Stack()))
+				closeStage()
+			}
+		}()
 		for {
 			v, err := next()
 			if err == io.EOF {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/frame"
 	"hdvideobench/internal/kernel"
+	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 	"hdvideobench/internal/stream"
 )
@@ -192,6 +195,52 @@ func TestTranscodeFirstFailureWins(t *testing.T) {
 					}
 					waitGoroutines(t, before)
 				})
+			}
+		}
+	}
+}
+
+// TestPanicContained: a codec that panics mid-frame — on whichever
+// goroutine runs the unit: a chunk worker, the serial writer, a spawned
+// slice or a wavefront row helper — fails the call with an error naming
+// the panic instead of killing the process, and leaves the gate's bank
+// full and no goroutine behind.
+func TestPanicContained(t *testing.T) {
+	const n, k = 12, 5
+	for _, workers := range []int{1, 3} {
+		for _, gop := range []int{4, 0} {
+			for _, slices := range []int{1, 2} {
+				for _, rows := range []int{0, 3} {
+					name := fmt.Sprintf("workers=%d/gop=%d/slices=%d/wavefront=%v", workers, gop, slices, rows > 0)
+					t.Run(name, func(t *testing.T) {
+						probe := &codectest.Probe{Slices: slices, Rows: rows, Cols: 3, GOP: gop}
+						frames := make([]*frame.Frame, n)
+						for i := range frames {
+							frames[i] = probe.NewFrame()
+						}
+						// The last unit of frame k's last slice: a spawned
+						// slice and a helper's row whenever tokens are free.
+						probe.OnUnit = func(f *frame.Frame, slice, x, y int) {
+							if f == frames[k] && slice == slices-1 && (rows == 0 || x == 2 && y == rows-1) {
+								panic("probe: injected")
+							}
+						}
+						before := runtime.NumGoroutine()
+						gate := pipeline.NewSliceGate(workers)
+						_, _, err := encodeFrames(probe.NewEncoder, gop, frames, gate)
+						if err == nil || !strings.Contains(err.Error(), "panic") {
+							t.Fatalf("err = %v, want one naming the panic", err)
+						}
+						ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+						defer cancel()
+						for i := 0; i < workers; i++ {
+							if !gate.Acquire(ctx) {
+								t.Fatalf("%d of %d tokens back in the bank", i, workers)
+							}
+						}
+						waitGoroutines(t, before)
+					})
+				}
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -114,7 +116,8 @@ func (g *SliceGate) tryAcquire() bool {
 // Run implements codec.SliceRunner for a caller that holds a token: jobs
 // 1..n-1 each run on a goroutine of their own while tokens last (given
 // back as each finishes) and inline otherwise; job 0 always runs on the
-// caller. Run returns only after every job has completed.
+// caller. Run returns only after every job has completed; a panic in a
+// spawned job is re-raised on the caller once the others are done.
 func (g *SliceGate) Run(n int, job func(i int)) {
 	if n <= 1 {
 		if n == 1 {
@@ -123,6 +126,7 @@ func (g *SliceGate) Run(n int, job func(i int)) {
 		return
 	}
 	var wg sync.WaitGroup
+	var c caught
 	for i := 1; i < n; i++ {
 		if g.tryAcquire() {
 			g.col.SliceSpawned()
@@ -132,6 +136,7 @@ func (g *SliceGate) Run(n int, job func(i int)) {
 					g.Release()
 					wg.Done()
 				}()
+				defer c.catch(nil)
 				job(i)
 			}(i)
 		} else {
@@ -142,13 +147,56 @@ func (g *SliceGate) Run(n int, job func(i int)) {
 	job(0)
 	if g.col == nil {
 		wg.Wait()
+	} else {
+		//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
+		t0 := time.Now()
+		wg.Wait()
+		//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
+		g.col.ObserveGateWait(time.Since(t0))
+	}
+	c.rethrow()
+}
+
+// caught holds the first panic of the helper goroutines of one dispatch
+// (slice jobs, wavefront rows) for the dispatcher, which re-raises it
+// once every helper has exited: a codec panic then reaches the goroutine
+// that owns the codec call, holding no helper's token.
+type caught struct {
+	once sync.Once
+	val  any
+}
+
+// helperPanic is a recovered panic value with the stack of the helper
+// it was raised on, which the re-raise on the dispatcher would lose.
+type helperPanic struct {
+	val   any
+	stack []byte
+}
+
+func (p helperPanic) String() string { return fmt.Sprintf("%v\n%s", p.val, p.stack) }
+
+// catch is deferred by each helper: it recovers a panic, runs abort (if
+// non-nil) so the other helpers stop, and keeps the first value.
+func (c *caught) catch(abort func()) {
+	r := recover()
+	if r == nil {
 		return
 	}
-	//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
-	t0 := time.Now()
-	wg.Wait()
-	//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
-	g.col.ObserveGateWait(time.Since(t0))
+	if abort != nil {
+		abort()
+	}
+	if _, ok := r.(helperPanic); !ok {
+		r = helperPanic{r, debug.Stack()}
+	}
+	c.once.Do(func() { c.val = r })
+}
+
+// rethrow re-raises the kept panic on the dispatcher; call it after the
+// helpers have exited.
+func (c *caught) rethrow() {
+	if c.val != nil {
+		panic(c.val)
+	}
 }
 
 // Encoders wraps an encoder factory so every instance it creates

@@ -62,7 +62,10 @@ const wfSpin = 256
 
 // Run implements codec.WavefrontRunner. See the type comment for the
 // schedule; Run returns only after every spawned helper has exited, so an
-// abort (mb returning false) cannot leak goroutines or tokens.
+// abort (mb returning false) cannot leak goroutines or tokens. A panic in
+// mb, on a helper or on the caller, aborts the front — rows parked on
+// the panicking row wake — and is re-raised on the caller once every
+// helper has exited.
 func (w *Wavefront) Run(rows, cols int, mb func(x, y int) bool) bool {
 	if rows <= 0 || cols <= 0 {
 		return true
@@ -83,6 +86,7 @@ func (w *Wavefront) Run(rows, cols int, mb func(x, y int) bool) bool {
 	st := &wfState{cols: cols, rows: rows, progress: make([]atomic.Int32, rows)}
 	st.cond.L = &st.mu
 	var wg sync.WaitGroup
+	var c caught
 	wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		go func() {
@@ -90,11 +94,16 @@ func (w *Wavefront) Run(rows, cols int, mb func(x, y int) bool) bool {
 				w.gate.Release()
 				wg.Done()
 			}()
+			defer c.catch(st.abort)
 			st.work(mb, col)
 		}()
 	}
-	st.work(mb, col)
+	func() {
+		defer c.catch(st.abort)
+		st.work(mb, col)
+	}()
 	wg.Wait()
+	c.rethrow()
 	return !st.aborted.Load()
 }
 

@@ -3,7 +3,9 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
+	"runtime/debug"
 )
 
 // ErrAborted is returned by OrderedPool operations once the context the
@@ -26,6 +28,8 @@ var ErrAborted = errors.New("pipeline: aborted")
 // A pool lives on the call's context, and cancelling that context is its
 // only teardown: blocked and later Submit and Next calls return
 // ErrAborted, and workers drop queued items instead of processing them.
+// A panic in fn is the item's error, with the stack, so it reaches the
+// caller through Next like any other failure.
 //
 // Concurrency contract: one goroutine calls Submit and then Close
 // exactly once (even after a cancel); one goroutine calls Next until it
@@ -89,10 +93,21 @@ func (p *OrderedPool[I, O]) worker() {
 			job.done <- poolResult[O]{err: ErrAborted}
 			continue
 		}
-		out, err := p.fn(job.in)
-		p.gate.Release()
-		job.done <- poolResult[O]{out: out, err: err}
+		job.done <- p.run(job.in)
 	}
+}
+
+// run calls fn under the token the worker holds and gives the token
+// back; a panic in fn becomes the item's error.
+func (p *OrderedPool[I, O]) run(in I) (res poolResult[O]) {
+	defer func() {
+		p.gate.Release()
+		if r := recover(); r != nil {
+			res.err = fmt.Errorf("pipeline: worker panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	res.out, res.err = p.fn(in)
+	return res
 }
 
 // Submit admits one item, blocking while the window is full. It returns

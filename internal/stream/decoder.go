@@ -218,11 +218,11 @@ func (d *Decoder) write(p container.Packet) error {
 
 func (d *Decoder) writeSerial(p container.Packet) error {
 	p.DisplayIndex -= d.serialBase
-	if err := d.acquire(d.gate); err != nil {
+	var frames []*frame.Frame
+	err := d.held(d.gate, func() (err error) {
+		frames, err = d.dec.Decode(p)
 		return err
-	}
-	frames, err := d.dec.Decode(p)
-	d.gate.Release()
+	})
 	if err != nil {
 		return err
 	}
@@ -287,11 +287,13 @@ func (d *Decoder) rearm(p container.Packet) error {
 // flushSerial drains the serial instance's reorder buffer under a token
 // and queues the frames it held back.
 func (d *Decoder) flushSerial() error {
-	if err := d.acquire(d.gate); err != nil {
+	var frames []*frame.Frame
+	if err := d.held(d.gate, func() error {
+		frames = d.dec.Flush()
+		return nil
+	}); err != nil {
 		return err
 	}
-	frames := d.dec.Flush()
-	d.gate.Release()
 	return d.push(frames)
 }
 

@@ -90,12 +90,18 @@ func NewEncoder(ctx context.Context, factory pipeline.EncoderFactory, gop int, g
 	e.window = normWindow(window, gate.Workers())
 	e.factory = factory
 	e.idle = []codec.Encoder{enc} // the instance that supplied the header
+	// done accounts a chunk out whether it was coded, failed, panicked or
+	// was dropped by a teardown: its raw frames are released, and only
+	// coded bytes travel onward.
+	done := func(c encChunk) {
+		e.resident.add(-len(c.frames))
+		col.ChunkDone()
+	}
 	e.pool = pipeline.NewOrderedPool(e.ctx, gate, e.window,
 		func(c encChunk) ([]container.Packet, error) {
-			defer col.ChunkDone()
+			defer done(c)
 			ce, err := e.takeInstance()
 			if err != nil {
-				e.resident.add(-len(c.frames))
 				return nil, err
 			}
 			//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
@@ -103,9 +109,6 @@ func NewEncoder(ctx context.Context, factory pipeline.EncoderFactory, gop int, g
 			pkts, err := pipeline.EncodeChunk(ce, c.frames, c.base)
 			//hdvlint:allow determinism -- collector timing only; the duration feeds metrics, never the bitstream
 			col.ObserveChunkEncode(time.Since(t0))
-			// The chunk's raw frames are released here, whether or not
-			// the encode succeeded; only coded bytes travel onward.
-			e.resident.add(-len(c.frames))
 			if err == nil { // a failed instance is dropped
 				ce.Reset()
 				e.idleMu.Lock()
@@ -114,10 +117,7 @@ func NewEncoder(ctx context.Context, factory pipeline.EncoderFactory, gop int, g
 			}
 			return pkts, err
 		},
-		func(c encChunk) { // dropped by a teardown, never coded
-			e.resident.add(-len(c.frames))
-			col.ChunkDone()
-		},
+		done,
 	)
 	return e, nil
 }
@@ -168,11 +168,11 @@ func (e *Encoder) Write(f *frame.Frame) error {
 		return context.Cause(e.ctx)
 	}
 	if e.pool == nil {
-		if err := e.acquire(e.gate); err != nil {
+		var pkts []container.Packet
+		err := e.held(e.gate, func() (err error) {
+			pkts, err = e.enc.Encode(f)
 			return err
-		}
-		pkts, err := e.enc.Encode(f)
-		e.gate.Release()
+		})
 		if err != nil {
 			return e.fail(err)
 		}
@@ -236,11 +236,11 @@ func (e *Encoder) Close() error {
 // flushSerial drains the serial encoder under a token and queues what
 // it held back.
 func (e *Encoder) flushSerial() error {
-	if err := e.acquire(e.gate); err != nil {
+	var pkts []container.Packet
+	err := e.held(e.gate, func() (err error) {
+		pkts, err = e.enc.Flush()
 		return err
-	}
-	pkts, err := e.enc.Flush()
-	e.gate.Release()
+	})
 	if err != nil {
 		return e.fail(err)
 	}

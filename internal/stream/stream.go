@@ -177,13 +177,15 @@ func (t *teardown) fail(err error) error {
 	return context.Cause(t.ctx)
 }
 
-// acquire takes a gate token for one codec call of the stream's single
-// persistent instance, or returns the cause of a teardown.
-func (t *teardown) acquire(gate *pipeline.SliceGate) error {
+// held runs call, one codec call of the stream's single persistent
+// instance, under a token of gate that is given back even if call
+// panics; after a teardown it returns the cause without running call.
+func (t *teardown) held(gate *pipeline.SliceGate, call func() error) error {
 	if t.ctx.Err() != nil || !gate.Acquire(t.ctx) {
 		return context.Cause(t.ctx)
 	}
-	return nil
+	defer gate.Release()
+	return call()
 }
 
 // dead reports the reader's sticky error; a torn-down stream is dead
