@@ -46,7 +46,7 @@ func (c *Collector) ChunkQueued() {
 }
 
 // ChunkDone notes one chunk leaving the pool (coded, failed, or dropped
-// on abort) — the balancing decrement for ChunkQueued.
+// by a teardown) — the balancing decrement for ChunkQueued.
 func (c *Collector) ChunkDone() {
 	if c != nil {
 		c.QueueDepth.Add(-1)

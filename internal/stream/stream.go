@@ -60,9 +60,9 @@
 // call it serves, and cancelling it is the one teardown: every pool the
 // stream builds sits on that context, pending work is dropped and both
 // sides unblock. The first failure is the cause and every later call
-// returns it: a worker error the reader sees, a codec error in Write, a
-// cancel of the call's context (its cause carries over), or Abort, whose
-// cause is ErrAborted.
+// returns it: a worker error the reader sees (a codec panic in a chunk
+// worker included), a codec error in Write, a cancel of the call's
+// context (its cause carries over), or Abort, whose cause is ErrAborted.
 //
 // On a one-worker gate — or with GOP <= 0, where no chunk boundaries
 // exist — the engine degrades to a single persistent codec instance
