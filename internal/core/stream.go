@@ -194,7 +194,6 @@ func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, fr
 	}
 	sw, err := container.NewStreamWriter(w, hdr)
 	if err != nil {
-		cancel(err)
 		enc.Close()
 		return StreamStats{}, err
 	}
@@ -310,7 +309,6 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 	}
 	enc, err := stream.NewEncoder(ctx, newEnc, gop, gate, window)
 	if err != nil {
-		cancel(err)
 		dec.Close()
 		return TranscodeStats{}, err
 	}
@@ -318,7 +316,6 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 	ohdr.Frames = hdr.Frames // the input declares the length; pass it on
 	sw, err := container.NewStreamWriter(w, ohdr)
 	if err != nil {
-		cancel(err)
 		dec.Close()
 		enc.Close()
 		return TranscodeStats{}, err
