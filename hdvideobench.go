@@ -66,7 +66,6 @@
 package hdvideobench
 
 import (
-	"context"
 	"fmt"
 	"io"
 
@@ -370,14 +369,14 @@ func NewStreamEncoder(c Codec, opts EncoderOptions) (*StreamEncoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.NewStreamEncoder(context.Background(), c, cfg, opts.Workers, opts.Window, opts.Collector)
+	return core.NewStreamEncoder(c, cfg, opts.Workers, opts.Window, opts.Collector)
 }
 
 // NewStreamDecoder builds a streaming decoder for a coded stream. simd
 // selects the SWAR kernels as in NewDecoder; workers and window as in
 // NewStreamEncoder.
 func NewStreamDecoder(hdr StreamHeader, simd bool, workers, window int) (*StreamDecoder, error) {
-	return core.NewStreamDecoder(context.Background(), hdr, core.Kernels(simd), workers, window)
+	return core.NewStreamDecoder(hdr, core.Kernels(simd), workers, window)
 }
 
 // EncodeStream pulls frames from next until it returns io.EOF, encodes

@@ -185,11 +185,11 @@ func EncodeSequenceParallel(id CodecID, cfg codec.Config, frames []*frame.Frame,
 func encodeFrames(newEnc pipeline.EncoderFactory, gop int, frames []*frame.Frame, gate *pipeline.SliceGate) ([]container.Packet, container.Header, error) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	enc, err := stream.NewEncoder(ctx, newEnc, gop, gate, 0)
+	enc, err := stream.NewEncoder(ctx, cancel, newEnc, gop, gate, 0)
 	if err != nil {
 		return nil, container.Header{}, err
 	}
-	pkts, err := overSlice(ctx, cancel, frames, enc.Write, enc.Close, enc.ReadPacket)
+	pkts, err := overSlice(ctx, cancel, frames, enc, enc.ReadPacket)
 	if err != nil {
 		return nil, container.Header{}, err
 	}
@@ -213,11 +213,11 @@ func DecodePacketsParallel(hdr container.Header, kern kernel.Set, pkts []contain
 func decodePackets(newDec pipeline.DecoderFactory, pkts []container.Packet, workers int) ([]*frame.Frame, error) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	dec, err := stream.NewDecoder(ctx, newDec, workerGate(workers, nil), 0)
+	dec, err := stream.NewDecoder(ctx, cancel, newDec, workerGate(workers, nil), 0)
 	if err != nil {
 		return nil, err
 	}
-	return overSlice(ctx, cancel, pkts, dec.Write, dec.Close, dec.ReadFrame)
+	return overSlice(ctx, cancel, pkts, dec, dec.ReadFrame)
 }
 
 // RDResult is one Table V cell group: quality and rate for a codec on a

@@ -6,6 +6,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"sync"
 
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -17,7 +18,7 @@ import (
 )
 
 // NewStreamEncoder builds the bounded-memory streaming encoder for a
-// codec, for the call whose context is ctx: frames go in through Write, coded packets come out of
+// codec: frames go in through Write, coded packets come out of
 // ReadPacket, and at most window closed-GOP chunks (cfg.IntraPeriod
 // frames each) are in flight at once. workers <= 1 or
 // cfg.IntraPeriod <= 0 runs the serial single-instance mode; negative
@@ -25,18 +26,22 @@ import (
 // EncodeSequence for every worker count and window. col, when non-nil,
 // receives the pipeline's self-measurements (chunk encode time, queue
 // depth, drain stalls, slice-gate and wavefront waits); nil disables
-// collection.
-func NewStreamEncoder(ctx context.Context, id CodecID, cfg codec.Config, workers, window int, col *obs.Collector) (*stream.Encoder, error) {
-	return stream.NewEncoder(ctx, encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
+// collection. The stream is a call of its own, torn down by its Abort
+// or its first failure.
+func NewStreamEncoder(id CodecID, cfg codec.Config, workers, window int, col *obs.Collector) (*stream.Encoder, error) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return stream.NewEncoder(ctx, cancel, encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
 }
 
 // NewStreamDecoder builds the streaming decoder for a coded stream
-// header, for the call whose context is ctx: packets go in through
-// Write, display-order frames come out of ReadFrame, with at most window
-// closed-GOP segments in flight. workers <= 1 selects the serial mode;
-// negative workers selects runtime.NumCPU().
-func NewStreamDecoder(ctx context.Context, hdr container.Header, kern kernel.Set, workers, window int) (*stream.Decoder, error) {
-	return stream.NewDecoder(ctx, decoderFactory(hdr, kern), workerGate(workers, nil), window)
+// header: packets go in through Write, display-order frames come out of
+// ReadFrame, with at most window closed-GOP segments in flight.
+// workers <= 1 selects the serial mode; negative workers selects
+// runtime.NumCPU(). Like NewStreamEncoder's, the stream is a call of its
+// own.
+func NewStreamDecoder(hdr container.Header, kern kernel.Set, workers, window int) (*stream.Decoder, error) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return stream.NewDecoder(ctx, cancel, decoderFactory(hdr, kern), workerGate(workers, nil), window)
 }
 
 // workerGate builds the token bank of one call: every stage of the call
@@ -76,19 +81,27 @@ type StreamStats struct {
 // the first cause, so the call returns context.Cause: the first failure
 // wins by construction.
 
+// stage is the writer side of a windowed stage (a stream.Encoder or
+// stream.Decoder).
+type stage[T any] interface {
+	Write(T) error
+	Close() error
+}
+
 // feed starts the writer half of a windowed stage on a goroutine of its
-// own and returns a channel closed when it is done: items move from next
-// into the stage until io.EOF, then the stage is closed. Any failure
-// cancels the call — a panic too: a serial stage runs its codec on this
+// own and returns the group to wait on for it: items move from next into
+// the stage until io.EOF, then the stage is closed. Any failure cancels
+// the call — a panic too: a serial stage runs its codec on this
 // goroutine, and a codec panic must fail the call, not the process.
-func feed[T any](next func() (T, error), write func(T) error, closeStage func() error, cancel context.CancelCauseFunc) <-chan struct{} {
-	done := make(chan struct{})
+func feed[T any](next func() (T, error), s stage[T], cancel context.CancelCauseFunc) *sync.WaitGroup {
+	var fed sync.WaitGroup
+	fed.Add(1)
 	go func() {
-		defer close(done)
+		defer fed.Done()
 		defer func() {
 			if r := recover(); r != nil {
 				cancel(fmt.Errorf("core: pipeline stage panic: %v\n%s", r, debug.Stack()))
-				closeStage()
+				s.Close()
 			}
 		}()
 		for {
@@ -97,18 +110,18 @@ func feed[T any](next func() (T, error), write func(T) error, closeStage func() 
 				break
 			}
 			if err == nil {
-				err = write(v)
+				err = s.Write(v)
 			}
 			if err != nil {
 				cancel(err)
 				break
 			}
 		}
-		if err := closeStage(); err != nil {
+		if err := s.Close(); err != nil {
 			cancel(err)
 		}
 	}()
-	return done
+	return &fed
 }
 
 // drain is the reader half: it moves a stage's output into a sink until
@@ -133,7 +146,7 @@ func drain[T any](next func() (T, error), sink func(T) error, cancel context.Can
 // overSlice runs one windowed stage, built on ctx, as a batch call: in
 // is fed to the stage from a writer goroutine and its output drained
 // into the returned slice, one output per input expected.
-func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in []I, write func(I) error, closeStage func() error, read func() (O, error)) ([]O, error) {
+func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in []I, s stage[I], read func() (O, error)) ([]O, error) {
 	i := 0
 	next := func() (I, error) {
 		if i == len(in) {
@@ -143,13 +156,13 @@ func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in
 		i++
 		return in[i-1], nil
 	}
-	fed := feed(next, write, closeStage, cancel)
+	fed := feed(next, s, cancel)
 	out := make([]O, 0, len(in))
 	drain(read, func(v O) error {
 		out = append(out, v)
 		return nil
 	}, cancel)
-	<-fed
+	fed.Wait()
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
@@ -184,7 +197,7 @@ func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in
 func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, frames int, next func() (*frame.Frame, error), onGOP func(offset int64, frame int), col *obs.Collector) (StreamStats, error) {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	enc, err := NewStreamEncoder(ctx, id, cfg, workers, window, col)
+	enc, err := stream.NewEncoder(ctx, cancel, encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
 	if err != nil {
 		return StreamStats{}, err
 	}
@@ -198,7 +211,7 @@ func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, fr
 		return StreamStats{}, err
 	}
 
-	fed := feed(next, enc.Write, enc.Close, cancel)
+	fed := feed(next, enc, cancel)
 	if onGOP == nil {
 		drain(enc.ReadPacket, func(p container.Packet) error {
 			if err := sw.WritePacket(p); err != nil {
@@ -219,7 +232,7 @@ func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, fr
 			return nil
 		}, cancel)
 	}
-	<-fed
+	fed.Wait()
 	stats := StreamStats{Frames: sw.Count(), Bytes: sw.BytesWritten()}
 	return stats, context.Cause(ctx)
 }
@@ -235,12 +248,12 @@ func DecodeStream(r io.Reader, kern kernel.Set, workers, window int, yield func(
 	hdr := sr.Header()
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	dec, err := NewStreamDecoder(ctx, hdr, kern, workers, window)
+	dec, err := stream.NewDecoder(ctx, cancel, decoderFactory(hdr, kern), workerGate(workers, nil), window)
 	if err != nil {
 		return hdr, StreamStats{}, err
 	}
 
-	fed := feed(sr.Next, dec.Write, dec.Close, cancel)
+	fed := feed(sr.Next, dec, cancel)
 	frames := 0
 	drain(dec.ReadFrame, func(f *frame.Frame) error {
 		if err := yield(f); err != nil {
@@ -249,7 +262,7 @@ func DecodeStream(r io.Reader, kern kernel.Set, workers, window int, yield func(
 		frames++
 		return nil
 	}, cancel)
-	<-fed
+	fed.Wait()
 	stats := StreamStats{Frames: frames, Bytes: sr.BytesRead()}
 	return hdr, stats, context.Cause(ctx)
 }
@@ -303,11 +316,11 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 	gate := workerGate(workers, col)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	dec, err := stream.NewDecoder(ctx, newDec, gate, window)
+	dec, err := stream.NewDecoder(ctx, cancel, newDec, gate, window)
 	if err != nil {
 		return TranscodeStats{}, err
 	}
-	enc, err := stream.NewEncoder(ctx, newEnc, gop, gate, window)
+	enc, err := stream.NewEncoder(ctx, cancel, newEnc, gop, gate, window)
 	if err != nil {
 		dec.Close()
 		return TranscodeStats{}, err
@@ -324,16 +337,16 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 	// Stage 1: container packets into the decoder; stage 2: decoded
 	// frames into the encoder; stage 3: coded packets onto the output
 	// container. A failure in any stage stops all three.
-	read := feed(sr.Next, dec.Write, dec.Close, cancel)
-	pumped := feed(dec.ReadFrame, enc.Write, enc.Close, cancel)
+	read := feed(sr.Next, dec, cancel)
+	pumped := feed(dec.ReadFrame, enc, cancel)
 	drain(enc.ReadPacket, func(p container.Packet) error {
 		if err := sw.WritePacket(p); err != nil {
 			return fmt.Errorf("core: writing stream: %w", err)
 		}
 		return nil
 	}, cancel)
-	<-pumped
-	<-read
+	pumped.Wait()
+	read.Wait()
 	stats := TranscodeStats{
 		In:       hdr.Codec,
 		Out:      ohdr.Codec,

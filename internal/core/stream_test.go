@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"strings"
@@ -155,7 +154,7 @@ func TestTranscodeStreaming(t *testing.T) {
 	var src bytes.Buffer
 	// Declare the length on the source container so Transcode can pass
 	// it through.
-	enc, err := core.NewStreamEncoder(context.Background(), core.MPEG2, cfg, 2, 0, nil)
+	enc, err := core.NewStreamEncoder(core.MPEG2, cfg, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

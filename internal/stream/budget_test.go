@@ -37,7 +37,9 @@ func TestBudgetStreamEncode(t *testing.T) {
 	for _, workers := range budgetWorkers {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			probe := &codectest.Probe{Slices: workers + 1, Rows: 4, Cols: 4, GOP: gop}
-			enc, err := stream.NewEncoder(context.Background(), probe.NewEncoder, gop, pipeline.NewSliceGate(workers), 0)
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			enc, err := stream.NewEncoder(ctx, cancel, probe.NewEncoder, gop, pipeline.NewSliceGate(workers), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +101,9 @@ func TestIdleChunkWorkersLendTokens(t *testing.T) {
 				col := testCollector()
 				gate := pipeline.NewSliceGate(workers).Observe(col)
 				// The window admits every chunk, so the writer never waits on the reader.
-				enc, err := stream.NewEncoder(context.Background(), probe.NewEncoder, gop, gate, chunks)
+				ctx, cancel := context.WithCancelCause(context.Background())
+				defer cancel(nil)
+				enc, err := stream.NewEncoder(ctx, cancel, probe.NewEncoder, gop, gate, chunks)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -202,7 +206,9 @@ func TestBudgetStreamDecodeAcrossFallbackAndRearm(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				segment(short)
 			}
-			dec, err := stream.NewDecoder(context.Background(), probe.NewDecoder, pipeline.NewSliceGate(workers), 0)
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			dec, err := stream.NewDecoder(ctx, cancel, probe.NewDecoder, pipeline.NewSliceGate(workers), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

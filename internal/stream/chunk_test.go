@@ -22,7 +22,9 @@ func streamEncodeChunks(t *testing.T, id core.CodecID, cfg codec.Config, n, work
 	t.Helper()
 	const w, h = 96, 80
 	frames := seqgen.New(seqgen.BlueSky, w, h).Generate(n)
-	enc, err := stream.NewEncoder(context.Background(), encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,9 @@ func TestWriteAfterAbortRejected(t *testing.T) {
 	const w, h, gop = 96, 80, 4
 	cfg := eqConfig(w, h)
 	cfg.IntraPeriod = gop
-	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2), 2)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,9 @@ func TestCollectorChunkedMode(t *testing.T) {
 	cfg.Slices = slices
 	cfg.Wavefront = true
 	col := testCollector()
-	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 0)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,9 @@ func TestCollectorAbortBalancesQueue(t *testing.T) {
 	cfg := eqConfig(w, h)
 	cfg.IntraPeriod = gop
 	col := testCollector()
-	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 2)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2).Observe(col), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +155,9 @@ func TestCollectorSerialGateMode(t *testing.T) {
 	cfg.IntraPeriod = 0 // first-frame-only intra: the serial gate shape
 	cfg.Slices = 2
 	col := testCollector()
-	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), 0, pipeline.NewSliceGate(2).Observe(col), 0)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), 0, pipeline.NewSliceGate(2).Observe(col), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ import (
 // segment pool takes over — so a stream with one pathological segment
 // pays for that segment only. The writer hands each phase (pool or
 // serial channel) to the reader in order through an internal phase
-// queue. Every pool, re-armed ones included, is built on the decoder's
+// queue. Every pool, re-armed ones included, is built on the call's
 // context, so one teardown reaches them all.
 type Decoder struct {
 	window int
@@ -84,21 +84,21 @@ type decSegment struct {
 }
 
 // NewDecoder builds a streaming decoder for the call whose context is
-// ctx, on gate's worker budget. factory
+// ctx and whose cancel is cancel, on gate's worker budget. factory
 // constructs the codec instances (one per closed-GOP segment in chunked
 // mode) and window is the maximum segments in flight (<= 0 selects
 // 2×workers). A one-worker gate selects the serial single-instance mode,
 // which handles any stream — including open-ended single-segment ones —
 // at the codec's own constant memory. Like the Encoder's, the gate may
 // be shared with the other stages of one call.
-func NewDecoder(ctx context.Context, factory pipeline.DecoderFactory, gate *pipeline.SliceGate, window int) (*Decoder, error) {
+func NewDecoder(ctx context.Context, cancel context.CancelCauseFunc, factory pipeline.DecoderFactory, gate *pipeline.SliceGate, window int) (*Decoder, error) {
 	d := &Decoder{
 		maxDisplay: -1,
 		gate:       gate,
 		factory:    gate.Decoders(factory),
 		window:     normWindow(window, gate.Workers()),
 		phases:     make(chan decPhase, 16),
-		teardown:   newTeardown(ctx),
+		teardown:   teardown{ctx: ctx, cancel: cancel},
 	}
 	if gate.Workers() <= 1 {
 		dec, err := d.factory()
@@ -118,7 +118,7 @@ func NewDecoder(ctx context.Context, factory pipeline.DecoderFactory, gate *pipe
 
 // newPool starts a fresh segment pool (the initial one, or a re-armed
 // one after a serial fallback ends at a boundary I frame) on the
-// decoder's context and gate.
+// call's context and the decoder's gate.
 func (d *Decoder) newPool() *pipeline.OrderedPool[decSegment, []*frame.Frame] {
 	return pipeline.NewOrderedPool(d.ctx, d.gate, d.window,
 		func(s decSegment) ([]*frame.Frame, error) {

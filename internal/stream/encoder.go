@@ -54,7 +54,7 @@ type encChunk struct {
 }
 
 // NewEncoder builds a streaming encoder for the call whose context is
-// ctx, on gate's worker budget. factory
+// ctx and whose cancel is cancel, on gate's worker budget. factory
 // constructs the codec instances (in chunked mode one per chunk worker
 // at most: a worker takes an idle instance, building one only when none
 // is idle, and Resets it for the next chunk); gop is
@@ -65,7 +65,7 @@ type encChunk struct {
 // when set, also receives the encoder's own measurements (chunk encode
 // time, queue depth, drain stalls). The gate may be shared with other
 // stages of the same call (core.Transcode shares it with its decoder).
-func NewEncoder(ctx context.Context, factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGate, window int) (*Encoder, error) {
+func NewEncoder(ctx context.Context, cancel context.CancelCauseFunc, factory pipeline.EncoderFactory, gop int, gate *pipeline.SliceGate, window int) (*Encoder, error) {
 	factory = gate.Encoders(factory)
 	enc, err := factory()
 	if err != nil {
@@ -76,7 +76,7 @@ func NewEncoder(ctx context.Context, factory pipeline.EncoderFactory, gop int, g
 		hdr:      enc.Header(),
 		gop:      gop,
 		gate:     gate,
-		teardown: newTeardown(ctx),
+		teardown: teardown{ctx: ctx, cancel: cancel},
 		col:      col,
 	}
 	if gate.Workers() <= 1 || gop <= 0 {

@@ -33,7 +33,9 @@ func TestChunkInstancesBounded(t *testing.T) {
 					built.Add(1)
 					return core.NewEncoder(id, cfg)
 				}
-				enc, err := stream.NewEncoder(context.Background(), factory, gop, pipeline.NewSliceGate(tc.workers), 0)
+				ctx, cancel := context.WithCancelCause(context.Background())
+				defer cancel(nil)
+				enc, err := stream.NewEncoder(ctx, cancel, factory, gop, pipeline.NewSliceGate(tc.workers), 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -56,13 +56,14 @@
 //
 // One goroutine writes (Write then exactly one Close, even after a
 // failure); another reads until io.EOF or an error. An Encoder or
-// Decoder lives on a context of its own, derived from the context of the
-// call it serves, and cancelling it is the one teardown: every pool the
-// stream builds sits on that context, pending work is dropped and both
-// sides unblock. The first failure is the cause and every later call
-// returns it: a worker error the reader sees (a codec panic in a chunk
-// worker included), a codec error in Write, a cancel of the call's
-// context (its cause carries over), or Abort, whose cause is ErrAborted.
+// Decoder is built on the context of the call it serves and on that
+// context's cancel, and cancelling it is the one teardown: every pool
+// the stream builds sits on that context, pending work is dropped and
+// both sides unblock — as do the other stages of the call. The first
+// failure is the cause and every later call returns it: a worker error
+// the reader sees (a codec panic in a chunk worker included), a codec
+// error in Write, a failure elsewhere in the call, or Abort, whose cause
+// is ErrAborted.
 //
 // On a one-worker gate — or with GOP <= 0, where no chunk boundaries
 // exist — the engine degrades to a single persistent codec instance
@@ -151,23 +152,18 @@ func (g *gauge) add(d int) {
 func (g *gauge) high() int { return int(g.peak.Load()) }
 
 // teardown is the cancellation state an Encoder and a Decoder share: the
-// stream's context and the reader's sticky error.
+// call's context and cancel, and the reader's sticky error.
 type teardown struct {
 	ctx    context.Context
 	cancel context.CancelCauseFunc
 	rerr   error // reader side only
 }
 
-func newTeardown(ctx context.Context) teardown {
-	ctx, cancel := context.WithCancelCause(ctx)
-	return teardown{ctx: ctx, cancel: cancel}
-}
-
-// Abort tears the stream down early (client gone, downstream failure)
-// with ErrAborted as its cause: pending work is dropped and blocked
-// Write and read calls return. Safe from any goroutine; idempotent, and
-// a no-op on a stream that already failed. The writer must still call
-// Close.
+// Abort tears the stream — with the rest of its call — down early
+// (client gone, downstream failure) with ErrAborted as its cause:
+// pending work is dropped and blocked Write and read calls return. Safe
+// from any goroutine; idempotent, and a no-op on a stream that already
+// failed. The writer must still call Close.
 func (t *teardown) Abort() { t.cancel(ErrAborted) }
 
 // fail tears the stream down with err unless an earlier failure already

@@ -58,7 +58,9 @@ func decFactory(hdr container.Header, cfg codec.Config) func() (codec.Decoder, e
 // goroutine and drains the packets from the test goroutine.
 func streamEncode(t *testing.T, id core.CodecID, cfg codec.Config, frames []*frame.Frame, workers, window int) ([]container.Packet, *stream.Encoder) {
 	t.Helper()
-	enc, err := stream.NewEncoder(context.Background(), encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(id, cfg), cfg.IntraPeriod, pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,9 @@ func runEncoder(t *testing.T, enc *stream.Encoder, frames []*frame.Frame) []cont
 // streamDecode mirrors streamEncode for the decoder.
 func streamDecode(t *testing.T, hdr container.Header, cfg codec.Config, pkts []container.Packet, workers, window int) ([]*frame.Frame, *stream.Decoder) {
 	t.Helper()
-	dec, err := stream.NewDecoder(context.Background(), decFactory(hdr, cfg), pipeline.NewSliceGate(workers), window)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	dec, err := stream.NewDecoder(ctx, cancel, decFactory(hdr, cfg), pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +275,9 @@ func TestBoundedResidency(t *testing.T) {
 	cfg.IntraPeriod = gop
 	gen := seqgen.New(seqgen.RushHour, w, h)
 
-	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(workers), window)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(workers), window)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +335,9 @@ func TestBoundedResidency(t *testing.T) {
 func TestEncoderAbortUnblocksWriter(t *testing.T) {
 	const w, h = 96, 80
 	cfg := eqConfig(w, h)
-	enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), eqGOP, pipeline.NewSliceGate(2), 2)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), eqGOP, pipeline.NewSliceGate(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +370,9 @@ func TestEncoderErrorPropagates(t *testing.T) {
 	cfg := eqConfig(96, 80)
 	for _, workers := range eqWorkers {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			enc, err := stream.NewEncoder(context.Background(), encFactory(core.MPEG2, cfg), eqGOP, pipeline.NewSliceGate(workers), 0)
+			ctx, cancel := context.WithCancelCause(context.Background())
+			defer cancel(nil)
+			enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), eqGOP, pipeline.NewSliceGate(workers), 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -447,7 +457,9 @@ func TestDecoderSerialFallback(t *testing.T) {
 func TestDecoderRejectsOpenGOP(t *testing.T) {
 	cfg := eqConfig(96, 80)
 	hdr := container.Header{Codec: container.CodecMPEG2, Width: 96, Height: 80, FPSNum: 25, FPSDen: 1}
-	dec, err := stream.NewDecoder(context.Background(), decFactory(hdr, cfg), pipeline.NewSliceGate(2), 2)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	dec, err := stream.NewDecoder(ctx, cancel, decFactory(hdr, cfg), pipeline.NewSliceGate(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
