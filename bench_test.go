@@ -300,8 +300,8 @@ func BenchmarkTableV(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationH264Entropy measures the CABAC-vs-VLC trade
-// (DESIGN.md §5): compressed bits and speed for both entropy backends.
+// BenchmarkAblationH264Entropy measures the CABAC-vs-VLC trade:
+// compressed bits and speed for both entropy backends.
 func BenchmarkAblationH264Entropy(b *testing.B) {
 	for _, mode := range []struct {
 		name string

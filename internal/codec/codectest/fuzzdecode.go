@@ -34,7 +34,7 @@ type fuzzStream struct {
 	pkts []container.Packet
 }
 
-// FuzzDecode is the differential decode fuzzer the three codec packages
+// FuzzDecode is the differential decode fuzzer all three codecs
 // share. Every configuration encodes a four-frame IPBB clip; a fuzz input
 // (configuration, packet index, payload) replaces one packet's payload and
 // decodes the whole stream — so the damaged picture is also used as a

@@ -9,8 +9,7 @@ import (
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/h264"
 	"hdvideobench/internal/kernel"
-	"hdvideobench/internal/mpeg2"
-	"hdvideobench/internal/mpeg4"
+	"hdvideobench/internal/mpeg"
 	"hdvideobench/internal/seqgen"
 )
 
@@ -51,11 +50,11 @@ func TestDecoderErrorTable(t *testing.T) {
 				return codec.NewFrameDecoder("toy", hdr, toyCodec, 101, 131, 2, &toy{})
 			}},
 		{"mpeg2",
-			func() (codec.Encoder, error) { return mpeg2.NewEncoder(cfg) },
-			func(hdr container.Header) (codec.Decoder, error) { return mpeg2.NewDecoder(hdr, kernel.SWAR) }},
+			func() (codec.Encoder, error) { return mpeg.NewEncoder(cfg, container.CodecMPEG2) },
+			func(hdr container.Header) (codec.Decoder, error) { return mpeg.NewDecoder(hdr, kernel.SWAR) }},
 		{"mpeg4",
-			func() (codec.Encoder, error) { return mpeg4.NewEncoder(cfg) },
-			func(hdr container.Header) (codec.Decoder, error) { return mpeg4.NewDecoder(hdr, kernel.SWAR) }},
+			func() (codec.Encoder, error) { return mpeg.NewEncoder(cfg, container.CodecMPEG4) },
+			func(hdr container.Header) (codec.Decoder, error) { return mpeg.NewDecoder(hdr, kernel.SWAR) }},
 		{"h264",
 			func() (codec.Encoder, error) { return h264.NewEncoder(cfg) },
 			func(hdr container.Header) (codec.Decoder, error) { return h264.NewDecoder(hdr, kernel.SWAR) }},

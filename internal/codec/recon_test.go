@@ -11,8 +11,7 @@ import (
 	"hdvideobench/internal/frame"
 	"hdvideobench/internal/h264"
 	"hdvideobench/internal/kernel"
-	"hdvideobench/internal/mpeg2"
-	"hdvideobench/internal/mpeg4"
+	"hdvideobench/internal/mpeg"
 	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 )
@@ -93,11 +92,11 @@ func TestReconEqualsDecode(t *testing.T) {
 		newDec func(hdr container.Header, k kernel.Set) (codec.Decoder, error)
 	}{
 		{"mpeg2",
-			func(cfg codec.Config) (reconEncoder, error) { return mpeg2.NewEncoder(cfg) },
-			func(hdr container.Header, k kernel.Set) (codec.Decoder, error) { return mpeg2.NewDecoder(hdr, k) }},
+			func(cfg codec.Config) (reconEncoder, error) { return mpeg.NewEncoder(cfg, container.CodecMPEG2) },
+			func(hdr container.Header, k kernel.Set) (codec.Decoder, error) { return mpeg.NewDecoder(hdr, k) }},
 		{"mpeg4",
-			func(cfg codec.Config) (reconEncoder, error) { return mpeg4.NewEncoder(cfg) },
-			func(hdr container.Header, k kernel.Set) (codec.Decoder, error) { return mpeg4.NewDecoder(hdr, k) }},
+			func(cfg codec.Config) (reconEncoder, error) { return mpeg.NewEncoder(cfg, container.CodecMPEG4) },
+			func(hdr container.Header, k kernel.Set) (codec.Decoder, error) { return mpeg.NewDecoder(hdr, k) }},
 		{"h264",
 			func(cfg codec.Config) (reconEncoder, error) { return h264.NewEncoder(cfg) },
 			func(hdr container.Header, k kernel.Set) (codec.Decoder, error) { return h264.NewDecoder(hdr, k) }},

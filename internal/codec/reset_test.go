@@ -10,8 +10,7 @@ import (
 	"hdvideobench/internal/frame"
 	"hdvideobench/internal/h264"
 	"hdvideobench/internal/motion"
-	"hdvideobench/internal/mpeg2"
-	"hdvideobench/internal/mpeg4"
+	"hdvideobench/internal/mpeg"
 	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 )
@@ -29,8 +28,8 @@ func TestEncoderResetMatchesFresh(t *testing.T) {
 		name   string
 		newEnc func(cfg codec.Config) (reconEncoder, error)
 	}{
-		{"mpeg2", func(cfg codec.Config) (reconEncoder, error) { return mpeg2.NewEncoder(cfg) }},
-		{"mpeg4", func(cfg codec.Config) (reconEncoder, error) { return mpeg4.NewEncoder(cfg) }},
+		{"mpeg2", func(cfg codec.Config) (reconEncoder, error) { return mpeg.NewEncoder(cfg, container.CodecMPEG2) }},
+		{"mpeg4", func(cfg codec.Config) (reconEncoder, error) { return mpeg.NewEncoder(cfg, container.CodecMPEG4) }},
 		{"h264", func(cfg codec.Config) (reconEncoder, error) { return h264.NewEncoder(cfg) }},
 	} {
 		for _, c := range reconGrid(29, 16) {

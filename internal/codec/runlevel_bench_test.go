@@ -5,8 +5,9 @@ import (
 
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
+	"hdvideobench/internal/container"
 	"hdvideobench/internal/kernel"
-	"hdvideobench/internal/mpeg2"
+	"hdvideobench/internal/mpeg"
 	"hdvideobench/internal/seqgen"
 )
 
@@ -17,7 +18,7 @@ import (
 func riverbedISlice(b testing.TB) (slice []byte, blocks int) {
 	cfg := codec.Default(1280, 720)
 	cfg.Kernels = kernel.SWAR
-	enc, err := mpeg2.NewEncoder(cfg)
+	enc, err := mpeg.NewEncoder(cfg, container.CodecMPEG2)
 	if err != nil {
 		b.Fatal(err)
 	}

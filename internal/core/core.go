@@ -20,8 +20,7 @@ import (
 	"hdvideobench/internal/h264"
 	"hdvideobench/internal/kernel"
 	"hdvideobench/internal/metrics"
-	"hdvideobench/internal/mpeg2"
-	"hdvideobench/internal/mpeg4"
+	"hdvideobench/internal/mpeg"
 	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 	"hdvideobench/internal/stream"
@@ -124,9 +123,9 @@ func ResolutionByName(name string) (Resolution, error) {
 func NewEncoder(id CodecID, cfg codec.Config) (codec.Encoder, error) {
 	switch id {
 	case MPEG2:
-		return mpeg2.NewEncoder(cfg)
+		return mpeg.NewEncoder(cfg, container.CodecMPEG2)
 	case MPEG4:
-		return mpeg4.NewEncoder(cfg)
+		return mpeg.NewEncoder(cfg, container.CodecMPEG4)
 	case H264:
 		return h264.NewEncoder(cfg)
 	}
@@ -136,10 +135,8 @@ func NewEncoder(id CodecID, cfg codec.Config) (codec.Encoder, error) {
 // NewDecoder constructs the decoder for a coded stream header.
 func NewDecoder(hdr container.Header, kern kernel.Set) (codec.Decoder, error) {
 	switch hdr.Codec {
-	case container.CodecMPEG2:
-		return mpeg2.NewDecoder(hdr, kern)
-	case container.CodecMPEG4:
-		return mpeg4.NewDecoder(hdr, kern)
+	case container.CodecMPEG2, container.CodecMPEG4:
+		return mpeg.NewDecoder(hdr, kern)
 	case container.CodecH264:
 		return h264.NewDecoder(hdr, kern)
 	}

@@ -10,10 +10,10 @@
 //     VLC fallback as the CAVLC-class ablation),
 //   - hexagon motion search (the paper's x264 --me hex).
 //
-// The bitstream is the HDVB container format (see DESIGN.md §2); encoder
-// and decoder form a complete bit-exact pair. Omissions vs the standard
-// (sub-8×8 partitions, interlace tools, the four diagonal-family I4×4 modes
-// VR/HD/VL/HU, weighted prediction) are documented in DESIGN.md §6.
+// The bitstream is the HDVB container format (see package container);
+// encoder and decoder form a complete bit-exact pair. Omitted from the
+// standard: sub-8×8 partitions, interlace tools, the four diagonal-family
+// I4×4 modes VR/HD/VL/HU and weighted prediction.
 //
 // Only the slice coders live here — macroblock decisions, the
 // record/replay split that keeps entropy coding in raster order under a

@@ -2,8 +2,8 @@
 //
 //   - half-pel bilinear (MPEG-2 and MPEG-4 chroma paths),
 //   - quarter-pel with a 6-tap (1,-5,20,20,-5,1) half-pel filter and
-//     bilinear quarter positions (H.264 luma; also used for the MPEG-4
-//     quarter-pel tool, see DESIGN.md §2),
+//     bilinear quarter positions (H.264 luma; also the quarter-pel tool
+//     of package mpeg's MPEG-4 ASP profile),
 //   - 1/8-pel weighted bilinear (H.264 chroma).
 //
 // Every routine has a scalar and a SWAR implementation selected by

@@ -16,8 +16,7 @@ import (
 // randomness on any path that can reach encoder output.
 var deterministicPkgs = map[string]bool{
 	"hdvideobench/internal/codec":     true,
-	"hdvideobench/internal/mpeg2":     true,
-	"hdvideobench/internal/mpeg4":     true,
+	"hdvideobench/internal/mpeg":      true,
 	"hdvideobench/internal/h264":      true,
 	"hdvideobench/internal/motion":    true,
 	"hdvideobench/internal/interp":    true,

@@ -1,6 +1,8 @@
-package mpeg4
+package mpeg
 
 import (
+	"fmt"
+
 	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/codec"
 	"hdvideobench/internal/container"
@@ -9,18 +11,19 @@ import (
 	"hdvideobench/internal/interp"
 	"hdvideobench/internal/kernel"
 	"hdvideobench/internal/motion"
-	"hdvideobench/internal/quant"
 )
 
-// Decoder is the MPEG-4 ASP-class decoder (the paper's Xvid decoder
-// role): codec.FrameDecoder driving this package's slice decoder.
+// Decoder is the MPEG-class decoder of one profile (the paper's libmpeg2
+// or Xvid decoder role): codec.FrameDecoder driving this package's slice
+// decoder.
 type Decoder struct {
 	*codec.FrameDecoder
+	profile
 	hdr  container.Header
 	kern kernel.Set
 
 	prevRef, lastRef *frame.Frame // the frame's references, coding order
-	slices           []*sliceDec
+	slices           []*sliceDec  // per-slice decoders, reused across frames
 }
 
 // sliceDec carries the per-slice decoder state.
@@ -29,7 +32,7 @@ type sliceDec struct {
 	br bitstream.Reader
 
 	pred codec.PredMB
-	qpel interp.QPel
+	qpel *interp.QPel // quarter-pel scratch (ASP only; see newSliceDec)
 
 	dcInit  int32 // DC predictor reset value, derived from the slice's q
 	dcPred  [3]int32
@@ -37,11 +40,17 @@ type sliceDec struct {
 	bwdPred motion.MV
 }
 
-// NewDecoder returns a decoder for the stream described by hdr.
+// NewDecoder returns a decoder for the stream described by hdr, in the
+// profile hdr.Codec names. The kernel set selects the scalar or SWAR
+// motion-compensation path.
 func NewDecoder(hdr container.Header, kern kernel.Set) (*Decoder, error) {
-	d := &Decoder{hdr: hdr, kern: kern}
+	p, name, ok := profileFor(hdr.Codec)
+	if !ok {
+		return nil, fmt.Errorf("mpeg: stream codec is %v", hdr.Codec)
+	}
+	d := &Decoder{profile: p, hdr: hdr, kern: kern}
 	var err error
-	if d.FrameDecoder, err = codec.NewFrameDecoder("mpeg4", hdr, container.CodecMPEG4, 1, 31, 2, d); err != nil {
+	if d.FrameDecoder, err = codec.NewFrameDecoder(name, hdr, hdr.Codec, 1, 31, 2, d); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -52,8 +61,22 @@ func NewDecoder(hdr container.Header, kern kernel.Set) (*Decoder, error) {
 func (d *Decoder) BeginFrame(refs *codec.RefList, slices int) {
 	d.lastRef, d.prevRef = refs.Get(0), refs.Get(1)
 	for len(d.slices) < slices {
-		d.slices = append(d.slices, &sliceDec{d: d})
+		d.slices = append(d.slices, d.newSliceDec())
 	}
+}
+
+// newSliceDec allocates a slice decoder. An ASP one gets its quarter-pel
+// scratch (2 KiB) in the same allocation; an MPEG-2 one carries none.
+func (d *Decoder) newSliceDec() *sliceDec {
+	if !d.asp {
+		return &sliceDec{d: d}
+	}
+	a := &struct {
+		sliceDec
+		qpel interp.QPel
+	}{sliceDec: sliceDec{d: d}}
+	a.sliceDec.qpel = &a.qpel
+	return &a.sliceDec
 }
 
 // EndFrame implements codec.SliceDecoder: no in-loop filter.
@@ -69,10 +92,10 @@ func (d *Decoder) DecodeSlice(i int, bits []byte, recon *frame.Frame, ftype cont
 //hdvlint:noalloc
 func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameType, span codec.SliceSpan, q int32) error {
 	s.br.Reset(buf)
-	s.dcInit = 1024 / quant.Mpeg4DCScaler(q)
+	s.dcInit = s.d.dcInit(q)
 	mbCols := s.d.hdr.Width / 16
 	for mby := span.Row; mby < span.Row+span.Rows; mby++ {
-		s.dcPred = [3]int32{s.dcInit, s.dcInit, s.dcInit}
+		s.resetDCPred()
 		s.fwdPred = motion.MV{}
 		s.bwdPred = motion.MV{}
 		for mbx := 0; mbx < mbCols; mbx++ {
@@ -126,18 +149,22 @@ func (s *sliceDec) intraBlock(rec []byte, roff, rstride int, q int32, comp int) 
 	if err := codec.ReadRunLevels(&s.br, &blk, 1, eob8); err != nil {
 		return err
 	}
-	reconIntraBlock(rec, roff, rstride, &blk, q)
+	reconIntraBlock(rec, roff, rstride, &blk, q, s.d.asp)
 	return nil
 }
 
-// mcLuma fills dst (stride 16) with the quarter-pel luma prediction.
+// mcLuma fills dst (stride 16) with the w×h luma prediction for mv:
+// bilinear half-pel for MPEG-2, 6-tap quarter-pel for ASP.
 func (s *sliceDec) mcLuma(ref *frame.Frame, px, py, w, h int, mv motion.MV, dst []byte) {
-	ix, fx := codec.SplitQuarter(int(mv.X))
-	iy, fy := codec.SplitQuarter(int(mv.Y))
+	ix, fx, iy, fy := s.d.splitMV(mv)
 	ix = codec.ClampMVToWindow(ix, px, s.d.hdr.Width, w, codec.LumaMargin)
 	iy = codec.ClampMVToWindow(iy, py, s.d.hdr.Height, h, codec.LumaMargin)
 	so := ref.YOrigin + (py+iy)*ref.YStride + px + ix
-	s.qpel.Luma(dst, 16, ref.Y, so, ref.YStride, w, h, fx, fy, s.d.kern)
+	if s.d.asp {
+		s.qpel.Luma(dst, 16, ref.Y, so, ref.YStride, w, h, fx, fy, s.d.kern)
+		return
+	}
+	interp.HalfPel(dst, 16, ref.Y[so:], ref.YStride, w, h, fx, fy, s.d.kern)
 }
 
 // decodeResidualMB parses CBP and the coded blocks of an inter
@@ -154,10 +181,11 @@ func (s *sliceDec) decodeResidualMB(recon *frame.Frame, px, py int, q int32) err
 			}
 		}
 	}
-	reconInterMB(recon, px, py, &s.pred, &blks, cbp, q, s.d.kern)
+	reconInterMB(recon, px, py, &s.pred, &blks, cbp, q, s.d.asp, s.d.kern)
 	return nil
 }
 
+// readMV reads a vector coded as its difference from the predictor pred.
 func (s *sliceDec) readMV(pred motion.MV) motion.MV {
 	return motion.MV{
 		X: int16(int32(pred.X) + entropy.ReadSE(&s.br)),
@@ -168,6 +196,7 @@ func (s *sliceDec) readMV(pred motion.MV) motion.MV {
 //hdvlint:noalloc
 func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
+	ref, asp, k := s.d.lastRef, s.d.asp, s.d.kern
 	mode := entropy.ReadUE(&s.br)
 	switch mode {
 	case pIntra:
@@ -177,8 +206,8 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.fwdPred = motion.MV{}
 		return nil
 	case pSkip:
-		s.mcLuma(s.d.lastRef, px, py, 16, 16, motion.MV{}, s.pred.Y[:])
-		mcChroma(s.d.lastRef, px, py, motion.MV{}, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
+		s.mcLuma(ref, px, py, 16, 16, motion.MV{}, s.pred.Y[:])
+		mcChroma(ref, px, py, motion.MV{}, s.pred.Cb[:], s.pred.Cr[:], asp, k)
 		s.pred.CopyTo(recon, px, py)
 		s.fwdPred = motion.MV{}
 		s.resetDCPred()
@@ -186,14 +215,17 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	case pInter:
 		mv := s.readMV(s.fwdPred)
 		s.fwdPred = mv
-		s.mcLuma(s.d.lastRef, px, py, 16, 16, mv, s.pred.Y[:])
-		mcChroma(s.d.lastRef, px, py, mv, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
+		s.mcLuma(ref, px, py, 16, 16, mv, s.pred.Y[:])
+		mcChroma(ref, px, py, mv, s.pred.Cb[:], s.pred.Cr[:], asp, k)
 		if err := s.decodeResidualMB(recon, px, py, q); err != nil {
 			return err
 		}
 		s.resetDCPred()
 		return nil
 	case pInter4V:
+		if !asp {
+			break
+		}
 		var mvs [4]motion.MV
 		prev := s.fwdPred
 		for i := 0; i < 4; i++ {
@@ -201,16 +233,10 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 			prev = mvs[i]
 		}
 		s.fwdPred = mvs[3]
-		var sub [256]byte
-		for i := 0; i < 4; i++ {
-			bx := px + 8*(i%2)
-			by := py + 8*(i/2)
-			s.mcLuma(s.d.lastRef, bx, by, 8, 8, mvs[i], sub[:])
-			for r := 0; r < 8; r++ {
-				copy(s.pred.Y[(8*(i/2)+r)*16+8*(i%2):(8*(i/2)+r)*16+8*(i%2)+8], sub[r*16:r*16+8])
-			}
+		for i, v := range mvs {
+			s.mcLuma(ref, px+8*(i%2), py+8*(i/2), 8, 8, v, s.pred.Y[8*(i/2)*16+8*(i%2):])
 		}
-		mcChroma4MV(s.d.lastRef, px, py, &mvs, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
+		mcChroma4MV(ref, px, py, &mvs, s.pred.Cb[:], s.pred.Cr[:], k)
 		if err := s.decodeResidualMB(recon, px, py, q); err != nil {
 			return err
 		}
@@ -223,6 +249,7 @@ func (s *sliceDec) decodePMB(recon *frame.Frame, mbx, mby int, q int32) error {
 //hdvlint:noalloc
 func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 	px, py := mbx*16, mby*16
+	fwdRef, bwdRef, asp, k := s.d.prevRef, s.d.lastRef, s.d.asp, s.d.kern
 	mode := entropy.ReadUE(&s.br)
 	switch mode {
 	case bIntra:
@@ -233,8 +260,8 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		s.bwdPred = motion.MV{}
 		return nil
 	case bSkip:
-		s.mcLuma(s.d.prevRef, px, py, 16, 16, s.fwdPred, s.pred.Y[:])
-		mcChroma(s.d.prevRef, px, py, s.fwdPred, s.pred.Cb[:], s.pred.Cr[:], s.d.kern)
+		s.mcLuma(fwdRef, px, py, 16, 16, s.fwdPred, s.pred.Y[:])
+		mcChroma(fwdRef, px, py, s.fwdPred, s.pred.Cb[:], s.pred.Cr[:], asp, k)
 		s.pred.CopyTo(recon, px, py)
 		s.resetDCPred()
 		return nil
@@ -250,15 +277,15 @@ func (s *sliceDec) decodeBMB(recon *frame.Frame, mbx, mby int, q int32) error {
 		}
 		switch mode {
 		case bFwd:
-			s.mcLuma(s.d.prevRef, px, py, 16, 16, fwdMV, s.pred.Y[:])
+			s.mcLuma(fwdRef, px, py, 16, 16, fwdMV, s.pred.Y[:])
 		case bBwd:
-			s.mcLuma(s.d.lastRef, px, py, 16, 16, bwdMV, s.pred.Y[:])
+			s.mcLuma(bwdRef, px, py, 16, 16, bwdMV, s.pred.Y[:])
 		case bBi:
-			s.mcLuma(s.d.prevRef, px, py, 16, 16, fwdMV, s.pred.Y[:])
-			s.mcLuma(s.d.lastRef, px, py, 16, 16, bwdMV, s.pred.YAlt[:])
-			interp.Avg(s.pred.Y[:], 16, s.pred.YAlt[:], 16, 16, 16, s.d.kern)
+			s.mcLuma(fwdRef, px, py, 16, 16, fwdMV, s.pred.Y[:])
+			s.mcLuma(bwdRef, px, py, 16, 16, bwdMV, s.pred.YAlt[:])
+			interp.Avg(s.pred.Y[:], 16, s.pred.YAlt[:], 16, 16, 16, k)
 		}
-		mcChromaB(&s.pred, int(mode), s.d.prevRef, s.d.lastRef, px, py, fwdMV, bwdMV, s.d.kern)
+		mcChromaB(&s.pred, int(mode), fwdRef, bwdRef, px, py, fwdMV, bwdMV, asp, k)
 		if err := s.decodeResidualMB(recon, px, py, q); err != nil {
 			return err
 		}

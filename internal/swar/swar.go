@@ -1,11 +1,11 @@
 // Package swar implements SIMD-within-a-register kernels on uint64 values.
 //
 // The paper's "SIMD" codec versions use x86 SSE/MMX intrinsics; this package
-// is the portable Go substitute (see DESIGN.md §2). Each kernel processes 8
-// packed bytes (or 4 packed 16-bit lanes) per operation and is bit-exact
-// with the scalar reference implementations it replaces, so scalar and SWAR
-// codec builds produce identical bitstreams and reconstructions — only the
-// speed differs, which is the axis Figure 1 measures.
+// is the portable Go substitute. Each kernel processes 8 packed bytes (or 4
+// packed 16-bit lanes) per operation and is bit-exact with the scalar
+// reference implementations it replaces, so scalar and SWAR codec builds
+// produce identical bitstreams and reconstructions — only the speed
+// differs, which is the axis Figure 1 measures.
 package swar
 
 import "encoding/binary"
