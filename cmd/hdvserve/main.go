@@ -50,10 +50,11 @@
 //	         optional @kbps (e.g. 240p,576p@800; a bare kbps= is the
 //	         default per rung). Without rung= the response is a JSON
 //	         manifest listing each rung's geometry and URL. Ladder
-//	         requests allow at most 250 frames and no index
+//	         requests allow no index
 //	rung     with ladder: stream this rung, a resolution in the ladder.
-//	         A cold rung runs one ladder encode that caches every rung,
-//	         so its siblings are hits; the response carries X-HDVB-Rung
+//	         A cold rung streams like any cold GET while the same ladder
+//	         pass fills every sibling rung's cache entry, so its
+//	         siblings are hits; the response carries X-HDVB-Rung
 //
 // Cold requests stream with chunked transfer, one coded packet per
 // flush, while a tee populates the cache; repeat requests are served

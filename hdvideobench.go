@@ -298,21 +298,36 @@ func ParseLadder(spec string, mezzWidth, mezzHeight int) ([]LadderRung, error) {
 }
 
 // EncodeLadder encodes one mezzanine sequence into every rung of a
-// rendition ladder with shared motion analysis: the largest rung
-// encodes first and its per-frame motion fields, scaled down, seed the
-// motion searches of every smaller rung, which therefore early-
-// terminate far sooner than a cold search. Frames are downscaled from
-// the mezzanine once per rung. opts describes the mezzanine (Width and
-// Height must match frames); each rung inherits its coding options,
-// overridden per rung by the rung's geometry and Kbps. Every rung's
-// stream is byte-identical at every Workers count and Wavefront
-// setting.
+// rendition ladder with shared motion analysis: the largest rung is
+// the analysis rung, and its per-frame motion fields, scaled down, seed
+// the motion searches of every smaller rung, which therefore early-
+// terminate far sooner than a cold search. It is EncodeLadderStream fed
+// from a slice, returning each rung's packets. opts describes the
+// mezzanine (Width and Height must match frames); each rung inherits
+// its coding options, overridden per rung by the rung's geometry and
+// Kbps. Every rung's stream is byte-identical at every Workers count and
+// Wavefront setting.
 func EncodeLadder(c Codec, opts EncoderOptions, frames []*Frame, rungs []LadderRung) ([]LadderRendition, error) {
 	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return nil, err
 	}
 	return core.EncodeLadder(c, cfg, frames, rungs, opts.Workers)
+}
+
+// EncodeLadderStream is the streaming EncodeLadder: it pulls each
+// mezzanine frame from next once, until io.EOF, and writes rungs[i] as
+// an HDVB container to ws[i] while every rung codes in lockstep, at
+// memory bounded by opts.Window and the GOP shape rather than by the
+// sequence length. frames declares the length in every header as in
+// EncodeStream. The first failure — next, a codec or any writer — stops
+// every rung and is returned with each rung's stats so far.
+func EncodeLadderStream(ws []io.Writer, c Codec, opts EncoderOptions, rungs []LadderRung, frames int, next func() (*Frame, error)) ([]StreamStats, error) {
+	cfg, err := core.CodecConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	return core.EncodeLadderStream(ws, c, cfg, rungs, opts.Workers, opts.Window, frames, next, opts.Collector)
 }
 
 // DecodePacketsParallel decodes a coding-order packet stream on the

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -10,6 +12,9 @@ import (
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/frame"
 	"hdvideobench/internal/motion"
+	"hdvideobench/internal/obs"
+	"hdvideobench/internal/pipeline"
+	"hdvideobench/internal/stream"
 )
 
 // LadderRung is one output rendition of a ladder encode: a target
@@ -93,29 +98,77 @@ func ValidateLadder(rungs []LadderRung, mezzW, mezzH int) error {
 	return nil
 }
 
-// EncodeLadder encodes one mezzanine sequence into every rung of a
-// rendition ladder, sharing the motion analysis of the largest rung:
-//
-//   - the largest rung encodes first, capturing its per-frame full-pel
-//     forward motion fields (codec.Config.MotionTap);
-//   - every smaller rung downscales the mezzanine frames once
-//     (frame.Downscale — box for integer ratios, bilinear otherwise)
-//     and encodes with the captured fields injected, geometry-scaled,
-//     as extra motion-search seed predictors (MotionHints), so its
-//     searches start near the answer and early-terminate cheaply;
-//   - a rung with Kbps > 0 is rate-targeted (codec.RateController).
-//
-// cfg describes the mezzanine: its Width/Height bound the rungs, and
-// its coding options (Q, GOP shape, kernels, slices, wavefront) apply
-// to every rung. Each rung's stream is byte-identical at every worker
-// count and wavefront setting — the analysis rung is deterministic, so
-// the hint fields, and therefore the seeded searches, are too.
+// EncodeLadderStream encodes one mezzanine sequence, pulled from next
+// until io.EOF, into every rung of a ladder in one streaming pass,
+// writing rungs[i] as an HDVB container to ws[i]. The largest rung is
+// the analysis rung: its motion fields (codec.Config.MotionTap),
+// geometry-scaled, seed the searches of every smaller rung
+// (MotionHints). cfg describes the mezzanine; its coding options apply
+// to every rung, overridden by the rung's geometry and Kbps. The rungs
+// share one budget of workers tokens (workers <= 1 banks none, and each
+// rung codes on its own goroutine, as each stage of Transcode does),
+// each keeps at most window chunks in flight, and each is
+// byte-identical at every workers, window and wavefront setting. frames is the length each header declares, as for
+// EncodeStream. The first failure anywhere stops every rung and is
+// returned with each rung's stats.
+func EncodeLadderStream(ws []io.Writer, id CodecID, cfg codec.Config, rungs []LadderRung, workers, window, frames int, next func() (*frame.Frame, error), col *obs.Collector) ([]StreamStats, error) {
+	if len(ws) != len(rungs) {
+		return nil, fmt.Errorf("core: %d writers for %d ladder rungs", len(ws), len(rungs))
+	}
+	sinks := make([]streamSink, len(ws))
+	ps := make([]packetSink, len(ws))
+	for i, w := range ws {
+		sinks[i] = streamSink{w: w, frames: frames}
+		ps[i] = &sinks[i]
+	}
+	_, err := encodeLadder(factories(id), cfg, rungs, ps, workerGate(workers, col), window, next)
+	stats := make([]StreamStats, len(ws))
+	for i := range sinks {
+		stats[i] = sinks[i].stats()
+	}
+	return stats, err
+}
+
+// EncodeLadder is EncodeLadderStream fed from a slice at the default
+// window, collecting each rung's packets. On return every input frame
+// carries its display index as PTS.
 func EncodeLadder(id CodecID, cfg codec.Config, frames []*frame.Frame, rungs []LadderRung, workers int) ([]LadderRendition, error) {
-	if err := cfg.Validate(); err != nil {
+	out := make([]LadderRendition, len(rungs))
+	ps := make([]packetSink, len(rungs))
+	for i, r := range rungs {
+		out[i] = LadderRendition{Rung: r, Packets: make([]container.Packet, 0, len(frames))}
+		ps[i] = &out[i]
+	}
+	if _, err := encodeLadder(factories(id), cfg, rungs, ps, workerGate(workers, nil), 0, sliceNext(frames)); err != nil {
 		return nil, err
 	}
+	for i, f := range frames {
+		f.PTS = i // chunk encoders stamp chunk-local indices
+	}
+	return out, nil
+}
+
+func (r *LadderRendition) open(hdr container.Header) error { r.Header = hdr; return nil }
+
+func (r *LadderRendition) write(p container.Packet) error {
+	r.Packets = append(r.Packets, p)
+	return nil
+}
+
+// encodeLadder validates a ladder against its mezzanine cfg and codes
+// rung i into sinks[i], the largest rung (the first of equals) as the
+// analysis rung.
+func encodeLadder(newEnc func(codec.Config) pipeline.EncoderFactory, cfg codec.Config, rungs []LadderRung, sinks []packetSink, gate *pipeline.SliceGate, window int, next func() (*frame.Frame, error)) (residency, error) {
+	if err := cfg.Validate(); err != nil {
+		return residency{}, err
+	}
 	if err := ValidateLadder(rungs, cfg.Width, cfg.Height); err != nil {
-		return nil, err
+		return residency{}, err
+	}
+	out := func(i int) rungOut {
+		r := rungOut{cfg: cfg, sink: sinks[i]}
+		r.cfg.Width, r.cfg.Height, r.cfg.TargetKbps = rungs[i].Width, rungs[i].Height, rungs[i].Kbps
+		return r
 	}
 	top := 0
 	for i, r := range rungs {
@@ -123,56 +176,352 @@ func EncodeLadder(id CodecID, cfg codec.Config, frames []*frame.Frame, rungs []L
 			top = i
 		}
 	}
-
-	// Motion fields of the analysis rung, keyed by display PTS. Written
-	// under the mutex (GOP-parallel chunk encoders tap concurrently),
-	// read lock-free afterwards — the pipeline join orders the accesses.
-	var mu sync.Mutex
-	fields := make(map[int]*motion.Field, len(frames))
-
-	out := make([]LadderRendition, len(rungs))
-	encodeRung := func(i int) error {
-		r := rungs[i]
-		rcfg := cfg
-		rcfg.Width, rcfg.Height = r.Width, r.Height
-		rcfg.TargetKbps = r.Kbps
-		rcfg.MotionTap, rcfg.MotionHints = nil, nil
-		if i == top {
-			rcfg.MotionTap = func(pts int, f *motion.Field) {
-				mu.Lock()
-				fields[pts] = f
-				mu.Unlock()
-			}
-		} else {
-			rcfg.MotionHints = func(pts int) *motion.Field { return fields[pts] }
-		}
-		in := frames
-		if r.Width != cfg.Width || r.Height != cfg.Height {
-			in = make([]*frame.Frame, len(frames))
-			for j, f := range frames {
-				in[j] = frame.DownscaleNew(f, r.Width, r.Height)
-			}
-		}
-		pkts, hdr, err := EncodeSequenceParallel(id, rcfg, in, workers)
-		if err != nil {
-			return fmt.Errorf("core: ladder rung %s: %w", r.Name, err)
-		}
-		out[i] = LadderRendition{Rung: r, Header: hdr, Packets: pkts}
-		return nil
-	}
-
-	// The analysis rung must finish before any seeded rung starts: the
-	// seeded searches read its complete motion-field map.
-	if err := encodeRung(top); err != nil {
-		return nil, err
-	}
+	seeded := make([]seededRung, 0, len(rungs)-1)
 	for i := range rungs {
-		if i == top {
-			continue
+		if i != top {
+			seeded = append(seeded, seededRung{rungOut: out(i)})
 		}
-		if err := encodeRung(i); err != nil {
+	}
+	return encodeRungs(gate, newEnc, window, out(top), seeded, next)
+}
+
+// factories maps a rung's configuration onto its encoder factory.
+func factories(id CodecID) func(codec.Config) pipeline.EncoderFactory {
+	return func(cfg codec.Config) pipeline.EncoderFactory { return encoderFactory(id, cfg) }
+}
+
+// packetSink takes a rung's stream header once its encoder exists, then
+// its packets in coding order.
+type packetSink interface {
+	open(hdr container.Header) error
+	write(p container.Packet) error
+}
+
+// streamSink writes a rung as an HDVB container to w, its header
+// declaring frames when > 0.
+type streamSink struct {
+	w      io.Writer
+	frames int
+	sw     *container.StreamWriter
+}
+
+func (s *streamSink) open(hdr container.Header) (err error) {
+	if s.frames > 0 {
+		hdr.Frames = s.frames
+	}
+	s.sw, err = container.NewStreamWriter(s.w, hdr)
+	return err
+}
+
+func (s *streamSink) write(p container.Packet) error {
+	if err := s.sw.WritePacket(p); err != nil {
+		return fmt.Errorf("core: writing stream: %w", err)
+	}
+	return nil
+}
+
+func (s *streamSink) stats() StreamStats {
+	if s.sw == nil {
+		return StreamStats{}
+	}
+	return StreamStats{Frames: s.sw.Count(), Bytes: s.sw.BytesWritten()}
+}
+
+// rungOut is one output of encodeRungs; onGOP, when set, is given each
+// closed GOP's first display index before its packets are written.
+type rungOut struct {
+	cfg   codec.Config
+	sink  packetSink
+	onGOP func(frame int)
+}
+
+// residency is the most a ladder pass held at once: mezzanine frames
+// not yet downscaled by every seeded rung, and fields whose display PTS
+// not every seeded rung has drained.
+type residency struct{ frames, fields int }
+
+// encodeRungs is the one encode engine; EncodeStream is its one-rung
+// call. Each rung runs stream.Encoder → drain → sink, all on gate and on
+// one context, so the first failure anywhere stops every rung and is
+// what it returns. Frames are pulled from next once, into top. With
+// seeded rungs, top is the analysis rung: it taps its motion fields,
+// and once every display PTS up to p has drained from it, its drain
+// hands mezzanine frame p to each seeded rung's channel, whose feeder
+// downscales it into that rung's encoder. So a seeded rung codes p only
+// once p's field exists (or p was coded as I), MotionHints never waits,
+// and no goroutine waits on another rung while it holds a token.
+//
+// Residency is bounded by the windows and channels, not by the clip.
+// With W a rung's resolved window, G = IntraPeriod, B = BFrames and
+// M = max(G, 4), an encoder holds at most E = (W+2)·M + 2(B+1) frames
+// between Write and the drain of their packets (W chunks, one filling,
+// one draining; or the serial queue of W·M packets, the B lookahead and
+// the packets in hand), and a channel C = max(G, B+1). A mezzanine frame
+// is held from its pull until every seeded feeder has downscaled it: at
+// most E + C + 2B + 4 at once (the analysis encoder's, B+1 drained but
+// waiting on an earlier PTS, a full channel, B+1 being handed on, one
+// in each feeder's hand). A field lives from its tap until every seeded
+// rung has drained its PTS: at most 2E + C + 2B + 5.
+func encodeRungs(gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.EncoderFactory, window int, top rungOut, seeded []seededRung, next func() (*frame.Frame, error)) (residency, error) {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	build := func(r rungOut) (*stream.Encoder, error) {
+		enc, err := stream.NewEncoder(ctx, cancel, newEnc(r.cfg), r.cfg.IntraPeriod, gate, window)
+		if err == nil {
+			if err = r.sink.open(enc.Header()); err != nil {
+				enc.Close()
+			}
+		}
+		return enc, err
+	}
+	var rl *relay
+	var release func(container.Packet) error
+	if len(seeded) > 0 {
+		rl = newRelay(ctx, top.cfg, seeded)
+		top.cfg.MotionTap, release = rl.tap, rl.release
+		next = rl.pull(next, top.cfg.Width, top.cfg.Height)
+	}
+	enc, err := build(top)
+	if err != nil {
+		return residency{}, err
+	}
+	if rl != nil {
+		if err := rl.start(build, cancel); err != nil {
+			enc.Close()
+			return residency{}, err
+		}
+	}
+	fed := feed(next, enc, cancel)
+	drainRung(enc, top, release, cancel)
+	if rl != nil {
+		rl.wait()
+	}
+	fed.Wait()
+	var peak residency
+	if rl != nil {
+		// Under the lock: after a teardown a chunk worker may still be
+		// finishing its frame, and tapping.
+		rl.mu.Lock()
+		peak = rl.peak
+		rl.mu.Unlock()
+	}
+	return peak, context.Cause(ctx)
+}
+
+// drainRung drains a rung's encoder into its sink — by packet, or by
+// chunk when it taps its GOPs — handing each packet to after, when set,
+// before writing it.
+func drainRung(enc *stream.Encoder, r rungOut, after func(container.Packet) error, cancel context.CancelCauseFunc) {
+	write := r.sink.write
+	if after != nil {
+		write = func(p container.Packet) error {
+			if err := after(p); err != nil {
+				return err
+			}
+			return r.sink.write(p)
+		}
+	}
+	if r.onGOP == nil {
+		drain(enc.ReadPacket, write, cancel)
+		return
+	}
+	drain(enc.ReadChunk, func(pkts []container.Packet) error {
+		r.onGOP(pkts[0].DisplayIndex)
+		for _, p := range pkts {
+			if err := write(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, cancel)
+}
+
+// relay carries the analysis rung's work to the seeded rungs it runs:
+// mezzanine frames over one channel each, motion fields by display PTS.
+type relay struct {
+	ctx     context.Context
+	rungs   []seededRung
+	ready   []*frame.Frame // release's scratch
+	drained sync.WaitGroup
+
+	mu      sync.Mutex
+	fields  map[int]heldField
+	waiting []*frame.Frame // pulled, not yet handed on; waiting[0] displays at base
+	base    int
+	packets int // analysis packets drained
+	last    int // 1 + the highest display PTS drained
+	pulled  int
+	peak    residency
+}
+
+// seededRung is a rung the analysis rung seeds: its output, encoder and
+// feeder, the channel release hands it frames on, and how many of them
+// it has downscaled (guarded by the relay's mu).
+type seededRung struct {
+	rungOut
+	enc    *stream.Encoder
+	fed    *sync.WaitGroup
+	frames chan *frame.Frame
+	scaled int
+}
+
+// heldField is a field and the seeded rungs yet to drain its PTS.
+type heldField struct {
+	f    *motion.Field
+	left int
+}
+
+func newRelay(ctx context.Context, cfg codec.Config, seeded []seededRung) *relay {
+	// One GOP chunk or one B group: what a release hands on at once.
+	batch := max(cfg.IntraPeriod, cfg.BFrames+1)
+	for j := range seeded {
+		seeded[j].frames = make(chan *frame.Frame, batch)
+	}
+	// waiting starts with room for two batches, a common peak, and
+	// reuses its array: release compacts it in place.
+	return &relay{ctx: ctx, rungs: seeded, fields: map[int]heldField{}, waiting: make([]*frame.Frame, 0, 2*batch)}
+}
+
+// start builds each seeded rung's encoder with build, closing the ones
+// built if one fails, and runs the rung's feeder and drain.
+func (rl *relay) start(build func(rungOut) (*stream.Encoder, error), cancel context.CancelCauseFunc) error {
+	hint, consumed := rl.hint, rl.consumed
+	for j := range rl.rungs {
+		r := &rl.rungs[j]
+		r.cfg.MotionHints = hint
+		enc, err := build(r.rungOut)
+		if err != nil {
+			for i := range j {
+				rl.rungs[i].enc.Close()
+			}
+			return err
+		}
+		r.enc = enc
+	}
+	for j := range rl.rungs {
+		r := &rl.rungs[j]
+		r.fed = feed(rl.feeder(j), r.enc, cancel)
+		rl.drained.Add(1)
+		go func() {
+			defer rl.drained.Done()
+			drainRung(r.enc, r.rungOut, consumed, cancel)
+		}()
+	}
+	return nil
+}
+
+// wait ends the seeded rungs' input, once the analysis drain is done,
+// and waits for their feeders and drains.
+func (rl *relay) wait() {
+	for j := range rl.rungs {
+		close(rl.rungs[j].frames)
+	}
+	rl.drained.Wait()
+	for j := range rl.rungs {
+		rl.rungs[j].fed.Wait()
+	}
+}
+
+// pull wraps the analysis rung's source: it holds each mezzanine frame
+// for release and downscales it to the analysis rung's w×h when they
+// differ.
+func (rl *relay) pull(next func() (*frame.Frame, error), w, h int) func() (*frame.Frame, error) {
+	return func() (*frame.Frame, error) {
+		f, err := next()
+		if err != nil {
 			return nil, err
 		}
+		rl.mu.Lock()
+		rl.waiting = append(rl.waiting, f)
+		rl.pulled++
+		scaled := rl.pulled
+		for j := range rl.rungs {
+			scaled = min(scaled, rl.rungs[j].scaled)
+		}
+		rl.peak.frames = max(rl.peak.frames, rl.pulled-scaled)
+		rl.mu.Unlock()
+		if f.Width != w || f.Height != h {
+			f = frame.DownscaleNew(f, w, h)
+		}
+		return f, nil
 	}
-	return out, nil
+}
+
+// release counts an analysis packet drained. Once the drained display
+// PTS are exactly 0 … last-1, every frame up to last-1 is ready, and it
+// hands them to each seeded rung in display order.
+func (rl *relay) release(p container.Packet) error {
+	rl.mu.Lock()
+	rl.packets++
+	rl.last = max(rl.last, p.DisplayIndex+1)
+	ready := rl.ready[:0]
+	if rl.packets == rl.last {
+		n := rl.last - rl.base
+		ready = append(ready, rl.waiting[:n]...)
+		rl.waiting = append(rl.waiting[:0], rl.waiting[n:]...)
+		clear(rl.waiting[len(rl.waiting) : len(rl.waiting)+n])
+		rl.base = rl.last
+	}
+	rl.mu.Unlock()
+	rl.ready = ready
+	defer clear(ready)
+	for _, f := range ready {
+		for j := range rl.rungs {
+			select {
+			case rl.rungs[j].frames <- f:
+			case <-rl.ctx.Done():
+				return context.Cause(rl.ctx)
+			}
+		}
+	}
+	return nil
+}
+
+// feeder is seeded rung j's source: the frames release hands it,
+// downscaled to the rung's geometry.
+func (rl *relay) feeder(j int) func() (*frame.Frame, error) {
+	r := &rl.rungs[j]
+	return func() (*frame.Frame, error) {
+		select {
+		case f, ok := <-r.frames:
+			if !ok {
+				return nil, io.EOF
+			}
+			f = frame.DownscaleNew(f, r.cfg.Width, r.cfg.Height)
+			rl.mu.Lock()
+			r.scaled++
+			rl.mu.Unlock()
+			return f, nil
+		case <-rl.ctx.Done():
+			return nil, context.Cause(rl.ctx)
+		}
+	}
+}
+
+// tap is the analysis rung's MotionTap, hint a seeded rung's
+// MotionHints (nil where the analysis rung coded an I frame), and
+// consumed a seeded drain's step that drops a field once every seeded
+// rung has drained its PTS.
+func (rl *relay) tap(pts int, f *motion.Field) {
+	rl.mu.Lock()
+	rl.fields[pts] = heldField{f, len(rl.rungs)}
+	rl.peak.fields = max(rl.peak.fields, len(rl.fields))
+	rl.mu.Unlock()
+}
+
+func (rl *relay) hint(pts int) *motion.Field {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	return rl.fields[pts].f
+}
+
+func (rl *relay) consumed(p container.Packet) error {
+	rl.mu.Lock()
+	if h := rl.fields[p.DisplayIndex]; h.left > 1 {
+		rl.fields[p.DisplayIndex] = heldField{h.f, h.left - 1}
+	} else {
+		delete(rl.fields, p.DisplayIndex)
+	}
+	rl.mu.Unlock()
+	return nil
 }

@@ -73,11 +73,11 @@ type EncoderOptions struct {
 	// changes); off, streams are exactly the fixed-GOP ones.
 	SceneCutIntra bool
 	// Window caps the closed-GOP chunks in flight on the streaming paths
-	// (NewStreamEncoder, EncodeStream, Transcode): peak memory is
-	// O(Window × IntraPeriod) frames regardless of sequence length.
-	// 0 selects 2×Workers. The batch entry points (EncodeFramesParallel,
-	// EncodeLadder) hold the whole sequence by definition and always run
-	// the engine at that default.
+	// (NewStreamEncoder, EncodeStream, EncodeLadderStream — per rung —
+	// and Transcode): peak memory is O(Window × IntraPeriod) frames
+	// regardless of sequence length. 0 selects 2×Workers. The batch
+	// entry points (EncodeFramesParallel, EncodeLadder) hold the whole
+	// sequence by definition and always run the engine at that default.
 	Window int
 	// Collector, when non-nil, receives the encode pipeline's
 	// self-measurements on the streaming paths: per-chunk encode wall

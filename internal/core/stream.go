@@ -147,16 +147,7 @@ func drain[T any](next func() (T, error), sink func(T) error, cancel context.Can
 // is fed to the stage from a writer goroutine and its output drained
 // into the returned slice, one output per input expected.
 func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in []I, s stage[I], read func() (O, error)) ([]O, error) {
-	i := 0
-	next := func() (I, error) {
-		if i == len(in) {
-			var zero I
-			return zero, io.EOF
-		}
-		i++
-		return in[i-1], nil
-	}
-	fed := feed(next, s, cancel)
+	fed := feed(sliceNext(in), s, cancel)
 	out := make([]O, 0, len(in))
 	drain(read, func(v O) error {
 		out = append(out, v)
@@ -169,11 +160,24 @@ func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in
 	return out, nil
 }
 
+// sliceNext yields the items of in, then io.EOF.
+func sliceNext[T any](in []T) func() (T, error) {
+	i := 0
+	return func() (T, error) {
+		if i == len(in) {
+			var zero T
+			return zero, io.EOF
+		}
+		i++
+		return in[i-1], nil
+	}
+}
+
 // EncodeStream pulls display-order frames from next until it returns
-// io.EOF, encodes them with the streaming engine, and writes the HDVB
-// container to w incrementally — peak memory stays O(window × GOP)
-// regardless of sequence length. Any error from next, the codec, or w
-// tears the whole pipeline down and is returned.
+// io.EOF, encodes them on the streaming engine — encodeRungs' one-rung
+// call — and writes the HDVB container to w incrementally: peak memory
+// stays O(window × GOP) regardless of sequence length. Any error from
+// next, the codec, or w tears the whole pipeline down and is returned.
 //
 // frames is the declared sequence length for the container header: when
 // the caller knows it upfront (a server encoding an N-frame request),
@@ -195,46 +199,13 @@ func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in
 // bounded IntraPeriod when tapping, or a boundary-less stream degrades
 // to one stream-sized chunk of coded bytes).
 func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, frames int, next func() (*frame.Frame, error), onGOP func(offset int64, frame int), col *obs.Collector) (StreamStats, error) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	enc, err := stream.NewEncoder(ctx, cancel, encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
-	if err != nil {
-		return StreamStats{}, err
+	sink := &streamSink{w: w, frames: frames}
+	r := rungOut{cfg: cfg, sink: sink}
+	if onGOP != nil {
+		r.onGOP = func(frame int) { onGOP(sink.sw.BytesWritten(), frame) }
 	}
-	hdr := enc.Header()
-	if frames > 0 {
-		hdr.Frames = frames
-	}
-	sw, err := container.NewStreamWriter(w, hdr)
-	if err != nil {
-		enc.Close()
-		return StreamStats{}, err
-	}
-
-	fed := feed(next, enc, cancel)
-	if onGOP == nil {
-		drain(enc.ReadPacket, func(p container.Packet) error {
-			if err := sw.WritePacket(p); err != nil {
-				return fmt.Errorf("core: writing stream: %w", err)
-			}
-			return nil
-		}, cancel)
-	} else {
-		// Chunk-granular drain: record where each GOP starts before its
-		// first packet lands, still writing (and flushing) per packet.
-		drain(enc.ReadChunk, func(pkts []container.Packet) error {
-			onGOP(sw.BytesWritten(), pkts[0].DisplayIndex)
-			for _, p := range pkts {
-				if err := sw.WritePacket(p); err != nil {
-					return fmt.Errorf("core: writing stream: %w", err)
-				}
-			}
-			return nil
-		}, cancel)
-	}
-	fed.Wait()
-	stats := StreamStats{Frames: sw.Count(), Bytes: sw.BytesWritten()}
-	return stats, context.Cause(ctx)
+	_, err := encodeRungs(workerGate(workers, col), factories(id), window, r, nil, next)
+	return sink.stats(), err
 }
 
 // DecodeStream reads an HDVB container from r incrementally, decodes it
@@ -325,10 +296,8 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 		dec.Close()
 		return TranscodeStats{}, err
 	}
-	ohdr := enc.Header()
-	ohdr.Frames = hdr.Frames // the input declares the length; pass it on
-	sw, err := container.NewStreamWriter(w, ohdr)
-	if err != nil {
+	out := &streamSink{w: w, frames: hdr.Frames} // the input declares the length; pass it on
+	if err := out.open(enc.Header()); err != nil {
 		dec.Close()
 		enc.Close()
 		return TranscodeStats{}, err
@@ -339,20 +308,15 @@ func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderF
 	// container. A failure in any stage stops all three.
 	read := feed(sr.Next, dec, cancel)
 	pumped := feed(dec.ReadFrame, enc, cancel)
-	drain(enc.ReadPacket, func(p container.Packet) error {
-		if err := sw.WritePacket(p); err != nil {
-			return fmt.Errorf("core: writing stream: %w", err)
-		}
-		return nil
-	}, cancel)
+	drain(enc.ReadPacket, out.write, cancel)
 	pumped.Wait()
 	read.Wait()
 	stats := TranscodeStats{
 		In:       hdr.Codec,
-		Out:      ohdr.Codec,
-		Frames:   sw.Count(),
+		Out:      enc.Header().Codec,
+		Frames:   out.sw.Count(),
 		BytesIn:  sr.BytesRead(),
-		BytesOut: sw.BytesWritten(),
+		BytesOut: out.sw.BytesWritten(),
 	}
 	return stats, context.Cause(ctx)
 }

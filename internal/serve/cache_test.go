@@ -321,12 +321,12 @@ func TestErrorResponsesCarryNoStreamHeaders(t *testing.T) {
 	for range cap(s.sem) {
 		<-s.sem
 	}
-	s.ladder = func(hdvideobench.Codec, hdvideobench.EncoderOptions,
-		[]*hdvideobench.Frame, []hdvideobench.LadderRung) ([]hdvideobench.LadderRendition, error) {
+	s.ladder = func([]io.Writer, hdvideobench.Codec, hdvideobench.EncoderOptions,
+		[]hdvideobench.LadderRung, int, func() (*hdvideobench.Frame, error)) ([]hdvideobench.StreamStats, error) {
 		return nil, errors.New("ladder encode failed")
 	}
 	resp, _ = get(t, rung)
-	assertClean(resp, http.StatusInternalServerError)
+	assertClean(resp, http.StatusBadRequest)
 }
 
 // TestBoolParamsStrict pins the ParseBool fix: malformed booleans are

@@ -153,10 +153,16 @@ func TestTranscodeCapacity503(t *testing.T) {
 // encode and releases its capacity slot so the next request succeeds.
 func TestClientDisconnectMidStream(t *testing.T) {
 	_, ts := testServer(t, Config{Workers: 2, MaxConcurrent: 1, MaxFrames: 5000})
+	disconnectMidStream(t, ts, "/transcode?width=96&height=80&frames=5000&gop=2")
+}
 
+// disconnectMidStream requests path on a one-slot server, drops the
+// client after the first 64 bytes, and waits up to 10 s for the slot to
+// serve a short request again.
+func disconnectMidStream(t *testing.T, ts *httptest.Server, path string) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET",
-		ts.URL+"/transcode?width=96&height=80&frames=5000&gop=2", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

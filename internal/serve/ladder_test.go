@@ -23,10 +23,10 @@ import (
 func countLadders(s *Server) *atomic.Int64 {
 	var n atomic.Int64
 	inner := s.ladder
-	s.ladder = func(c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-		frames []*hdvideobench.Frame, rungs []hdvideobench.LadderRung) ([]hdvideobench.LadderRendition, error) {
+	s.ladder = func(ws []io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
+		rungs []hdvideobench.LadderRung, frames int, next func() (*hdvideobench.Frame, error)) ([]hdvideobench.StreamStats, error) {
 		n.Add(1)
-		return inner(c, opts, frames, rungs)
+		return inner(ws, c, opts, rungs, frames, next)
 	}
 	return &n
 }
@@ -50,7 +50,7 @@ func TestLadderBadRequests(t *testing.T) {
 		{"unknown rung selection", "ladder=240p&res=576p25&rung=999p", "unknown resolution"},
 		{"rung without ladder", "rung=240p&res=576p25", "rung requires ladder"},
 		{"index with ladder", "ladder=240p&res=576p25&index=1", "index is not supported with ladder"},
-		{"too many frames", "ladder=240p&res=576p25&frames=251", "ladder is limited to"},
+		{"too many frames", "ladder=240p&res=576p25&frames=301", "frames: 301 out of range"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,6 +63,16 @@ func TestLadderBadRequests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestLadderRungDisconnectMidStream is the ladder twin of
+// TestClientDisconnectMidStream: a rung GET streams its rung as the pass
+// codes it, so a client that drops after the first bytes of a
+// 5000-frame ladder stops the pass and hands its encoding slot back.
+// MPEG-2 at gop=2 keeps the chunk a teardown waits for short under -race.
+func TestLadderRungDisconnectMidStream(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2, MaxConcurrent: 1, MaxFrames: 5000})
+	disconnectMidStream(t, ts, "/transcode?codec=mpeg2&ladder=240p,576p&rung=240p&res=576p25&frames=5000&gop=2")
 }
 
 // TestLadderManifestAndRungs drives the uncached ladder path end to

@@ -13,8 +13,10 @@
 //   - The source is the cache entry (a hit); else, while another request
 //     produces the flight, that request's committed entry (shared); else
 //     the request leads, takes an encoding slot and produces: a cold
-//     stream teed into a cache fill, a fill it then serves from for Range
-//     and index requests, or one EncodeLadder run committing every rung.
+//     stream teed into a cache fill, or a fill it then serves from for
+//     Range and index requests. A ladder rung is produced the same way
+//     by one EncodeLadderStream pass, whose sibling rungs each stream
+//     into a fill of their own.
 //   - Every response body goes through one writer, reqTrack: it counts
 //     status, bytes and first-byte time, tees a cold stream into its fill,
 //     and sets the stream headers (Content-Type, X-HDVB-*, Server-Timing)
@@ -56,11 +58,6 @@ const StreamContentType = "application/x-hdvideobench"
 // requestRingSize is how many completed requests /debug/requests holds.
 const requestRingSize = 64
 
-// maxLadderFrames caps frames= on ladder requests: the ladder encoder
-// is a batch path (every rung's packets are held in memory before the
-// first response byte), unlike the constant-memory streaming paths.
-const maxLadderFrames = 250
-
 // Config carries the per-process limits.
 type Config struct {
 	Workers       int     // per-request worker budget
@@ -101,8 +98,8 @@ func defaultEncode(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderO
 // ladderFunc is the rendition-ladder encoding entry point, a Server
 // field for the same reason as encodeFunc: the httptest suite counts
 // invocations to prove singleflight coalescing and cache hits.
-type ladderFunc func(c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-	frames []*hdvideobench.Frame, rungs []hdvideobench.LadderRung) ([]hdvideobench.LadderRendition, error)
+type ladderFunc func(ws []io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
+	rungs []hdvideobench.LadderRung, frames int, next func() (*hdvideobench.Frame, error)) ([]hdvideobench.StreamStats, error)
 
 // Server is the HTTP transcoding service; New constructs it, Routes
 // hands back its handler, and the httptest suites (and cmd/hdvslo) can
@@ -164,7 +161,7 @@ func New(cfg Config) (*Server, error) {
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		limiter: newRateLimiter(cfg.RateLimit, cfg.RateBurst),
 		encode:  defaultEncode,
-		ladder:  hdvideobench.EncodeLadder,
+		ladder:  hdvideobench.EncodeLadderStream,
 		log:     cfg.Logger,
 		reg:     obs.NewRegistry(),
 		reqLog:  obs.NewRequestLog(requestRingSize),
@@ -503,7 +500,7 @@ type plan struct {
 	// with rung= (-1 = none: serve the JSON manifest), and ladderSpec
 	// the canonical "name@kbps,..." form shared by the flight key, so
 	// concurrent requests for different rungs of the same ladder
-	// coalesce onto one EncodeLadder run.
+	// coalesce onto one ladder pass.
 	ladder     []hdvideobench.LadderRung
 	rung       int
 	ladderSpec string
@@ -554,8 +551,8 @@ func (p *plan) rungKey(i int) gopcache.Key {
 }
 
 // ladderFlightKey is the singleflight key of the whole ladder run: one
-// EncodeLadder call fills every rung's entry, so concurrent requests
-// for any rung of the same ladder coalesce onto it.
+// ladder pass fills every rung's entry, so concurrent requests for any
+// rung of the same ladder coalesce onto it.
 func (p *plan) ladderFlightKey() gopcache.Key {
 	k := p.cacheKey()
 	k.Rung = "ladder:" + p.ladderSpec
@@ -713,11 +710,6 @@ func (s *Server) parseTranscode(r *http.Request) (plan, error) {
 		if p.index {
 			return p, fmt.Errorf("index is not supported with ladder")
 		}
-		// Every rung is held in memory as packets before serving starts,
-		// so the ladder path caps frames below the streaming paths' limit.
-		if p.frames > maxLadderFrames {
-			return p, fmt.Errorf("ladder is limited to %d frames, got %d", maxLadderFrames, p.frames)
-		}
 		if name := q.Get("rung"); name != "" {
 			res, err := hdvideobench.ResolutionByName(name)
 			if err != nil {
@@ -796,14 +788,23 @@ func (ff *frameFeed) next() (*hdvideobench.Frame, error) {
 	return f, nil
 }
 
-// encodeGenerated encodes the request's generated frames into w and
-// records two phases on the request's trace: "enc", the wall time of the
-// encode call, and "gen", the part of it the frame feed spent in the
-// sequence generator ("enc" contains "gen": the encoder pulls its input).
+// encodeGenerated encodes the request's generated frames into w — for
+// a ladder rung, the requested rung of one ladder pass — and records two
+// phases on the request's trace: "enc", the wall time of the encode
+// call, and "gen", the part of it the frame feed spent in the sequence
+// generator ("enc" contains "gen": the encoder pulls its input).
 func (s *Server) encodeGenerated(ctx context.Context, t *reqTrack, w io.Writer, p *plan, indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
 	feed := &frameFeed{ctx: ctx, gen: hdvideobench.NewSequence(p.seq, p.opts.Width, p.opts.Height), frames: p.frames}
 	sp := t.trace.Start("enc")
-	stats, idx, err := s.encode(w, p.codec, p.opts, p.frames, feed.next, indexed)
+	var stats hdvideobench.StreamStats
+	var idx hdvideobench.GOPIndex
+	var err error
+	if p.rung >= 0 {
+		stats, err = s.ladderPass(w, p, feed.next)
+		idx.Size = stats.Bytes
+	} else {
+		stats, idx, err = s.encode(w, p.codec, p.opts, p.frames, feed.next, indexed)
+	}
 	d := sp.End()
 	t.trace.Record("gen", feed.spent)
 	if err == nil {
@@ -875,8 +876,6 @@ func (s *Server) handleTranscode(t *reqTrack, r *http.Request) {
 	defer s.release()
 
 	switch {
-	case p.rung >= 0:
-		s.encodeLadder(t, r, &p)
 	case s.cache != nil && (p.index || r.Header.Get("Range") != ""):
 		s.fillThenServe(t, r, &p)
 	default:
@@ -1080,70 +1079,51 @@ func (s *Server) writeLadderManifest(w http.ResponseWriter, r *http.Request, p *
 	json.NewEncoder(w).Encode(out)
 }
 
-// encodeLadder produces a ladder rung: one EncodeLadder pass whose every
-// rung is committed, so the siblings of the first rung asked for are
-// hits for the rest of the playlist. Cache trouble downgrades to serving
-// the requested rung from memory, never to failing the request.
-func (s *Server) encodeLadder(t *reqTrack, r *http.Request, p *plan) {
-	start := time.Now()
-	sp := t.trace.Start("gen")
-	frames := make([]*hdvideobench.Frame, p.frames)
-	gen := hdvideobench.NewSequence(p.seq, p.opts.Width, p.opts.Height)
-	for i := range frames {
-		frames[i] = gen.Frame(i)
-	}
-	sp.End()
-	sp = t.trace.Start("enc")
-	rends, err := s.ladder(p.codec, p.opts, frames, p.ladder)
-	d := sp.End()
-	if err != nil {
-		if r.Context().Err() == nil {
-			http.Error(t, err.Error(), http.StatusInternalServerError)
+// ladderPass runs the request's ladder in one pass: the requested rung
+// streams into w, and every sibling into a cache fill of its own —
+// io.Discard without a cache — committed when the pass succeeds, so the
+// siblings are hits for the rest of the playlist.
+func (s *Server) ladderPass(w io.Writer, p *plan, next func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error) {
+	ws := make([]io.Writer, len(p.ladder))
+	fills := make([]*gopcache.Fill, len(p.ladder))
+	for i := range ws {
+		ws[i] = io.Discard
+		if i == p.rung {
+			ws[i] = w
+		} else if s.cache != nil {
+			// Cache trouble must never fail serving: no fill, no tee.
+			if fill, err := s.cache.NewFill(p.rungKey(i)); err == nil {
+				fills[i], ws[i] = fill, siblingFill{fill}
+			}
 		}
-		return
 	}
-	s.encoded(t, d)
+	stats, err := s.ladder(ws, p.codec, p.opts, p.ladder, p.frames, next)
+	for _, fill := range fills {
+		switch {
+		case fill == nil:
+		case err != nil:
+			fill.Abort()
+		default:
+			if ent, err := fill.Commit(hdvideobench.GOPIndex{Size: fill.Written()}); err == nil {
+				ent.Close()
+			}
+		}
+	}
+	var rung hdvideobench.StreamStats
+	if len(stats) > p.rung {
+		rung = stats[p.rung]
+	}
+	return rung, err
+}
 
-	var ent *gopcache.Entry
-	if s.cache != nil {
-		sp = t.trace.Start("commit")
-		for i, rend := range rends {
-			fill, err := s.cache.NewFill(p.rungKey(i))
-			if err != nil {
-				continue
-			}
-			if err := hdvideobench.WriteStream(fill, rend.Header, rend.Packets); err != nil {
-				fill.Abort()
-				continue
-			}
-			e, err := fill.Commit(hdvideobench.GOPIndex{Size: fill.Written()})
-			switch {
-			case err != nil:
-			case i == p.rung:
-				ent = e
-			default:
-				e.Close()
-			}
-		}
-		sp.End()
-		s.m.cacheFill.With("transcode", t.codec, t.res, t.cache).Observe(time.Since(start).Seconds())
-	}
-	if ent != nil {
-		s.serveCached(t, r, p, ent)
-	} else {
-		sp = t.trace.Start("write")
-		err := hdvideobench.WriteStream(t, rends[p.rung].Header, rends[p.rung].Packets)
-		sp.End()
-		if err != nil {
-			s.log.Warn("ladder stream failed mid-flight", "id", t.id, "rung", t.rung, "err", err)
-			return
-		}
-		s.m.served.Inc()
-	}
-	s.log.Info("ladder rung served",
-		"id", t.id, "codec", t.codec, "seq", p.seq.String(),
-		"ladder", p.ladderSpec, "rung", t.rung, "frames", p.frames,
-		"dur", time.Since(start).Round(time.Millisecond))
+// siblingFill tees a sibling rung into its fill. A failed fill keeps
+// its error and Commit refuses it, as reqTrack's tee does: caching a
+// sibling is never a reason to fail the request.
+type siblingFill struct{ fill *gopcache.Fill }
+
+func (f siblingFill) Write(p []byte) (int, error) {
+	f.fill.Write(p)
+	return len(p), nil
 }
 
 func (s *Server) handleTranscodePost(t *reqTrack, r *http.Request) {
