@@ -105,12 +105,11 @@ func ValidateLadder(rungs []LadderRung, mezzW, mezzH int) error {
 // geometry-scaled, seed the searches of every smaller rung
 // (MotionHints). cfg describes the mezzanine; its coding options apply
 // to every rung, overridden by the rung's geometry and Kbps. The rungs
-// share one budget of workers tokens (workers <= 1 banks none, and each
-// rung codes on its own goroutine, as each stage of Transcode does),
-// each keeps at most window chunks in flight, and each is
-// byte-identical at every workers, window and wavefront setting. frames is the length each header declares, as for
-// EncodeStream. The first failure anywhere stops every rung and is
-// returned with each rung's stats.
+// share one budget of workers tokens (see ladderGate), each keeps at
+// most window chunks in flight, and each is byte-identical at every
+// workers, window and wavefront setting. frames is the length each
+// header declares, as for EncodeStream. The first failure anywhere stops
+// every rung and is returned with each rung's stats.
 func EncodeLadderStream(ws []io.Writer, id CodecID, cfg codec.Config, rungs []LadderRung, workers, window, frames int, next func() (*frame.Frame, error), col *obs.Collector) ([]StreamStats, error) {
 	if len(ws) != len(rungs) {
 		return nil, fmt.Errorf("core: %d writers for %d ladder rungs", len(ws), len(rungs))
@@ -121,7 +120,7 @@ func EncodeLadderStream(ws []io.Writer, id CodecID, cfg codec.Config, rungs []La
 		sinks[i] = streamSink{w: w, frames: frames}
 		ps[i] = &sinks[i]
 	}
-	_, err := encodeLadder(factories(id), cfg, rungs, ps, workerGate(workers, col), window, next)
+	err := encodeLadder(factories(id), cfg, rungs, ps, ladderGate(workers, len(rungs), col), window, next)
 	stats := make([]StreamStats, len(ws))
 	for i := range sinks {
 		stats[i] = sinks[i].stats()
@@ -139,7 +138,7 @@ func EncodeLadder(id CodecID, cfg codec.Config, frames []*frame.Frame, rungs []L
 		out[i] = LadderRendition{Rung: r, Packets: make([]container.Packet, 0, len(frames))}
 		ps[i] = &out[i]
 	}
-	if _, err := encodeLadder(factories(id), cfg, rungs, ps, workerGate(workers, nil), 0, sliceNext(frames)); err != nil {
+	if err := encodeLadder(factories(id), cfg, rungs, ps, ladderGate(workers, len(rungs), nil), 0, sliceNext(frames)); err != nil {
 		return nil, err
 	}
 	for i, f := range frames {
@@ -155,15 +154,25 @@ func (r *LadderRendition) write(p container.Packet) error {
 	return nil
 }
 
+// ladderGate is workerGate for a pass of n rungs. Each rung codes on
+// goroutines of its own, so at one worker a pass of several rungs banks
+// that worker's token: the rungs' serial codec calls take turns on it.
+func ladderGate(workers, n int, col *obs.Collector) *pipeline.SliceGate {
+	if n > 1 && resolveWorkers(workers) == 1 {
+		return pipeline.NewSerialBank().Observe(col)
+	}
+	return workerGate(workers, col)
+}
+
 // encodeLadder validates a ladder against its mezzanine cfg and codes
 // rung i into sinks[i], the largest rung (the first of equals) as the
 // analysis rung.
-func encodeLadder(newEnc func(codec.Config) pipeline.EncoderFactory, cfg codec.Config, rungs []LadderRung, sinks []packetSink, gate *pipeline.SliceGate, window int, next func() (*frame.Frame, error)) (residency, error) {
+func encodeLadder(newEnc func(codec.Config) pipeline.EncoderFactory, cfg codec.Config, rungs []LadderRung, sinks []packetSink, gate *pipeline.SliceGate, window int, next func() (*frame.Frame, error)) error {
 	if err := cfg.Validate(); err != nil {
-		return residency{}, err
+		return err
 	}
 	if err := ValidateLadder(rungs, cfg.Width, cfg.Height); err != nil {
-		return residency{}, err
+		return err
 	}
 	out := func(i int) rungOut {
 		r := rungOut{cfg: cfg, sink: sinks[i]}
@@ -176,18 +185,37 @@ func encodeLadder(newEnc func(codec.Config) pipeline.EncoderFactory, cfg codec.C
 			top = i
 		}
 	}
-	seeded := make([]seededRung, 0, len(rungs)-1)
-	for i := range rungs {
-		if i != top {
-			seeded = append(seeded, seededRung{rungOut: out(i)})
+	var rl *relay
+	if len(rungs) > 1 {
+		seeded := make([]seededRung, 0, len(rungs)-1)
+		for i := range rungs {
+			if i != top {
+				seeded = append(seeded, seededRung{rungOut: out(i)})
+			}
 		}
+		rl = newRelay(cfg, seeded)
+		next = rl.pull(next)
 	}
-	return encodeRungs(gate, newEnc, window, out(top), seeded, next)
+	if r := rungs[top]; r.Width != cfg.Width || r.Height != cfg.Height {
+		next = downscaled(next, r.Width, r.Height)
+	}
+	return encodeRungs(gate, newEnc, window, out(top), rl, next)
 }
 
 // factories maps a rung's configuration onto its encoder factory.
 func factories(id CodecID) func(codec.Config) pipeline.EncoderFactory {
 	return func(cfg codec.Config) pipeline.EncoderFactory { return encoderFactory(id, cfg) }
+}
+
+// downscaled yields next's frames downscaled to w×h.
+func downscaled(next func() (*frame.Frame, error), w, h int) func() (*frame.Frame, error) {
+	return func() (*frame.Frame, error) {
+		f, err := next()
+		if err != nil {
+			return nil, err
+		}
+		return frame.DownscaleNew(f, w, h), nil
+	}
 }
 
 // packetSink takes a rung's stream header once its encoder exists, then
@@ -235,18 +263,13 @@ type rungOut struct {
 	onGOP func(frame int)
 }
 
-// residency is the most a ladder pass held at once: mezzanine frames
-// not yet downscaled by every seeded rung, and fields whose display PTS
-// not every seeded rung has drained.
-type residency struct{ frames, fields int }
-
 // encodeRungs is the one encode engine; EncodeStream is its one-rung
 // call. Each rung runs stream.Encoder → drain → sink, all on gate and on
 // one context, so the first failure anywhere stops every rung and is
-// what it returns. Frames are pulled from next once, into top. With
-// seeded rungs, top is the analysis rung: it taps its motion fields,
-// and once every display PTS up to p has drained from it, its drain
-// hands mezzanine frame p to each seeded rung's channel, whose feeder
+// what it returns. Frames are pulled from next once, into top. With a
+// relay, top is the analysis rung: it taps its motion fields, and once
+// every display PTS up to p has drained from it, its drain hands
+// mezzanine frame p to each seeded rung's channel, whose feeder
 // downscales it into that rung's encoder. So a seeded rung codes p only
 // once p's field exists (or p was coded as I), MotionHints never waits,
 // and no goroutine waits on another rung while it holds a token.
@@ -256,13 +279,14 @@ type residency struct{ frames, fields int }
 // M = max(G, 4), an encoder holds at most E = (W+2)·M + 2(B+1) frames
 // between Write and the drain of their packets (W chunks, one filling,
 // one draining; or the serial queue of W·M packets, the B lookahead and
-// the packets in hand), and a channel C = max(G, B+1). A mezzanine frame
-// is held from its pull until every seeded feeder has downscaled it: at
-// most E + C + 2B + 4 at once (the analysis encoder's, B+1 drained but
-// waiting on an earlier PTS, a full channel, B+1 being handed on, one
-// in each feeder's hand). A field lives from its tap until every seeded
-// rung has drained its PTS: at most 2E + C + 2B + 5.
-func encodeRungs(gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.EncoderFactory, window int, top rungOut, seeded []seededRung, next func() (*frame.Frame, error)) (residency, error) {
+// the packets in hand), and a channel C = max(G, B+1). A mezzanine
+// frame, or a seeded rung's copy of it, is held from its pull until
+// every seeded rung has coded it: at most 2E + C + 2B + 4 at once (the
+// analysis encoder's, B+1 drained but waiting on an earlier PTS, a full
+// channel, B+1 being handed on, one in each feeder's hand, and the
+// seeded encoder's). A field lives from its tap until every seeded rung
+// has drained its PTS: at most 2E + C + 2B + 5.
+func encodeRungs(gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.EncoderFactory, window int, top rungOut, rl *relay, next func() (*frame.Frame, error)) error {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	build := func(r rungOut) (*stream.Encoder, error) {
@@ -274,21 +298,18 @@ func encodeRungs(gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.En
 		}
 		return enc, err
 	}
-	var rl *relay
 	var release func(container.Packet) error
-	if len(seeded) > 0 {
-		rl = newRelay(ctx, top.cfg, seeded)
+	if rl != nil {
 		top.cfg.MotionTap, release = rl.tap, rl.release
-		next = rl.pull(next, top.cfg.Width, top.cfg.Height)
 	}
 	enc, err := build(top)
 	if err != nil {
-		return residency{}, err
+		return err
 	}
 	if rl != nil {
-		if err := rl.start(build, cancel); err != nil {
+		if err := rl.start(ctx, build, cancel); err != nil {
 			enc.Close()
-			return residency{}, err
+			return err
 		}
 	}
 	fed := feed(next, enc, cancel)
@@ -297,15 +318,7 @@ func encodeRungs(gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.En
 		rl.wait()
 	}
 	fed.Wait()
-	var peak residency
-	if rl != nil {
-		// Under the lock: after a teardown a chunk worker may still be
-		// finishing its frame, and tapping.
-		rl.mu.Lock()
-		peak = rl.peak
-		rl.mu.Unlock()
-	}
-	return peak, context.Cause(ctx)
+	return context.Cause(ctx)
 }
 
 // drainRung drains a rung's encoder into its sink — by packet, or by
@@ -341,7 +354,6 @@ func drainRung(enc *stream.Encoder, r rungOut, after func(container.Packet) erro
 type relay struct {
 	ctx     context.Context
 	rungs   []seededRung
-	ready   []*frame.Frame // release's scratch
 	drained sync.WaitGroup
 
 	mu      sync.Mutex
@@ -350,19 +362,15 @@ type relay struct {
 	base    int
 	packets int // analysis packets drained
 	last    int // 1 + the highest display PTS drained
-	pulled  int
-	peak    residency
 }
 
 // seededRung is a rung the analysis rung seeds: its output, encoder and
-// feeder, the channel release hands it frames on, and how many of them
-// it has downscaled (guarded by the relay's mu).
+// feeder, and the channel release hands it frames on.
 type seededRung struct {
 	rungOut
 	enc    *stream.Encoder
 	fed    *sync.WaitGroup
 	frames chan *frame.Frame
-	scaled int
 }
 
 // heldField is a field and the seeded rungs yet to drain its PTS.
@@ -371,24 +379,23 @@ type heldField struct {
 	left int
 }
 
-func newRelay(ctx context.Context, cfg codec.Config, seeded []seededRung) *relay {
+func newRelay(cfg codec.Config, seeded []seededRung) *relay {
 	// One GOP chunk or one B group: what a release hands on at once.
 	batch := max(cfg.IntraPeriod, cfg.BFrames+1)
 	for j := range seeded {
 		seeded[j].frames = make(chan *frame.Frame, batch)
 	}
-	// waiting starts with room for two batches, a common peak, and
-	// reuses its array: release compacts it in place.
-	return &relay{ctx: ctx, rungs: seeded, fields: map[int]heldField{}, waiting: make([]*frame.Frame, 0, 2*batch)}
+	return &relay{rungs: seeded, fields: map[int]heldField{}}
 }
 
-// start builds each seeded rung's encoder with build, closing the ones
-// built if one fails, and runs the rung's feeder and drain.
-func (rl *relay) start(build func(rungOut) (*stream.Encoder, error), cancel context.CancelCauseFunc) error {
-	hint, consumed := rl.hint, rl.consumed
+// start builds each seeded rung's encoder on the pass's ctx with build,
+// closing the ones built if one fails, and runs the rung's feeder and
+// drain.
+func (rl *relay) start(ctx context.Context, build func(rungOut) (*stream.Encoder, error), cancel context.CancelCauseFunc) error {
+	rl.ctx = ctx
 	for j := range rl.rungs {
 		r := &rl.rungs[j]
-		r.cfg.MotionHints = hint
+		r.cfg.MotionHints = rl.hint
 		enc, err := build(r.rungOut)
 		if err != nil {
 			for i := range j {
@@ -400,11 +407,11 @@ func (rl *relay) start(build func(rungOut) (*stream.Encoder, error), cancel cont
 	}
 	for j := range rl.rungs {
 		r := &rl.rungs[j]
-		r.fed = feed(rl.feeder(j), r.enc, cancel)
+		r.fed = feed(downscaled(rl.recv(r.frames), r.cfg.Width, r.cfg.Height), r.enc, cancel)
 		rl.drained.Add(1)
 		go func() {
 			defer rl.drained.Done()
-			drainRung(r.enc, r.rungOut, consumed, cancel)
+			drainRung(r.enc, r.rungOut, rl.consumed, cancel)
 		}()
 	}
 	return nil
@@ -422,28 +429,17 @@ func (rl *relay) wait() {
 	}
 }
 
-// pull wraps the analysis rung's source: it holds each mezzanine frame
-// for release and downscales it to the analysis rung's w×h when they
-// differ.
-func (rl *relay) pull(next func() (*frame.Frame, error), w, h int) func() (*frame.Frame, error) {
+// pull wraps the analysis rung's source, holding each mezzanine frame
+// for release.
+func (rl *relay) pull(next func() (*frame.Frame, error)) func() (*frame.Frame, error) {
 	return func() (*frame.Frame, error) {
 		f, err := next()
-		if err != nil {
-			return nil, err
+		if err == nil {
+			rl.mu.Lock()
+			rl.waiting = append(rl.waiting, f)
+			rl.mu.Unlock()
 		}
-		rl.mu.Lock()
-		rl.waiting = append(rl.waiting, f)
-		rl.pulled++
-		scaled := rl.pulled
-		for j := range rl.rungs {
-			scaled = min(scaled, rl.rungs[j].scaled)
-		}
-		rl.peak.frames = max(rl.peak.frames, rl.pulled-scaled)
-		rl.mu.Unlock()
-		if f.Width != w || f.Height != h {
-			f = frame.DownscaleNew(f, w, h)
-		}
-		return f, nil
+		return f, err
 	}
 }
 
@@ -454,17 +450,13 @@ func (rl *relay) release(p container.Packet) error {
 	rl.mu.Lock()
 	rl.packets++
 	rl.last = max(rl.last, p.DisplayIndex+1)
-	ready := rl.ready[:0]
+	var ready []*frame.Frame
 	if rl.packets == rl.last {
-		n := rl.last - rl.base
-		ready = append(ready, rl.waiting[:n]...)
-		rl.waiting = append(rl.waiting[:0], rl.waiting[n:]...)
-		clear(rl.waiting[len(rl.waiting) : len(rl.waiting)+n])
+		ready, rl.waiting = rl.waiting[:rl.last-rl.base], rl.waiting[rl.last-rl.base:]
 		rl.base = rl.last
 	}
 	rl.mu.Unlock()
-	rl.ready = ready
-	defer clear(ready)
+	defer clear(ready) // waiting's array must not keep them once handed on
 	for _, f := range ready {
 		for j := range rl.rungs {
 			select {
@@ -477,20 +469,14 @@ func (rl *relay) release(p container.Packet) error {
 	return nil
 }
 
-// feeder is seeded rung j's source: the frames release hands it,
-// downscaled to the rung's geometry.
-func (rl *relay) feeder(j int) func() (*frame.Frame, error) {
-	r := &rl.rungs[j]
+// recv yields the frames release hands a seeded rung on frames.
+func (rl *relay) recv(frames chan *frame.Frame) func() (*frame.Frame, error) {
 	return func() (*frame.Frame, error) {
 		select {
-		case f, ok := <-r.frames:
+		case f, ok := <-frames:
 			if !ok {
 				return nil, io.EOF
 			}
-			f = frame.DownscaleNew(f, r.cfg.Width, r.cfg.Height)
-			rl.mu.Lock()
-			r.scaled++
-			rl.mu.Unlock()
 			return f, nil
 		case <-rl.ctx.Done():
 			return nil, context.Cause(rl.ctx)
@@ -505,7 +491,6 @@ func (rl *relay) feeder(j int) func() (*frame.Frame, error) {
 func (rl *relay) tap(pts int, f *motion.Field) {
 	rl.mu.Lock()
 	rl.fields[pts] = heldField{f, len(rl.rungs)}
-	rl.peak.fields = max(rl.peak.fields, len(rl.fields))
 	rl.mu.Unlock()
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"hdvideobench/internal/codec/codectest"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/frame"
+	"hdvideobench/internal/motion"
 	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
 	"hdvideobench/internal/stream"
@@ -80,8 +82,9 @@ func containerBytes(t *testing.T, r LadderRendition) []byte {
 // TestLadderStreamMatchesReference: every rung of the streaming pass is
 // byte-identical to the sequential reference ladder (encodeLadderRef)
 // over codecs × GOP shape × workers × window, plus a rate-targeted rung,
-// a scene-cut clip on which the rungs place different I frames, and a
-// chunked GOP shape. sport_pan moves far enough that the seeded rung's
+// a scene-cut clip on which the rungs place different I frames, a
+// chunked GOP shape, and a one-rung ladder below the mezzanine (its
+// frames are downscaled with no seeded rung to relay them). sport_pan moves far enough that the seeded rung's
 // bytes depend on its hints in the gop=0/b=2 and gop=8 cases, so a field
 // missing when its frame is coded shows there.
 func TestLadderStreamMatchesReference(t *testing.T) {
@@ -106,6 +109,7 @@ func TestLadderStreamMatchesReference(t *testing.T) {
 			[]LadderRung{{Name: "48x32", Width: 48, Height: 32, Kbps: 60}, ladderRungs[1]}},
 		ladderCase{"scenecut", EncoderOptions{IntraPeriod: 8, SceneCutIntra: true}, seqgen.SceneCut, ladderRungs},
 		ladderCase{"gop=8", EncoderOptions{IntraPeriod: 8}, seqgen.SportPan, ladderRungs},
+		ladderCase{"one-rung", EncoderOptions{IntraPeriod: 4, BFrames: 2}, seqgen.SportPan, ladderRungs[:1]},
 	)
 	for _, c := range AllCodecs {
 		for _, lc := range cases {
@@ -162,19 +166,102 @@ func (s *countSink) write(container.Packet) error {
 	return nil
 }
 
+// residency is the most a ladder pass held at once: mezzanine frames
+// (or a seeded rung's copies) pulled but not yet coded by every seeded
+// rung, and motion fields not yet dropped by the relay.
+type residency struct{ frames, fields int }
+
 // residencyBound is the bound encodeRungs' doc comment states for a
 // ladder of cfg's GOP shape whose rungs resolve to window w.
 func residencyBound(cfg codec.Config, w int) residency {
 	b := cfg.BFrames
 	e := (w+2)*max(cfg.IntraPeriod, 4) + 2*(b+1)
 	c := max(cfg.IntraPeriod, b+1)
-	return residency{frames: e + c + 2*b + 4, fields: 2*e + c + 2*b + 5}
+	return residency{frames: 2*e + c + 2*b + 4, fields: 2*e + c + 2*b + 5}
+}
+
+// meter watches a two-rung ladder pass through the engine's seams: its
+// source, and the factory that builds each rung's encoder. A frame is
+// held from its pull until the seeded rung's codec is handed it; a field
+// from its tap until the seeded rung's MotionHints stops finding it.
+// inCodec counts the Encode calls in flight across both rungs.
+type meter struct {
+	pulled, coded, inCodec atomic.Int64
+
+	mu        sync.Mutex
+	hint      func(pts int) *motion.Field
+	live      map[int]bool // tapped PTS whose field the relay still holds
+	peak      residency
+	codecPeak int64
+}
+
+func newMeter() *meter { return &meter{live: map[int]bool{}} }
+
+// source counts the frames the pass pulls from next.
+func (m *meter) source(next func() (*frame.Frame, error)) func() (*frame.Frame, error) {
+	return func() (*frame.Frame, error) {
+		f, err := next()
+		if err == nil {
+			held := m.pulled.Add(1) - m.coded.Load()
+			m.mu.Lock()
+			m.peak.frames = max(m.peak.frames, int(held))
+			m.mu.Unlock()
+		}
+		return f, err
+	}
+}
+
+// factories is the engine's factory seam: MPEG-2 encoders whose Encode
+// calls are counted, the seeded rung's as coded frames, and whose
+// analysis taps are followed.
+func (m *meter) factories(cfg codec.Config) pipeline.EncoderFactory {
+	seeded := cfg.MotionHints != nil
+	if seeded {
+		m.hint = cfg.MotionHints
+	}
+	if tap := cfg.MotionTap; tap != nil {
+		cfg.MotionTap = func(pts int, f *motion.Field) {
+			tap(pts, f)
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			m.live[pts] = true
+			for p := range m.live {
+				if m.hint(p) == nil {
+					delete(m.live, p)
+				}
+			}
+			m.peak.fields = max(m.peak.fields, len(m.live))
+		}
+	}
+	inner := encoderFactory(MPEG2, cfg)
+	return func() (codec.Encoder, error) {
+		enc, err := inner()
+		return meteredEncoder{enc, m, seeded}, err
+	}
+}
+
+type meteredEncoder struct {
+	codec.Encoder
+	m      *meter
+	seeded bool
+}
+
+func (e meteredEncoder) Encode(f *frame.Frame) ([]container.Packet, error) {
+	n := e.m.inCodec.Add(1)
+	defer e.m.inCodec.Add(-1)
+	e.m.mu.Lock()
+	e.m.codecPeak = max(e.m.codecPeak, n)
+	e.m.mu.Unlock()
+	if e.seeded {
+		e.m.coded.Add(1)
+	}
+	return e.Encoder.Encode(f)
 }
 
 // TestLadderStreamResidency: what a ladder pass holds at once — pulled
-// mezzanine frames not yet downscaled by every seeded rung, motion
-// fields not yet drained by every seeded rung — depends on the windows
-// and the GOP shape, never on the clip length.
+// mezzanine frames not yet coded by every seeded rung, motion fields
+// not yet dropped — depends on the windows and the GOP shape, never on
+// the clip length, and the rungs together keep to the workers budget.
 //
 // Fed in lockstep — each frame pulled only once every rung has written
 // the packets the frames before it let it code — the pass holds exactly
@@ -197,23 +284,25 @@ func TestLadderStreamResidency(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := ladderConfig(t, EncoderOptions{IntraPeriod: tc.gop, BFrames: tc.bframes})
 			peak := func(n int, lockstep bool) residency {
+				m := newMeter()
 				sinks := []*countSink{{slow: !lockstep}, {}}
-				next := frameSource(seqgen.New(seqgen.BlueSky, ladderW, ladderH), n)
+				next := m.source(frameSource(seqgen.New(seqgen.BlueSky, ladderW, ladderH), n))
 				if lockstep {
 					next = lockstepSource(next, sinks, cfg, tc.workers > 1 && tc.gop > 0)
 				}
-				var err error
-				r := within(t, func() (r residency) {
-					r, err = encodeLadder(factories(MPEG2), cfg, ladderRungs, []packetSink{sinks[0], sinks[1]},
-						pipeline.NewSliceGate(tc.workers), tc.window, next)
-					return r
+				err := within(t, func() error {
+					return encodeLadder(m.factories, cfg, ladderRungs, []packetSink{sinks[0], sinks[1]},
+						ladderGate(tc.workers, len(ladderRungs), nil), tc.window, next)
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return r
+				if m.codecPeak > int64(tc.workers) {
+					t.Errorf("%d frames: %d Encode calls at once on a %d-worker budget", n, m.codecPeak, tc.workers)
+				}
+				return m.peak
 			}
-			if short, long := peak(40, true), peak(400, true); short != long || long.frames == 0 {
+			if short, long := peak(40, true), peak(400, true); short != long || long.frames == 0 || long.fields == 0 {
 				t.Errorf("lockstep: held %+v at 40 frames but %+v at 400", short, long)
 			}
 			bound := residencyBound(cfg, tc.window)
@@ -325,7 +414,7 @@ func TestLadderStreamFirstFailureWins(t *testing.T) {
 			for _, gop := range []int{4, 0} {
 				t.Run(fmt.Sprintf("%s/workers=%d/gop=%d", c.name, workers, gop), func(t *testing.T) {
 					before := runtime.NumGoroutine()
-					gate := pipeline.NewSliceGate(workers)
+					gate := ladderGate(workers, 2, nil)
 					next := frameSource(seqgen.New(seqgen.BlueSky, ladderW, ladderH), n)
 					err := within(t, func() error { return c.run(gate, gop, next) })
 					if !c.want(err) {
@@ -363,6 +452,5 @@ func runLadder(gate *pipeline.SliceGate, gop int, rungs []LadderRung, ws []io.Wr
 	for i, w := range ws {
 		sinks[i] = &streamSink{w: w}
 	}
-	_, err = encodeLadder(newEnc, cfg, rungs, sinks, gate, 0, next)
-	return err
+	return encodeLadder(newEnc, cfg, rungs, sinks, gate, 0, next)
 }

@@ -204,7 +204,7 @@ func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, fr
 	if onGOP != nil {
 		r.onGOP = func(frame int) { onGOP(sink.sw.BytesWritten(), frame) }
 	}
-	_, err := encodeRungs(workerGate(workers, col), factories(id), window, r, nil, next)
+	err := encodeRungs(workerGate(workers, col), factories(id), window, r, nil, next)
 	return sink.stats(), err
 }
 

@@ -35,12 +35,13 @@ import (
 // output is identical for every token schedule — only wall-clock
 // changes.
 //
-// A gate built for one worker is the serial path: it banks nothing,
-// Acquire succeeds at once, and Encoders/Decoders leave the instances on
-// their inline runners.
+// A gate built for one worker is the serial path: Encoders/Decoders
+// leave the instances on their inline runners. NewSliceGate's banks
+// nothing, so Acquire succeeds at once; NewSerialBank's banks its one
+// token, for a call whose serial stages run side by side.
 type SliceGate struct {
 	workers int
-	tokens  chan struct{} // nil for a one-worker gate
+	tokens  chan struct{} // nil for NewSliceGate's one-worker gate
 	col     *obs.Collector
 }
 
@@ -54,6 +55,16 @@ func NewSliceGate(workers int) *SliceGate {
 	for i := 0; i < workers; i++ {
 		g.tokens <- struct{}{}
 	}
+	return g
+}
+
+// NewSerialBank returns a one-worker gate that banks its token: stages
+// built on it stay serial, but each codec call they make takes the one
+// token, so stages running on goroutines of their own still keep to one
+// codec goroutine.
+func NewSerialBank() *SliceGate {
+	g := &SliceGate{workers: 1, tokens: make(chan struct{}, 1)}
+	g.tokens <- struct{}{}
 	return g
 }
 
@@ -207,7 +218,7 @@ func (c *caught) rethrow() {
 func (g *SliceGate) Encoders(f EncoderFactory) EncoderFactory {
 	return func() (codec.Encoder, error) {
 		e, err := f()
-		if err == nil && g.tokens != nil {
+		if err == nil && g.workers > 1 {
 			e.SetSliceRunner(g.Run)
 			e.SetWavefrontRunner(g.Wavefront().Run)
 		}
@@ -219,7 +230,7 @@ func (g *SliceGate) Encoders(f EncoderFactory) EncoderFactory {
 func (g *SliceGate) Decoders(f DecoderFactory) DecoderFactory {
 	return func() (codec.Decoder, error) {
 		d, err := f()
-		if err == nil && g.tokens != nil {
+		if err == nil && g.workers > 1 {
 			d.SetSliceRunner(g.Run)
 		}
 		return d, err

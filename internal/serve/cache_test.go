@@ -326,7 +326,7 @@ func TestErrorResponsesCarryNoStreamHeaders(t *testing.T) {
 		return nil, errors.New("ladder encode failed")
 	}
 	resp, _ = get(t, rung)
-	assertClean(resp, http.StatusBadRequest)
+	assertClean(resp, http.StatusInternalServerError)
 }
 
 // TestBoolParamsStrict pins the ParseBool fix: malformed booleans are

@@ -124,6 +124,27 @@ func TestLadderManifestAndRungs(t *testing.T) {
 	}
 }
 
+// TestLadderOneRungBelowMezzanine: a one-rung ladder smaller than its
+// mezzanine has no seeded rung, and its one rung still codes downscaled
+// frames, uncached and through the cache alike.
+func TestLadderOneRungBelowMezzanine(t *testing.T) {
+	_, plain := testServer(t, Config{Workers: 2, MaxConcurrent: 2, MaxFrames: 100})
+	_, cached := testServer(t, cachedServerConfig(t))
+	for _, ts := range []*httptest.Server{plain, cached} {
+		resp, body := get(t, ts.URL+"/transcode?codec=mpeg2&res=576p25&frames=3&ladder=240p&rung=240p")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+		hdr, pkts, err := hdvideobench.ReadStream(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := hdvideobench.ResolutionByName("240p"); hdr.Width != want.Width || hdr.Height != want.Height || len(pkts) != 3 {
+			t.Fatalf("rung is %dx%d with %d packets, want %dx%d with 3", hdr.Width, hdr.Height, len(pkts), want.Width, want.Height)
+		}
+	}
+}
+
 // TestLadderRungCacheSharing pins the per-rung cache economics: the
 // first rung request runs EncodeLadder once and commits every rung, so
 // the sibling rung and the repeat request are hits with zero further

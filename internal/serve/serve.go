@@ -969,7 +969,7 @@ func (s *Server) fillThenServe(t *reqTrack, r *http.Request, p *plan) {
 			// fill failure must not masquerade as a client error.
 			http.Error(t, "cache write failed", http.StatusInternalServerError)
 		case stats.Bytes == 0:
-			http.Error(t, err.Error(), http.StatusBadRequest)
+			http.Error(t, err.Error(), preStreamStatus(err))
 		default:
 			http.Error(t, err.Error(), http.StatusInternalServerError)
 		}
@@ -1022,8 +1022,8 @@ func (s *Server) streamCold(t *reqTrack, r *http.Request, p *plan) {
 // Success puts the phases into a Server-Timing trailer: the chunked body
 // has no Content-Length, so the encode phases, which end after the
 // first byte, can still reach the client. A failure with nothing on the
-// wire yet becomes a 400 without stream headers; one mid-stream leaves
-// the truncated body as the only signal.
+// wire yet becomes a 400 (a ladderFault a 500) without stream headers;
+// one mid-stream leaves the truncated body as the only signal.
 func (s *Server) settle(t *reqTrack, r *http.Request, err error, frames int) bool {
 	switch {
 	case err == nil:
@@ -1032,7 +1032,7 @@ func (s *Server) settle(t *reqTrack, r *http.Request, err error, frames int) boo
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || r.Context().Err() != nil:
 		s.log.Debug("client gone", "id", t.id, "method", r.Method, "frames", frames, "bytes", t.written)
 	case t.status == 0:
-		http.Error(t, err.Error(), http.StatusBadRequest)
+		http.Error(t, err.Error(), preStreamStatus(err))
 	default:
 		s.log.Warn("stream failed mid-flight", "id", t.id, "method", r.Method, "frames", frames, "err", err)
 	}
@@ -1113,7 +1113,26 @@ func (s *Server) ladderPass(w io.Writer, p *plan, next func() (*hdvideobench.Fra
 	if len(stats) > p.rung {
 		rung = stats[p.rung]
 	}
+	if err != nil {
+		err = ladderFault{err}
+	}
 	return rung, err
+}
+
+// ladderFault is a ladder pass's failure. The request's ladder and
+// coding options are validated before the pass starts, so a failure
+// before the first byte is the server's, not the request's.
+type ladderFault struct{ error }
+
+func (e ladderFault) Unwrap() error { return e.error }
+
+// preStreamStatus answers a failure with nothing on the wire yet: a bad
+// request, unless it is a ladderFault.
+func preStreamStatus(err error) int {
+	if errors.As(err, new(ladderFault)) {
+		return http.StatusInternalServerError
+	}
+	return http.StatusBadRequest
 }
 
 // siblingFill tees a sibling rung into its fill. A failed fill keeps
