@@ -195,9 +195,35 @@ type Entry struct {
 // file is larger by the index trailer).
 func (e *Entry) Size() int64 { return e.Index.Size }
 
-// Body returns a fresh ReadSeeker over the container bytes, excluding
-// the index trailer — the shape http.ServeContent wants.
-func (e *Entry) Body() *io.SectionReader { return io.NewSectionReader(e.f, 0, e.Index.Size) }
+// Body returns a fresh reader over the container bytes, never the index
+// trailer: http.ServeContent sizes and seeks it as any io.ReadSeeker,
+// and a writer that can send a file (a TCP connection, through
+// sendfile(2)) asks it for the entry's own file with Span instead of
+// copying through a userspace buffer.
+func (e *Entry) Body() *Body {
+	return &Body{SectionReader: *io.NewSectionReader(e.f, 0, e.Index.Size), f: e.f}
+}
+
+// Body is an entry's container bytes as an io.ReadSeeker. Reads do not
+// move the file's offset; only Span does.
+type Body struct {
+	io.SectionReader
+	f *os.File
+}
+
+// Span returns the body's next n bytes, fewer at its end, as the entry's
+// own *os.File seeked to the body's offset under an *io.LimitedReader:
+// the only shape Go's net.sendFile accepts. Get opens the file for one
+// request, so seeking it is safe, and an evicted (unlinked) entry still
+// reads from it. The body's own offset does not move; a caller that
+// sends the span advances it with Seek.
+func (b *Body) Span(n int64) (*io.LimitedReader, error) {
+	off, _ := b.Seek(0, io.SeekCurrent) // a SectionReader's Seek fails only on a bad whence
+	if _, err := b.f.Seek(off, io.SeekStart); err != nil {
+		return nil, err
+	}
+	return &io.LimitedReader{R: b.f, N: min(n, b.Size()-off)}, nil
+}
 
 // Close releases the entry's file.
 func (e *Entry) Close() error { return e.f.Close() }

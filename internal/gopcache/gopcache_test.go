@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -16,10 +17,14 @@ func testKey(i int) Key {
 		Frames: 8 + i, Q: 5, GOP: 4, Slices: 1}
 }
 
-// fillEntry commits an entry of n body bytes with a two-GOP index.
+// fillEntry commits an entry of n body bytes, each depending on its
+// offset, with a two-GOP index.
 func fillEntry(t *testing.T, c *Cache, key Key, n int) []byte {
 	t.Helper()
-	body := bytes.Repeat([]byte{byte(n)}, n)
+	body := make([]byte, n)
+	for i := range body {
+		body[i] = byte(i*31 + n)
+	}
 	f, err := c.NewFill(key)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +295,9 @@ func TestKeyIdentity(t *testing.T) {
 }
 
 // TestEvictionDuringServe: an entry opened by Get keeps serving after
-// being evicted — the unlink drops the name, not the open bytes.
+// being evicted — the unlink drops the name, not the open bytes — both
+// through the Body's reads and through the file spans it hands a
+// sendfile writer.
 func TestEvictionDuringServe(t *testing.T) {
 	const bodyN = 1000
 	fileN := int64(bodyN + container.GOPIndexRecordSize(2))
@@ -305,6 +312,9 @@ func TestEvictionDuringServe(t *testing.T) {
 	}
 	defer ent.Close()
 	fillEntry(t, c, testKey(1), bodyN) // evicts 0 while it is open
+	if _, err := os.Stat(c.path(testKey(0).id())); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("evicted entry's file still linked: %v", err)
+	}
 
 	got, err := io.ReadAll(ent.Body())
 	if err != nil {
@@ -312,6 +322,30 @@ func TestEvictionDuringServe(t *testing.T) {
 	}
 	if !bytes.Equal(got, body) {
 		t.Fatal("evicted-but-open entry served wrong bytes")
+	}
+
+	// The sendfile shape: the whole body (asked for more, so the index
+	// trailer must stay out), then a span from the middle.
+	for _, sp := range []struct{ off, n, want int64 }{
+		{0, bodyN + 100, bodyN},
+		{300, 400, 400},
+	} {
+		b := ent.Body()
+		b.Seek(sp.off, io.SeekStart)
+		lr, err := b.Span(sp.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := lr.R.(*os.File); !ok || lr.N != sp.want {
+			t.Fatalf("Span(%d) at %d = %T of %d bytes, want an *os.File of %d", sp.n, sp.off, lr.R, lr.N, sp.want)
+		}
+		got, err := io.ReadAll(lr)
+		if err != nil {
+			t.Fatalf("reading evicted-but-open span: %v", err)
+		}
+		if !bytes.Equal(got, body[sp.off:sp.off+sp.want]) {
+			t.Fatalf("evicted-but-open span [%d,+%d) served wrong bytes", sp.off, sp.want)
+		}
 	}
 }
 

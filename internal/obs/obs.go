@@ -311,10 +311,14 @@ func (f *family) with(values []string) *series {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: %s: %d label values for %d labels", f.name, len(values), len(f.labels)))
 	}
-	key := labelKey(values)
+	// The key is joined into a stack buffer and looked up as
+	// f.series[string(buf)], which Go does without allocating; only a new
+	// series pays for its key string.
+	var buf [128]byte
+	key := labelKey(buf[:0], values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
 		s = &series{values: append([]string(nil), values...)}
 		switch f.kind {
@@ -325,20 +329,20 @@ func (f *family) with(values []string) *series {
 		case "histogram":
 			s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
 		}
-		f.series[key] = s
+		f.series[string(key)] = s
 	}
 	return s
 }
 
-// labelKey joins label values with a separator that cannot appear in
-// them unescaped (0xff is invalid UTF-8, and label values are opaque
-// bytes here anyway).
-func labelKey(values []string) string {
-	out := ""
+// labelKey appends label values to dst, each followed by a separator
+// that cannot appear in them unescaped (0xff is invalid UTF-8, and label
+// values are opaque bytes here anyway).
+func labelKey(dst []byte, values []string) []byte {
 	for _, v := range values {
-		out += v + "\xff"
+		dst = append(dst, v...)
+		dst = append(dst, 0xff)
 	}
-	return out
+	return dst
 }
 
 // --- exposition --------------------------------------------------------------

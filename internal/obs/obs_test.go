@@ -180,3 +180,24 @@ func TestExpBuckets(t *testing.T) {
 		}
 	}
 }
+
+// TestWithExistingSeriesDoesNotAllocate: resolving a series that exists
+// costs no allocation (the serving tier calls With twice per request),
+// and the lookup still finds the one series each label set names.
+func TestWithExistingSeriesDoesNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("req_seconds", "Request time.", nil, "endpoint", "codec", "res", "cache")
+	first := h.With("transcode", "H.264", "1280x720", "hit")
+	if got := h.With("transcode", "H.264", "1280x720", "miss"); got == first {
+		t.Fatal("different label values resolved to one series")
+	}
+	var got *Histogram
+	if n := testing.AllocsPerRun(100, func() {
+		got = h.With("transcode", "H.264", "1280x720", "hit")
+	}); n != 0 {
+		t.Fatalf("With on an existing 4-label series: %v allocs, want 0", n)
+	}
+	if got != first {
+		t.Fatal("With resolved an existing label set to a new series")
+	}
+}

@@ -253,6 +253,12 @@ func (s *Server) Routes() http.Handler {
 // records status, bytes and first-byte time, carries the trace and the
 // labels the middleware turns into histograms and a ring record, mirrors
 // the body into a cache fill, and sets the stream headers.
+//
+// It forwards io.ReaderFrom (ReadFrom), so a cache hit's body reaches
+// the socket through sendfile(2). A writer wrapper that hides
+// io.ReaderFrom sends io.Copy to its fallback: a fresh 32 KiB buffer and
+// a userspace copy of every byte, per response. Any wrapper put around
+// a response writer here must forward it too.
 type reqTrack struct {
 	rw    http.ResponseWriter
 	bytes *obs.Counter // global bytes-served total
@@ -286,6 +292,54 @@ func (t *reqTrack) WriteHeader(code int) {
 }
 
 func (t *reqTrack) Write(p []byte) (int, error) {
+	t.startBody()
+	n, err := t.rw.Write(p)
+	t.sent(int64(n))
+	if t.tee != nil && n > 0 {
+		// A failed fill keeps its error and Commit refuses it: caching
+		// is an optimization, never a reason to fail the client's stream.
+		t.tee.Write(p[:n])
+	}
+	return n, err
+}
+
+// ReadFrom sends src through the wrapped writer's io.ReaderFrom, with
+// Write's bookkeeping. A span of a cache entry's body (http.ServeContent
+// hands one over as an *io.LimitedReader) goes as the entry's own file,
+// which the connection sends with sendfile(2); any other source takes
+// net/http's pooled copy buffer. A track that tees into a cache fill, or
+// wraps a writer without ReadFrom, sends every byte through Write, so a
+// fill can never be torn.
+func (t *reqTrack) ReadFrom(src io.Reader) (int64, error) {
+	rf, ok := t.rw.(io.ReaderFrom)
+	if !ok || t.tee != nil {
+		return io.Copy(struct{ io.Writer }{t}, src)
+	}
+	lr, _ := src.(*io.LimitedReader)
+	var body *gopcache.Body
+	if lr != nil {
+		body, _ = lr.R.(*gopcache.Body)
+	}
+	if body != nil {
+		span, err := body.Span(lr.N)
+		if err != nil {
+			return 0, err
+		}
+		src = span
+	}
+	t.startBody()
+	n, err := rf.ReadFrom(src)
+	t.sent(n)
+	if body != nil {
+		lr.N -= n
+		body.Seek(n, io.SeekCurrent)
+	}
+	return n, err
+}
+
+// startBody marks the first body byte: the stream headers and a 200 if
+// nobody set a status, and the first-byte time.
+func (t *reqTrack) startBody() {
 	if t.status == 0 {
 		t.writeHead()
 		t.status = http.StatusOK
@@ -293,15 +347,12 @@ func (t *reqTrack) Write(p []byte) (int, error) {
 	if t.firstByte.IsZero() {
 		t.firstByte = time.Now()
 	}
-	n, err := t.rw.Write(p)
-	t.written += int64(n)
+}
+
+// sent counts n body bytes on the wire.
+func (t *reqTrack) sent(n int64) {
+	t.written += n
 	t.bytes.Add(float64(n))
-	if t.tee != nil && n > 0 {
-		// A failed fill keeps its error and Commit refuses it: caching
-		// is an optimization, never a reason to fail the client's stream.
-		t.tee.Write(p[:n])
-	}
-	return n, err
 }
 
 func (t *reqTrack) Flush() {
