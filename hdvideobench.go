@@ -41,8 +41,8 @@
 // (NewStreamEncoder, EncodeStream) run over a slice, so every entry point
 // schedules chunks, slices and rows the same way.
 // SuiteOptions.Workers threads the same parallelism through the Table V
-// and Figure 1 runners, and RunScalingReport adds the frames/s-by-worker-
-// count dimension to Figure 1.
+// and Figure 1 runners, and RunScalingMatrixReport adds the
+// frames/s-by-worker-count dimension to Figure 1.
 //
 // # Slice-level parallelism
 //
@@ -452,19 +452,10 @@ func DecodeStream(r io.Reader, simd bool, workers, window int, yield func(*Frame
 // memory. opts supplies the target coding options; zero Width/Height
 // copy the input's dimensions (there is no scaler — explicit dimensions
 // must match the input), and opts.SIMD selects the kernels for both the
-// decode and encode stages, which share the one opts.Workers budget.
+// decode and encode stages, which share the one opts.Workers budget; at
+// Workers <= 1 they take turns on one token.
 func Transcode(r io.Reader, w io.Writer, c Codec, opts EncoderOptions) (TranscodeStats, error) {
 	return core.Transcode(r, w, c, opts)
-}
-
-// TranscodeReader is the pull-flavored Transcode: it returns a reader
-// producing the transcoded HDVB container while the four-stage pipeline
-// runs concurrently behind it. Reads surface the first pipeline failure
-// as their error (io.EOF on success); Close tears the pipeline down
-// early without leaking its goroutines — the natural shape for HTTP
-// handlers and io.Copy plumbing that want to stop mid-stream.
-func TranscodeReader(r io.Reader, c Codec, opts EncoderOptions) io.ReadCloser {
-	return core.TranscodeReader(r, c, opts)
 }
 
 // RawFrameReader iterates a raw planar I420 stream frame by frame (the
@@ -500,20 +491,6 @@ func RunFigure1(o SuiteOptions, encode bool) ([]SpeedResult, error) {
 		dir = core.Encode
 	}
 	return core.RunSpeed(o, dir)
-}
-
-// RunScalingReport measures throughput at each worker count — Figure 1's
-// scaling dimension (frames/s at 1, 2, 4, N workers). encode selects the
-// encode or decode direction; workerCounts nil defaults to
-// {1, 2, 4, runtime.NumCPU()}. All counts run identical coding options
-// (IntraPeriod defaults to core's scaling GOP so chunks exist), so the
-// bitstreams agree and only wall-clock varies.
-func RunScalingReport(o SuiteOptions, encode bool, workerCounts []int) ([]SpeedResult, error) {
-	dir := core.Decode
-	if encode {
-		dir = core.Encode
-	}
-	return core.RunScaling(o, dir, workerCounts)
 }
 
 // RunScalingMatrixReport sweeps the full slices × workers grid: every

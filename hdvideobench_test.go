@@ -141,12 +141,6 @@ func TestEncoderOptionsValidation(t *testing.T) {
 			_, err := Transcode(bytes.NewReader(src.Bytes()), io.Discard, H264, o)
 			return err
 		}},
-		{"TranscodeReader", func(o EncoderOptions) error {
-			rc := TranscodeReader(bytes.NewReader(src.Bytes()), H264, o)
-			defer rc.Close()
-			_, err := io.Copy(io.Discard, rc)
-			return err
-		}},
 	}
 	for _, b := range bad {
 		for _, e := range entries {

@@ -17,7 +17,7 @@ import (
 
 // writeSeeds regenerates the committed seed corpus of a FuzzDecode target:
 //
-//	go test -run FuzzDecodeMPEG2 ./internal/mpeg2/ -codectest.writeseeds
+//	go test -run FuzzDecodeMPEG2 ./internal/mpeg/ -codectest.writeseeds
 //
 // The files freeze today's bitstreams, so they are rewritten only when a
 // syntax change is intended.

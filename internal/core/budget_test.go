@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"testing"
 
+	"hdvideobench/internal/codec"
 	"hdvideobench/internal/codec/codectest"
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/frame"
@@ -12,8 +14,9 @@ import (
 )
 
 // budgetWorkers are the worker counts the budget invariant is asserted
-// at, here and in internal/stream.
-var budgetWorkers = []int{2, 3, 4}
+// at: internal/stream's, plus one worker, where a call's side-by-side
+// stages take turns on the one token.
+var budgetWorkers = []int{1, 2, 3, 4}
 
 // TestBudgetBatch: the batch entry points over workers+1 chunks of the
 // probe codec (the real frame drivers over slices that code nothing),
@@ -30,7 +33,7 @@ func TestBudgetBatch(t *testing.T) {
 			for i := range frames {
 				frames[i] = enc.NewFrame()
 			}
-			pkts, _, err := encodeFrames(enc.NewEncoder, gop, frames, pipeline.NewSliceGate(workers))
+			pkts, err := encodeProbe(enc, gop, frames, pipeline.NewSliceGate(workers))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +45,11 @@ func TestBudgetBatch(t *testing.T) {
 			}
 
 			dec := &codectest.Probe{Slices: workers + 1, Rows: 4, Cols: 4}
-			out, err := decodePackets(dec.NewDecoder, pkts, workers)
+			var out []*frame.Frame
+			err = decode(dec.NewDecoder, workerGate(workers, nil), 0, sliceNext(pkts), func(f *frame.Frame) error {
+				out = append(out, f)
+				return nil
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +73,8 @@ func TestBudgetBatch(t *testing.T) {
 // share one worker budget. Both stages run workers+1 chunks of a probe
 // codec that offers more slices and rows than there are workers; with a
 // budget per stage the two pools alone would put 2×workers goroutines
-// inside the codec.
+// inside the codec, and at one worker the two serial stages would code
+// side by side.
 func TestBudgetTranscode(t *testing.T) {
 	const gop = 3
 	for _, workers := range budgetWorkers {
@@ -95,7 +103,7 @@ func TestBudgetTranscode(t *testing.T) {
 			}
 
 			var out bytes.Buffer
-			stats, err := transcode(sr, &out, probe.NewDecoder, probe.NewEncoder, gop, workers, 0, nil)
+			stats, err := transcodeProbe(sr, &out, probe.NewDecoder, probe.NewEncoder, gop, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,4 +115,27 @@ func TestBudgetTranscode(t *testing.T) {
 			}
 		})
 	}
+}
+
+// encodeProbe is EncodeSequenceParallel with the probe codec: frames
+// coded as one rung at IntraPeriod gop on gate.
+func encodeProbe(probe *codectest.Probe, gop int, frames []*frame.Frame, gate *pipeline.SliceGate) ([]container.Packet, error) {
+	h := probe.Header()
+	cfg := codec.Default(h.Width, h.Height)
+	cfg.IntraPeriod = gop
+	var out LadderRendition
+	err := encodeLadder(probeFactory(probe.NewEncoder), cfg, []LadderRung{{Width: h.Width, Height: h.Height}}, []packetSink{&out}, gate, 0, sliceNext(frames))
+	return out.Packets, err
+}
+
+// transcodeProbe is Transcode with test codecs, encoding at IntraPeriod
+// gop on a budget of workers.
+func transcodeProbe(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderFactory, newEnc pipeline.EncoderFactory, gop, workers int) (TranscodeStats, error) {
+	return transcode(sr, w, newDec, probeFactory(newEnc), codec.Config{IntraPeriod: gop}, workerGate(workers, nil), 0)
+}
+
+// probeFactory is the engine's factory seam for a test codec that
+// ignores the configuration.
+func probeFactory(newEnc pipeline.EncoderFactory) func(codec.Config) pipeline.EncoderFactory {
+	return func(codec.Config) pipeline.EncoderFactory { return newEnc }
 }

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"slices"
@@ -23,7 +22,6 @@ import (
 	"hdvideobench/internal/mpeg"
 	"hdvideobench/internal/pipeline"
 	"hdvideobench/internal/seqgen"
-	"hdvideobench/internal/stream"
 )
 
 // CodecID identifies one of the three benchmark codecs.
@@ -166,35 +164,19 @@ func DecodePackets(hdr container.Header, kern kernel.Set, pkts []container.Packe
 }
 
 // EncodeSequenceParallel encodes frames on the streaming engine with a
-// budget of workers goroutines — the slice is fed in and the packets,
-// in coding order, drained back out. The packet stream is byte-identical
-// to EncodeSequence for every worker count; GOP-chunk parallelism
-// requires cfg.IntraPeriod > 0 (closed GOPs are the unit of work),
-// slices and wavefront rows do not. workers <= 1 is the single-instance
-// mode, workers < 0 selects runtime.NumCPU(). On return every input
-// frame carries its display index as PTS.
+// budget of workers goroutines: it is EncodeLadder with one rung, the
+// sequence's own geometry and bitrate. The packet stream is
+// byte-identical to EncodeSequence for every worker count; GOP-chunk
+// parallelism requires cfg.IntraPeriod > 0 (closed GOPs are the unit of
+// work), slices and wavefront rows do not. workers <= 1 is the
+// single-instance mode, workers < 0 selects runtime.NumCPU(). On return
+// every input frame carries its display index as PTS.
 func EncodeSequenceParallel(id CodecID, cfg codec.Config, frames []*frame.Frame, workers int) ([]container.Packet, container.Header, error) {
-	return encodeFrames(encoderFactory(id, cfg), cfg.IntraPeriod, frames, workerGate(workers, nil))
-}
-
-// encodeFrames is EncodeSequenceParallel from the point where the codec
-// and the call's gate are chosen.
-func encodeFrames(newEnc pipeline.EncoderFactory, gop int, frames []*frame.Frame, gate *pipeline.SliceGate) ([]container.Packet, container.Header, error) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	enc, err := stream.NewEncoder(ctx, cancel, newEnc, gop, gate, 0)
+	out, err := EncodeLadder(id, cfg, frames, []LadderRung{{Width: cfg.Width, Height: cfg.Height, Kbps: cfg.TargetKbps}}, workers)
 	if err != nil {
 		return nil, container.Header{}, err
 	}
-	pkts, err := overSlice(ctx, cancel, frames, enc, enc.ReadPacket)
-	if err != nil {
-		return nil, container.Header{}, err
-	}
-	// Chunk encoders stamp chunk-local arrival indices on their frames.
-	for i, f := range frames {
-		f.PTS = i
-	}
-	return pkts, enc.Header(), nil
+	return out[0].Packets, out[0].Header, nil
 }
 
 // DecodePacketsParallel decodes a coding-order packet stream on the
@@ -202,19 +184,15 @@ func encodeFrames(newEnc pipeline.EncoderFactory, gop int, frames []*frame.Frame
 // goroutines. Decoded frames are identical to DecodePackets for every
 // worker count; a stream whose GOPs are not closed is an error.
 func DecodePacketsParallel(hdr container.Header, kern kernel.Set, pkts []container.Packet, workers int) ([]*frame.Frame, error) {
-	return decodePackets(decoderFactory(hdr, kern), pkts, workers)
-}
-
-// decodePackets is DecodePacketsParallel from the point where the codec
-// is chosen.
-func decodePackets(newDec pipeline.DecoderFactory, pkts []container.Packet, workers int) ([]*frame.Frame, error) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	dec, err := stream.NewDecoder(ctx, cancel, newDec, workerGate(workers, nil), 0)
+	out := make([]*frame.Frame, 0, len(pkts))
+	err := decode(decoderFactory(hdr, kern), workerGate(workers, nil), 0, sliceNext(pkts), func(f *frame.Frame) error {
+		out = append(out, f)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return overSlice(ctx, cancel, pkts, dec, dec.ReadFrame)
+	return out, nil
 }
 
 // RDResult is one Table V cell group: quality and rate for a codec on a
@@ -377,27 +355,6 @@ func timeClip(o SuiteOptions, dir Direction, id CodecID, cfg codec.Config, input
 	start := time.Now()
 	decoded, err := DecodePacketsParallel(hdr, cfg.Kernels, pkts, o.Workers)
 	return len(decoded), time.Since(start), err
-}
-
-// ScalingGOP is the intra period RunScaling pins when the caller has not
-// chosen one: parallel throughput needs closed GOPs to chunk on, and
-// every worker count must code the same stream for the comparison to
-// mean anything. Six frames is two full I-P-B-B groups' worth of work
-// per chunk at the paper's BFrames=2.
-const ScalingGOP = 6
-
-// RunScaling measures encode or decode throughput at each worker count —
-// Figure 1's new scaling dimension (frames/s at 1, 2, 4, N workers).
-// All counts run with identical coding options (same IntraPeriod and
-// Slices, so identical bitstreams); only the goroutine count varies.
-// workerCounts nil defaults to {1, 2, 4, runtime.NumCPU()}; counts that
-// resolve to the same budget are measured once. When neither IntraPeriod nor Slices provides a
-// parallel axis, IntraPeriod is pinned to ScalingGOP so chunks exist.
-func RunScaling(o SuiteOptions, dir Direction, workerCounts []int) ([]SpeedResult, error) {
-	if o.IntraPeriod == 0 && o.Slices <= 1 {
-		o.IntraPeriod = ScalingGOP
-	}
-	return RunScalingMatrix(o, dir, workerCounts, nil)
 }
 
 // RunScalingMatrix sweeps the full slices × workers grid: for every

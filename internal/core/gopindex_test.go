@@ -1,15 +1,12 @@
-// The GOP tap on EncodeStream and the pull-flavored TranscodeReader:
-// the tap's offsets must point exactly at the I packets that open each
-// closed GOP (verified by re-walking the container), the tapped bytes
-// must match the untapped ones, and TranscodeReader must reproduce
-// Transcode while supporting early Close without leaking the pipeline.
+// The GOP tap on EncodeStream: the tap's offsets must point exactly at
+// the I packets that open each closed GOP (verified by re-walking the
+// container), and the tapped bytes must match the untapped ones.
 package core_test
 
 import (
 	"bytes"
 	"io"
 	"testing"
-	"time"
 
 	"hdvideobench/internal/container"
 	"hdvideobench/internal/core"
@@ -80,58 +77,5 @@ func TestEncodeStreamGOPTap(t *testing.T) {
 		if stats.Bytes != int64(buf.Len()) {
 			t.Fatalf("stats.Bytes=%d, buffer holds %d", stats.Bytes, buf.Len())
 		}
-	}
-}
-
-// TestTranscodeReaderMatchesTranscode: the pull flavor must produce the
-// push flavor's bytes exactly.
-func TestTranscodeReaderMatchesTranscode(t *testing.T) {
-	const w, h, n, gop = 96, 80, 8, 4
-	cfg := streamCfg(w, h, gop)
-	var src bytes.Buffer
-	if _, err := core.EncodeStream(&src, core.MPEG2, cfg, 1, 0, n,
-		frameFeeder(seqgen.BlueSky, w, h, n), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	var push bytes.Buffer
-	if _, err := core.Transcode(bytes.NewReader(src.Bytes()), &push, core.H264, transcodeOpts(gop)); err != nil {
-		t.Fatal(err)
-	}
-	rc := core.TranscodeReader(bytes.NewReader(src.Bytes()), core.H264, transcodeOpts(gop))
-	pull, err := io.ReadAll(rc)
-	if err != nil {
-		t.Fatalf("reading TranscodeReader: %v", err)
-	}
-	if err := rc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pull, push.Bytes()) {
-		t.Fatalf("TranscodeReader produced %d bytes differing from Transcode's %d", len(pull), push.Len())
-	}
-}
-
-// TestTranscodeReaderEarlyClose: closing the reader mid-stream must tear
-// the pipeline down promptly instead of deadlocking its stages.
-func TestTranscodeReaderEarlyClose(t *testing.T) {
-	const w, h, n, gop = 96, 80, 40, 2
-	cfg := streamCfg(w, h, gop)
-	var src bytes.Buffer
-	if _, err := core.EncodeStream(&src, core.MPEG2, cfg, 1, 0, n,
-		frameFeeder(seqgen.RushHour, w, h, n), nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	rc := core.TranscodeReader(bytes.NewReader(src.Bytes()), core.MPEG4, transcodeOpts(gop))
-	if _, err := io.ReadFull(rc, make([]byte, 64)); err != nil {
-		t.Fatalf("reading stream head: %v", err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- rc.Close() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close hung: pipeline not torn down")
 	}
 }

@@ -105,11 +105,11 @@ func ValidateLadder(rungs []LadderRung, mezzW, mezzH int) error {
 // geometry-scaled, seed the searches of every smaller rung
 // (MotionHints). cfg describes the mezzanine; its coding options apply
 // to every rung, overridden by the rung's geometry and Kbps. The rungs
-// share one budget of workers tokens (see ladderGate), each keeps at
-// most window chunks in flight, and each is byte-identical at every
-// workers, window and wavefront setting. frames is the length each
-// header declares, as for EncodeStream. The first failure anywhere stops
-// every rung and is returned with each rung's stats.
+// share one budget of workers tokens, each keeps at most window chunks
+// in flight, and each is byte-identical at every workers, window and
+// wavefront setting. frames is the length each header declares, as for
+// EncodeStream. The first failure anywhere stops every rung and is
+// returned with each rung's stats.
 func EncodeLadderStream(ws []io.Writer, id CodecID, cfg codec.Config, rungs []LadderRung, workers, window, frames int, next func() (*frame.Frame, error), col *obs.Collector) ([]StreamStats, error) {
 	if len(ws) != len(rungs) {
 		return nil, fmt.Errorf("core: %d writers for %d ladder rungs", len(ws), len(rungs))
@@ -120,7 +120,7 @@ func EncodeLadderStream(ws []io.Writer, id CodecID, cfg codec.Config, rungs []La
 		sinks[i] = streamSink{w: w, frames: frames}
 		ps[i] = &sinks[i]
 	}
-	err := encodeLadder(factories(id), cfg, rungs, ps, ladderGate(workers, len(rungs), col), window, next)
+	err := encodeLadder(factories(id), cfg, rungs, ps, workerGate(workers, col), window, next)
 	stats := make([]StreamStats, len(ws))
 	for i := range sinks {
 		stats[i] = sinks[i].stats()
@@ -138,7 +138,7 @@ func EncodeLadder(id CodecID, cfg codec.Config, frames []*frame.Frame, rungs []L
 		out[i] = LadderRendition{Rung: r, Packets: make([]container.Packet, 0, len(frames))}
 		ps[i] = &out[i]
 	}
-	if err := encodeLadder(factories(id), cfg, rungs, ps, ladderGate(workers, len(rungs), nil), 0, sliceNext(frames)); err != nil {
+	if err := encodeLadder(factories(id), cfg, rungs, ps, workerGate(workers, nil), 0, sliceNext(frames)); err != nil {
 		return nil, err
 	}
 	for i, f := range frames {
@@ -152,16 +152,6 @@ func (r *LadderRendition) open(hdr container.Header) error { r.Header = hdr; ret
 func (r *LadderRendition) write(p container.Packet) error {
 	r.Packets = append(r.Packets, p)
 	return nil
-}
-
-// ladderGate is workerGate for a pass of n rungs. Each rung codes on
-// goroutines of its own, so at one worker a pass of several rungs banks
-// that worker's token: the rungs' serial codec calls take turns on it.
-func ladderGate(workers, n int, col *obs.Collector) *pipeline.SliceGate {
-	if n > 1 && resolveWorkers(workers) == 1 {
-		return pipeline.NewSerialBank().Observe(col)
-	}
-	return workerGate(workers, col)
 }
 
 // encodeLadder validates a ladder against its mezzanine cfg and codes
@@ -199,7 +189,9 @@ func encodeLadder(newEnc func(codec.Config) pipeline.EncoderFactory, cfg codec.C
 	if r := rungs[top]; r.Width != cfg.Width || r.Height != cfg.Height {
 		next = downscaled(next, r.Width, r.Height)
 	}
-	return encodeRungs(gate, newEnc, window, out(top), rl, next)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	return encodeRungs(ctx, cancel, gate, newEnc, window, out(top), rl, next)
 }
 
 // factories maps a rung's configuration onto its encoder factory.
@@ -231,12 +223,14 @@ type streamSink struct {
 	w      io.Writer
 	frames int
 	sw     *container.StreamWriter
+	codec  container.Codec // the header's, once open
 }
 
 func (s *streamSink) open(hdr container.Header) (err error) {
 	if s.frames > 0 {
 		hdr.Frames = s.frames
 	}
+	s.codec = hdr.Codec
 	s.sw, err = container.NewStreamWriter(s.w, hdr)
 	return err
 }
@@ -263,11 +257,14 @@ type rungOut struct {
 	onGOP func(frame int)
 }
 
-// encodeRungs is the one encode engine; EncodeStream is its one-rung
-// call. Each rung runs stream.Encoder → drain → sink, all on gate and on
-// one context, so the first failure anywhere stops every rung and is
-// what it returns. Frames are pulled from next once, into top. With a
-// relay, top is the analysis rung: it taps its motion fields, and once
+// encodeRungs is the one encode engine: EncodeStream,
+// EncodeSequenceParallel (through the ladder) and Transcode are its
+// one-rung calls, the ladder its many-rung one. Each rung runs
+// stream.Encoder → drain → sink, all on gate and on the call's context
+// ctx, whose cancel is cancel: the first failure anywhere, the call's
+// other stages included, stops every rung and is ctx's cause, which
+// encodeRungs returns. Frames are pulled from next once, into top. With
+// a relay, top is the analysis rung: it taps its motion fields, and once
 // every display PTS up to p has drained from it, its drain hands
 // mezzanine frame p to each seeded rung's channel, whose feeder
 // downscales it into that rung's encoder. So a seeded rung codes p only
@@ -286,9 +283,7 @@ type rungOut struct {
 // channel, B+1 being handed on, one in each feeder's hand, and the
 // seeded encoder's). A field lives from its tap until every seeded rung
 // has drained its PTS: at most 2E + C + 2B + 5.
-func encodeRungs(gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.EncoderFactory, window int, top rungOut, rl *relay, next func() (*frame.Frame, error)) error {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
+func encodeRungs(ctx context.Context, cancel context.CancelCauseFunc, gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.EncoderFactory, window int, top rungOut, rl *relay, next func() (*frame.Frame, error)) error {
 	build := func(r rungOut) (*stream.Encoder, error) {
 		enc, err := stream.NewEncoder(ctx, cancel, newEnc(r.cfg), r.cfg.IntraPeriod, gate, window)
 		if err == nil {
@@ -304,12 +299,14 @@ func encodeRungs(gate *pipeline.SliceGate, newEnc func(codec.Config) pipeline.En
 	}
 	enc, err := build(top)
 	if err != nil {
-		return err
+		cancel(err)
+		return context.Cause(ctx)
 	}
 	if rl != nil {
 		if err := rl.start(ctx, build, cancel); err != nil {
 			enc.Close()
-			return err
+			cancel(err)
+			return context.Cause(ctx)
 		}
 	}
 	fed := feed(next, enc, cancel)

@@ -292,7 +292,7 @@ func TestLadderStreamResidency(t *testing.T) {
 				}
 				err := within(t, func() error {
 					return encodeLadder(m.factories, cfg, ladderRungs, []packetSink{sinks[0], sinks[1]},
-						ladderGate(tc.workers, len(ladderRungs), nil), tc.window, next)
+						workerGate(tc.workers, nil), tc.window, next)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -414,7 +414,7 @@ func TestLadderStreamFirstFailureWins(t *testing.T) {
 			for _, gop := range []int{4, 0} {
 				t.Run(fmt.Sprintf("%s/workers=%d/gop=%d", c.name, workers, gop), func(t *testing.T) {
 					before := runtime.NumGoroutine()
-					gate := ladderGate(workers, 2, nil)
+					gate := workerGate(workers, nil)
 					next := frameSource(seqgen.New(seqgen.BlueSky, ladderW, ladderH), n)
 					err := within(t, func() error { return c.run(gate, gop, next) })
 					if !c.want(err) {

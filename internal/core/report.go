@@ -103,9 +103,10 @@ func FormatFigure1(results []SpeedResult, title string) string {
 	return b.String()
 }
 
-// FormatScaling renders RunScaling results as one worker-count column per
-// measured count: the Figure 1 scaling dimension. Each cell shows frames
-// per second and, beyond one worker, the speed-up over the one-worker run.
+// FormatScaling renders RunScalingMatrix results as one worker-count
+// column per measured count: the Figure 1 scaling dimension. Each cell
+// shows frames per second and, beyond one worker, the speed-up over the
+// one-worker run.
 func FormatScaling(results []SpeedResult, title string) string {
 	var b strings.Builder
 	note := ""
@@ -208,13 +209,12 @@ type ScalingRecord struct {
 	Frames     int     `json:"frames"`
 }
 
-// ScalingReport is the machine-readable envelope for RunScaling results:
-// enough host and configuration metadata to compare runs across machines
-// and commits (the BENCH_*.json trajectory). The coding configuration
-// that can vary per measurement — workers, slices, and the effective
-// intra period — lives on each record, so a report assembled from a
-// sweep (RunScalingMatrix) or from RunScaling's legacy ScalingGOP pin
-// always describes exactly what ran.
+// ScalingReport is the machine-readable envelope for RunScalingMatrix
+// results: enough host and configuration metadata to compare runs across
+// machines and commits (the BENCH_*.json trajectory). The coding
+// configuration that can vary per measurement — workers, slices, and the
+// effective intra period — lives on each record, so a report always
+// describes exactly what ran.
 type ScalingReport struct {
 	Benchmark string          `json:"benchmark"`
 	GoOS      string          `json:"goos"`

@@ -143,23 +143,6 @@ func drain[T any](next func() (T, error), sink func(T) error, cancel context.Can
 	}
 }
 
-// overSlice runs one windowed stage, built on ctx, as a batch call: in
-// is fed to the stage from a writer goroutine and its output drained
-// into the returned slice, one output per input expected.
-func overSlice[I, O any](ctx context.Context, cancel context.CancelCauseFunc, in []I, s stage[I], read func() (O, error)) ([]O, error) {
-	fed := feed(sliceNext(in), s, cancel)
-	out := make([]O, 0, len(in))
-	drain(read, func(v O) error {
-		out = append(out, v)
-		return nil
-	}, cancel)
-	fed.Wait()
-	if err := context.Cause(ctx); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // sliceNext yields the items of in, then io.EOF.
 func sliceNext[T any](in []T) func() (T, error) {
 	i := 0
@@ -204,7 +187,9 @@ func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, fr
 	if onGOP != nil {
 		r.onGOP = func(frame int) { onGOP(sink.sw.BytesWritten(), frame) }
 	}
-	err := encodeRungs(workerGate(workers, col), factories(id), window, r, nil, next)
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	err := encodeRungs(ctx, cancel, workerGate(workers, col), factories(id), window, r, nil, next)
 	return sink.stats(), err
 }
 
@@ -217,25 +202,33 @@ func DecodeStream(r io.Reader, kern kernel.Set, workers, window int, yield func(
 		return container.Header{}, StreamStats{}, err
 	}
 	hdr := sr.Header()
-	ctx, cancel := context.WithCancelCause(context.Background())
-	defer cancel(nil)
-	dec, err := stream.NewDecoder(ctx, cancel, decoderFactory(hdr, kern), workerGate(workers, nil), window)
-	if err != nil {
-		return hdr, StreamStats{}, err
-	}
-
-	fed := feed(sr.Next, dec, cancel)
 	frames := 0
-	drain(dec.ReadFrame, func(f *frame.Frame) error {
+	err = decode(decoderFactory(hdr, kern), workerGate(workers, nil), window, sr.Next, func(f *frame.Frame) error {
 		if err := yield(f); err != nil {
 			return err
 		}
 		frames++
 		return nil
-	}, cancel)
+	})
+	return hdr, StreamStats{Frames: frames, Bytes: sr.BytesRead()}, err
+}
+
+// decode is the one decode engine; DecodePacketsParallel and
+// DecodeStream are its calls. Packets pulled from next feed a
+// stream.Decoder built on gate, and its display-order frames drain into
+// yield, all on one context, so the first failure — next, the codec or
+// yield — stops the call and is what it returns.
+func decode(newDec pipeline.DecoderFactory, gate *pipeline.SliceGate, window int, next func() (container.Packet, error), yield func(*frame.Frame) error) error {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	dec, err := stream.NewDecoder(ctx, cancel, newDec, gate, window)
+	if err != nil {
+		return err
+	}
+	fed := feed(next, dec, cancel)
+	drain(dec.ReadFrame, yield, cancel)
 	fed.Wait()
-	stats := StreamStats{Frames: frames, Bytes: sr.BytesRead()}
-	return hdr, stats, context.Cause(ctx)
+	return context.Cause(ctx)
 }
 
 // TranscodeStats summarizes one streaming transcode.
@@ -255,8 +248,7 @@ type TranscodeStats struct {
 // selects the kernels of both codec stages. Those two stages share one
 // budget of opts.Workers tokens, so the decode side gets what the encode
 // side is not using and the whole transcode keeps to Workers codec
-// goroutines. (Workers <= 1 is the serial path and banks nothing: each
-// stage drives its one instance inline on its own pipeline goroutine.)
+// goroutines; at Workers <= 1 the two stages take turns on one token.
 func Transcode(r io.Reader, w io.Writer, target CodecID, opts EncoderOptions) (TranscodeStats, error) {
 	sr, err := container.NewStreamReader(r)
 	if err != nil {
@@ -276,63 +268,24 @@ func Transcode(r io.Reader, w io.Writer, target CodecID, opts EncoderOptions) (T
 	if hdr.FPSNum > 0 && hdr.FPSDen > 0 {
 		cfg.FPSNum, cfg.FPSDen = hdr.FPSNum, hdr.FPSDen
 	}
-	return transcode(sr, w, decoderFactory(hdr, cfg.Kernels), encoderFactory(target, cfg), cfg.IntraPeriod, opts.Workers, opts.Window, opts.Collector)
+	return transcode(sr, w, decoderFactory(hdr, cfg.Kernels), factories(target), cfg, workerGate(opts.Workers, opts.Collector), opts.Window)
 }
 
-// transcode is Transcode from the point where the codecs are chosen: it
-// builds both codec stages on one gate and one context and runs the
-// four-stage pipeline.
-func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderFactory, newEnc pipeline.EncoderFactory, gop, workers, window int, col *obs.Collector) (TranscodeStats, error) {
+// transcode is Transcode from the point where the codecs are chosen: a
+// decode stage fed from sr is the source of encodeRungs' one rung, both
+// built on one context and gate.
+func transcode(sr *container.StreamReader, w io.Writer, newDec pipeline.DecoderFactory, newEnc func(codec.Config) pipeline.EncoderFactory, cfg codec.Config, gate *pipeline.SliceGate, window int) (TranscodeStats, error) {
 	hdr := sr.Header()
-	gate := workerGate(workers, col)
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
 	dec, err := stream.NewDecoder(ctx, cancel, newDec, gate, window)
 	if err != nil {
 		return TranscodeStats{}, err
 	}
-	enc, err := stream.NewEncoder(ctx, cancel, newEnc, gop, gate, window)
-	if err != nil {
-		dec.Close()
-		return TranscodeStats{}, err
-	}
+	fed := feed(sr.Next, dec, cancel)
 	out := &streamSink{w: w, frames: hdr.Frames} // the input declares the length; pass it on
-	if err := out.open(enc.Header()); err != nil {
-		dec.Close()
-		enc.Close()
-		return TranscodeStats{}, err
-	}
-
-	// Stage 1: container packets into the decoder; stage 2: decoded
-	// frames into the encoder; stage 3: coded packets onto the output
-	// container. A failure in any stage stops all three.
-	read := feed(sr.Next, dec, cancel)
-	pumped := feed(dec.ReadFrame, enc, cancel)
-	drain(enc.ReadPacket, out.write, cancel)
-	pumped.Wait()
-	read.Wait()
-	stats := TranscodeStats{
-		In:       hdr.Codec,
-		Out:      enc.Header().Codec,
-		Frames:   out.sw.Count(),
-		BytesIn:  sr.BytesRead(),
-		BytesOut: out.sw.BytesWritten(),
-	}
-	return stats, context.Cause(ctx)
-}
-
-// TranscodeReader is the pull-flavored Transcode: it returns a reader
-// producing the transcoded HDVB container, running the four-stage
-// pipeline concurrently behind an io.Pipe. Reads see the first
-// mid-pipeline failure as their error (io.EOF on success); Close tears
-// the pipeline down early — the next pipe write fails, which cancels
-// every stage, so an abandoned reader never leaks the goroutine. The
-// shape HTTP handlers and io.Copy plumbing want.
-func TranscodeReader(r io.Reader, target CodecID, opts EncoderOptions) io.ReadCloser {
-	pr, pw := io.Pipe()
-	go func() {
-		_, err := Transcode(r, pw, target, opts)
-		pw.CloseWithError(err) // nil = clean EOF for the reader
-	}()
-	return pr
+	err = encodeRungs(ctx, cancel, gate, newEnc, window, rungOut{cfg: cfg, sink: out}, nil, dec.ReadFrame)
+	fed.Wait()
+	st := out.stats()
+	return TranscodeStats{In: hdr.Codec, Out: out.codec, Frames: st.Frames, BytesIn: sr.BytesRead(), BytesOut: st.Bytes}, err
 }

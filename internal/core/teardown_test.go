@@ -108,8 +108,8 @@ func TestTranscodeFirstFailureWins(t *testing.T) {
 	}{
 		{"writer", func(t *testing.T, workers, gop int) error {
 			probe := &codectest.Probe{Slices: 2, Rows: 2, Cols: 2, GOP: gop}
-			_, err := transcode(probeInput(t, probe, n, gop, -1), &failingWriter{n: 3},
-				probe.NewDecoder, probe.NewEncoder, gop, workers, 0, nil)
+			_, err := transcodeProbe(probeInput(t, probe, n, gop, -1), &failingWriter{n: 3},
+				probe.NewDecoder, probe.NewEncoder, gop, workers)
 			return err
 		}},
 		{"encoder-factory", func(t *testing.T, workers, gop int) error {
@@ -140,8 +140,8 @@ func TestTranscodeFirstFailureWins(t *testing.T) {
 				}
 				return probe.NewEncoder()
 			}
-			_, err := transcode(probeInput(t, probe, n, gop, -1), io.Discard,
-				probe.NewDecoder, newEnc, gop, workers, 0, nil)
+			_, err := transcodeProbe(probeInput(t, probe, n, gop, -1), io.Discard,
+				probe.NewDecoder, newEnc, gop, workers)
 			return err
 		}},
 		{"corrupt-packet", func(t *testing.T, workers, gop int) error {
@@ -150,8 +150,8 @@ func TestTranscodeFirstFailureWins(t *testing.T) {
 				d, err := probe.NewDecoder()
 				return corruptDecoder{d}, err
 			}
-			_, err := transcode(probeInput(t, probe, n, gop, n/2), io.Discard,
-				newDec, probe.NewEncoder, gop, workers, 0, nil)
+			_, err := transcodeProbe(probeInput(t, probe, n, gop, n/2), io.Discard,
+				newDec, probe.NewEncoder, gop, workers)
 			return err
 		}},
 		{"decode-yield", func(t *testing.T, workers, gop int) error {
@@ -227,7 +227,7 @@ func TestPanicContained(t *testing.T) {
 						}
 						before := runtime.NumGoroutine()
 						gate := pipeline.NewSliceGate(workers)
-						_, _, err := encodeFrames(probe.NewEncoder, gop, frames, gate)
+						_, err := encodeProbe(probe, gop, frames, gate)
 						if err == nil || !strings.Contains(err.Error(), "panic") {
 							t.Fatalf("err = %v, want one naming the panic", err)
 						}

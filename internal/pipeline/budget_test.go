@@ -60,23 +60,23 @@ func TestOrderedPoolAbortWhileParkedInAcquire(t *testing.T) {
 	}
 }
 
-// TestAcquireAbort pins Acquire's contract: a cancelled context wins
-// even when a token is free, and a failed Acquire holds nothing.
+// TestAcquireAbort pins Acquire's contract at every budget, the
+// one-worker gate included: a cancelled context wins even when a token
+// is free, and a failed Acquire holds nothing.
 func TestAcquireAbort(t *testing.T) {
-	g := NewSliceGate(2)
-	ctx, cancel := context.WithCancel(context.Background())
-	if !g.Acquire(ctx) {
-		t.Fatal("Acquire failed with tokens free")
-	}
-	cancel()
-	if g.Acquire(ctx) {
-		t.Fatal("Acquire succeeded after abort")
-	}
-	g.Release()
-	if got := len(g.tokens); got != 2 {
-		t.Fatalf("%d tokens banked, want 2", got)
-	}
-	if one := NewSliceGate(1); !one.Acquire(ctx) {
-		t.Fatal("the serial gate banks nothing and must never refuse")
+	for _, workers := range []int{1, 2} {
+		g := NewSliceGate(workers)
+		ctx, cancel := context.WithCancel(context.Background())
+		if !g.Acquire(ctx) {
+			t.Fatalf("workers=%d: Acquire failed with tokens free", workers)
+		}
+		cancel()
+		if g.Acquire(ctx) {
+			t.Fatalf("workers=%d: Acquire succeeded after abort", workers)
+		}
+		g.Release()
+		if got := len(g.tokens); got != workers {
+			t.Fatalf("workers=%d: %d tokens banked, want %d", workers, got, workers)
+		}
 	}
 }

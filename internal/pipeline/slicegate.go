@@ -36,35 +36,24 @@ import (
 // changes.
 //
 // A gate built for one worker is the serial path: Encoders/Decoders
-// leave the instances on their inline runners. NewSliceGate's banks
-// nothing, so Acquire succeeds at once; NewSerialBank's banks its one
-// token, for a call whose serial stages run side by side.
+// leave the instances on their inline runners. It banks its one token
+// like any other gate, so stages of one call that run side by side —
+// the rungs of a ladder, the two halves of a transcode — take turns on
+// it and still keep to one codec goroutine.
 type SliceGate struct {
 	workers int
-	tokens  chan struct{} // nil for NewSliceGate's one-worker gate
+	tokens  chan struct{}
 	col     *obs.Collector
 }
 
 // NewSliceGate returns a bank of workers tokens; workers <= 1 yields the
-// serial gate.
+// one-token serial gate.
 func NewSliceGate(workers int) *SliceGate {
-	if workers <= 1 {
-		return &SliceGate{workers: 1}
-	}
+	workers = max(workers, 1)
 	g := &SliceGate{workers: workers, tokens: make(chan struct{}, workers)}
 	for i := 0; i < workers; i++ {
 		g.tokens <- struct{}{}
 	}
-	return g
-}
-
-// NewSerialBank returns a one-worker gate that banks its token: stages
-// built on it stay serial, but each codec call they make takes the one
-// token, so stages running on goroutines of their own still keep to one
-// codec goroutine.
-func NewSerialBank() *SliceGate {
-	g := &SliceGate{workers: 1, tokens: make(chan struct{}, 1)}
-	g.tokens <- struct{}{}
 	return g
 }
 
@@ -93,9 +82,6 @@ func (g *SliceGate) Collector() *obs.Collector { return g.col }
 // token free. A goroutine parked here is handed the next token
 // released, ahead of any slice or row that would try for it.
 func (g *SliceGate) Acquire(ctx context.Context) bool {
-	if g.tokens == nil {
-		return true
-	}
 	if ctx.Err() != nil {
 		return false
 	}
@@ -108,11 +94,7 @@ func (g *SliceGate) Acquire(ctx context.Context) bool {
 }
 
 // Release returns the token taken by Acquire.
-func (g *SliceGate) Release() {
-	if g.tokens != nil {
-		g.tokens <- struct{}{}
-	}
-}
+func (g *SliceGate) Release() { g.tokens <- struct{}{} }
 
 // tryAcquire takes a token only if one is free right now.
 func (g *SliceGate) tryAcquire() bool {

@@ -69,7 +69,10 @@
 // exist — the engine degrades to a single persistent codec instance
 // driven inline by Write, which is still constant-memory (the codec
 // buffers only its B-frame lookahead and reference frames) and still
-// byte-identical to the single-instance path. With more workers that single
+// byte-identical to the single-instance path. Write takes a token for
+// each codec call there too: a one-worker gate banks its one token like
+// any other, so the serial stages of one call — both halves of a
+// transcode, the rungs of a ladder — take turns on it. With more workers that single
 // instance is not the end of parallelism: its slices and rows have the
 // rest of the bank to themselves, so streams coded with Slices > 1 or
 // Wavefront scale inside each frame even when the GOP gives the window
