@@ -4,10 +4,11 @@ package codec
 // Offsets follow the plane+offset convention of the frame package: sample
 // (r,c) of a block based at off is plane[off + r*stride + c].
 //
-// The residual (cur − pred) and reconstruction (clamp(pred + residual))
-// helpers dispatch on the kernel set: the SWAR rows (swar.DiffRow /
-// swar.AddClampRow) are bit-exact with the scalar loops, so the selection
+// The residual helpers (cur − pred) dispatch on the kernel set: the SWAR
+// row swar.DiffRow is bit-exact with the scalar loop, so the selection
 // follows the session-wide scalar-vs-SIMD axis without touching output.
+// Reconstruction (clamp(pred + residual)) does not dispatch: both kernel
+// sets run swar.AddClampRow, a plain loop that beat the packed-lane one.
 
 import (
 	"hdvideobench/internal/frame"
@@ -109,20 +110,11 @@ func Store8Clip(plane []byte, off, stride int, blk *[64]int32) {
 }
 
 // Add8Clip writes pred + residual into a plane with clamping (inter
-// reconstruction).
+// reconstruction). Both kernel sets run the same row loop; k is accepted
+// so that callers pass their kernel set like every other block helper.
 func Add8Clip(plane []byte, off, stride int, pred []byte, po, pStride int, res *[64]int32, k kernel.Set) {
-	if k == kernel.SWAR {
-		for r := 0; r < 8; r++ {
-			swar.AddClampRow(plane[off+r*stride:], pred[po+r*pStride:], res[r*8:r*8+8], 8)
-		}
-		return
-	}
 	for r := 0; r < 8; r++ {
-		base := off + r*stride
-		pb := po + r*pStride
-		for c := 0; c < 8; c++ {
-			plane[base+c] = clip255(int32(pred[pb+c]) + res[r*8+c])
-		}
+		swar.AddClampRow(plane[off+r*stride:], pred[po+r*pStride:], res[r*8:r*8+8], 8)
 	}
 }
 
@@ -151,19 +143,9 @@ func Residual4(dst *[16]int32, cur []byte, co, cStride int, pred []byte, po, pSt
 }
 
 // Add4Clip writes pred + residual into a plane with clamping.
-func Add4Clip(plane []byte, off, stride int, pred []byte, po, pStride int, res *[16]int32, k kernel.Set) {
-	if k == kernel.SWAR {
-		for r := 0; r < 4; r++ {
-			swar.AddClampRow(plane[off+r*stride:], pred[po+r*pStride:], res[r*4:r*4+4], 4)
-		}
-		return
-	}
+func Add4Clip(plane []byte, off, stride int, pred []byte, po, pStride int, res *[16]int32) {
 	for r := 0; r < 4; r++ {
-		base := off + r*stride
-		pb := po + r*pStride
-		for c := 0; c < 4; c++ {
-			plane[base+c] = clip255(int32(pred[pb+c]) + res[r*4+c])
-		}
+		swar.AddClampRow(plane[off+r*stride:], pred[po+r*pStride:], res[r*4:r*4+4], 4)
 	}
 }
 

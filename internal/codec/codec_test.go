@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -249,7 +250,8 @@ func TestBlockHelpers(t *testing.T) {
 }
 
 // TestBlockHelpersKernelEquivalence pins scalar/SWAR bit-exactness of the
-// residual and reconstruction helpers on random content.
+// residual helpers on random content, and checks the reconstruction
+// helpers under both kernel sets against refAddClip.
 func TestBlockHelpersKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cur := make([]byte, 32*32)
@@ -277,21 +279,93 @@ func TestBlockHelpersKernelEquivalence(t *testing.T) {
 		for i := range res8 {
 			res8[i] = int32(rng.Intn(1400) - 700)
 		}
-		outS := make([]byte, 32*32)
-		outW := make([]byte, 32*32)
-		Add8Clip(outS, 9, 32, pred, 2, 16, &res8, kernel.Scalar)
-		Add8Clip(outW, 9, 32, pred, 2, 16, &res8, kernel.SWAR)
-		if !bytes.Equal(outS, outW) {
-			t.Fatal("Add8Clip scalar/SWAR diverge")
+		want := make([]byte, 32*32)
+		refAddClip(want, 9, 32, pred, 2, 16, res8[:], 8)
+		out := make([]byte, 32*32)
+		for _, k := range []kernel.Set{kernel.Scalar, kernel.SWAR} {
+			clear(out)
+			Add8Clip(out, 9, 32, pred, 2, 16, &res8, k)
+			if !bytes.Equal(out, want) {
+				t.Fatalf("%v Add8Clip diverges from the reference", k)
+			}
 		}
 		var res4 [16]int32
 		for i := range res4 {
 			res4[i] = int32(rng.Intn(1400) - 700)
 		}
-		Add4Clip(outS, 11, 32, pred, 6, 16, &res4, kernel.Scalar)
-		Add4Clip(outW, 11, 32, pred, 6, 16, &res4, kernel.SWAR)
-		if !bytes.Equal(outS, outW) {
-			t.Fatal("Add4Clip scalar/SWAR diverge")
+		refAddClip(want, 11, 32, pred, 6, 16, res4[:], 4)
+		Add4Clip(out, 11, 32, pred, 6, 16, &res4)
+		if !bytes.Equal(out, want) {
+			t.Fatal("Add4Clip diverges from the reference")
+		}
+	}
+}
+
+// refAddClip is the specification of Add8Clip (w 8) and Add4Clip (w 4):
+// each sample of the w×w block at off is pred + res, summed without
+// overflow and clamped to [0, 255].
+func refAddClip(plane []byte, off, stride int, pred []byte, po, pStride int, res []int32, w int) {
+	for r := 0; r < w; r++ {
+		for c := 0; c < w; c++ {
+			v := int64(pred[po+r*pStride+c]) + int64(res[r*w+c])
+			plane[off+r*stride+c] = byte(max(0, min(v, 255)))
+		}
+	}
+}
+
+// TestAddClipReference checks Add8Clip under both kernel sets and Add4Clip
+// against refAddClip at odd offsets and strides: every prediction 0..255
+// against every residual -1024..1023, and against the int32 extremes. The
+// samples around each block must stay untouched.
+func TestAddClipReference(t *testing.T) {
+	extremes := []int32{math.MinInt32, math.MinInt32 + 1, math.MinInt32 + 255,
+		math.MaxInt32 - 255, math.MaxInt32 - 1, math.MaxInt32}
+	var preds []byte
+	var res []int32
+	for p := 0; p < 256; p++ {
+		for r := int32(-1024); r < 1024; r++ {
+			preds = append(preds, byte(p))
+			res = append(res, r)
+		}
+		for _, r := range extremes {
+			preds = append(preds, byte(p))
+			res = append(res, r)
+		}
+	}
+	const (
+		stride, off   = 37, 2*37 + 5
+		pStride, pOff = 13, 13 + 4
+	)
+	plane := make([]byte, 12*stride)
+	want := make([]byte, len(plane))
+	pred := make([]byte, 10*pStride)
+	for _, w := range []int{8, 4} {
+		kernels := []kernel.Set{kernel.Scalar, kernel.SWAR}
+		if w == 4 {
+			kernels = kernels[:1] // Add4Clip takes no kernel set
+		}
+		blk := make([]int32, w*w)
+		for start := 0; start < len(preds); start += w * w {
+			for i := range blk {
+				j := (start + i) % len(preds)
+				pred[pOff+i/w*pStride+i%w] = preds[j]
+				blk[i] = res[j]
+			}
+			for _, k := range kernels {
+				for i := range plane {
+					plane[i] = byte(i)
+				}
+				copy(want, plane)
+				refAddClip(want, off, stride, pred, pOff, pStride, blk, w)
+				if w == 8 {
+					Add8Clip(plane, off, stride, pred, pOff, pStride, (*[64]int32)(blk), k)
+				} else {
+					Add4Clip(plane, off, stride, pred, pOff, pStride, (*[16]int32)(blk))
+				}
+				if !bytes.Equal(plane, want) {
+					t.Fatalf("%d×%d %v block at pair %d diverges from the reference", w, w, k, start)
+				}
+			}
 		}
 	}
 }

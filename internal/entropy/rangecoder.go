@@ -362,6 +362,136 @@ func (d *Decoder) DecodeUE(ctx []Prob, escape int) uint32 {
 	return v + uint32((1<<zeros|rest)-1)
 }
 
+// expGolombSuffix decodes the bypass Exp-Golomb remainder that follows an
+// escaped level prefix in DecodeCoeffs, on the caller's rng and code. A
+// zero run longer than 32, which no encoder writes, sets bad and yields 0.
+// DecodeUE writes the same loops out in place: H.264's I4 modes escape
+// often, and this call cost DecodeUE ~5 % a bin on a replayed slice;
+// written out in DecodeCoeffs, it measured no faster.
+func (d *Decoder) expGolombSuffix(rng, code uint32) (uint32, uint32, uint32) {
+	var bit uint32
+	zeros := uint(0)
+	for {
+		rng, code, bit = bypassBin(rng, code)
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		if bit != 0 {
+			break
+		}
+		zeros++
+		if zeros > 32 {
+			d.bad = true
+			return rng, code, 0
+		}
+	}
+	rest := uint64(0)
+	for j := uint(0); j < zeros; j++ {
+		rng, code, bit = bypassBin(rng, code)
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		rest = rest<<1 | uint64(bit)
+	}
+	return rng, code, uint32((1<<zeros | rest) - 1)
+}
+
+// coeffEscape is the level prefix length after which a coefficient
+// magnitude continues in bypass Exp-Golomb (EncodeUE's escape).
+const coeffEscape = 4
+
+// DecodeCoeffs decodes one coefficient block: the mirror of h264's
+// writeCoeffs, which codes it as
+//
+//   - a coded-block flag on cbf; a zero flag ends the block;
+//   - the significance map: for scan positions 0..n-2, a bin on
+//     sig[i] and, after a one, a last flag on last[i] (contexts past the
+//     end of sig repeat its final one; last is indexed alike); a
+//     significant position with last set ends the map, and a map that
+//     runs out makes position n-1 significant;
+//   - the levels in reverse scan order, each |v|-1 as EncodeUE on lvl
+//     with escape 4 (prefix bins, then the bypass Exp-Golomb suffix), and
+//     a bypass sign bin, one for negative.
+//
+// Scan position i is coefficient scan[i] of coefs, n = len(scan) ≤ 16,
+// so a zigzag scan lands the block in raster order. Only the coded
+// coefficients are stored: coefs must be zero where scan points. The
+// result is the coded-block flag. rng and code stay in locals from the
+// flag to the last sign, so the state goes through memory once per block
+// instead of once per bin. A damaged stream decodes the same bins as the
+// per-bin calls would, and Err reports it.
+//
+//hdvlint:noalloc
+func (d *Decoder) DecodeCoeffs(cbf *Prob, sig, last, lvl []Prob, scan []int, coefs []int32) bool {
+	rng, code, bit := contextBin(d.rng, d.code, cbf)
+	if rng < topValue {
+		rng, code = d.renorm(rng, code)
+	}
+	if bit == 0 {
+		d.rng, d.code = rng, code
+		return false
+	}
+	var pos [16]int // raster index of each significant coefficient
+	np := 0
+	n := len(scan)
+	last = last[:len(sig)]
+	i := 0
+	for ci := 0; i < n-1; i++ {
+		rng, code, bit = contextBin(rng, code, &sig[ci])
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		if bit != 0 {
+			pos[np] = scan[i]
+			np++
+			rng, code, bit = contextBin(rng, code, &last[ci])
+			if rng < topValue {
+				rng, code = d.renorm(rng, code)
+			}
+			if bit != 0 {
+				break
+			}
+		}
+		if ci < len(sig)-1 {
+			ci++
+		}
+	}
+	if i == n-1 {
+		pos[np] = scan[n-1]
+		np++
+	}
+	top := len(lvl) - 1
+	for j := np - 1; j >= 0; j-- {
+		k := 0
+		for ; k < coeffEscape; k++ {
+			rng, code, bit = contextBin(rng, code, &lvl[min(k, top)])
+			if rng < topValue {
+				rng, code = d.renorm(rng, code)
+			}
+			if bit == 0 {
+				break
+			}
+		}
+		v := uint32(k)
+		if k == coeffEscape {
+			var rest uint32
+			rng, code, rest = d.expGolombSuffix(rng, code)
+			v += rest
+		}
+		rng, code, bit = bypassBin(rng, code)
+		if rng < topValue {
+			rng, code = d.renorm(rng, code)
+		}
+		mag := int32(v) + 1
+		if bit != 0 {
+			mag = -mag
+		}
+		coefs[pos[j]] = mag
+	}
+	d.rng, d.code = rng, code
+	return true
+}
+
 // DecodeSE mirrors Encoder.EncodeSE.
 //
 //hdvlint:noalloc

@@ -106,7 +106,9 @@ func (s *sliceDec) decode(buf []byte, recon *frame.Frame, ftype container.FrameT
 
 // --- residual ----------------------------------------------------------------
 
-// readResidual parses CBP and coefficients into md.
+// readResidual parses CBP and coefficients into md, which is zero but for
+// its prediction fields: only coded coefficients are stored, in raster
+// order.
 //
 //hdvlint:noalloc
 func (s *sliceDec) readResidual(md *mbData, i16 bool) error {
@@ -120,47 +122,28 @@ func (s *sliceDec) readResidual(md *mbData, i16 bool) error {
 		return codec.ErrSyntax("chroma CBP", int(md.cbpChroma))
 	}
 
-	var scan [16]int32
-	if i16 {
-		md.lumaDCNZ = readCoeffs(r, &s.ctx.cbf[catLumaDC], s.ctx.sigDC[:], s.ctx.lastDC[:], s.ctx.levelDC[:], scan[:16])
-		unscanBlock4(scan[:16], 0, &md.lumaDC)
-	}
 	start := 0
 	if i16 {
+		md.lumaDCNZ = r.coeffs(&s.ctx.cbf[catLumaDC], s.ctx.sigDC[:], s.ctx.lastDC[:], s.ctx.levelDC[:], zigzag4[:], md.lumaDC[:])
 		start = 1
-	}
-	for bi := 0; bi < 16; bi++ {
-		md.luma[bi] = [16]int32{}
-		md.lumaNZ[bi] = false
 	}
 	for g := 0; g < 4; g++ {
 		if md.cbpLuma&(1<<g) == 0 {
 			continue
 		}
 		for _, bi := range lumaGroupBlocks[g] {
-			nz := readCoeffs(r, &s.ctx.cbf[catLuma], s.ctx.sig[:], s.ctx.last[:], s.ctx.level[:], scan[:16-start])
-			unscanBlock4(scan[:16-start], start, &md.luma[bi])
-			md.lumaNZ[bi] = nz
-		}
-	}
-	for pl := 0; pl < 2; pl++ {
-		md.chromaDC[pl] = [4]int32{}
-		for ci := 0; ci < 4; ci++ {
-			md.chroma[pl][ci] = [16]int32{}
+			md.lumaNZ[bi] = r.coeffs(&s.ctx.cbf[catLuma], s.ctx.sig[:], s.ctx.last[:], s.ctx.level[:], zigzag4[start:], md.luma[bi][:])
 		}
 	}
 	if md.cbpChroma >= 1 {
 		for pl := 0; pl < 2; pl++ {
-			var dcs [4]int32
-			readCoeffs(r, &s.ctx.cbf[catChromaDC], s.ctx.sigDC[:], s.ctx.lastDC[:], s.ctx.levelDC[:], dcs[:])
-			md.chromaDC[pl] = dcs
+			r.coeffs(&s.ctx.cbf[catChromaDC], s.ctx.sigDC[:], s.ctx.lastDC[:], s.ctx.levelDC[:], dcScan2[:], md.chromaDC[pl][:])
 		}
 	}
 	if md.cbpChroma == 2 {
 		for pl := 0; pl < 2; pl++ {
 			for ci := 0; ci < 4; ci++ {
-				readCoeffs(r, &s.ctx.cbf[catChromaAC], s.ctx.sig[:], s.ctx.last[:], s.ctx.level[:], scan[:15])
-				unscanBlock4(scan[:15], 1, &md.chroma[pl][ci])
+				r.coeffs(&s.ctx.cbf[catChromaAC], s.ctx.sig[:], s.ctx.last[:], s.ctx.level[:], zigzag4[1:], md.chroma[pl][ci][:])
 			}
 		}
 	}

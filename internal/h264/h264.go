@@ -280,6 +280,15 @@ func (r *symDec) se(ctx []entropy.Prob, escape int) int32 {
 	return r.cabac.DecodeSE(ctx, escape)
 }
 
+// coeffs reads one coefficient block written by writeCoeffs into coefs,
+// scan position i at coefs[scan[i]]; see entropy.Decoder.DecodeCoeffs.
+func (r *symDec) coeffs(cbf *entropy.Prob, sig, last, lvl []entropy.Prob, scan []int, coefs []int32) bool {
+	if r.vlc {
+		return readCoeffs(&r.bits, scan, coefs)
+	}
+	return r.cabac.DecodeCoeffs(cbf, sig, last, lvl, scan, coefs)
+}
+
 // err reports a slice that ran out of bytes or held a malformed code.
 func (r *symDec) err() error {
 	if r.vlc {

@@ -105,7 +105,7 @@ func (m *mbRecon) reconI16(recon *frame.Frame, px, py int, md *mbData) {
 		quant.H264Dequant(&blk, m.qp)
 		blk[0] = dcRec[bi]
 		dct.Inverse4(&blk)
-		codec.Add4Clip(recon.Y, ro, recon.YStride, m.predY[:], po, 16, &blk, m.kern)
+		codec.Add4Clip(recon.Y, ro, recon.YStride, m.predY[:], po, 16, &blk)
 	}
 }
 
@@ -118,7 +118,7 @@ func (m *mbRecon) reconI4Block(recon *frame.Frame, px, py, bi int, pred *[16]byt
 	ro := recon.YOrigin + (py+4*(bi/4))*recon.YStride + px + 4*(bi%4)
 	quant.H264Dequant(&blk, m.qp)
 	dct.Inverse4(&blk)
-	codec.Add4Clip(recon.Y, ro, recon.YStride, pred[:], 0, 4, &blk, m.kern)
+	codec.Add4Clip(recon.Y, ro, recon.YStride, pred[:], 0, 4, &blk)
 }
 
 // reconLumaInter adds an inter macroblock's luma residual to predY;
@@ -134,7 +134,7 @@ func (m *mbRecon) reconLumaInter(recon *frame.Frame, px, py int, md *mbData) {
 			blk := md.luma[bi]
 			quant.H264Dequant(&blk, m.qp)
 			dct.Inverse4(&blk)
-			codec.Add4Clip(recon.Y, ro, recon.YStride, m.predY[:], po, 16, &blk, m.kern)
+			codec.Add4Clip(recon.Y, ro, recon.YStride, m.predY[:], po, 16, &blk)
 		} else {
 			for r := 0; r < 4; r++ {
 				copy(recon.Y[ro+r*recon.YStride:ro+r*recon.YStride+4],
@@ -176,7 +176,7 @@ func (m *mbRecon) reconChroma(recon *frame.Frame, px, py int, md *mbData) {
 			blk[0] = dc[ci]
 			if md.cbpChroma >= 1 {
 				dct.Inverse4(&blk)
-				codec.Add4Clip(plane, ro, recon.CStride, m.predC[pl][:], po, 8, &blk, m.kern)
+				codec.Add4Clip(plane, ro, recon.CStride, m.predC[pl][:], po, 8, &blk)
 			} else {
 				for r := 0; r < 4; r++ {
 					copy(plane[ro+r*recon.CStride:ro+r*recon.CStride+4],

@@ -1,6 +1,7 @@
 package h264
 
 import (
+	"hdvideobench/internal/bitstream"
 	"hdvideobench/internal/entropy"
 )
 
@@ -62,46 +63,39 @@ func writeCoeffs(w symWriter, cbf *entropy.Prob, sig, last, lvl []entropy.Prob, 
 	return true
 }
 
-// readCoeffs mirrors writeCoeffs; coefs is zeroed and filled in scan order.
-// sig and last have the same length; scan positions past it share their
-// final context, so the context index counts up and stops there.
+// readCoeffs reads writeCoeffs' syntax from an EntropyVLC stream, where
+// every bin is a plain bit and a level a ue(v); CABAC streams go through
+// entropy.Decoder.DecodeCoeffs. Scan position i is coefficient scan[i] of
+// coefs, which must be zero where scan points.
 //
 //hdvlint:noalloc
-func readCoeffs(r *symDec, cbf *entropy.Prob, sig, last, lvl []entropy.Prob, coefs []int32) bool {
-	n := len(coefs)
-	for i := range coefs {
-		coefs[i] = 0
-	}
-	if r.bit(cbf) == 0 {
+func readCoeffs(r *bitstream.Reader, scan []int, coefs []int32) bool {
+	if r.ReadBit() == 0 {
 		return false
 	}
-	var positions [16]int
+	var pos [16]int
 	np := 0
-	terminated := false
-	last = last[:len(sig)]
-	for i, ci := 0, 0; i < n-1; i++ {
-		if r.bit(&sig[ci]) == 1 {
-			positions[np] = i
+	n := len(scan)
+	i := 0
+	for ; i < n-1; i++ {
+		if r.ReadBit() == 1 {
+			pos[np] = scan[i]
 			np++
-			if r.bit(&last[ci]) == 1 {
-				terminated = true
+			if r.ReadBit() == 1 {
 				break
 			}
 		}
-		if ci < len(sig)-1 {
-			ci++
-		}
 	}
-	if !terminated {
-		positions[np] = n - 1
+	if i == n-1 {
+		pos[np] = scan[n-1]
 		np++
 	}
 	for j := np - 1; j >= 0; j-- {
-		mag := int32(r.ue(lvl, 4)) + 1
-		if r.bypass() == 1 {
+		mag := int32(r.ReadUE()) + 1
+		if r.ReadBit() == 1 {
 			mag = -mag
 		}
-		coefs[positions[j]] = mag
+		coefs[pos[j]] = mag
 	}
 	return true
 }
@@ -122,15 +116,8 @@ func scanBlock4(blk *[16]int32, start int, out []int32) {
 	}
 }
 
-// unscanBlock4 is the inverse of scanBlock4.
-func unscanBlock4(in []int32, start int, blk *[16]int32) {
-	for i := range blk {
-		blk[i] = 0
-	}
-	for i := start; i < 16; i++ {
-		blk[zigzag4[i]] = in[i-start]
-	}
-}
-
 // zigzag4 is dct.Zigzag4 (local alias to keep hot loops tight).
 var zigzag4 = [16]int{0, 1, 4, 8, 5, 2, 3, 6, 9, 12, 13, 10, 7, 11, 14, 15}
+
+// dcScan2 is the 2×2 chroma DC order: coded as stored.
+var dcScan2 = [4]int{0, 1, 2, 3}
