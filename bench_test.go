@@ -1,20 +1,21 @@
 package hdvideobench
 
-// Benchmark harness regenerating the paper's evaluation artifacts:
+// Go benchmarks for what the bench/ harness does not measure:
 //
 //	Figure 1(a) — BenchmarkFig1aDecodeScalar/<codec>/<resolution>
-//	Figure 1(b) — BenchmarkFig1bDecodeSIMD/...
 //	Figure 1(c) — BenchmarkFig1cEncodeScalar/...
-//	Figure 1(d) — BenchmarkFig1dEncodeSIMD/...
 //	Table V     — BenchmarkTableV (prints the RD table once; the timing
 //	              value is incidental)
 //	§VI ablations — BenchmarkAblationH264Entropy, BenchmarkAblationMotionSearch
+//	parallel decode — BenchmarkDecode{MPEG2,MPEG4,H264}
+//	ladder seeding — BenchmarkLadder (seeded vs cold rung)
+//	decode per codec — BenchmarkDecode720p (decode720_bench_test.go)
 //
-// Every Figure 1 benchmark reports an "fps" metric: frames per second of
-// pure encode or decode work, the unit of the paper's Figure 1 axes.
-// Absolute values depend on the host (the paper used a 2.4 GHz Xeon); the
-// shapes to compare are the codec ordering, the resolution scaling and the
-// scalar→SIMD gain. Run with:
+// Figure 1(b) and 1(d), the SIMD panels, are bench/'s dec_serial and
+// enc_serial workloads; parallel encode is its enc_parallel. Every fps
+// metric is frames per second of pure encode or decode work, the unit of
+// the paper's Figure 1 axes. Absolute values depend on the host (the
+// paper used a 2.4 GHz Xeon). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -98,7 +99,8 @@ func benchStream(b *testing.B, c Codec, seq Sequence, w, h int) (StreamHeader, [
 	return enc.Header(), pkts
 }
 
-func benchDecode(b *testing.B, simd bool) {
+// BenchmarkFig1aDecodeScalar regenerates Figure 1(a): decoding fps, scalar.
+func BenchmarkFig1aDecodeScalar(b *testing.B) {
 	for _, c := range benchCodecs {
 		for _, res := range benchResolutions {
 			b.Run(fmt.Sprintf("%v/%s", c, res.Name), func(b *testing.B) {
@@ -107,7 +109,7 @@ func benchDecode(b *testing.B, simd bool) {
 				b.ResetTimer()
 				frames := 0
 				for i := 0; i < b.N; i++ {
-					dec, err := NewDecoder(hdr, simd)
+					dec, err := NewDecoder(hdr, false)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -123,7 +125,8 @@ func benchDecode(b *testing.B, simd bool) {
 	}
 }
 
-func benchEncode(b *testing.B, simd bool) {
+// BenchmarkFig1cEncodeScalar regenerates Figure 1(c): encoding fps, scalar.
+func BenchmarkFig1cEncodeScalar(b *testing.B) {
 	for _, c := range benchCodecs {
 		for _, res := range benchResolutions {
 			b.Run(fmt.Sprintf("%v/%s", c, res.Name), func(b *testing.B) {
@@ -133,7 +136,7 @@ func benchEncode(b *testing.B, simd bool) {
 				frames := 0
 				for i := 0; i < b.N; i++ {
 					enc, err := NewEncoder(c, EncoderOptions{
-						Width: res.Width, Height: res.Height, SIMD: simd,
+						Width: res.Width, Height: res.Height,
 					})
 					if err != nil {
 						b.Fatal(err)
@@ -149,26 +152,13 @@ func benchEncode(b *testing.B, simd bool) {
 	}
 }
 
-// BenchmarkFig1aDecodeScalar regenerates Figure 1(a): decoding fps, scalar.
-func BenchmarkFig1aDecodeScalar(b *testing.B) { benchDecode(b, false) }
-
-// BenchmarkFig1bDecodeSIMD regenerates Figure 1(b): decoding fps, SIMD.
-func BenchmarkFig1bDecodeSIMD(b *testing.B) { benchDecode(b, true) }
-
-// BenchmarkFig1cEncodeScalar regenerates Figure 1(c): encoding fps, scalar.
-func BenchmarkFig1cEncodeScalar(b *testing.B) { benchEncode(b, false) }
-
-// BenchmarkFig1dEncodeSIMD regenerates Figure 1(d): encoding fps, SIMD.
-func BenchmarkFig1dEncodeSIMD(b *testing.B) { benchEncode(b, true) }
-
-// --- per-codec throughput with GOP-parallel scaling --------------------------
+// --- per-codec parallel decode -----------------------------------------------
 //
-// Benchmark{Encode,Decode}{MPEG2,MPEG4,H264} measure one codec at a time
-// in raw bytes/s (b.SetBytes of the I420 input) and fps, with workers=N
-// sub-benchmarks exercising the GOP-parallel pipeline. The bitstream is
-// identical at every worker count, so the sub-benchmarks are directly
-// comparable: on a 4+ core machine workers=4 should approach 4× the
-// workers=1 figure.
+// BenchmarkDecode{MPEG2,MPEG4,H264} measure one codec at a time in raw
+// bytes/s (b.SetBytes of the I420 output) and fps, with workers=N
+// sub-benchmarks exercising the GOP-parallel and slice-parallel decode.
+// The bitstream is the same at every worker count, so the sub-benchmarks
+// are directly comparable.
 
 const (
 	scaleW, scaleH = 320, 240
@@ -182,47 +172,6 @@ var scaleWorkerCounts = []int{1, 2, 4}
 // benchmarks run at IntraPeriod 0 (the paper's default), where slices
 // are the only source of parallel speedup.
 var benchSliceCounts = []int{1, 4}
-
-func benchEncodeCodec(b *testing.B, c Codec) {
-	inputs := benchInputsN(b, PedestrianArea, scaleW, scaleH, scaleFrames)
-	raw := int64(scaleFrames) * int64(RawFrameSize(scaleW, scaleH))
-	for _, workers := range scaleWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := EncoderOptions{
-				Width: scaleW, Height: scaleH,
-				IntraPeriod: scaleGOP, Workers: workers,
-			}
-			b.SetBytes(raw)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := EncodeFramesParallel(c, opts, inputs); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N*scaleFrames)/b.Elapsed().Seconds(), "fps")
-		})
-	}
-	for _, slices := range benchSliceCounts {
-		for _, workers := range scaleWorkerCounts {
-			b.Run(fmt.Sprintf("slices=%d/workers=%d", slices, workers), func(b *testing.B) {
-				opts := EncoderOptions{
-					Width: scaleW, Height: scaleH,
-					Slices: slices, Workers: workers, // IntraPeriod 0: slice scaling only
-				}
-				b.SetBytes(raw)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, _, err := EncodeFramesParallel(c, opts, inputs); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(b.N*scaleFrames)/b.Elapsed().Seconds(), "fps")
-			})
-		}
-	}
-}
 
 func benchDecodeCodec(b *testing.B, c Codec) {
 	inputs := benchInputsN(b, PedestrianArea, scaleW, scaleH, scaleFrames)
@@ -275,9 +224,6 @@ func benchDecodeCodec(b *testing.B, c Codec) {
 	}
 }
 
-func BenchmarkEncodeMPEG2(b *testing.B) { benchEncodeCodec(b, MPEG2) }
-func BenchmarkEncodeMPEG4(b *testing.B) { benchEncodeCodec(b, MPEG4) }
-func BenchmarkEncodeH264(b *testing.B)  { benchEncodeCodec(b, H264) }
 func BenchmarkDecodeMPEG2(b *testing.B) { benchDecodeCodec(b, MPEG2) }
 func BenchmarkDecodeMPEG4(b *testing.B) { benchDecodeCodec(b, MPEG4) }
 func BenchmarkDecodeH264(b *testing.B)  { benchDecodeCodec(b, H264) }

@@ -7,13 +7,6 @@
 //	hdvbench -fig1b                # Figure 1(b): decode fps, SIMD
 //	hdvbench -fig1c                # Figure 1(c): encode fps, scalar
 //	hdvbench -fig1d                # Figure 1(d): encode fps, SIMD
-//	hdvbench -scaling              # Figure 1 scaling: encode+decode fps
-//	                               # sweeping slices {1,2,4} × workers
-//	                               # {1,2,4,NumCPU} at the paper's
-//	                               # first-frame-only-intra default
-//	hdvbench -scaling -json f.json # same, plus machine-readable results
-//	                               # (the BENCH_*.json trajectory format;
-//	                               # "-" writes the JSON to stdout)
 //	hdvbench -summary              # §VI: compression gains + SIMD speed-ups
 //
 // Common flags: -frames N (default 25; the paper uses 100), -q N
@@ -29,12 +22,11 @@
 // -gop N sets the intra period that defines the closed GOP chunks
 // (default 0 = first frame only, the paper's setting); -slices N splits
 // every frame into N independently coded macroblock-row slices, the
-// axis that parallelizes encode and decode even at -gop 0 (default 1;
-// in -scaling mode 0 means "sweep {1,2,4}"). Output streams are
-// byte-identical for every -workers value at a fixed -slices count.
-// -wavefront adds the third axis: 2D wavefront scheduling of the
-// macroblocks inside every slice, which parallelizes encode even at
-// -gop 0 -slices 1 with zero compression cost — the bitstream is
+// axis that parallelizes encode and decode even at -gop 0 (default 1).
+// Output streams are byte-identical for every -workers value at a fixed
+// -slices count. -wavefront adds the third axis: 2D wavefront scheduling
+// of the macroblocks inside every slice, which parallelizes encode even
+// at -gop 0 -slices 1 with zero compression cost — the bitstream is
 // byte-identical with the flag on or off.
 package main
 
@@ -58,16 +50,14 @@ func main() {
 		fig1b    = flag.Bool("fig1b", false, "decode fps, SIMD kernels (Figure 1b)")
 		fig1c    = flag.Bool("fig1c", false, "encode fps, scalar kernels (Figure 1c)")
 		fig1d    = flag.Bool("fig1d", false, "encode fps, SIMD kernels (Figure 1d)")
-		scaling  = flag.Bool("scaling", false, "fps at 1,2,4,NumCPU workers (Figure 1 scaling dimension)")
 		ladder   = flag.String("ladder", "", "rendition-ladder encode, e.g. 240p,576p@1200,720p: decode once, share the top rung's motion analysis down the ladder")
 		kbps     = flag.Int("kbps", 0, "with -ladder: default bitrate target for rungs without an explicit @kbps (0 = constant-Q)")
-		jsonPath = flag.String("json", "", "with -scaling: write machine-readable results to this file (\"-\" = stdout)")
 		summary  = flag.Bool("summary", false, "compression gains and SIMD speed-ups (§VI)")
 		frames   = flag.Int("frames", 25, "frames per sequence (paper: 100)")
 		repeats  = flag.Int("repeats", 3, "timing repetitions, fastest kept (paper: 5 runs)")
 		q        = flag.Int("q", 5, "quantizer, MPEG scale 1..31 (paper: 5)")
 		gop      = flag.Int("gop", 0, "intra period / closed-GOP length (0 = first frame only)")
-		slices   = flag.Int("slices", 0, "macroblock-row slices per frame (0 = 1, or the {1,2,4} sweep in -scaling mode)")
+		slices   = flag.Int("slices", 0, "macroblock-row slices per frame (0 = 1)")
 		wavefrnt = flag.Bool("wavefront", false, "wavefront (2D) macroblock scheduling inside each slice (encode; bytes unchanged)")
 		workers  = flag.Int("workers", runtime.NumCPU(), "worker-goroutine budget shared by GOP chunks, slices and wavefront rows (1 = serial)")
 		resList  = flag.String("res", "", "comma-separated resolutions, up to 2160p25 (default: the paper's three)")
@@ -178,49 +168,6 @@ func main() {
 	if *fig1d {
 		runFig(true, true, "Figure 1(d): Encoding Performance with SIMD Optimizations")
 	}
-	if *scaling {
-		// The scaling run sweeps slices × workers at the options' GOP
-		// setting — by default the paper's first-frame-only-intra shape,
-		// where slices are the only axis that buys multicore speedup.
-		sliceCounts := []int{1, 2, 4}
-		if *slices > 0 {
-			sliceCounts = []int{*slices}
-		}
-		var all []hdvideobench.SpeedResult
-		for _, dir := range []struct {
-			encode bool
-			title  string
-		}{
-			{false, "Figure 1 scaling: Decoding Performance by Worker Count"},
-			{true, "Figure 1 scaling: Encoding Performance by Worker Count"},
-		} {
-			rs, err := hdvideobench.RunScalingMatrixReport(opts, dir.encode, nil, sliceCounts)
-			if err != nil {
-				fatalf("scaling: %v", err)
-			}
-			// With the JSON going to stdout, keep it parseable: the
-			// human-readable tables move to stderr.
-			table := hdvideobench.FormatScaling(rs, dir.title)
-			if *jsonPath == "-" {
-				fmt.Fprint(os.Stderr, table)
-			} else {
-				fmt.Print(table)
-			}
-			all = append(all, rs...)
-		}
-		if *jsonPath != "" {
-			out, err := hdvideobench.FormatScalingJSON(opts, all)
-			if err != nil {
-				fatalf("scaling json: %v", err)
-			}
-			if *jsonPath == "-" {
-				os.Stdout.Write(out)
-			} else if err := os.WriteFile(*jsonPath, out, 0o644); err != nil {
-				fatalf("scaling json: %v", err)
-			}
-		}
-		ran = true
-	}
 	if *ladder != "" {
 		runLadder(opts, *ladder, *kbps, *frames, *q, *gop, *slices, *wavefrnt, *workers)
 		ran = true
@@ -250,7 +197,7 @@ func main() {
 	}
 	if !ran {
 		fmt.Print(hdvideobench.Describe())
-		fmt.Println("\nrun with -table5, -fig1a..-fig1d or -summary; see -help")
+		fmt.Println("\nrun with -describe, -table5, -fig1a..-fig1d, -summary or -ladder; see -help")
 	}
 }
 

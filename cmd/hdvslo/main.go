@@ -13,7 +13,7 @@
 //	hdvslo -fps 24,30,60 -clients 8
 //	hdvslo -search -miss-budget 0.01 -max-streams 32
 //	hdvslo -url http://host:8080    # against an already-running hdvserve
-//	hdvslo -json BENCH_SLO.json     # machine-readable trajectory report
+//	hdvslo -json slo.json           # machine-readable report
 //	hdvslo -short -json -           # CI smoke: tiny run, JSON to stdout
 //
 // With no -url the harness starts the production handler (internal/serve,

@@ -41,8 +41,7 @@
 // (NewStreamEncoder, EncodeStream) run over a slice, so every entry point
 // schedules chunks, slices and rows the same way.
 // SuiteOptions.Workers threads the same parallelism through the Table V
-// and Figure 1 runners, and RunScalingMatrixReport adds the
-// frames/s-by-worker-count dimension to Figure 1.
+// and Figure 1 runners.
 //
 // # Slice-level parallelism
 //
@@ -57,7 +56,6 @@
 // axes compose without ever exceeding Workers goroutines. Slices change
 // the bitstream (a small, bounded quality cost), but for a fixed slice
 // count the output remains byte-identical at every worker count.
-// RunScalingMatrixReport sweeps the full slices × workers grid.
 //
 // See the examples/ directory for complete programs (examples/parallel is
 // the parallel API demo) and cmd/hdvbench for the benchmark front end;
@@ -491,30 +489,6 @@ func RunFigure1(o SuiteOptions, encode bool) ([]SpeedResult, error) {
 		dir = core.Encode
 	}
 	return core.RunSpeed(o, dir)
-}
-
-// RunScalingMatrixReport sweeps the full slices × workers grid: every
-// slice count is measured at every worker count under otherwise
-// identical options (IntraPeriod is honored as given — 0, the paper's
-// default, is exactly where slices are the only scaling axis). nil
-// workerCounts defaults to {1, 2, 4, runtime.NumCPU()}; nil sliceCounts
-// measures only o.Slices.
-func RunScalingMatrixReport(o SuiteOptions, encode bool, workerCounts, sliceCounts []int) ([]SpeedResult, error) {
-	dir := core.Decode
-	if encode {
-		dir = core.Encode
-	}
-	return core.RunScalingMatrix(o, dir, workerCounts, sliceCounts)
-}
-
-// FormatScaling renders scaling results as a worker-count table.
-func FormatScaling(rs []SpeedResult, title string) string { return core.FormatScaling(rs, title) }
-
-// FormatScalingJSON renders scaling results as machine-readable JSON
-// (the BENCH_*.json trajectory format), carrying the run configuration
-// so the file is self-describing.
-func FormatScalingJSON(o SuiteOptions, rs []SpeedResult) ([]byte, error) {
-	return core.FormatScalingJSON(o, rs)
 }
 
 // FormatTableV renders RD results in the paper's Table V layout.

@@ -7,9 +7,7 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sort"
 	"strings"
 	"time"
 
@@ -275,13 +273,7 @@ type SpeedResult struct {
 	Resolution Resolution
 	Codec      CodecID
 	Direction  Direction
-	Kernels    kernel.Set
-	Workers    int  // worker budget, resolved (1 = serial path)
-	Slices     int  // macroblock-row slices per frame (0/1 = one slice)
-	Wavefront  bool // wavefront (2D) macroblock scheduling inside slices
-	GOP        int  // effective intra period (0 = first frame only)
 	FPS        float64
-	Frames     int
 }
 
 // RunSpeed measures encode or decode throughput for the matrix in o
@@ -327,13 +319,7 @@ func RunSpeed(o SuiteOptions, dir Direction) ([]SpeedResult, error) {
 				Resolution: res,
 				Codec:      id,
 				Direction:  dir,
-				Kernels:    cfg.Kernels,
-				Workers:    resolveWorkers(o.Workers),
-				Slices:     max(o.Slices, 1),
-				Wavefront:  o.Wavefront,
-				GOP:        o.IntraPeriod,
 				FPS:        float64(frames[ci]) / slices.Min(times[ci]).Seconds(),
-				Frames:     frames[ci],
 			})
 		}
 	}
@@ -355,52 +341,4 @@ func timeClip(o SuiteOptions, dir Direction, id CodecID, cfg codec.Config, input
 	start := time.Now()
 	decoded, err := DecodePacketsParallel(hdr, cfg.Kernels, pkts, o.Workers)
 	return len(decoded), time.Since(start), err
-}
-
-// RunScalingMatrix sweeps the full slices × workers grid: for every
-// slice count the same bitstream is coded at every worker count, so the
-// matrix shows both the intra-frame scaling (slices at the paper's
-// IntraPeriod == 0 default) and the prediction-efficiency price of
-// slicing. sliceCounts nil measures only o.Slices; workerCounts nil
-// defaults to {1, 2, 4, runtime.NumCPU()}. Worker counts are resolved
-// as every call resolves them (0 is 1, negative is runtime.NumCPU()),
-// and counts that resolve alike are measured once.
-func RunScalingMatrix(o SuiteOptions, dir Direction, workerCounts, sliceCounts []int) ([]SpeedResult, error) {
-	o = o.defaults()
-	if len(workerCounts) == 0 {
-		workerCounts = []int{1, 2, 4, runtime.NumCPU()}
-	}
-	budgets := make([]int, len(workerCounts))
-	for i, wc := range workerCounts {
-		budgets[i] = resolveWorkers(wc)
-	}
-	if len(sliceCounts) == 0 {
-		sliceCounts = []int{max(o.Slices, 1)}
-	}
-	dedup := func(in []int) []int {
-		out := make([]int, 0, len(in))
-		seen := map[int]bool{}
-		for _, v := range in {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
-			}
-		}
-		sort.Ints(out)
-		return out
-	}
-	var results []SpeedResult
-	for _, sc := range dedup(sliceCounts) {
-		for _, wc := range dedup(budgets) {
-			ow := o
-			ow.Slices = sc
-			ow.Workers = wc
-			rs, err := RunSpeed(ow, dir)
-			if err != nil {
-				return nil, fmt.Errorf("scaling at %d slices, %d workers: %w", sc, wc, err)
-			}
-			results = append(results, rs...)
-		}
-	}
-	return results, nil
 }

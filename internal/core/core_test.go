@@ -2,10 +2,10 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
-	"hdvideobench/internal/kernel"
 	"hdvideobench/internal/seqgen"
 )
 
@@ -187,34 +187,26 @@ func TestRunSpeedEncodeSlowerThanDecode(t *testing.T) {
 	}
 }
 
-// TestRunScalingMatrixResolvesWorkers: worker options that resolve to
-// the same budget (-1 and NumCPU, 0 and 1) are one measurement, and the
-// results report the budget that ran, never the raw option.
-func TestRunScalingMatrixResolvesWorkers(t *testing.T) {
-	o := tinyOptions()
-	o.Frames = 2
-	o.Sequences = []seqgen.Sequence{seqgen.BlueSky}
-	o.Codecs = []CodecID{MPEG2}
-	results, err := RunScalingMatrix(o, Encode, []int{-1, 0, 1, runtime.NumCPU()}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[int]bool{1: true, runtime.NumCPU(): true}
-	seen := map[int]bool{}
-	for _, r := range results {
-		if !want[r.Workers] || seen[r.Workers] {
-			t.Errorf("result for %d workers; want one each for %v", r.Workers, want)
+// TestResolveWorkers pins the worker rule every call's gate is built
+// with: negative selects runtime.NumCPU(), 0 and 1 one instance, and any
+// other count is the budget as given.
+func TestResolveWorkers(t *testing.T) {
+	for _, c := range []struct{ in, want int }{
+		{-1, runtime.NumCPU()},
+		{0, 1},
+		{1, 1},
+		{3, 3},
+		{runtime.NumCPU(), runtime.NumCPU()},
+	} {
+		if got := resolveWorkers(c.in); got != c.want {
+			t.Errorf("resolveWorkers(%d) = %d, want %d", c.in, got, c.want)
 		}
-		seen[r.Workers] = true
-	}
-	if len(results) != len(want) {
-		t.Fatalf("%d results, want %d", len(results), len(want))
 	}
 }
 
 func TestSpeedupsJoin(t *testing.T) {
 	scalar := []SpeedResult{{Resolution: Resolutions[0], Codec: MPEG2, Direction: Decode, FPS: 10}}
-	simd := []SpeedResult{{Resolution: Resolutions[0], Codec: MPEG2, Direction: Decode, Kernels: kernel.SWAR, FPS: 15}}
+	simd := []SpeedResult{{Resolution: Resolutions[0], Codec: MPEG2, Direction: Decode, FPS: 15}}
 	sp := Speedups(scalar, simd)
 	if len(sp) != 1 || sp[0].Speedup() != 1.5 {
 		t.Fatalf("speedups = %+v", sp)
@@ -245,5 +237,20 @@ func TestFormatFigure1(t *testing.T) {
 	}
 	if !strings.Contains(out, "19.00 ") {
 		t.Errorf("missing below-real-time value:\n%s", out)
+	}
+
+	// Resolutions outside the paper's three get rows too, after the
+	// paper's in table order.
+	results = append([]SpeedResult{
+		{Resolution: UHD2160, Codec: MPEG2, Direction: Decode, FPS: 3},
+		{Resolution: Resolutions[2], Codec: MPEG2, Direction: Decode, FPS: 9},
+	}, results...)
+	lines := strings.Split(strings.TrimSuffix(FormatFigure1(results, "x"), "\n"), "\n")
+	var rows []string
+	for _, l := range lines[2:] {
+		rows = append(rows, strings.Fields(l)[0])
+	}
+	if want := []string{"576p25", "1088p25", "2160p25"}; !slices.Equal(rows, want) {
+		t.Errorf("rows %v, want %v:\n%s", rows, want, strings.Join(lines, "\n"))
 	}
 }

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 
@@ -65,7 +63,9 @@ func resOrder(name string) int {
 }
 
 // FormatFigure1 renders speed results as the fps series of one Figure 1
-// panel, with the 25 fps real-time line marked.
+// panel, with the 25 fps real-time line marked: one row per measured
+// resolution, the paper's three in table order and any other after them
+// in the order it was measured.
 func FormatFigure1(results []SpeedResult, title string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (frames per second; real time = 25 fps)\n", title)
@@ -74,21 +74,21 @@ func FormatFigure1(results []SpeedResult, title string) string {
 		fmt.Fprintf(&b, " %12s", c)
 	}
 	b.WriteString("\n")
-	for _, res := range Resolutions {
-		row := map[CodecID]float64{}
-		found := false
-		for _, r := range results {
-			if r.Resolution.Name == res.Name {
-				row[r.Codec] = r.FPS
-				found = true
-			}
+	rows := map[string]map[CodecID]float64{}
+	var names []string
+	for _, r := range results {
+		name := r.Resolution.Name
+		if rows[name] == nil {
+			rows[name] = map[CodecID]float64{}
+			names = append(names, name)
 		}
-		if !found {
-			continue
-		}
-		fmt.Fprintf(&b, "%-10s", res.Name)
+		rows[name][r.Codec] = r.FPS
+	}
+	sort.SliceStable(names, func(i, j int) bool { return resOrder(names[i]) < resOrder(names[j]) })
+	for _, name := range names {
+		fmt.Fprintf(&b, "%-10s", name)
 		for _, c := range AllCodecs {
-			if fps, ok := row[c]; ok {
+			if fps, ok := rows[name][c]; ok {
 				mark := " "
 				if fps >= 25 {
 					mark = "*" // meets real time
@@ -101,164 +101,6 @@ func FormatFigure1(results []SpeedResult, title string) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// FormatScaling renders RunScalingMatrix results as one worker-count
-// column per measured count: the Figure 1 scaling dimension. Each cell
-// shows frames per second and, beyond one worker, the speed-up over the
-// one-worker run.
-func FormatScaling(results []SpeedResult, title string) string {
-	var b strings.Builder
-	note := ""
-	if len(results) > 0 && results[0].Wavefront {
-		note = "; wavefront MB scheduling on"
-	}
-	fmt.Fprintf(&b, "%s (frames per second by worker count; identical bitstreams per slice count%s)\n", title, note)
-
-	var counts []int
-	seen := map[int]bool{}
-	for _, r := range results {
-		if !seen[r.Workers] {
-			seen[r.Workers] = true
-			counts = append(counts, r.Workers)
-		}
-	}
-	sort.Ints(counts)
-
-	multiSlice := false
-	{
-		seen := map[int]bool{}
-		for _, r := range results {
-			seen[max(r.Slices, 1)] = true
-		}
-		multiSlice = len(seen) > 1
-	}
-
-	type key struct {
-		res    string
-		codec  CodecID
-		slices int
-	}
-	cells := map[key]map[int]float64{}
-	var keys []key
-	for _, r := range results {
-		k := key{r.Resolution.Name, r.Codec, max(r.Slices, 1)}
-		if cells[k] == nil {
-			cells[k] = map[int]float64{}
-			keys = append(keys, k)
-		}
-		cells[k][r.Workers] = r.FPS
-	}
-	sort.SliceStable(keys, func(i, j int) bool {
-		if keys[i].res != keys[j].res {
-			return resOrder(keys[i].res) < resOrder(keys[j].res)
-		}
-		if keys[i].codec != keys[j].codec {
-			return keys[i].codec < keys[j].codec
-		}
-		return keys[i].slices < keys[j].slices
-	})
-
-	label := func(k key) string {
-		if multiSlice {
-			return fmt.Sprintf("%-8s s=%d", k.codec, k.slices)
-		}
-		return fmt.Sprintf("%-8s", k.codec)
-	}
-	lw := 8
-	if multiSlice {
-		lw = 13
-	}
-	fmt.Fprintf(&b, "%-10s %-*s", "", lw, "")
-	for _, wc := range counts {
-		fmt.Fprintf(&b, " %14s", fmt.Sprintf("%d worker(s)", wc))
-	}
-	b.WriteString("\n")
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-10s %-*s", k.res, lw, label(k))
-		base := cells[k][counts[0]]
-		for i, wc := range counts {
-			fps, ok := cells[k][wc]
-			if !ok {
-				fmt.Fprintf(&b, " %14s", "-")
-				continue
-			}
-			if i == 0 || base == 0 {
-				fmt.Fprintf(&b, " %10.2f    ", fps)
-			} else {
-				fmt.Fprintf(&b, " %8.2f %4.1fx", fps, fps/base)
-			}
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ScalingRecord is one machine-readable scaling measurement — the JSON
-// shape of a SpeedResult, stable for trend tracking.
-type ScalingRecord struct {
-	Direction  string  `json:"direction"`
-	Resolution string  `json:"resolution"`
-	Codec      string  `json:"codec"`
-	Kernels    string  `json:"kernels"`
-	Workers    int     `json:"workers"`
-	Slices     int     `json:"slices"`
-	Wavefront  bool    `json:"wavefront"`
-	GOP        int     `json:"gop"` // effective intra period of this run
-	FPS        float64 `json:"fps"`
-	Frames     int     `json:"frames"`
-}
-
-// ScalingReport is the machine-readable envelope for RunScalingMatrix
-// results: enough host and configuration metadata to compare runs across
-// machines and commits (the BENCH_*.json trajectory). The coding
-// configuration that can vary per measurement — workers, slices, and the
-// effective intra period — lives on each record, so a report always
-// describes exactly what ran.
-type ScalingReport struct {
-	Benchmark string          `json:"benchmark"`
-	GoOS      string          `json:"goos"`
-	GoArch    string          `json:"goarch"`
-	NumCPU    int             `json:"num_cpu"`
-	Frames    int             `json:"frames_per_sequence"`
-	Q         int             `json:"q"`
-	Repeats   int             `json:"repeats"`
-	Results   []ScalingRecord `json:"results"`
-}
-
-// FormatScalingJSON renders scaling results as indented JSON, carrying
-// the run configuration from o so a captured file is self-describing.
-func FormatScalingJSON(o SuiteOptions, results []SpeedResult) ([]byte, error) {
-	o = o.defaults()
-	rep := ScalingReport{
-		Benchmark: "hdvbench-scaling",
-		GoOS:      runtime.GOOS,
-		GoArch:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Frames:    o.Frames,
-		Q:         o.Q,
-		Repeats:   max(o.Repeats, 1),
-		Results:   make([]ScalingRecord, 0, len(results)),
-	}
-	for _, r := range results {
-		rep.Results = append(rep.Results, ScalingRecord{
-			Direction:  strings.ToLower(r.Direction.String()),
-			Resolution: r.Resolution.Name,
-			Codec:      r.Codec.String(),
-			Kernels:    r.Kernels.String(),
-			Workers:    r.Workers,
-			Slices:     max(r.Slices, 1),
-			Wavefront:  r.Wavefront,
-			GOP:        r.GOP,
-			FPS:        r.FPS,
-			Frames:     r.Frames,
-		})
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(out, '\n'), nil
 }
 
 // GainResult summarizes compression gains at one resolution (the §VI

@@ -264,23 +264,3 @@ func TestTranscodeTruncatedInput(t *testing.T) {
 		t.Fatalf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
-
-// TestFormatScalingJSON checks the machine-readable scaling report is
-// valid JSON with the configuration echoed.
-func TestFormatScalingJSON(t *testing.T) {
-	o := core.SuiteOptions{Frames: 4, Q: 5, IntraPeriod: 2, Repeats: 1}
-	results := []core.SpeedResult{
-		{Resolution: core.Resolutions[0], Codec: core.MPEG2, Direction: core.Encode, Workers: 1, GOP: 2, FPS: 10, Frames: 4},
-		{Resolution: core.Resolutions[0], Codec: core.MPEG2, Direction: core.Encode, Workers: 2, GOP: 2, FPS: 19, Frames: 4},
-	}
-	out, err := core.FormatScalingJSON(o, results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(out)
-	for _, want := range []string{`"benchmark": "hdvbench-scaling"`, `"workers": 2`, `"direction": "encoding"`, `"gop": 2`, `"num_cpu"`} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("JSON missing %s:\n%s", want, s)
-		}
-	}
-}

@@ -5,9 +5,8 @@ import (
 	"fmt"
 )
 
-// Report is the BENCH_SLO.json document: one harness invocation's
-// configuration and results, in the machine-readable trajectory style
-// of the BENCH_PR*.json files.
+// Report is the document hdvslo -json writes: one harness invocation's
+// configuration and results, with the host it ran on.
 type Report struct {
 	Benchmark   string `json:"benchmark"` // always "hdvslo"
 	Description string `json:"description,omitempty"`
@@ -60,7 +59,7 @@ type ReportSearch struct {
 }
 
 // Marshal renders the report as indented JSON with a trailing newline,
-// the on-disk BENCH_SLO.json encoding.
+// the encoding hdvslo -json writes.
 func (r Report) Marshal() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

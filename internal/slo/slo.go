@@ -47,8 +47,9 @@
 // for the largest N whose run stays within a deadline-miss budget
 // (misses = late + dropped, as a fraction of expected frames; any
 // transport error disqualifies). That N — max sustainable streams — is
-// the capacity figure BENCH_SLO.json tracks per {cold, warm} × fps
-// point: cold measures the encode path, warm the gopcache serving path.
+// the capacity figure the hdvslo -json report carries per {cold, warm}
+// × fps point: cold measures the encode path, warm the gopcache serving
+// path.
 package slo
 
 import (
