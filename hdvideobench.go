@@ -348,16 +348,11 @@ func DecodePacketsParallel(hdr StreamHeader, simd bool, workers int, pkts []Pack
 // scheduling model.
 type StreamEncoder = stream.Encoder
 
-// StreamDecoder is the streaming decoder: Write accepts coding-order
-// packets, ReadFrame emits display-order frames, same windowed contract
-// as StreamEncoder.
-type StreamDecoder = stream.Decoder
-
-// ErrStreamAborted is the cause StreamEncoder.Abort and
-// StreamDecoder.Abort tear a stream down with: the stream's calls return
-// it afterwards. A stream torn down by a failure instead returns that
-// failure, and the one-call entry points (EncodeStream, Transcode, ...)
-// return their first failure, never ErrStreamAborted.
+// ErrStreamAborted is the cause StreamEncoder.Abort tears a stream down
+// with: the stream's calls return it afterwards. A stream torn down by a
+// failure instead returns that failure, and the one-call entry points
+// (EncodeStream, Transcode, ...) return their first failure, never
+// ErrStreamAborted.
 var ErrStreamAborted = stream.ErrAborted
 
 // Collector is the encode pipeline's observability hook (see
@@ -385,26 +380,20 @@ func NewStreamEncoder(c Codec, opts EncoderOptions) (*StreamEncoder, error) {
 	return core.NewStreamEncoder(c, cfg, opts.Workers, opts.Window, opts.Collector)
 }
 
-// NewStreamDecoder builds a streaming decoder for a coded stream. simd
-// selects the SWAR kernels as in NewDecoder; workers and window as in
-// NewStreamEncoder.
-func NewStreamDecoder(hdr StreamHeader, simd bool, workers, window int) (*StreamDecoder, error) {
-	return core.NewStreamDecoder(hdr, core.Kernels(simd), workers, window)
-}
-
 // EncodeStream pulls frames from next until it returns io.EOF, encodes
 // them as c, and writes the HDVB container to w incrementally — the
 // constant-memory counterpart of EncodeFramesParallel + WriteStream.
 // When w exposes an http.ResponseWriter-style Flush, every packet is
 // flushed onto the wire as it is coded. frames declares the sequence
 // length in the container header when known upfront (readers can then
-// detect truncated transfers); 0 means unknown, read until EOF.
+// detect truncated transfers); 0 means unknown, read until EOF. The
+// returned stats carry the GOP index of the written bytes (GOPs).
 func EncodeStream(w io.Writer, c Codec, opts EncoderOptions, frames int, next func() (*Frame, error)) (StreamStats, error) {
 	cfg, err := core.CodecConfig(opts)
 	if err != nil {
 		return StreamStats{}, err
 	}
-	return core.EncodeStream(w, c, cfg, opts.Workers, opts.Window, frames, next, nil, opts.Collector)
+	return core.EncodeStream(w, c, cfg, opts.Workers, opts.Window, frames, next, opts.Collector)
 }
 
 // GOPIndex locates every closed GOP of a coded stream by byte offset —
@@ -416,25 +405,6 @@ type GOPIndex = container.GOPIndex
 // GOPIndexEntry is one GOPIndex row: the byte offset of a GOP's first
 // packet header and the display index of its first (I) frame.
 type GOPIndexEntry = container.GOPIndexEntry
-
-// EncodeStreamIndexed is EncodeStream plus a GOP index of the produced
-// container: the returned index records the byte offset and first frame
-// of every closed-GOP chunk, built on the fly without re-parsing the
-// stream. The container bytes are identical to EncodeStream's. Use a
-// bounded opts.IntraPeriod: indexing drains chunk-granularly, so a
-// boundary-less stream would buffer all its coded packets as one chunk.
-func EncodeStreamIndexed(w io.Writer, c Codec, opts EncoderOptions, frames int, next func() (*Frame, error)) (StreamStats, GOPIndex, error) {
-	cfg, err := core.CodecConfig(opts)
-	if err != nil {
-		return StreamStats{}, GOPIndex{}, err
-	}
-	var idx GOPIndex
-	stats, err := core.EncodeStream(w, c, cfg, opts.Workers, opts.Window, frames, next, func(offset int64, frame int) {
-		idx.Entries = append(idx.Entries, GOPIndexEntry{Offset: offset, Frame: frame})
-	}, opts.Collector)
-	idx.Size = stats.Bytes
-	return stats, idx, err
-}
 
 // DecodeStream reads an HDVB container from r incrementally, decodes it,
 // and hands each display-order frame to yield — the constant-memory

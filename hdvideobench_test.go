@@ -133,10 +133,6 @@ func TestEncoderOptionsValidation(t *testing.T) {
 			_, err := EncodeStream(io.Discard, H264, o, 0, next())
 			return err
 		}},
-		{"EncodeStreamIndexed", func(o EncoderOptions) error {
-			_, _, err := EncodeStreamIndexed(io.Discard, H264, o, 0, next())
-			return err
-		}},
 		{"EncodeLadder", func(o EncoderOptions) error { _, err := EncodeLadder(H264, o, frames, rungs); return err }},
 		{"Transcode", func(o EncoderOptions) error {
 			_, err := Transcode(bytes.NewReader(src.Bytes()), io.Discard, H264, o)

@@ -28,6 +28,22 @@ import (
 // stream the offsets index into — for a cache entry file, everything
 // before the record.
 
+// GOPTracker finds the closed GOPs of a coding-order packet stream as it
+// goes by: a GOP opens at an I packet that displays after every earlier
+// packet. No reference crosses that boundary, so decoding can start
+// there. An I packet that displays before some earlier packet opens
+// nothing. The zero value is ready to use.
+type GOPTracker struct {
+	end int // 1 + the highest display index seen
+}
+
+// Opens reports whether p opens a closed GOP, and notes p as seen.
+func (t *GOPTracker) Opens(p Packet) bool {
+	opens := p.Type == FrameI && p.DisplayIndex >= t.end
+	t.end = max(t.end, p.DisplayIndex+1)
+	return opens
+}
+
 // GOPIndexEntry locates one closed GOP inside a coded stream.
 type GOPIndexEntry struct {
 	Offset int64 // byte offset of the GOP's first packet header

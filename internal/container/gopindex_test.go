@@ -101,3 +101,31 @@ func TestGOPIndexCorrupt(t *testing.T) {
 		binary.LittleEndian.PutUint64(b[recStart+9+24:], 150)
 	})
 }
+
+// TestGOPTracker drives the closed-GOP rule over coding-order packets:
+// the zero value opens at the first I packet, B packets that display
+// before the I coded ahead of them do not undo its opening, and an I
+// packet that an earlier packet displays after opens nothing.
+func TestGOPTracker(t *testing.T) {
+	cases := []struct {
+		name string
+		pkts string // packet types in coding order
+		disp []int  // their display indexes
+		want []bool
+	}{
+		{"zero value", "I", []int{0}, []bool{true}},
+		{"closed IPBB GOPs", "IPBBIPBB", []int{0, 3, 1, 2, 4, 7, 5, 6}, []bool{true, false, false, false, true, false, false, false}},
+		{"B packets coded after an I, displaying before it", "IPIBB", []int{0, 3, 6, 4, 5}, []bool{true, false, true, false, false}},
+		{"I displaying before an earlier packet", "IPIB", []int{0, 3, 2, 1}, []bool{true, false, false, false}},
+		{"stream opening on a P", "PI", []int{0, 1}, []bool{false, true}},
+	}
+	for _, tc := range cases {
+		var tr GOPTracker
+		for i, typ := range tc.pkts {
+			p := Packet{Type: FrameType(typ), DisplayIndex: tc.disp[i]}
+			if got := tr.Opens(p); got != tc.want[i] {
+				t.Errorf("%s: packet %d (%c, display %d): Opens = %v, want %v", tc.name, i, typ, p.DisplayIndex, got, tc.want[i])
+			}
+		}
+	}
+}

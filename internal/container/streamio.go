@@ -7,7 +7,8 @@ import (
 
 // StreamWriter is the incremental container writer for live transport:
 // one packet at a time, nothing buffered beyond the packet being
-// written, byte and packet accounting for stats, and write-through
+// written, byte and packet accounting for stats, the GOP index of the
+// bytes written so far, and write-through
 // flushing when the destination supports it — an http.ResponseWriter's
 // Flush pushes each packet onto the wire (chunked transfer), so a client
 // can start decoding before the encoder has finished the sequence.
@@ -17,8 +18,10 @@ import (
 // on purpose: batch file output should keep its batching, and callers
 // that want eager flushing there can call Flush themselves.
 type StreamWriter struct {
-	cw countingWriter
-	w  *Writer
+	cw   countingWriter
+	w    *Writer
+	gops GOPTracker
+	idx  []GOPIndexEntry
 
 	flush    func() error
 	flushErr func() error // explicit Flush() for error-returning flushers
@@ -44,11 +47,16 @@ func NewStreamWriter(w io.Writer, hdr Header) (*StreamWriter, error) {
 	return sw, nil
 }
 
-// WritePacket appends one coded frame and, when the destination is an
-// error-less flusher (http.ResponseWriter), flushes it onto the wire.
+// WritePacket appends one coded frame, indexing it when it opens a
+// closed GOP, and, when the destination is an error-less flusher
+// (http.ResponseWriter), flushes it onto the wire.
 func (sw *StreamWriter) WritePacket(p Packet) error {
+	at := sw.cw.n
 	if err := sw.w.WritePacket(p); err != nil {
 		return err
+	}
+	if sw.gops.Opens(p) {
+		sw.idx = append(sw.idx, GOPIndexEntry{Offset: at, Frame: p.DisplayIndex})
 	}
 	if sw.flush != nil {
 		return sw.flush()
@@ -74,6 +82,11 @@ func (sw *StreamWriter) Count() int { return sw.w.Count() }
 // BytesWritten returns the total container bytes produced, header
 // included.
 func (sw *StreamWriter) BytesWritten() int64 { return sw.cw.n }
+
+// GOPs returns the index entry of every closed GOP written so far, in
+// stream order: the byte offset of its I packet and that packet's
+// display index.
+func (sw *StreamWriter) GOPs() []GOPIndexEntry { return sw.idx }
 
 // StreamReader is the incremental container reader: it hands packets out
 // one at a time — never slurping the stream — and uses the header's

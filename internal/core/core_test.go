@@ -83,6 +83,25 @@ func TestRunRDShape(t *testing.T) {
 	}
 }
 
+// TestFormatGainsNeedsAllCodecs: a run without all three codecs on a
+// cell has no gains, and the report says so instead of ending at its
+// heading.
+func TestFormatGainsNeedsAllCodecs(t *testing.T) {
+	res, _ := ResolutionByName("576p25")
+	rs := []RDResult{
+		{Codec: MPEG2, Sequence: seqgen.BlueSky, Resolution: res, Kbps: 900},
+		{Codec: H264, Sequence: seqgen.BlueSky, Resolution: res, Kbps: 500},
+	}
+	out := FormatGains(CompressionGains(rs))
+	if !strings.Contains(out, "gains need MPEG-2, MPEG-4 and H.264 on the same resolution and sequence") {
+		t.Fatalf("report without a full cell:\n%s", out)
+	}
+	rs = append(rs, RDResult{Codec: MPEG4, Sequence: seqgen.BlueSky, Resolution: res, Kbps: 700})
+	if out := FormatGains(CompressionGains(rs)); strings.Contains(out, "gains need") || !strings.Contains(out, "576p25") {
+		t.Fatalf("report with a full cell:\n%s", out)
+	}
+}
+
 func TestCompressionGainsPositive(t *testing.T) {
 	results, err := RunRD(tinyOptions())
 	if err != nil {

@@ -1,11 +1,13 @@
-// The GOP tap on EncodeStream: the tap's offsets must point exactly at
-// the I packets that open each closed GOP (verified by re-walking the
-// container), and the tapped bytes must match the untapped ones.
+// The GOP index EncodeStream returns: read off the bytes as they are
+// written, it must point exactly at the I packets of the container, and
+// it must not depend on the schedule that coded them.
 package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
 	"hdvideobench/internal/container"
@@ -13,69 +15,86 @@ import (
 	"hdvideobench/internal/seqgen"
 )
 
-// TestEncodeStreamGOPTap encodes with the tap at several worker counts
-// and cross-checks every recorded (offset, frame) pair against a fresh
-// walk of the produced container.
-func TestEncodeStreamGOPTap(t *testing.T) {
-	const w, h, n, gop = 96, 80, 10, 3 // GOPs at frames 0,3,6,9
-	cfg := streamCfg(w, h, gop)
-
-	var plain bytes.Buffer
-	if _, err := core.EncodeStream(&plain, core.MPEG2, cfg, 1, 0, n,
-		frameFeeder(seqgen.BlueSky, w, h, n), nil, nil); err != nil {
+// walkIFrames walks a container and returns the byte offset and display
+// index of every I packet in it.
+func walkIFrames(t *testing.T, stream []byte) []container.GOPIndexEntry {
+	t.Helper()
+	sr, err := container.NewStreamReader(bytes.NewReader(stream))
+	if err != nil {
 		t.Fatal(err)
 	}
+	var is []container.GOPIndexEntry
+	for {
+		at := sr.BytesRead()
+		p, err := sr.Next()
+		if err == io.EOF {
+			return is
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Type == container.FrameI {
+			is = append(is, container.GOPIndexEntry{Offset: at, Frame: p.DisplayIndex})
+		}
+	}
+}
 
+// TestEncodeStreamGOPIndex encodes a clip whose scene cut falls inside
+// an intra period, with and without cut detection, at several worker
+// counts. Chunked and serial runs write the same bytes, and the index
+// must agree with them: every I packet found by walking the container,
+// the cut's included, at every worker count.
+func TestEncodeStreamGOPIndex(t *testing.T) {
+	const w, h, n, gop = 176, 144, 40, 32
+	for _, id := range []core.CodecID{core.MPEG2, core.H264} {
+		for _, cut := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/scenecut=%v", id, cut), func(t *testing.T) {
+				cfg := streamCfg(w, h, gop)
+				cfg.SceneCutIntra = cut
+				want := []int{0, gop}
+				if cut {
+					want = []int{0, seqgen.SceneCutPeriod, gop}
+				}
+				var first []container.GOPIndexEntry
+				for _, workers := range []int{1, 2, 4} {
+					var buf bytes.Buffer
+					stats, err := core.EncodeStream(&buf, id, cfg, workers, 0, n, frameFeeder(seqgen.SceneCut, w, h, n), nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					is := walkIFrames(t, buf.Bytes())
+					if !slices.Equal(stats.GOPs, is) {
+						t.Fatalf("workers=%d: index %v, I packets of the container %v", workers, stats.GOPs, is)
+					}
+					frames := make([]int, len(is))
+					for i, e := range is {
+						frames[i] = e.Frame
+					}
+					if !slices.Equal(frames, want) {
+						t.Fatalf("workers=%d: GOPs open at frames %v, want %v", workers, frames, want)
+					}
+					if first == nil {
+						first = stats.GOPs
+					} else if !slices.Equal(stats.GOPs, first) {
+						t.Fatalf("workers=%d: index %v, workers=1 gave %v", workers, stats.GOPs, first)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestEncodeStreamSingleGOPIndex: with no intra period the stream is one
+// GOP, indexed at frame 0 right behind the 20-byte stream header.
+func TestEncodeStreamSingleGOPIndex(t *testing.T) {
+	const w, h, n = 96, 80, 5
 	for _, workers := range []int{1, 4} {
-		var buf bytes.Buffer
-		type gopStart struct {
-			offset int64
-			frame  int
-		}
-		var taps []gopStart
-		stats, err := core.EncodeStream(&buf, core.MPEG2, cfg, workers, 0, n,
-			frameFeeder(seqgen.BlueSky, w, h, n),
-			func(offset int64, frame int) { taps = append(taps, gopStart{offset, frame}) }, nil)
+		stats, err := core.EncodeStream(io.Discard, core.MPEG2, streamCfg(w, h, 0), workers, 0, n, frameFeeder(seqgen.BlueSky, w, h, n), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), plain.Bytes()) {
-			t.Fatalf("workers=%d: tapped container differs from untapped", workers)
-		}
-
-		// Re-derive the truth: walk the container, noting the byte offset
-		// of every I packet header.
-		sr, err := container.NewStreamReader(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []gopStart
-		for {
-			at := sr.BytesRead()
-			p, err := sr.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Type == container.FrameI {
-				want = append(want, gopStart{at, p.DisplayIndex})
-			}
-		}
-		if len(want) != (n+gop-1)/gop {
-			t.Fatalf("stream has %d I packets, want %d", len(want), (n+gop-1)/gop)
-		}
-		if len(taps) != len(want) {
-			t.Fatalf("workers=%d: tap fired %d times, want %d", workers, len(taps), len(want))
-		}
-		for i := range want {
-			if taps[i] != want[i] {
-				t.Fatalf("workers=%d: tap %d = %+v, want %+v", workers, i, taps[i], want[i])
-			}
-		}
-		if stats.Bytes != int64(buf.Len()) {
-			t.Fatalf("stats.Bytes=%d, buffer holds %d", stats.Bytes, buf.Len())
+		if want := []container.GOPIndexEntry{{Offset: 20, Frame: 0}}; !slices.Equal(stats.GOPs, want) {
+			t.Fatalf("workers=%d: index %v, want %v", workers, stats.GOPs, want)
 		}
 	}
 }

@@ -246,15 +246,13 @@ func (s *streamSink) stats() StreamStats {
 	if s.sw == nil {
 		return StreamStats{}
 	}
-	return StreamStats{Frames: s.sw.Count(), Bytes: s.sw.BytesWritten()}
+	return StreamStats{Frames: s.sw.Count(), Bytes: s.sw.BytesWritten(), GOPs: s.sw.GOPs()}
 }
 
-// rungOut is one output of encodeRungs; onGOP, when set, is given each
-// closed GOP's first display index before its packets are written.
+// rungOut is one output of encodeRungs.
 type rungOut struct {
-	cfg   codec.Config
-	sink  packetSink
-	onGOP func(frame int)
+	cfg  codec.Config
+	sink packetSink
 }
 
 // encodeRungs is the one encode engine: EncodeStream,
@@ -318,9 +316,8 @@ func encodeRungs(ctx context.Context, cancel context.CancelCauseFunc, gate *pipe
 	return context.Cause(ctx)
 }
 
-// drainRung drains a rung's encoder into its sink — by packet, or by
-// chunk when it taps its GOPs — handing each packet to after, when set,
-// before writing it.
+// drainRung drains a rung's encoder into its sink packet by packet,
+// handing each packet to after, when set, before writing it.
 func drainRung(enc *stream.Encoder, r rungOut, after func(container.Packet) error, cancel context.CancelCauseFunc) {
 	write := r.sink.write
 	if after != nil {
@@ -331,19 +328,7 @@ func drainRung(enc *stream.Encoder, r rungOut, after func(container.Packet) erro
 			return r.sink.write(p)
 		}
 	}
-	if r.onGOP == nil {
-		drain(enc.ReadPacket, write, cancel)
-		return
-	}
-	drain(enc.ReadChunk, func(pkts []container.Packet) error {
-		r.onGOP(pkts[0].DisplayIndex)
-		for _, p := range pkts {
-			if err := write(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, cancel)
+	drain(enc.ReadPacket, write, cancel)
 }
 
 // relay carries the analysis rung's work to the seeded rungs it runs:

@@ -176,10 +176,14 @@ func CompressionGains(results []RDResult) []GainResult {
 	return out
 }
 
-// FormatGains renders the §VI compression-gain narrative.
+// FormatGains renders the §VI compression-gain narrative, or says why
+// there is none: a gain compares all three codecs on one cell.
 func FormatGains(gains []GainResult) string {
 	var b strings.Builder
 	b.WriteString("Compression gains at equal quantizer (paper §VI)\n")
+	if len(gains) == 0 {
+		b.WriteString("(none: gains need MPEG-2, MPEG-4 and H.264 on the same resolution and sequence)\n")
+	}
 	for _, g := range gains {
 		fmt.Fprintf(&b, "%-10s MPEG-4 vs MPEG-2: %5.1f%%   H.264 vs MPEG-2: %5.1f%%   H.264 vs MPEG-4: %5.1f%%\n",
 			g.Resolution, 100*g.Mpeg4VsMpeg2, 100*g.H264VsMpeg2, 100*g.H264VsMpeg4)

@@ -33,17 +33,6 @@ func NewStreamEncoder(id CodecID, cfg codec.Config, workers, window int, col *ob
 	return stream.NewEncoder(ctx, cancel, encoderFactory(id, cfg), cfg.IntraPeriod, workerGate(workers, col), window)
 }
 
-// NewStreamDecoder builds the streaming decoder for a coded stream
-// header: packets go in through Write, display-order frames come out of
-// ReadFrame, with at most window closed-GOP segments in flight.
-// workers <= 1 selects the serial mode; negative workers selects
-// runtime.NumCPU(). Like NewStreamEncoder's, the stream is a call of its
-// own.
-func NewStreamDecoder(hdr container.Header, kern kernel.Set, workers, window int) (*stream.Decoder, error) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	return stream.NewDecoder(ctx, cancel, decoderFactory(hdr, kern), workerGate(workers, nil), window)
-}
-
 // workerGate builds the token bank of one call: every stage of the call
 // is constructed on it, so together they keep to `workers` codec
 // goroutines.
@@ -72,6 +61,10 @@ func decoderFactory(hdr container.Header, kern kernel.Set) pipeline.DecoderFacto
 type StreamStats struct {
 	Frames int   // frames through the codec
 	Bytes  int64 // container bytes on the coded side
+	// GOPs indexes the closed GOPs of a written container, read off the
+	// bytes as they were written (container.StreamWriter). DecodeStream
+	// leaves it nil.
+	GOPs []container.GOPIndexEntry
 }
 
 // Teardown: every call below builds all its stages on one context,
@@ -161,6 +154,7 @@ func sliceNext[T any](in []T) func() (T, error) {
 // call — and writes the HDVB container to w incrementally: peak memory
 // stays O(window × GOP) regardless of sequence length. Any error from
 // next, the codec, or w tears the whole pipeline down and is returned.
+// The stats index the closed GOPs of the bytes written (GOPs).
 //
 // frames is the declared sequence length for the container header: when
 // the caller knows it upfront (a server encoding an N-frame request),
@@ -171,31 +165,18 @@ func sliceNext[T any](in []T) func() (T, error) {
 // of frames until EOF); readers then consume until EOF, matching the
 // header of a container written from EncodeSequenceParallel byte for
 // byte.
-//
-// onGOP, when non-nil, is called once per closed-GOP chunk with the byte
-// offset its first packet begins at in the container stream and the
-// display index of its first (I) frame — the record the disk-backed GOP
-// cache appends to entries so ranged/seeking clients get GOP-aligned
-// spans. The output bytes are identical with and without the tap; only
-// the drain granularity changes (whole chunks instead of single packets,
-// so each chunk's coded packets are buffered before writing — use a
-// bounded IntraPeriod when tapping, or a boundary-less stream degrades
-// to one stream-sized chunk of coded bytes).
-func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, frames int, next func() (*frame.Frame, error), onGOP func(offset int64, frame int), col *obs.Collector) (StreamStats, error) {
+func EncodeStream(w io.Writer, id CodecID, cfg codec.Config, workers, window, frames int, next func() (*frame.Frame, error), col *obs.Collector) (StreamStats, error) {
 	sink := &streamSink{w: w, frames: frames}
-	r := rungOut{cfg: cfg, sink: sink}
-	if onGOP != nil {
-		r.onGOP = func(frame int) { onGOP(sink.sw.BytesWritten(), frame) }
-	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	defer cancel(nil)
-	err := encodeRungs(ctx, cancel, workerGate(workers, col), factories(id), window, r, nil, next)
+	err := encodeRungs(ctx, cancel, workerGate(workers, col), factories(id), window, rungOut{cfg: cfg, sink: sink}, nil, next)
 	return sink.stats(), err
 }
 
 // DecodeStream reads an HDVB container from r incrementally, decodes it
 // with the streaming engine, and hands each display-order frame to
 // yield. An error from yield tears the pipeline down and is returned.
+// The stats carry no GOP index.
 func DecodeStream(r io.Reader, kern kernel.Set, workers, window int, yield func(*frame.Frame) error) (container.Header, StreamStats, error) {
 	sr, err := container.NewStreamReader(r)
 	if err != nil {

@@ -67,7 +67,7 @@ func TestEncodeStreamMatchesBatchContainer(t *testing.T) {
 	}
 
 	var streamed bytes.Buffer
-	stats, err := core.EncodeStream(&streamed, core.H264, cfg, 4, 0, 0, frameFeeder(seqgen.BlueSky, w, h, n), nil, nil)
+	stats, err := core.EncodeStream(&streamed, core.H264, cfg, 4, 0, 0, frameFeeder(seqgen.BlueSky, w, h, n), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestDecodeStreamRoundTrip(t *testing.T) {
 	const w, h, n, gop = 96, 80, 10, 3
 	cfg := streamCfg(w, h, gop)
 	var buf bytes.Buffer
-	if _, err := core.EncodeStream(&buf, core.MPEG4, cfg, 2, 0, 0, frameFeeder(seqgen.RushHour, w, h, n), nil, nil); err != nil {
+	if _, err := core.EncodeStream(&buf, core.MPEG4, cfg, 2, 0, 0, frameFeeder(seqgen.RushHour, w, h, n), nil); err != nil {
 		t.Fatal(err)
 	}
 	coded := buf.Bytes()
@@ -251,7 +251,7 @@ func TestTranscodeTruncatedInput(t *testing.T) {
 	const w, h, n, gop = 96, 80, 8, 4
 	cfg := streamCfg(w, h, gop)
 	var src bytes.Buffer
-	if _, err := core.EncodeStream(&src, core.MPEG2, cfg, 1, 0, 0, frameFeeder(seqgen.BlueSky, w, h, n), nil, nil); err != nil {
+	if _, err := core.EncodeStream(&src, core.MPEG2, cfg, 1, 0, 0, frameFeeder(seqgen.BlueSky, w, h, n), nil); err != nil {
 		t.Fatal(err)
 	}
 	// Rewrite the header to declare more frames than the stream holds,

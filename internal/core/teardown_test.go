@@ -168,7 +168,7 @@ func TestTranscodeFirstFailureWins(t *testing.T) {
 				i++
 				return frames[i-1], nil
 			}
-			if _, err := EncodeStream(&src, MPEG2, cfg, 1, 0, 0, next, nil, nil); err != nil {
+			if _, err := EncodeStream(&src, MPEG2, cfg, 1, 0, 0, next, nil); err != nil {
 				t.Fatal(err)
 			}
 			yielded := 0

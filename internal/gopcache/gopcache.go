@@ -2,11 +2,11 @@
 // behind cmd/hdvserve: identical transcode requests used to re-encode
 // from scratch every time, which made repeat traffic CPU-bound; caching
 // the coded container turns it into I/O-bound serving, the classic
-// CDN/origin split. The streaming encoder's closed-GOP chunk boundary is
-// the natural cache unit — every entry carries a GOP index trailer
-// (container.GOPIndex) recording where each chunk starts in the byte
-// stream, so ranged/seeking clients get GOP-aligned spans without the
-// server re-parsing anything.
+// CDN/origin split. The closed GOP is the natural seek unit — every
+// entry carries a GOP index trailer (container.GOPIndex), which the
+// container writer records as the bytes go out, of where each closed
+// GOP starts in the byte stream, so ranged/seeking clients get
+// GOP-aligned spans without the server re-parsing anything.
 //
 // # On-disk layout
 //
@@ -353,9 +353,6 @@ func (f *Fill) Write(p []byte) (int, error) {
 // Err returns the fill's first write failure, nil while every write has
 // succeeded.
 func (f *Fill) Err() error { return f.err }
-
-// Written returns the container bytes the fill has accepted.
-func (f *Fill) Written() int64 { return f.n }
 
 // Commit seals the fill: the GOP index (whose Size must equal the bytes
 // written) is appended as the entry's trailer, the temp file moves into

@@ -104,7 +104,7 @@ func TestCommitSizeMismatchRejected(t *testing.T) {
 // TestFillWriteFailureSticks: once a fill's write fails (here its file
 // is closed underneath it), later writes return that error without
 // writing, Commit refuses the fill, and neither an entry nor the fill's
-// temp file remains; Written counts only the bytes accepted before.
+// temp file remains; the fill accounts only the bytes accepted before.
 func TestFillWriteFailureSticks(t *testing.T) {
 	dir := t.TempDir()
 	c, err := Open(dir, 0)
@@ -129,10 +129,10 @@ func TestFillWriteFailureSticks(t *testing.T) {
 	if f.Err() != first {
 		t.Fatalf("Err() = %v, want %v", f.Err(), first)
 	}
-	if got := f.Written(); got != int64(len("HDVB head")) {
-		t.Fatalf("Written() = %d, want %d", got, len("HDVB head"))
+	if f.n != int64(len("HDVB head")) {
+		t.Fatalf("fill accounts %d bytes, want %d", f.n, len("HDVB head"))
 	}
-	if _, err := f.Commit(container.GOPIndex{Size: f.Written()}); !errors.Is(err, first) {
+	if _, err := f.Commit(container.GOPIndex{Size: f.n}); !errors.Is(err, first) {
 		t.Fatalf("Commit of a failed fill = %v, want it to wrap %v", err, first)
 	}
 	if _, ok := c.Get(testKey(0)); ok {

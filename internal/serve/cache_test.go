@@ -39,9 +39,9 @@ func countEncodes(s *Server) *atomic.Int64 {
 	var n atomic.Int64
 	inner := s.encode
 	s.encode = func(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-		frames int, next func() (*hdvideobench.Frame, error), indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
+		frames int, next func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error) {
 		n.Add(1)
-		return inner(w, c, opts, frames, next, indexed)
+		return inner(w, c, opts, frames, next)
 	}
 	return &n
 }
@@ -237,6 +237,67 @@ func TestRangeOverGOPIndex(t *testing.T) {
 	}
 }
 
+// TestColdStreamFirstPacket: a cached cold GET on one worker sends each
+// packet as soon as it is coded. The encoder may not pull frame 2 of an
+// 8-frame, gop=4 request until the client has the response headers,
+// which leave with the first packet; a drain that held the GOP back
+// until the next one opens (at frame 4) never gets there. The entry
+// committed behind the stream is indexed all the same.
+func TestColdStreamFirstPacket(t *testing.T) {
+	cfg := cachedServerConfig(t)
+	cfg.Workers = 1
+	s, ts := testServer(t, cfg)
+	headers := make(chan struct{})
+	var late atomic.Bool
+	inner := s.encode
+	s.encode = func(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
+		frames int, next func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error) {
+		pulled := 0
+		return inner(w, c, opts, frames, func() (*hdvideobench.Frame, error) {
+			if pulled == 2 {
+				select {
+				case <-headers:
+				case <-time.After(10 * time.Second):
+					late.Store(true)
+				}
+			}
+			pulled++
+			return next()
+		})
+	}
+	url := ts.URL + "/transcode?codec=mpeg2&width=96&height=80&frames=8&gop=4"
+
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(headers)
+	cold, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Load() {
+		t.Fatal("the encoder waited 10s to pull frame 2: the client had no response headers yet")
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-HDVB-Cache") != "miss" {
+		t.Fatalf("cold GET: status %d, cache %q: %s", resp.StatusCode, resp.Header.Get("X-HDVB-Cache"), cold)
+	}
+
+	hit, hitBody := get(t, url)
+	if hit.Header.Get("X-HDVB-Cache") != "hit" || !bytes.Equal(hitBody, cold) {
+		t.Fatalf("repeat GET: cache %q, %d bytes, want a hit equal to the cold %d bytes", hit.Header.Get("X-HDVB-Cache"), len(hitBody), len(cold))
+	}
+	_, idxBody := get(t, url+"&index=1")
+	var idx indexJSON
+	if err := json.Unmarshal(idxBody, &idx); err != nil {
+		t.Fatalf("parsing index JSON: %v\n%s", err, idxBody)
+	}
+	if idx.Size != int64(len(cold)) || len(idx.GOPs) != 2 || idx.GOPs[0] != (indexGOPJSON{Offset: 20, Frame: 0}) || idx.GOPs[1].Frame != 4 {
+		t.Fatalf("index %s, want GOPs at frames 0 (offset 20) and 4 of %d bytes", idxBody, len(cold))
+	}
+}
+
 // TestRangeOnColdCache: a Range request that misses the cache encodes
 // the entry first and then serves the requested span — one request,
 // no priming needed.
@@ -301,8 +362,8 @@ func TestErrorResponsesCarryNoStreamHeaders(t *testing.T) {
 
 	// A pre-stream encode failure: the hook dies before the first byte.
 	s.encode = func(io.Writer, hdvideobench.Codec, hdvideobench.EncoderOptions,
-		int, func() (*hdvideobench.Frame, error), bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
-		return hdvideobench.StreamStats{}, hdvideobench.GOPIndex{}, errors.New("encoder construction failed")
+		int, func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error) {
+		return hdvideobench.StreamStats{}, errors.New("encoder construction failed")
 	}
 	resp, body := get(t, ts.URL+"/transcode?width=96&height=80&frames=2&gop=2")
 	assertClean(resp, http.StatusBadRequest)

@@ -78,14 +78,14 @@ func TestSingleflightLeaderFailsFollowerTakesOver(t *testing.T) {
 	inner := s.encode
 	var failed atomic.Bool
 	s.encode = func(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-		frames int, next func() (*hdvideobench.Frame, error), indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
+		frames int, next func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error) {
 		if !failed.CompareAndSwap(false, true) {
-			return inner(w, c, opts, frames, next, indexed)
+			return inner(w, c, opts, frames, next)
 		}
 		close(started)
 		<-proceed
 		n, _ := w.Write([]byte("HDVB"))
-		return hdvideobench.StreamStats{Bytes: int64(n)}, hdvideobench.GOPIndex{}, errors.New("encoder died mid-stream")
+		return hdvideobench.StreamStats{Bytes: int64(n)}, errors.New("encoder died mid-stream")
 	}
 	encodes := countEncodes(s) // counts the failed run too
 	const w, h, frames, gop = 96, 80, 6, 3
@@ -198,10 +198,10 @@ func TestSingleflightFollowerDisconnect(t *testing.T) {
 	defer ungate() // a failed check must not leave the leader parked
 	inner := s.encode
 	s.encode = func(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-		frames int, next func() (*hdvideobench.Frame, error), indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
+		frames int, next func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error) {
 		close(started)
 		<-proceed
-		return inner(w, c, opts, frames, next, indexed)
+		return inner(w, c, opts, frames, next)
 	}
 	url := ts.URL + "/transcode?codec=mpeg2&width=96&height=80&frames=6&gop=3"
 

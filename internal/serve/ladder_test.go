@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"hdvideobench"
+	"hdvideobench/internal/container"
 )
 
 // countLadders wraps the server's ladder hook with an invocation
@@ -190,6 +192,23 @@ func TestLadderRungCacheSharing(t *testing.T) {
 	if n := ladders.Load(); n != 1 {
 		t.Fatalf("three rung requests ran %d ladder encodes, want 1", n)
 	}
+
+	// Both entries carry the GOP index of their bytes, the sibling's too.
+	p, err := s.parseTranscode(httptest.NewRequest("GET", base+"&rung=240p", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range [][]byte{coldBody, sibBody} {
+		ent, ok := s.cache.Get(p.rungKey(i))
+		if !ok {
+			t.Fatalf("rung %d has no cache entry", i)
+		}
+		want := []container.GOPIndexEntry{{Offset: 20, Frame: 0}} // 3 frames, gop 8: one GOP
+		if ent.Index.Size != int64(len(body)) || !slices.Equal(ent.Index.Entries, want) {
+			t.Errorf("rung %d: index %+v, want %d bytes with GOPs %v", i, ent.Index, len(body), want)
+		}
+		ent.Close()
+	}
 }
 
 // TestSingleflightColdFill proves the coalescing of concurrent cold
@@ -204,10 +223,10 @@ func TestSingleflightColdFill(t *testing.T) {
 	proceed := make(chan struct{})
 	inner := s.encode
 	s.encode = func(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-		frames int, next func() (*hdvideobench.Frame, error), indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
+		frames int, next func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error) {
 		close(started)
 		<-proceed
-		return inner(w, c, opts, frames, next, indexed)
+		return inner(w, c, opts, frames, next)
 	}
 	url := ts.URL + "/transcode?codec=mpeg2&width=96&height=80&frames=6&gop=3"
 

@@ -78,22 +78,9 @@ type Config struct {
 
 // encodeFunc is the sequence-encoding entry point, a Server field so the
 // httptest suite can count or fail encoder constructions (a cache hit
-// must never invoke it). indexed selects the GOP-index-building flavor;
-// without a cache fill to feed there is no reason to pay its
-// chunk-granular drain (serial mode would then hold a GOP of coded
-// packets before the first response byte).
+// must never invoke it).
 type encodeFunc func(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-	frames int, next func() (*hdvideobench.Frame, error), indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error)
-
-// defaultEncode backs encodeFunc with the library's streaming encoders.
-func defaultEncode(w io.Writer, c hdvideobench.Codec, opts hdvideobench.EncoderOptions,
-	frames int, next func() (*hdvideobench.Frame, error), indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
-	if !indexed {
-		stats, err := hdvideobench.EncodeStream(w, c, opts, frames, next)
-		return stats, hdvideobench.GOPIndex{}, err
-	}
-	return hdvideobench.EncodeStreamIndexed(w, c, opts, frames, next)
-}
+	frames int, next func() (*hdvideobench.Frame, error)) (hdvideobench.StreamStats, error)
 
 // ladderFunc is the rendition-ladder encoding entry point, a Server
 // field for the same reason as encodeFunc: the httptest suite counts
@@ -160,7 +147,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		sem:     make(chan struct{}, cfg.MaxConcurrent),
 		limiter: newRateLimiter(cfg.RateLimit, cfg.RateBurst),
-		encode:  defaultEncode,
+		encode:  hdvideobench.EncodeStream,
 		ladder:  hdvideobench.EncodeLadderStream,
 		log:     cfg.Logger,
 		reg:     obs.NewRegistry(),
@@ -844,32 +831,35 @@ func (ff *frameFeed) next() (*hdvideobench.Frame, error) {
 // phases on the request's trace: "enc", the wall time of the encode
 // call, and "gen", the part of it the frame feed spent in the sequence
 // generator ("enc" contains "gen": the encoder pulls its input).
-func (s *Server) encodeGenerated(ctx context.Context, t *reqTrack, w io.Writer, p *plan, indexed bool) (hdvideobench.StreamStats, hdvideobench.GOPIndex, error) {
+func (s *Server) encodeGenerated(ctx context.Context, t *reqTrack, w io.Writer, p *plan) (hdvideobench.StreamStats, error) {
 	feed := &frameFeed{ctx: ctx, gen: hdvideobench.NewSequence(p.seq, p.opts.Width, p.opts.Height), frames: p.frames}
 	sp := t.trace.Start("enc")
 	var stats hdvideobench.StreamStats
-	var idx hdvideobench.GOPIndex
 	var err error
 	if p.rung >= 0 {
 		stats, err = s.ladderPass(w, p, feed.next)
-		idx.Size = stats.Bytes
 	} else {
-		stats, idx, err = s.encode(w, p.codec, p.opts, p.frames, feed.next, indexed)
+		stats, err = s.encode(w, p.codec, p.opts, p.frames, feed.next)
 	}
 	d := sp.End()
 	t.trace.Record("gen", feed.spent)
 	if err == nil {
 		s.encoded(t, d)
 	}
-	return stats, idx, err
+	return stats, err
+}
+
+// gopIndex is the cache index of the container an encode wrote.
+func gopIndex(stats hdvideobench.StreamStats) hdvideobench.GOPIndex {
+	return hdvideobench.GOPIndex{Size: stats.Bytes, Entries: stats.GOPs}
 }
 
 // commit seals a fill under the "commit" phase. Fill time spans encode
 // start through commit: the window during which a second request for
 // the same key would find no entry.
-func (s *Server) commit(t *reqTrack, fill *gopcache.Fill, idx hdvideobench.GOPIndex, start time.Time) (*gopcache.Entry, error) {
+func (s *Server) commit(t *reqTrack, fill *gopcache.Fill, stats hdvideobench.StreamStats, start time.Time) (*gopcache.Entry, error) {
 	sp := t.trace.Start("commit")
-	ent, err := fill.Commit(idx)
+	ent, err := fill.Commit(gopIndex(stats))
 	sp.End()
 	if err == nil {
 		s.m.cacheFill.With("transcode", t.codec, t.res, t.cache).Observe(time.Since(start).Seconds())
@@ -1009,7 +999,7 @@ func (s *Server) fillThenServe(t *reqTrack, r *http.Request, p *plan) {
 		return
 	}
 	start := time.Now()
-	stats, idx, err := s.encodeGenerated(r.Context(), t, fill, p, true)
+	stats, err := s.encodeGenerated(r.Context(), t, fill, p)
 	if err != nil {
 		fill.Abort()
 		switch {
@@ -1026,7 +1016,7 @@ func (s *Server) fillThenServe(t *reqTrack, r *http.Request, p *plan) {
 		}
 		return
 	}
-	ent, err := s.commit(t, fill, idx, start)
+	ent, err := s.commit(t, fill, stats, start)
 	if err != nil {
 		http.Error(t, "cache commit failed", http.StatusInternalServerError)
 		return
@@ -1044,15 +1034,12 @@ func (s *Server) streamCold(t *reqTrack, r *http.Request, p *plan) {
 	}
 	t.tee = fill
 	start := time.Now()
-	// The GOP index only exists to be committed with the fill; without a
-	// tee the plain per-packet drain keeps first-byte latency at one
-	// packet, not one GOP.
-	stats, idx, err := s.encodeGenerated(r.Context(), t, t, p, fill != nil)
+	stats, err := s.encodeGenerated(r.Context(), t, t, p)
 	t.tee = nil
 	if fill != nil {
 		if err != nil {
 			fill.Abort()
-		} else if ent, cerr := s.commit(t, fill, idx, start); cerr != nil {
+		} else if ent, cerr := s.commit(t, fill, stats, start); cerr != nil {
 			s.log.Warn("cache commit failed", "id", t.id, "err", cerr)
 		} else {
 			ent.Close() // already streamed
@@ -1149,13 +1136,13 @@ func (s *Server) ladderPass(w io.Writer, p *plan, next func() (*hdvideobench.Fra
 		}
 	}
 	stats, err := s.ladder(ws, p.codec, p.opts, p.ladder, p.frames, next)
-	for _, fill := range fills {
+	for i, fill := range fills {
 		switch {
 		case fill == nil:
 		case err != nil:
 			fill.Abort()
 		default:
-			if ent, err := fill.Commit(hdvideobench.GOPIndex{Size: fill.Written()}); err == nil {
+			if ent, err := fill.Commit(gopIndex(stats[i])); err == nil {
 				ent.Close()
 			}
 		}

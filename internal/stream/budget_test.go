@@ -128,7 +128,7 @@ func TestIdleChunkWorkersLendTokens(t *testing.T) {
 				}
 				// A chunk is handed to the reader only after its worker returned its token.
 				for i := 0; i < workers; i++ {
-					if _, err := enc.ReadChunk(); err != nil {
+					if err := readChunk(enc, gop); err != nil {
 						t.Fatalf("chunk %d: %v", i, err)
 					}
 				}
@@ -139,10 +139,10 @@ func TestIdleChunkWorkersLendTokens(t *testing.T) {
 
 				// workers-1 tokens are idle; the last chunk's frames are the only takers.
 				close(release[workers])
-				if _, err := enc.ReadChunk(); err != nil {
+				if err := readChunk(enc, gop); err != nil {
 					t.Fatalf("last chunk: %v", err)
 				}
-				if _, err := enc.ReadChunk(); err != io.EOF {
+				if _, err := enc.ReadPacket(); err != io.EOF {
 					t.Fatalf("after the last chunk: %v, want io.EOF", err)
 				}
 				if err := <-werr; err != nil {

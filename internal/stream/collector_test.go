@@ -63,16 +63,13 @@ func TestCollectorChunkedMode(t *testing.T) {
 		}
 		done <- enc.Close()
 	}()
-	var drains int
-	for {
-		_, err := enc.ReadChunk()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	for range n / gop {
+		if err := readChunk(enc, gop); err != nil {
 			t.Fatal(err)
 		}
-		drains++
+	}
+	if _, err := enc.ReadPacket(); err != io.EOF {
+		t.Fatalf("after the last chunk: %v, want io.EOF", err)
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -84,8 +81,8 @@ func TestCollectorChunkedMode(t *testing.T) {
 		t.Errorf("QueueDepth at rest = %v, want 0", got)
 	}
 	// One drain observation per pool pull: the 4 chunks plus the EOF pull.
-	if got := col.DrainStall.Count(); got < int64(drains) {
-		t.Errorf("DrainStall count = %d, want >= %d", got, drains)
+	if got := col.DrainStall.Count(); got < n/gop {
+		t.Errorf("DrainStall count = %d, want >= %d", got, n/gop)
 	}
 	// One dispatch per frame, one non-dispatcher slice job per frame
 	// (spawned on a lent token or inline), one front per slice.
@@ -133,8 +130,8 @@ func TestCollectorAbortBalancesQueue(t *testing.T) {
 	}()
 	enc.Abort()
 	<-done
-	if _, err := enc.ReadChunk(); err != stream.ErrAborted {
-		t.Fatalf("ReadChunk after abort: %v", err)
+	if _, err := enc.ReadPacket(); err != stream.ErrAborted {
+		t.Fatalf("ReadPacket after abort: %v", err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for col.QueueDepth.Value() != 0 {

@@ -17,12 +17,12 @@ import (
 // stream length. See the package comment for the scheduling model and
 // the concurrency contract.
 //
-// Segment boundaries are detected on the fly: a mid-stream I packet
-// whose display index exceeds everything seen so far opens a new
-// segment. That is exactly where the container's closed-GOP semantics
-// guarantee a reference reset, so each segment decodes independently; a
-// packet that displays before its segment's I frame (an open GOP the
-// container forbids) fails with a clean error.
+// Segment boundaries are detected on the fly by a container.GOPTracker:
+// a mid-stream I packet that displays after everything seen so far opens
+// a new segment. That is exactly where the container's closed-GOP
+// semantics guarantee a reference reset, so each segment decodes
+// independently; a packet that displays before its segment's I frame
+// (an open GOP the container forbids) fails with a clean error.
 //
 // A segment that reaches FallbackPackets packets without a boundary —
 // the paper's first-frame-only-intra setting, or any stream whose I
@@ -50,11 +50,11 @@ type Decoder struct {
 	// Writer-side state. Exactly one of pool/dec is active at a time in
 	// chunked mode; serialOnly (a one-worker gate) keeps dec forever.
 	pool       *pipeline.OrderedPool[decSegment, []*frame.Frame]
-	cur        []container.Packet // segment being collected
-	maxDisplay int                // highest display index seen
-	dec        codec.Decoder      // serial instance (fallback or serialOnly)
-	out        chan *frame.Frame  // serial phase channel
-	serialBase int                // display rebase for the serial instance
+	cur        []container.Packet   // segment being collected
+	gops       container.GOPTracker // where the segments open
+	dec        codec.Decoder        // serial instance (fallback or serialOnly)
+	out        chan *frame.Frame    // serial phase channel
+	serialBase int                  // display rebase for the serial instance
 	serialOnly bool
 	rearms     int
 	closed     bool
@@ -93,12 +93,11 @@ type decSegment struct {
 // be shared with the other stages of one call.
 func NewDecoder(ctx context.Context, cancel context.CancelCauseFunc, factory pipeline.DecoderFactory, gate *pipeline.SliceGate, window int) (*Decoder, error) {
 	d := &Decoder{
-		maxDisplay: -1,
-		gate:       gate,
-		factory:    gate.Decoders(factory),
-		window:     normWindow(window, gate.Workers()),
-		phases:     make(chan decPhase, 16),
-		teardown:   teardown{ctx: ctx, cancel: cancel},
+		gate:     gate,
+		factory:  gate.Decoders(factory),
+		window:   normWindow(window, gate.Workers()),
+		phases:   make(chan decPhase, 16),
+		teardown: teardown{ctx: ctx, cancel: cancel},
 	}
 	if gate.Workers() <= 1 {
 		dec, err := d.factory()
@@ -189,27 +188,21 @@ func (d *Decoder) write(p container.Packet) error {
 	if d.serialOnly {
 		return d.writeSerial(p)
 	}
+	opens := d.gops.Opens(p)
 	if d.dec != nil { // serial fallback active
-		if p.Type == container.FrameI && p.DisplayIndex > d.maxDisplay {
+		if opens {
 			return d.rearm(p)
-		}
-		if p.DisplayIndex > d.maxDisplay {
-			d.maxDisplay = p.DisplayIndex
 		}
 		return d.writeSerial(p)
 	}
-	// A closed-GOP boundary: an I packet that displays after everything
-	// seen so far. The container's closed-GOP semantics guarantee no
-	// references cross it, so the collected segment is complete.
-	if len(d.cur) > 0 && p.Type == container.FrameI && p.DisplayIndex > d.maxDisplay {
+	// At a closed-GOP boundary no references cross, so the collected
+	// segment is complete.
+	if opens && len(d.cur) > 0 {
 		if err := d.submit(); err != nil {
 			return err
 		}
 	}
 	d.cur = append(d.cur, p)
-	if p.DisplayIndex > d.maxDisplay {
-		d.maxDisplay = p.DisplayIndex
-	}
 	if len(d.cur) >= FallbackPackets {
 		return d.fallBackToSerial()
 	}
@@ -280,7 +273,6 @@ func (d *Decoder) rearm(p container.Packet) error {
 		return err
 	}
 	d.cur = append(d.cur[:0:0], p)
-	d.maxDisplay = p.DisplayIndex
 	return nil
 }
 

@@ -38,8 +38,7 @@ type Encoder struct {
 	out chan container.Packet
 
 	// reader-side state
-	pending   []container.Packet
-	chunkHold []container.Packet // ReadChunk serial mode: held-back GOP opener
+	pending []container.Packet
 
 	closed bool
 	teardown
@@ -276,59 +275,6 @@ func (e *Encoder) ReadPacket() (container.Packet, error) {
 	p := e.pending[0]
 	e.pending = e.pending[1:]
 	return p, nil
-}
-
-// ReadChunk returns the packets of the next whole closed-GOP chunk in
-// coding order — the chunk-granular tap that lets a caller observe GOP
-// boundaries without re-parsing the stream (the fill unit of the
-// hdvserve disk cache, which records each chunk's byte offset for
-// range/seek serving). In chunked mode a chunk is exactly the
-// scheduler's unit; in serial mode packets are grouped at the I packets
-// that open each closed GOP, so both modes agree for the same gop. With
-// gop <= 0 the whole stream is one chunk. Same contract as ReadPacket
-// (io.EOF after Close, sticky errors, teardown on worker failure); do not
-// interleave ReadChunk and ReadPacket mid-chunk.
-func (e *Encoder) ReadChunk() ([]container.Packet, error) {
-	if e.pool != nil {
-		if err := e.dead(); err != nil {
-			return nil, err
-		}
-		if len(e.pending) > 0 { // remainder of a ReadPacket-opened chunk
-			pkts := e.pending
-			e.pending = nil
-			return pkts, nil
-		}
-		for {
-			pkts, err := e.next()
-			if err != nil {
-				return nil, e.readErr(err)
-			}
-			if len(pkts) > 0 {
-				return pkts, nil
-			}
-		}
-	}
-	// Serial mode: group packets at GOP-opening I frames, holding the
-	// opener of the next chunk across calls.
-	chunk := e.chunkHold
-	e.chunkHold = nil
-	for {
-		p, err := e.ReadPacket()
-		if err == io.EOF {
-			if len(chunk) > 0 {
-				return chunk, nil
-			}
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		if p.Type == container.FrameI && len(chunk) > 0 {
-			e.chunkHold = append(e.chunkHold, p)
-			return chunk, nil
-		}
-		chunk = append(chunk, p)
-	}
 }
 
 // next pulls the next chunk off the ordered drain, timing the wait when

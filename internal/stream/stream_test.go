@@ -67,6 +67,16 @@ func streamEncode(t *testing.T, id core.CodecID, cfg codec.Config, frames []*fra
 	return runEncoder(t, enc, frames), enc
 }
 
+// readChunk reads the n packets of one closed-GOP chunk.
+func readChunk(enc *stream.Encoder, n int) error {
+	for range n {
+		if _, err := enc.ReadPacket(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runEncoder is streamEncode's engine, for encoders the caller built.
 func runEncoder(t *testing.T, enc *stream.Encoder, frames []*frame.Frame) []container.Packet {
 	t.Helper()
@@ -360,6 +370,41 @@ func TestEncoderAbortUnblocksWriter(t *testing.T) {
 	}
 	if _, err := enc.ReadPacket(); err != stream.ErrAborted {
 		t.Fatalf("reader after abort got %v, want ErrAborted", err)
+	}
+}
+
+// TestWriteAfterAbortRejected pins the Write/Abort ordering fix: once a
+// stream is aborted, further Writes must return ErrAborted immediately
+// instead of buffering frames into the current chunk — a dead stream
+// must not keep accumulating memory between the abort and the writer
+// noticing.
+func TestWriteAfterAbortRejected(t *testing.T) {
+	const w, h, gop = 96, 80, 4
+	cfg := eqConfig(w, h)
+	cfg.IntraPeriod = gop
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
+	enc, err := stream.NewEncoder(ctx, cancel, encFactory(core.MPEG2, cfg), gop, pipeline.NewSliceGate(2), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := seqgen.New(seqgen.BlueSky, w, h)
+	// One frame in: less than a chunk, so nothing has been submitted and
+	// the old code path would happily keep buffering.
+	if err := enc.Write(gen.Frame(0)); err != nil {
+		t.Fatal(err)
+	}
+	enc.Abort()
+	for i := 1; i <= 8; i++ {
+		if err := enc.Write(gen.Frame(i)); err != stream.ErrAborted {
+			t.Fatalf("Write %d after Abort: %v, want ErrAborted", i, err)
+		}
+	}
+	if got := enc.PeakResident(); got > 1 {
+		t.Fatalf("aborted stream accumulated frames: PeakResident=%d, want <=1", got)
+	}
+	if err := enc.Close(); err != nil && err != stream.ErrAborted {
+		t.Fatalf("Close after abort: %v, want nil or ErrAborted", err)
 	}
 }
 
