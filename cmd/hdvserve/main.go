@@ -49,8 +49,8 @@
 //	         mezzanine): comma-separated named resolutions, each with an
 //	         optional @kbps (e.g. 240p,576p@800; a bare kbps= is the
 //	         default per rung). Without rung= the response is a JSON
-//	         manifest listing each rung's geometry and URL. Ladder
-//	         requests allow no index
+//	         manifest listing each rung's geometry and URL; index
+//	         needs rung=
 //	rung     with ladder: stream this rung, a resolution in the ladder.
 //	         A cold rung streams like any cold GET while the same ladder
 //	         pass fills every sibling rung's cache entry, so its

@@ -224,10 +224,11 @@ type Encoder interface {
 	// a runner — only wall-clock does.
 	SetSliceRunner(r SliceRunner)
 	SetWavefrontRunner(r WavefrontRunner)
-	// SetPTSBase sets the offset added to display stamps when keying the
-	// Config.MotionTap/MotionHints callbacks. The GOP-parallel pipeline
-	// restamps Frame.PTS chunk-locally, so it announces each chunk's
-	// offset in the global timeline here; serial encoding leaves it zero.
+	// SetPTSBase sets the display index the next Encode stamps on its
+	// frame (Frame.PTS, the packets' DisplayIndex and the MotionTap and
+	// MotionHints keys); later frames count on from it. A chunk coder
+	// starts each chunk at its place in the global timeline; a fresh or
+	// Reset instance starts at zero.
 	SetPTSBase(base int)
 }
 
@@ -242,4 +243,8 @@ type Decoder interface {
 	// SetSliceRunner runs each frame's slice jobs on r (nil = serial).
 	// Decoded samples never depend on the runner.
 	SetSliceRunner(r SliceRunner)
+	// SetPTSBase sets, before the first Decode, the display index the
+	// decoder delivers first: a segment that opens mid-stream starts at
+	// its I frame's index; a fresh instance starts at zero.
+	SetPTSBase(base int)
 }

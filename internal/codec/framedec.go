@@ -45,8 +45,9 @@ func NewFrameDecoder(name string, hdr container.Header, id container.Codec, minQ
 	return &FrameDecoder{name: name, hdr: hdr, minQ: minQ, maxQ: maxQ, sd: sd, refs: RefList{Max: maxRefs}}, nil
 }
 
-// SetSliceRunner and Flush implement Decoder.
+// SetSliceRunner, SetPTSBase and Flush implement Decoder.
 func (d *FrameDecoder) SetSliceRunner(r SliceRunner) { d.runner = r }
+func (d *FrameDecoder) SetPTSBase(base int)          { d.reorder.next = base }
 func (d *FrameDecoder) Flush() []*frame.Frame        { return d.reorder.Flush() }
 
 // Decode implements Decoder.

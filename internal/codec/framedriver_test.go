@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -231,16 +232,17 @@ func TestFrameDriverGOP(t *testing.T) {
 	}
 }
 
-// TestFrameDriverMotionCallbacks: tap and hint callbacks key on the
-// display stamp plus the PTS base, and never fire for an I frame — whose
-// slices see neither field.
+// TestFrameDriverMotionCallbacks: after SetPTSBase the packets carry
+// display indices counted from the base, the tap and hint callbacks key
+// on those same indices, and neither fires for an I frame — whose slices
+// see neither field.
 func TestFrameDriverMotionCallbacks(t *testing.T) {
 	const w, h, base = 16, 16, 100
 	var taps, hints []int
 	cfg := toyConfig(w, h)
 	cfg.BFrames, cfg.IntraPeriod = 2, 4
 	cfg.MotionTap = func(pts int, f *motion.Field) {
-		if got := int(f.MVs[0].X); got != pts-base {
+		if got := int(f.MVs[0].X); got != pts {
 			t.Errorf("tap at %d carries the field of display index %d", pts, got)
 		}
 		taps = append(taps, pts)
@@ -254,17 +256,22 @@ func TestFrameDriverMotionCallbacks(t *testing.T) {
 	}
 	enc, _ := newToyEncoder(t, cfg, 2)
 	enc.SetPTSBase(base)
-	want := []int{103, 101, 102, 105, 106} // coding order, I0 and I4 absent
+	want := []int{103, 101, 102, 105, 106} // coding order, I100 and I104 absent
+	var shown []int
 	for _, p := range encodeAll(t, enc, w, h, 7, nil) {
+		shown = append(shown, p.DisplayIndex)
 		body := string(p.Payload[1+codec.SliceTableSize(1):])
 		inter := p.Type != container.FrameI
-		hinted := inter && (p.DisplayIndex+base)%2 == 0
+		hinted := inter && p.DisplayIndex%2 == 0
 		if wantSuffix := fmt.Sprintf("tap=%v hint=%v", inter, hinted); !strings.HasSuffix(body, wantSuffix) {
 			t.Errorf("%c%d: slice saw %q, want …%s", p.Type, p.DisplayIndex, body, wantSuffix)
 		}
 	}
 	if fmt.Sprint(taps) != fmt.Sprint(want) || fmt.Sprint(hints) != fmt.Sprint(want) {
 		t.Errorf("taps %v hints %v, want both %v", taps, hints, want)
+	}
+	if slices.Sort(shown); fmt.Sprint(shown) != "[100 101 102 103 104 105 106]" {
+		t.Errorf("packets display %v, want 100…106", shown)
 	}
 }
 

@@ -67,8 +67,7 @@ type FrameEncoder struct {
 	tap, hint  *motion.Field // cfg.MotionTap's target, cfg.MotionHints' field
 	sliceJob   func(i int)   // e.encodeSlice, bound once: dispatch allocates nothing
 
-	inCount int // display frames accepted
-	ptsBase int // chunk offset in the global display timeline
+	nextPTS int // display index the next Encode stamps
 }
 
 // NewFrameEncoder validates cfg and returns the driver for sc. name
@@ -98,7 +97,7 @@ func NewFrameEncoder(name string, cfg Config, id container.Codec, flags uint16, 
 
 // SetSliceRunner, SetPTSBase and Header implement Encoder.
 func (e *FrameEncoder) SetSliceRunner(r SliceRunner) { e.runner = r }
-func (e *FrameEncoder) SetPTSBase(base int)          { e.ptsBase = base }
+func (e *FrameEncoder) SetPTSBase(base int)          { e.nextPTS = base }
 func (e *FrameEncoder) Header() container.Header     { return e.hdr }
 
 // SetWavefrontRunner implements Encoder. The runner is kept only when
@@ -119,7 +118,7 @@ func (e *FrameEncoder) Reset() {
 		e.rc.Reset()
 	}
 	e.refs.Reset(&e.free)
-	e.inCount, e.ptsBase = 0, 0
+	e.nextPTS = 0
 }
 
 // Encode implements Encoder.
@@ -128,8 +127,8 @@ func (e *FrameEncoder) Encode(f *frame.Frame) ([]container.Packet, error) {
 		return nil, fmt.Errorf("%s: frame is %dx%d, config is %dx%d",
 			e.name, f.Width, f.Height, e.cfg.Width, e.cfg.Height)
 	}
-	f.PTS = e.inCount // display index = arrival order
-	e.inCount++
+	f.PTS = e.nextPTS // display index = base + arrival order
+	e.nextPTS++
 	return e.encodeAll(e.gop.Push(f)), nil
 }
 
@@ -241,7 +240,7 @@ func (e *FrameEncoder) encodeFrame(src *frame.Frame, ftype container.FrameType) 
 			e.tap = motion.NewField(e.cfg.Width, e.cfg.Height)
 		}
 		if e.cfg.MotionHints != nil {
-			e.hint = e.cfg.MotionHints(src.PTS + e.ptsBase)
+			e.hint = e.cfg.MotionHints(src.PTS)
 		}
 	}
 
@@ -287,7 +286,7 @@ func (e *FrameEncoder) encodeFrame(src *frame.Frame, ftype container.FrameType) 
 		}
 	}
 	if e.tap != nil {
-		e.cfg.MotionTap(src.PTS+e.ptsBase, e.tap)
+		e.cfg.MotionTap(src.PTS, e.tap)
 	}
 	e.src, e.recon, e.tap, e.hint = nil, nil, nil, nil
 	return container.Packet{Type: ftype, DisplayIndex: src.PTS, Payload: payload}

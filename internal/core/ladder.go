@@ -129,8 +129,9 @@ func EncodeLadderStream(ws []io.Writer, id CodecID, cfg codec.Config, rungs []La
 }
 
 // EncodeLadder is EncodeLadderStream fed from a slice at the default
-// window, collecting each rung's packets. On return every input frame
-// carries its display index as PTS.
+// window, collecting each rung's packets. A largest rung at the
+// mezzanine's geometry codes the input frames themselves, so on return
+// each carries its display index as PTS.
 func EncodeLadder(id CodecID, cfg codec.Config, frames []*frame.Frame, rungs []LadderRung, workers int) ([]LadderRendition, error) {
 	out := make([]LadderRendition, len(rungs))
 	ps := make([]packetSink, len(rungs))
@@ -140,9 +141,6 @@ func EncodeLadder(id CodecID, cfg codec.Config, frames []*frame.Frame, rungs []L
 	}
 	if err := encodeLadder(factories(id), cfg, rungs, ps, workerGate(workers, nil), 0, sliceNext(frames)); err != nil {
 		return nil, err
-	}
-	for i, f := range frames {
-		f.PTS = i // chunk encoders stamp chunk-local indices
 	}
 	return out, nil
 }

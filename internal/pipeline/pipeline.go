@@ -51,13 +51,12 @@ type EncoderFactory func() (codec.Encoder, error)
 type DecoderFactory func() (codec.Decoder, error)
 
 // EncodeChunk drives enc over one closed-GOP chunk of display-order
-// frames and flushes it, shifting the chunk-local display indices the
-// encoder stamps by base — the chunk's offset in the global timeline.
-// It is the unit of work of the streaming scheduler in internal/stream,
-// and with base 0 over a whole sequence the single-instance reference.
+// frames and flushes it. base is the chunk's first display index in the
+// stream: the encoder stamps it and counts on, so frames, packets and
+// motion callbacks carry global indices. It is the unit of work of the
+// streaming scheduler in internal/stream, and with base 0 over a whole
+// sequence the single-instance reference.
 func EncodeChunk(enc codec.Encoder, frames []*frame.Frame, base int) ([]container.Packet, error) {
-	// The encoder stamps chunk-local display indices; its motion
-	// tap/hint callbacks need the global timeline to key their fields.
 	enc.SetPTSBase(base)
 	var pkts []container.Packet
 	for _, f := range frames {
@@ -71,42 +70,26 @@ func EncodeChunk(enc codec.Encoder, frames []*frame.Frame, base int) ([]containe
 	if err != nil {
 		return nil, err
 	}
-	pkts = append(pkts, ps...)
-	if base != 0 {
-		for j := range pkts {
-			pkts[j].DisplayIndex += base
-		}
-	}
-	return pkts, nil
+	return append(pkts, ps...), nil
 }
 
 // DecodeSegment decodes one closed-GOP segment of coding-order packets
-// with a fresh decoder, returning its frames in display order with
-// global PTS stamps. Each segment's display indices start at its I
-// frame; the decoder's reorder buffer counts from zero, so the segment
-// is decoded with segment-local stamps (rebased by the first packet's
-// display index) and shifted back afterwards. Like EncodeChunk, it is
-// the streaming scheduler's unit of work and, over a whole stream, the
-// single-instance reference.
+// with a fresh decoder, returning its frames in display order. The
+// decoder starts its display count at the first packet's index — the
+// segment's I frame — so the frames carry global PTS stamps. Like
+// EncodeChunk, it is the streaming scheduler's unit of work and, over a
+// whole stream, the single-instance reference.
 func DecodeSegment(dec codec.Decoder, pkts []container.Packet) ([]*frame.Frame, error) {
-	base := 0
 	if len(pkts) > 0 {
-		base = pkts[0].DisplayIndex
+		dec.SetPTSBase(pkts[0].DisplayIndex)
 	}
 	var out []*frame.Frame
 	for _, p := range pkts {
-		p.DisplayIndex -= base
 		fs, err := dec.Decode(p)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, fs...)
 	}
-	out = append(out, dec.Flush()...)
-	if base != 0 {
-		for _, f := range out {
-			f.PTS += base
-		}
-	}
-	return out, nil
+	return append(out, dec.Flush()...), nil
 }

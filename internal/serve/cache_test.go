@@ -540,6 +540,38 @@ func TestPostTranscodeBadUpload(t *testing.T) {
 	}
 }
 
+// TestPostTranscodeUnknownCodecEveryWorkerCount: an upload whose header
+// names no codec is refused with the same headerless 400 at every worker
+// count, before any stream bytes.
+func TestPostTranscodeUnknownCodecEveryWorkerCount(t *testing.T) {
+	var upload bytes.Buffer
+	cw, err := container.NewWriter(&upload, container.Header{Codec: container.Codec(9), Width: 96, Height: 80, FPSNum: 25, FPSDen: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.WritePacket(container.Packet{Type: container.FrameI, Payload: []byte{5, 0}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		_, ts := testServer(t, Config{Workers: workers, MaxConcurrent: 1, MaxFrames: 100})
+		resp, err := http.Post(fmt.Sprintf("%s/transcode?codec=mpeg2&workers=%d", ts.URL, workers), StreamContentType,
+			bytes.NewReader(upload.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown stream codec") {
+			t.Errorf("workers=%d: status %d (%q), want 400 naming the unknown codec", workers, resp.StatusCode, body)
+		}
+		for name := range resp.Header {
+			if strings.HasPrefix(name, "X-Hdvb-") {
+				t.Errorf("workers=%d: the response carries stream header %s", workers, name)
+			}
+		}
+	}
+}
+
 // TestRateLimit429: with a tiny per-client budget the second immediate
 // request is rejected with 429 + Retry-After, and /metrics counts it.
 func TestRateLimit429(t *testing.T) {

@@ -51,7 +51,7 @@ func TestLadderBadRequests(t *testing.T) {
 		{"rung not in ladder", "ladder=240p&res=576p25&rung=576p", "is not in ladder"},
 		{"unknown rung selection", "ladder=240p&res=576p25&rung=999p", "unknown resolution"},
 		{"rung without ladder", "rung=240p&res=576p25", "rung requires ladder"},
-		{"index with ladder", "ladder=240p&res=576p25&index=1", "index is not supported with ladder"},
+		{"index with ladder", "ladder=240p&res=576p25&index=1", "index requires rung"},
 		{"too many frames", "ladder=240p&res=576p25&frames=301", "frames: 301 out of range"},
 	}
 	for _, tc := range cases {
@@ -208,6 +208,49 @@ func TestLadderRungCacheSharing(t *testing.T) {
 			t.Errorf("rung %d: index %+v, want %d bytes with GOPs %v", i, ent.Index, len(body), want)
 		}
 		ent.Close()
+	}
+}
+
+// TestLadderRungIndex: index=1 on a rung is served from the rung's cache
+// entry. The miss runs the ladder pass and fills every rung, so the
+// sibling's index is a hit, and each index equals the closed GOPs a
+// container.GOPTracker finds walking that rung's bytes.
+func TestLadderRungIndex(t *testing.T) {
+	_, ts := testServer(t, cachedServerConfig(t))
+	base := ts.URL + "/transcode?codec=mpeg2&res=576p25&frames=8&gop=4&ladder=240p,576p"
+	for _, rung := range []string{"240p", "576p"} {
+		url := base + "&rung=" + rung
+		resp, idxBody := get(t, url+"&index=1")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("rung %s index: status %d: %s", rung, resp.StatusCode, idxBody)
+		}
+		var idx indexJSON
+		if err := json.Unmarshal(idxBody, &idx); err != nil {
+			t.Fatalf("rung %s index: %v\n%s", rung, err, idxBody)
+		}
+		_, body := get(t, url)
+		sr, err := container.NewStreamReader(bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gops container.GOPTracker
+		want := []indexGOPJSON{}
+		for {
+			off := sr.BytesRead()
+			p, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("rung %s: %v", rung, err)
+			}
+			if gops.Opens(p) {
+				want = append(want, indexGOPJSON{Offset: off, Frame: p.DisplayIndex})
+			}
+		}
+		if idx.Size != int64(len(body)) || !slices.Equal(idx.GOPs, want) || len(want) != 2 {
+			t.Errorf("rung %s: index %s, want %d bytes with GOPs %v", rung, idxBody, len(body), want)
+		}
 	}
 }
 

@@ -745,9 +745,6 @@ func (s *Server) parseTranscode(r *http.Request) (plan, error) {
 			}
 		}
 		p.ladderSpec = strings.Join(parts, ",")
-		if p.index {
-			return p, fmt.Errorf("index is not supported with ladder")
-		}
 		if name := q.Get("rung"); name != "" {
 			res, err := hdvideobench.ResolutionByName(name)
 			if err != nil {
@@ -761,6 +758,8 @@ func (s *Server) parseTranscode(r *http.Request) (plan, error) {
 			if p.rung < 0 {
 				return p, fmt.Errorf("rung %q is not in ladder %q", name, spec)
 			}
+		} else if p.index {
+			return p, fmt.Errorf("index requires rung")
 		}
 	} else if q.Get("rung") != "" {
 		return p, fmt.Errorf("rung requires ladder")

@@ -39,9 +39,10 @@
 // worker with no chunk left (the tail of a stream, a slow producer, a
 // stream with no interior I frames) leaves its token in the bank for the
 // frames still being coded. Tokens are never held across a window or
-// channel wait, so stages sharing one gate — the decoder's pools and its
-// serial fallback, or both halves of core.Transcode — cannot deadlock on
-// it and together never run more than its Workers() goroutines.
+// channel wait, so stages sharing one gate — the decoder's pool workers
+// and the writer decoding its streamed segment, or both halves of
+// core.Transcode — cannot deadlock on it and together never run more
+// than its Workers() goroutines.
 //
 // # Determinism
 //
@@ -67,18 +68,18 @@
 //
 // On a one-worker gate — or with GOP <= 0, where no chunk boundaries
 // exist — the engine degrades to a single persistent codec instance
-// driven inline by Write, which is still constant-memory (the codec
-// buffers only its B-frame lookahead and reference frames) and still
-// byte-identical to the single-instance path. Write takes a token for
-// each codec call there too: a one-worker gate banks its one token like
-// any other, so the serial stages of one call — both halves of a
-// transcode, the rungs of a ladder — take turns on it. With more workers that single
-// instance is not the end of parallelism: its slices and rows have the
-// rest of the bank to themselves, so streams coded with Slices > 1 or
-// Wavefront scale inside each frame even when the GOP gives the window
-// scheduler nothing to chunk — including inside the decoder's
-// serial-fallback window, which re-arms to chunked mode at the next
-// closed-GOP boundary (see Decoder).
+// driven inline by Write (the decoder's one streamed segment), which is
+// still constant-memory (the codec buffers only its B-frame lookahead
+// and reference frames) and byte-identical to the single-instance path.
+// Write takes a token for each codec call there too: a one-worker gate
+// banks its one token like any other, so the serial stages of one call —
+// both halves of a transcode, the rungs of a ladder — take turns on it.
+// With more workers that single instance is not the end of parallelism:
+// its slices and rows have the rest of the bank to themselves, so
+// streams coded with Slices > 1 or Wavefront scale inside each frame
+// even when the GOP gives the window scheduler nothing to chunk —
+// including inside a decoder segment streamed for want of boundaries,
+// which the next closed-GOP boundary ends (see Decoder).
 package stream
 
 import (
@@ -103,18 +104,18 @@ var ErrClosed = errors.New("stream: write after Close")
 const DefaultWindowPerWorker = 2
 
 // FallbackPackets is the boundary-less segment length at which the
-// chunked decoder gives up on GOP parallelism and falls back to the
-// serial single-instance mode: a stream with no interior I frames (the
-// paper's first-frame-only-intra setting) is a single segment, and
-// buffering it whole would break the constant-memory guarantee. Only
-// compressed packets — never decoded frames — are buffered up to this
-// point, and serial decode of the replayed prefix is bit-identical, so
-// the fallback trades parallelism for the memory bound, not
-// correctness. Two mitigations keep the fallback cheap: sliced frames
-// still decode in parallel inside it (on whatever tokens the draining
-// pool is not using), and the decoder re-arms to
-// chunked mode at the next boundary I frame, so the serial window is
-// bounded by the pathological segment rather than the stream.
+// decoder stops collecting a segment for a pool worker and streams it
+// instead: a stream with no interior I frames (the paper's
+// first-frame-only-intra setting) is a single segment, and buffering it
+// whole would break the constant-memory guarantee. Only compressed
+// packets — never decoded frames — are buffered up to this point, and
+// the writer's decode of the replayed prefix is bit-identical, so
+// streaming trades GOP parallelism for the memory bound, not
+// correctness. Two mitigations keep it cheap: sliced frames still
+// decode in parallel inside the segment (on whatever tokens the pool's
+// workers are not using), and the next boundary I frame ends the
+// streamed segment, so the serial stretch is bounded by the
+// pathological segment rather than the stream.
 const FallbackPackets = 256
 
 // normWindow resolves a window option against a worker count: non-positive

@@ -7,6 +7,7 @@ package stream_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -455,11 +456,16 @@ func TestEncoderErrorPropagates(t *testing.T) {
 	}
 }
 
+// fallbackWorkers are the gates the fallback tests decode on: at 1 the
+// stream is one streamed segment; at 2 and 4 segments go to the pool's
+// workers until one is streamed.
+var fallbackWorkers = []int{1, 2, 4}
+
 // TestDecoderSerialFallback streams a first-frame-only-intra sequence
-// longer than FallbackPackets through the chunked decoder: with no
-// closed-GOP boundary to split on it must fall back to the serial mode
-// (observable as zero pool residency) and still decode every frame
-// exactly as the batch path does.
+// longer than FallbackPackets: with no closed-GOP boundary to split on,
+// the one segment is streamed at every worker count (observable as zero
+// pool residency) and still decodes every frame exactly as the batch
+// path does.
 func TestDecoderSerialFallback(t *testing.T) {
 	const w, h = 96, 80
 	n := stream.FallbackPackets + 20
@@ -475,23 +481,32 @@ func TestDecoderSerialFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, workers := range fallbackWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			decoded, dec := streamDecode(t, hdr, cfg, pkts, workers, 2)
+			framesMatch(t, decoded, batchFrames)
+			// No worker decoded a segment: the whole stream was streamed,
+			// at the codec's own constant memory.
+			if peak, rearms := dec.PeakResident(), dec.Rearms(); peak != 0 || rearms != 0 {
+				t.Fatalf("pool residency %d, re-arms %d; want 0 and 0", peak, rearms)
+			}
+		})
+	}
+}
 
-	decoded, dec := streamDecode(t, hdr, cfg, pkts, 4, 2)
-	if len(decoded) != len(batchFrames) {
-		t.Fatalf("decoded %d frames, batch has %d", len(decoded), len(batchFrames))
-	}
-	for i := range decoded {
-		if decoded[i].PTS != batchFrames[i].PTS {
-			t.Fatalf("frame %d: PTS %d, batch has %d", i, decoded[i].PTS, batchFrames[i].PTS)
+// TestNewDecoderFactoryError: NewDecoder builds its first codec instance
+// itself, so a header no codec accepts fails the call at every worker
+// count, before any packet is written.
+func TestNewDecoderFactoryError(t *testing.T) {
+	refused := errors.New("no codec for this header")
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancelCause(context.Background())
+		_, err := stream.NewDecoder(ctx, cancel, func() (codec.Decoder, error) { return nil, refused },
+			pipeline.NewSliceGate(workers), 0)
+		cancel(nil)
+		if !errors.Is(err, refused) {
+			t.Errorf("workers=%d: NewDecoder returned %v, want the factory's error", workers, err)
 		}
-		if !bytes.Equal(decoded[i].Y, batchFrames[i].Y) {
-			t.Fatalf("frame %d: luma differs from batch decode", i)
-		}
-	}
-	// The pool never decoded a segment: the whole stream went through
-	// the serial fallback, whose memory is the codec's own constant.
-	if peak := dec.PeakResident(); peak != 0 {
-		t.Fatalf("pool residency %d after fallback, want 0", peak)
 	}
 }
 
@@ -532,11 +547,10 @@ func TestDecoderRejectsOpenGOP(t *testing.T) {
 }
 
 // TestDecoderMidStreamFallback covers the mixed shape: a closed-GOP head
-// (segments flow through the pool) followed by a boundary-less tail
-// longer than FallbackPackets. The decoder must hand the head to the
-// pool, then fall back to serial for the tail — with display stamps
-// rebased across the switch — and the result must match the batch
-// decode frame for frame.
+// followed by a boundary-less tail longer than FallbackPackets. With more
+// than one worker the head's segments go to the pool's workers and the
+// tail is streamed; with one the whole stream is one streamed segment.
+// Either way the result must match the batch decode frame for frame.
 func TestDecoderMidStreamFallback(t *testing.T) {
 	const w, h, headFrames, gop = 96, 80, 6, 3
 	tailFrames := stream.FallbackPackets + 10
@@ -570,40 +584,44 @@ func TestDecoderMidStreamFallback(t *testing.T) {
 		t.Fatalf("batch decoded %d frames, want %d", len(batchFrames), headFrames+tailFrames)
 	}
 
-	decoded, dec := streamDecode(t, hdr, headCfg, pkts, 4, 2)
-	if len(decoded) != len(batchFrames) {
-		t.Fatalf("decoded %d frames, batch has %d", len(decoded), len(batchFrames))
-	}
-	for i := range decoded {
-		if decoded[i].PTS != batchFrames[i].PTS {
-			t.Fatalf("frame %d: PTS %d, batch has %d", i, decoded[i].PTS, batchFrames[i].PTS)
-		}
-		if !bytes.Equal(decoded[i].Y, batchFrames[i].Y) {
-			t.Fatalf("frame %d: luma differs from batch decode", i)
-		}
-	}
-	// The head's segments went through the pool (nonzero residency);
-	// the unbounded tail did not (it would have pushed the peak toward
-	// tailFrames).
-	if peak := dec.PeakResident(); peak == 0 || peak > (dec.Window()+1)*gop {
-		t.Fatalf("pool residency %d, want within (0, %d] (head only)", peak, (dec.Window()+1)*gop)
+	for _, workers := range fallbackWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			decoded, dec := streamDecode(t, hdr, headCfg, pkts, workers, 2)
+			framesMatch(t, decoded, batchFrames)
+			if got := dec.Rearms(); got != 0 {
+				t.Fatalf("decoder re-armed %d times, want 0", got)
+			}
+			peak := dec.PeakResident()
+			if workers == 1 {
+				if peak != 0 {
+					t.Fatalf("pool residency %d on one worker, want 0 (one streamed segment)", peak)
+				}
+				return
+			}
+			// The head's segments were decoded by workers (nonzero
+			// residency); the unbounded tail was not (it would have
+			// pushed the peak toward tailFrames).
+			if peak == 0 || peak > (dec.Window()+1)*gop {
+				t.Fatalf("pool residency %d, want within (0, %d] (head only)", peak, (dec.Window()+1)*gop)
+			}
+		})
 	}
 }
 
 // TestDecoderRearmsAfterFallback covers the inverse of the mid-stream
-// fallback: a boundary-less head longer than FallbackPackets (serial
-// fallback engages) followed by a closed-GOP tail. At the tail's first
-// boundary I frame the decoder must re-arm — flush the serial instance
-// and hand the remaining segments to a fresh pool — instead of staying
-// serial forever, and the output must still match the batch decode
-// frame for frame.
+// fallback: a boundary-less head longer than FallbackPackets (streamed)
+// followed by a closed-GOP tail. With more than one worker the tail's
+// first boundary I frame ends the streamed segment and re-arms the pool,
+// whose workers decode the remaining segments, instead of streaming
+// forever; with one worker no boundary ends the stream's one segment.
+// The output must match the batch decode frame for frame.
 func TestDecoderRearmsAfterFallback(t *testing.T) {
 	const w, h, gop = 96, 80, 3
 	headFrames := stream.FallbackPackets + 10
 	const tailFrames = 9
 
 	headCfg := eqConfig(w, h)
-	headCfg.IntraPeriod = 0 // boundary-less: forces the fallback
+	headCfg.IntraPeriod = 0 // boundary-less: the head is streamed
 	head, hdr, err := core.EncodeSequence(core.MPEG2, headCfg, seqgen.New(seqgen.BlueSky, w, h).Generate(headFrames))
 	if err != nil {
 		t.Fatal(err)
@@ -628,24 +646,25 @@ func TestDecoderRearmsAfterFallback(t *testing.T) {
 		t.Fatalf("batch decoded %d frames, want %d", len(batchFrames), headFrames+tailFrames)
 	}
 
-	decoded, dec := streamDecode(t, hdr, headCfg, pkts, 4, 2)
-	if len(decoded) != len(batchFrames) {
-		t.Fatalf("decoded %d frames, batch has %d", len(decoded), len(batchFrames))
-	}
-	for i := range decoded {
-		if decoded[i].PTS != batchFrames[i].PTS {
-			t.Fatalf("frame %d: PTS %d, batch has %d", i, decoded[i].PTS, batchFrames[i].PTS)
-		}
-		if !bytes.Equal(decoded[i].Y, batchFrames[i].Y) {
-			t.Fatalf("frame %d: luma differs from batch decode", i)
-		}
-	}
-	if got := dec.Rearms(); got != 1 {
-		t.Fatalf("decoder re-armed %d times, want 1", got)
-	}
-	// The tail's segments went through the re-armed pool, so pool
-	// residency is visible again after the fallback window.
-	if peak := dec.PeakResident(); peak == 0 {
-		t.Fatal("no pool residency after re-arm: tail decoded serially")
+	for _, workers := range fallbackWorkers {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			decoded, dec := streamDecode(t, hdr, headCfg, pkts, workers, 2)
+			framesMatch(t, decoded, batchFrames)
+			rearms, peak := dec.Rearms(), dec.PeakResident()
+			if workers == 1 {
+				if rearms != 0 || peak != 0 {
+					t.Fatalf("one worker: re-arms %d, pool residency %d; want 0 and 0 (one streamed segment)", rearms, peak)
+				}
+				return
+			}
+			if rearms != 1 {
+				t.Fatalf("decoder re-armed %d times, want 1", rearms)
+			}
+			// The tail's segments were decoded by the pool's workers, so
+			// residency is visible again after the streamed head.
+			if peak == 0 {
+				t.Fatal("no pool residency after re-arm: tail was streamed")
+			}
+		})
 	}
 }
